@@ -58,6 +58,15 @@ class CkptWriter
         u8(v ? 1 : 0);
     }
 
+    /** A double as its raw 64-bit pattern (bit-exact round trip). */
+    void
+    f64(double v)
+    {
+        uint64_t u;
+        std::memcpy(&u, &v, sizeof(u));
+        u64(u);
+    }
+
     void
     bytes(const void *data, size_t len)
     {
@@ -121,6 +130,15 @@ class CkptReader
     }
 
     bool b() { return u8() != 0; }
+
+    double
+    f64()
+    {
+        uint64_t u = u64();
+        double v;
+        std::memcpy(&v, &u, sizeof(v));
+        return v;
+    }
 
     bool
     bytes(void *out, size_t n)

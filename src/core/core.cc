@@ -12,10 +12,6 @@
 #include "common/env.hh"
 #include "common/logging.hh"
 #include "isa/disasm.hh"
-// Header-only stat-field visitor (no vpir_sweep link dependency);
-// checkpoints serialize CoreStats through the same single field list
-// the result cache uses, so the two cannot drift apart.
-#include "sweep/stats_json.hh"
 
 namespace vpir
 {
@@ -2353,9 +2349,7 @@ Core::saveCheckpoint(CkptWriter &w) const
     w.u64(auditSquashed);
     w.u64(nextCkptAt);
     w.u32(static_cast<uint32_t>(robHead));
-    sweep::forEachStatField(st,
-        [&w](const char *, const uint64_t &v) { w.u64(v); });
-    w.b(st.haltedCleanly);
+    forEachStatField(st, [&w](const char *, const uint64_t &v) { w.u64(v); });
     w.u32(emu.pc());
     w.b(emu.halted());
     state.serialize(w);
@@ -2390,9 +2384,7 @@ Core::restoreCheckpoint(CkptReader &r)
         r.fail();
         return false;
     }
-    sweep::forEachStatField(st,
-        [&r](const char *, uint64_t &v) { v = r.u64(); });
-    st.haltedCleanly = r.b();
+    forEachStatField(st, [&r](const char *, uint64_t &v) { v = r.u64(); });
     emu.setPC(r.u32());
     // The halt latch is legitimate mid-run state: a wrong-path HALT
     // executed speculatively at dispatch sets it and nothing clears

@@ -9,6 +9,7 @@
 #define VPIR_CORE_CORE_STATS_HH
 
 #include <cstdint>
+#include <type_traits>
 
 #include "stats/stats.hh"
 
@@ -106,6 +107,81 @@ struct CoreStats
     /** Export every counter into a named StatSet. */
     void exportTo(StatSet &out) const;
 };
+
+/**
+ * Visit every field of a CoreStats by name: fn(const char *name,
+ * uint64_t &value), const-qualified when @p st is. The execCountHist
+ * buckets are visited as execCountHist0..3 and haltedCleanly, last, as
+ * 0/1 through a proxy. The result cache, checkpoints, the fork
+ * protocol, statsEqual() and the stats schema fingerprint all share
+ * this single field list so they cannot drift apart.
+ */
+template <typename Stats, typename Fn>
+void
+forEachStatField(Stats &st, Fn &&fn)
+{
+    static_assert(sizeof(CoreStats) == 45 * sizeof(uint64_t),
+                  "CoreStats changed: update forEachStatField()");
+#define VPIR_STAT_FIELD(name) fn(#name, st.name)
+    VPIR_STAT_FIELD(cycles);
+    VPIR_STAT_FIELD(committedInsts);
+    VPIR_STAT_FIELD(committedMemOps);
+    VPIR_STAT_FIELD(committedLoads);
+    VPIR_STAT_FIELD(committedStores);
+    VPIR_STAT_FIELD(executedInsts);
+    VPIR_STAT_FIELD(squashedExecuted);
+    VPIR_STAT_FIELD(squashedRecovered);
+    VPIR_STAT_FIELD(branchSquashes);
+    VPIR_STAT_FIELD(spuriousSquashes);
+    VPIR_STAT_FIELD(condBranches);
+    VPIR_STAT_FIELD(condMispredicted);
+    VPIR_STAT_FIELD(returns);
+    VPIR_STAT_FIELD(returnMispredicted);
+    VPIR_STAT_FIELD(branchResLatSum);
+    VPIR_STAT_FIELD(branchResCount);
+    VPIR_STAT_FIELD(resourceRequests);
+    VPIR_STAT_FIELD(resourceDenied);
+    fn("execCountHist0", st.execCountHist[0]);
+    fn("execCountHist1", st.execCountHist[1]);
+    fn("execCountHist2", st.execCountHist[2]);
+    fn("execCountHist3", st.execCountHist[3]);
+    VPIR_STAT_FIELD(reusedResults);
+    VPIR_STAT_FIELD(reusedAddrs);
+    VPIR_STAT_FIELD(reusedControl);
+    VPIR_STAT_FIELD(resolvableControl);
+    VPIR_STAT_FIELD(vpResultPredicted);
+    VPIR_STAT_FIELD(vpResultCorrect);
+    VPIR_STAT_FIELD(vpResultWrong);
+    VPIR_STAT_FIELD(vpAddrPredicted);
+    VPIR_STAT_FIELD(vpAddrCorrect);
+    VPIR_STAT_FIELD(vpAddrWrong);
+    VPIR_STAT_FIELD(valueMispredictEvents);
+    VPIR_STAT_FIELD(icacheAccesses);
+    VPIR_STAT_FIELD(icacheMisses);
+    VPIR_STAT_FIELD(dcacheAccesses);
+    VPIR_STAT_FIELD(dcacheMisses);
+    VPIR_STAT_FIELD(checkedInsts);
+    VPIR_STAT_FIELD(faultsVptValue);
+    VPIR_STAT_FIELD(faultsVptConf);
+    VPIR_STAT_FIELD(faultsRbOperand);
+    VPIR_STAT_FIELD(faultsRbResult);
+    VPIR_STAT_FIELD(faultsRbLink);
+    VPIR_STAT_FIELD(faultsRbDropInv);
+#undef VPIR_STAT_FIELD
+    uint64_t halted = st.haltedCleanly ? 1 : 0;
+    fn("haltedCleanly", halted);
+    if constexpr (!std::is_const_v<Stats>)
+        st.haltedCleanly = halted != 0;
+}
+
+/**
+ * FNV-1a fingerprint of the stat schema: every field name visited by
+ * forEachStatField(), in order. Two binaries agree on this value iff
+ * their serialized stats are field-compatible, so the result cache,
+ * checkpoints and repro bundles stamp it and reject mismatches loudly
+ * instead of failing a silent field-by-field parse.
+ */
+uint64_t statsSchemaFingerprint();
 
 } // namespace vpir
 

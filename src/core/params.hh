@@ -11,6 +11,8 @@
 #define VPIR_CORE_PARAMS_HH
 
 #include <cstdint>
+#include <cstring>
+#include <type_traits>
 
 #include "bpred/bpred.hh"
 #include "check/fault.hh"
@@ -127,6 +129,88 @@ struct CoreParams
     /** Deterministic fault injection into VPT / reuse buffer. */
     FaultPlan faults;
 };
+
+/**
+ * Visit every scalar field of a CoreParams by name, flattened with
+ * dotted names for the nested structs. Each field is proxied through
+ * a uint64_t (doubles as raw bit patterns) and written back after the
+ * visit, so one visitor serves both directions. This is the only
+ * CoreParams field list: the cell hash (sweep::hashParams), the params
+ * schema fingerprint and the repro-bundle serializer all walk it.
+ */
+template <typename Fn>
+void
+forEachParamField(CoreParams &p, Fn &&fn)
+{
+    static_assert(sizeof(CoreParams) == 240,
+                  "CoreParams changed: update forEachParamField()");
+
+    auto u64f = [&fn](const char *name, auto &v) {
+        uint64_t u = static_cast<uint64_t>(v);
+        fn(name, u);
+        v = static_cast<std::decay_t<decltype(v)>>(u);
+    };
+    auto dblf = [&fn](const char *name, double &v) {
+        uint64_t u;
+        std::memcpy(&u, &v, sizeof(u));
+        fn(name, u);
+        std::memcpy(&v, &u, sizeof(u));
+    };
+#define VPIR_PARAM_FIELD(name) u64f(#name, p.name)
+    VPIR_PARAM_FIELD(fetchWidth);
+    VPIR_PARAM_FIELD(fetchQueueSize);
+    VPIR_PARAM_FIELD(dispatchWidth);
+    VPIR_PARAM_FIELD(issueWidth);
+    VPIR_PARAM_FIELD(commitWidth);
+    VPIR_PARAM_FIELD(robEntries);
+    VPIR_PARAM_FIELD(lsqEntries);
+    VPIR_PARAM_FIELD(maxUnresolvedBranches);
+    VPIR_PARAM_FIELD(dcachePorts);
+    VPIR_PARAM_FIELD(icache.sizeBytes);
+    VPIR_PARAM_FIELD(icache.ways);
+    VPIR_PARAM_FIELD(icache.lineBytes);
+    VPIR_PARAM_FIELD(icache.hitLatency);
+    VPIR_PARAM_FIELD(icache.missLatency);
+    VPIR_PARAM_FIELD(dcache.sizeBytes);
+    VPIR_PARAM_FIELD(dcache.ways);
+    VPIR_PARAM_FIELD(dcache.lineBytes);
+    VPIR_PARAM_FIELD(dcache.hitLatency);
+    VPIR_PARAM_FIELD(dcache.missLatency);
+    VPIR_PARAM_FIELD(bpred.historyBits);
+    VPIR_PARAM_FIELD(bpred.tableEntries);
+    VPIR_PARAM_FIELD(bpred.btbEntries);
+    VPIR_PARAM_FIELD(bpred.rasEntries);
+    VPIR_PARAM_FIELD(technique);
+    VPIR_PARAM_FIELD(vpt.entries);
+    VPIR_PARAM_FIELD(vpt.ways);
+    VPIR_PARAM_FIELD(vpt.scheme);
+    VPIR_PARAM_FIELD(vpt.confidenceBits);
+    VPIR_PARAM_FIELD(vpt.confidenceThreshold);
+    VPIR_PARAM_FIELD(rb.entries);
+    VPIR_PARAM_FIELD(rb.ways);
+    VPIR_PARAM_FIELD(branchRes);
+    VPIR_PARAM_FIELD(reexec);
+    VPIR_PARAM_FIELD(vpVerifyLatency);
+    VPIR_PARAM_FIELD(irValidation);
+    VPIR_PARAM_FIELD(vpPredictResults);
+    VPIR_PARAM_FIELD(vpPredictAddresses);
+    VPIR_PARAM_FIELD(maxCycles);
+    VPIR_PARAM_FIELD(maxInsts);
+    VPIR_PARAM_FIELD(warmupInsts);
+    VPIR_PARAM_FIELD(checkRetire);
+    VPIR_PARAM_FIELD(irOracleCheck);
+    VPIR_PARAM_FIELD(auditInvariants);
+    VPIR_PARAM_FIELD(watchdogCycles);
+    VPIR_PARAM_FIELD(ckptInsts);
+    VPIR_PARAM_FIELD(faults.seed);
+#undef VPIR_PARAM_FIELD
+    dblf("faults.vptValueRate", p.faults.vptValueRate);
+    dblf("faults.vptConfRate", p.faults.vptConfRate);
+    dblf("faults.rbOperandRate", p.faults.rbOperandRate);
+    dblf("faults.rbResultRate", p.faults.rbResultRate);
+    dblf("faults.rbLinkRate", p.faults.rbLinkRate);
+    dblf("faults.rbDropInvRate", p.faults.rbDropInvRate);
+}
 
 } // namespace vpir
 

@@ -1,8 +1,6 @@
 #include "fuzz/differential.hh"
 
-#include <cinttypes>
-#include <cstdio>
-
+#include "common/fnv.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "core/core.hh"
@@ -48,30 +46,16 @@ classifyPanic(const std::string &msg)
 uint64_t
 archChecksum(const EmuState &st, const Program &program)
 {
-    uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xff;
-            h *= 1099511628211ull;
-        }
-    };
+    Fnv64 f;
     for (unsigned r = 1; r < NUM_ARCH_REGS; ++r)
-        mix(st.readReg(static_cast<RegId>(r)));
+        f.u64(st.readReg(static_cast<RegId>(r)));
     for (const auto &seg : program.dataInit) {
         Addr base = seg.first & ~3u;
         Addr end = seg.first + static_cast<Addr>(seg.second.size());
         for (Addr a = base; a < end; a += 4)
-            mix(st.readMem(a, 4));
+            f.u64(st.readMem(a, 4));
     }
-    return h;
-}
-
-std::string
-hex64(uint64_t v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, v);
-    return buf;
+    return f.h;
 }
 
 } // namespace
@@ -250,8 +234,8 @@ runDifferential(const Program &program, const CoreParams &params)
         if (want != got) {
             out.diverged = true;
             out.kind = "end-state";
-            out.detail = "architectural checksum " + hex64(got) +
-                         ", reference " + hex64(want);
+            out.detail = "architectural checksum 0x" + hex16(got) +
+                         ", reference 0x" + hex16(want);
         }
         return out;
     } catch (const SimError &e) {

@@ -1,8 +1,5 @@
 #include "fuzz/repro.hh"
 
-#include <cctype>
-#include <cinttypes>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -10,8 +7,9 @@
 
 #include <unistd.h>
 
+#include "common/fnv.hh"
+#include "common/json.hh"
 #include "fuzz/program_io.hh"
-#include "sweep/params_json.hh"
 #include "sweep/stats_json.hh"
 
 namespace vpir
@@ -23,183 +21,6 @@ namespace
 {
 
 constexpr const char *FORMAT = "vpir-repro v1";
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (unsigned char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += static_cast<char>(c);
-            }
-        }
-    }
-    return out;
-}
-
-/** Find "key" at top level and return the raw value text: a quoted
- *  string (unescaped into @p out), a number, or a {...} object. */
-bool
-extractString(const std::string &s, const char *key, std::string &out)
-{
-    std::string needle = std::string("\"") + key + "\"";
-    size_t pos = s.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    pos += needle.size();
-    while (pos < s.size() &&
-           (s[pos] == ':' ||
-            std::isspace(static_cast<unsigned char>(s[pos]))))
-        ++pos;
-    if (pos >= s.size() || s[pos] != '"')
-        return false;
-    ++pos;
-    out.clear();
-    while (pos < s.size() && s[pos] != '"') {
-        char c = s[pos];
-        if (c == '\\' && pos + 1 < s.size()) {
-            char e = s[pos + 1];
-            pos += 2;
-            switch (e) {
-              case 'n':
-                out += '\n';
-                break;
-              case 't':
-                out += '\t';
-                break;
-              case 'r':
-                out += '\r';
-                break;
-              case '"':
-                out += '"';
-                break;
-              case '\\':
-                out += '\\';
-                break;
-              case 'u': {
-                if (pos + 4 > s.size())
-                    return false;
-                unsigned v = 0;
-                for (int k = 0; k < 4; ++k) {
-                    char h = s[pos + k];
-                    v <<= 4;
-                    if (h >= '0' && h <= '9')
-                        v |= static_cast<unsigned>(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        v |= static_cast<unsigned>(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        v |= static_cast<unsigned>(h - 'A' + 10);
-                    else
-                        return false;
-                }
-                pos += 4;
-                out += static_cast<char>(v & 0xff);
-                break;
-              }
-              default:
-                return false;
-            }
-        } else {
-            out += c;
-            ++pos;
-        }
-    }
-    return pos < s.size();
-}
-
-bool
-extractU64(const std::string &s, const char *key, uint64_t &out)
-{
-    std::string needle = std::string("\"") + key + "\"";
-    size_t pos = s.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    pos += needle.size();
-    while (pos < s.size() &&
-           (s[pos] == ':' ||
-            std::isspace(static_cast<unsigned char>(s[pos]))))
-        ++pos;
-    if (pos >= s.size() ||
-        !std::isdigit(static_cast<unsigned char>(s[pos])))
-        return false;
-    uint64_t v = 0;
-    while (pos < s.size() &&
-           std::isdigit(static_cast<unsigned char>(s[pos]))) {
-        v = v * 10 + static_cast<uint64_t>(s[pos] - '0');
-        ++pos;
-    }
-    out = v;
-    return true;
-}
-
-/** Extract the balanced {...} object value of @p key. */
-bool
-extractObject(const std::string &s, const char *key, std::string &out)
-{
-    std::string needle = std::string("\"") + key + "\"";
-    size_t pos = s.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    pos += needle.size();
-    while (pos < s.size() &&
-           (s[pos] == ':' ||
-            std::isspace(static_cast<unsigned char>(s[pos]))))
-        ++pos;
-    if (pos >= s.size() || s[pos] != '{')
-        return false;
-    size_t start = pos;
-    int depth = 0;
-    bool in_str = false;
-    for (; pos < s.size(); ++pos) {
-        char c = s[pos];
-        if (in_str) {
-            if (c == '\\')
-                ++pos;
-            else if (c == '"')
-                in_str = false;
-            continue;
-        }
-        if (c == '"')
-            in_str = true;
-        else if (c == '{')
-            ++depth;
-        else if (c == '}' && --depth == 0) {
-            out = s.substr(start, pos - start + 1);
-            return true;
-        }
-    }
-    return false;
-}
-
-std::string
-hex16(uint64_t v)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-    return buf;
-}
 
 } // namespace
 
@@ -235,7 +56,7 @@ bundleToJson(const ReproBundle &b)
     out << "{\n"
         << "  \"format\": \"" << FORMAT << "\",\n"
         << "  \"stats_schema\": \""
-        << hex16(sweep::statsSchemaFingerprint()) << "\",\n"
+        << hex16(statsSchemaFingerprint()) << "\",\n"
         << "  \"params_schema\": \""
         << hex16(sweep::paramsSchemaFingerprint()) << "\",\n"
         << "  \"generator_revision\": " << b.generatorRevision << ",\n"
@@ -254,22 +75,26 @@ bool
 bundleFromJson(const std::string &json, ReproBundle &out,
                std::string &err)
 {
+    JsonObject obj(json);
+    if (!obj.ok()) {
+        err = "bundle is not a well-formed JSON object";
+        return false;
+    }
     std::string fmt;
-    if (!extractString(json, "format", fmt) || fmt != FORMAT) {
+    if (!obj.getString("format", fmt) || fmt != FORMAT) {
         err = "not a " + std::string(FORMAT) + " bundle (format: '" +
               fmt + "')";
         return false;
     }
     std::string sfp, pfp;
-    if (!extractString(json, "stats_schema", sfp) ||
-        !extractString(json, "params_schema", pfp)) {
+    if (!obj.getString("stats_schema", sfp) ||
+        !obj.getString("params_schema", pfp)) {
         err = "bundle is missing its schema fingerprints";
         return false;
     }
-    if (sfp != hex16(sweep::statsSchemaFingerprint())) {
+    if (sfp != hex16(statsSchemaFingerprint())) {
         err = "stats-schema fingerprint mismatch: bundle " + sfp +
-              ", this binary " +
-              hex16(sweep::statsSchemaFingerprint()) +
+              ", this binary " + hex16(statsSchemaFingerprint()) +
               " — the bundle was produced by an incompatible build; "
               "refusing to replay";
         return false;
@@ -284,23 +109,23 @@ bundleFromJson(const std::string &json, ReproBundle &out,
     }
 
     ReproBundle b;
-    extractU64(json, "generator_revision", b.generatorRevision);
-    extractU64(json, "seed", b.seed);
-    extractString(json, "workload", b.workload);
-    if (!extractString(json, "kind", b.kind)) {
+    obj.getU64("generator_revision", b.generatorRevision);
+    obj.getU64("seed", b.seed);
+    obj.getString("workload", b.workload);
+    if (!obj.getString("kind", b.kind)) {
         err = "bundle has no expected divergence kind";
         return false;
     }
-    extractString(json, "detail", b.detail);
-    extractString(json, "env", b.env);
+    obj.getString("detail", b.detail);
+    obj.getString("env", b.env);
 
     std::string pjson;
-    if (!extractObject(json, "params", pjson) ||
+    if (!obj.getObject("params", pjson) ||
         !sweep::paramsFromJson(pjson, b.params)) {
         err = "bundle params object is missing or malformed";
         return false;
     }
-    if (!extractString(json, "program", b.programText)) {
+    if (!obj.getString("program", b.programText)) {
         err = "bundle has no program text";
         return false;
     }

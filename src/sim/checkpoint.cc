@@ -14,11 +14,9 @@
 #include "check/fault.hh"
 #include "common/ckpt_io.hh"
 #include "common/env.hh"
+#include "common/fnv.hh"
 #include "common/logging.hh"
-// Header-only stat-field visitor: the checkpoint's own stats schema
-// fingerprint is derived from the same field list the result cache
-// uses, without linking vpir_sweep into vpir_sim.
-#include "sweep/stats_json.hh"
+#include "core/core_stats.hh"
 
 namespace vpir
 {
@@ -29,53 +27,9 @@ namespace
 {
 
 constexpr char CKPT_MAGIC[8] = {'V', 'P', 'I', 'R', 'C', 'K', 'P', 'T'};
-constexpr uint32_t CKPT_VERSION = 1;
-
-constexpr uint64_t FNV_OFFSET = 0xcbf29ce484222325ull;
-constexpr uint64_t FNV_PRIME = 0x100000001b3ull;
-
-void
-fnvMix(uint64_t &h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xffu;
-        h *= FNV_PRIME;
-    }
-}
-
-/** FNV-1a over the CoreStats field names (same construction as
- *  sweep::statsSchemaFingerprint): a checkpoint written by a binary
- *  with a different stat layout must be rejected, not misparsed. */
-uint64_t
-ckptStatsSchemaFp()
-{
-    static const uint64_t fp = [] {
-        uint64_t h = FNV_OFFSET;
-        auto mixName = [&h](const char *name) {
-            for (const char *p = name; *p; ++p) {
-                h ^= static_cast<unsigned char>(*p);
-                h *= FNV_PRIME;
-            }
-            h ^= '\n';
-            h *= FNV_PRIME;
-        };
-        CoreStats tmp;
-        sweep::forEachStatField(
-            tmp, [&](const char *name, uint64_t &) { mixName(name); });
-        mixName("haltedCleanly");
-        return h;
-    }();
-    return fp;
-}
-
-std::string
-hex16(uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
+// Version 2: the CoreStats block encodes haltedCleanly as a u64 field
+// of forEachStatField() instead of a trailing bool.
+constexpr uint32_t CKPT_VERSION = 2;
 
 /** Workload names are simple identifiers, but never trust a string
  *  that ends up in a filename. */
@@ -182,7 +136,7 @@ buildBundle(const CkptCellId &id, uint64_t prog_fp, const Core &core)
     CkptWriter w;
     w.bytes(CKPT_MAGIC, sizeof(CKPT_MAGIC));
     w.u32(CKPT_VERSION);
-    w.u64(ckptStatsSchemaFp());
+    w.u64(statsSchemaFingerprint());
     w.u64(id.paramsHash);
     w.u64(prog_fp);
     w.u64(id.cellKey);
@@ -295,7 +249,7 @@ tryRestore(Core &core, const fs::path &path, const CkptCellId &id,
               std::to_string(CKPT_VERSION);
         return false;
     }
-    if (r.u64() != ckptStatsSchemaFp()) {
+    if (r.u64() != statsSchemaFingerprint()) {
         why = "stats schema fingerprint mismatch (different binary)";
         return false;
     }
@@ -385,30 +339,28 @@ ckptConfigFromEnv(uint64_t ckpt_insts)
 uint64_t
 programFingerprint(const Program &prog)
 {
-    uint64_t h = FNV_OFFSET;
-    fnvMix(h, prog.textBase);
-    fnvMix(h, prog.entry);
-    fnvMix(h, prog.stackTop);
-    fnvMix(h, prog.text.size());
+    Fnv64 f;
+    f.u64(prog.textBase);
+    f.u64(prog.entry);
+    f.u64(prog.stackTop);
+    f.u64(prog.text.size());
     for (const Instr &i : prog.text) {
-        fnvMix(h, static_cast<uint64_t>(i.op));
-        fnvMix(h, (static_cast<uint64_t>(i.rd) << 24) |
-                      (static_cast<uint64_t>(i.rd2) << 16) |
-                      (static_cast<uint64_t>(i.rs) << 8) |
-                      static_cast<uint64_t>(i.rt));
-        fnvMix(h, static_cast<uint64_t>(static_cast<uint32_t>(i.imm)));
-        fnvMix(h, i.target);
+        f.u64(static_cast<uint64_t>(i.op));
+        f.u64((static_cast<uint64_t>(i.rd) << 24) |
+              (static_cast<uint64_t>(i.rd2) << 16) |
+              (static_cast<uint64_t>(i.rs) << 8) |
+              static_cast<uint64_t>(i.rt));
+        f.u64(static_cast<uint64_t>(static_cast<uint32_t>(i.imm)));
+        f.u64(i.target);
     }
-    fnvMix(h, prog.dataInit.size());
+    f.u64(prog.dataInit.size());
     for (const auto &blk : prog.dataInit) {
-        fnvMix(h, blk.first);
-        fnvMix(h, blk.second.size());
-        for (uint8_t b : blk.second) {
-            h ^= b;
-            h *= FNV_PRIME;
-        }
+        f.u64(blk.first);
+        f.u64(blk.second.size());
+        for (uint8_t b : blk.second)
+            f.byte(b);
     }
-    return h;
+    return f.h;
 }
 
 void

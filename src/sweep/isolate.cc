@@ -1,10 +1,8 @@
 #include "sweep/isolate.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <chrono>
-#include <cinttypes>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -15,14 +13,15 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "common/ckpt_io.hh"
 #include "common/deadline.hh"
 #include "common/env.hh"
+#include "common/fnv.hh"
 #include "common/logging.hh"
 #include "fuzz/generator.hh"
 #include "sim/checkpoint.hh"
 #include "sim/simulator.hh"
 #include "sim/warm_cache.hh"
-#include "sweep/stats_json.hh"
 #include "sweep/sweep.hh"
 
 namespace vpir
@@ -64,16 +63,10 @@ std::string
 cellReproInfo(const SweepCell &cell)
 {
     std::string s;
-    char hex[20];
-    if (cell.params.faults.any()) {
-        std::snprintf(hex, sizeof(hex), "0x%016" PRIx64,
-                      cell.params.faults.seed);
-        s += std::string(" fault_seed=") + hex;
-    }
+    if (cell.params.faults.any())
+        s += " fault_seed=0x" + hex16(cell.params.faults.seed);
     if (fuzz::isFuzzWorkloadName(cell.workload)) {
-        std::snprintf(hex, sizeof(hex), "0x%016" PRIx64,
-                      fuzz::fuzzSeedFromName(cell.workload));
-        s += std::string(" fuzz_seed=") + hex +
+        s += " fuzz_seed=0x" + hex16(fuzz::fuzzSeedFromName(cell.workload)) +
              " gen_rev=" + std::to_string(fuzz::GENERATOR_REVISION);
     }
     return s;
@@ -88,9 +81,7 @@ computeCellOnce(const SweepCell &cell, uint64_t timeout_ms,
                 std::shared_ptr<const EmuSnapshot> prebuilt_snap)
 {
     CellOutcome out;
-    char phex[17];
-    std::snprintf(phex, sizeof(phex), "%016" PRIx64,
-                  hashParams(cell.params));
+    const std::string phex = hex16(hashParams(cell.params));
 
     PanicThrowScope throw_scope;
     PanicContext cell_frame([&cell, &phex] {
@@ -164,178 +155,60 @@ computeCellOnce(const SweepCell &cell, uint64_t timeout_ms,
 
 // -------------------------------------------------------- wire protocol
 
-namespace
-{
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += ' ';
-            else
-                out += c;
-        }
-    }
-    return out;
-}
-
-std::string
-jsonUnescape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (size_t i = 0; i < s.size(); ++i) {
-        if (s[i] != '\\' || i + 1 >= s.size()) {
-            out += s[i];
-            continue;
-        }
-        switch (s[++i]) {
-          case 'n':  out += '\n'; break;
-          case 't':  out += '\t'; break;
-          case 'r':  out += '\r'; break;
-          default:   out += s[i]; break; // covers \" and \\ too
-        }
-    }
-    return out;
-}
-
-/** Extract the (escaped) string value of "key": "..." or false. */
-bool
-extractString(const std::string &text, const char *key, std::string &out)
-{
-    std::string needle = std::string("\"") + key + "\": \"";
-    size_t pos = text.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    pos += needle.size();
-    size_t end = pos;
-    while (end < text.size() && text[end] != '"') {
-        if (text[end] == '\\')
-            ++end;
-        ++end;
-    }
-    if (end >= text.size())
-        return false;
-    out = jsonUnescape(text.substr(pos, end - pos));
-    return true;
-}
-
-bool
-extractU64(const std::string &text, const char *key, uint64_t &out)
-{
-    std::string needle = std::string("\"") + key + "\": ";
-    size_t pos = text.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    pos += needle.size();
-    if (pos >= text.size() ||
-        !std::isdigit(static_cast<unsigned char>(text[pos])))
-        return false;
-    uint64_t v = 0;
-    while (pos < text.size() &&
-           std::isdigit(static_cast<unsigned char>(text[pos])))
-        v = v * 10 + static_cast<uint64_t>(text[pos++] - '0');
-    out = v;
-    return true;
-}
-
-/** The child's result payload. The stats object comes last so a
- *  truncated payload (child killed mid-write) fails statsFromJson()
- *  and takes the abnormal-exit path instead of half-parsing. */
 std::string
 encodeOutcome(const CellOutcome &out)
 {
-    // Phase durations travel as integer microseconds: extractU64 stays
-    // the only number parser the protocol needs.
-    auto us = [](double s) {
-        return std::to_string(static_cast<uint64_t>(s * 1e6));
-    };
-    std::string s = "{\n";
-    s += "  \"failed\": " + std::to_string(out.failed ? 1 : 0) + ",\n";
-    s += "  \"timed_out\": " + std::to_string(out.timedOut ? 1 : 0) +
-         ",\n";
-    s += "  \"setup_us\": " + us(out.setupSeconds) + ",\n";
-    s += "  \"run_us\": " + us(out.runSeconds) + ",\n";
-    s += "  \"asm_built\": " + std::to_string(out.asmBuilt ? 1 : 0) +
-         ",\n";
-    s += "  \"warm_built\": " + std::to_string(out.warmBuilt ? 1 : 0) +
-         ",\n";
-    s += "  \"ckpt_stopped\": " +
-         std::to_string(out.ckptStopped ? 1 : 0) + ",\n";
-    s += "  \"ckpt_resumed\": " +
-         std::to_string(out.ckptResumed ? 1 : 0) + ",\n";
-    s += "  \"ckpt_written\": " + std::to_string(out.ckptWritten) + ",\n";
-    // The scheduler profile travels as prof_-prefixed integers (the
-    // prefix keeps extractU64 needles from colliding with stats keys).
-    s += "  \"prof_enabled\": " +
-         std::to_string(out.profile.enabled ? 1 : 0) + ",\n";
+    CkptWriter w;
+    w.b(out.failed);
+    w.b(out.timedOut);
+    forEachStatField(out.stats,
+                     [&w](const char *, const uint64_t &v) { w.u64(v); });
+    w.str(out.workloadInput);
+    w.str(out.error);
+    w.b(out.ckptStopped);
+    w.b(out.ckptResumed);
+    w.u64(out.ckptWritten);
+    w.f64(out.setupSeconds);
+    w.f64(out.runSeconds);
+    w.b(out.asmBuilt);
+    w.b(out.warmBuilt);
+    w.b(out.profile.enabled);
     forEachProfileField(out.profile,
-                        [&s](const char *name, const uint64_t &v) {
-                            s += "  \"prof_" + std::string(name) +
-                                 "\": " + std::to_string(v) + ",\n";
-                        });
-    s += "  \"input\": \"" + jsonEscape(out.workloadInput) + "\",\n";
-    s += "  \"error\": \"" + jsonEscape(out.error) + "\",\n";
-    s += "  \"stats\": " + statsToJson(out.stats) + "\n}\n";
-    return s;
+                        [&w](const char *, const uint64_t &v) { w.u64(v); });
+    return w.data();
 }
 
 bool
-decodeOutcome(const std::string &text, CellOutcome &out)
+decodeOutcome(const std::string &data, CellOutcome &out)
 {
-    uint64_t failed = 0, timed_out = 0;
-    uint64_t setup_us = 0, run_us = 0, asm_built = 0, warm_built = 0;
-    uint64_t ckpt_stopped = 0, ckpt_resumed = 0, ckpt_written = 0;
+    CkptReader r(data);
     CellOutcome tmp;
-    if (!extractU64(text, "failed", failed) ||
-        !extractU64(text, "timed_out", timed_out) ||
-        !extractU64(text, "setup_us", setup_us) ||
-        !extractU64(text, "run_us", run_us) ||
-        !extractU64(text, "asm_built", asm_built) ||
-        !extractU64(text, "warm_built", warm_built) ||
-        !extractU64(text, "ckpt_stopped", ckpt_stopped) ||
-        !extractU64(text, "ckpt_resumed", ckpt_resumed) ||
-        !extractU64(text, "ckpt_written", ckpt_written) ||
-        !extractString(text, "input", tmp.workloadInput) ||
-        !extractString(text, "error", tmp.error))
-        return false;
-    uint64_t prof_enabled = 0;
-    bool prof_ok = extractU64(text, "prof_enabled", prof_enabled);
+    tmp.failed = r.b();
+    tmp.timedOut = r.b();
+    forEachStatField(tmp.stats,
+                     [&r](const char *, uint64_t &v) { v = r.u64(); });
+    tmp.workloadInput = r.str();
+    tmp.error = r.str();
+    tmp.ckptStopped = r.b();
+    tmp.ckptResumed = r.b();
+    tmp.ckptWritten = r.u64();
+    tmp.setupSeconds = r.f64();
+    tmp.runSeconds = r.f64();
+    tmp.asmBuilt = r.b();
+    tmp.warmBuilt = r.b();
+    tmp.profile.enabled = r.b();
     forEachProfileField(tmp.profile,
-                        [&](const char *name, uint64_t &v) {
-                            std::string key = "prof_" + std::string(name);
-                            prof_ok = prof_ok &&
-                                      extractU64(text, key.c_str(), v);
-                        });
-    if (!prof_ok)
+                        [&r](const char *, uint64_t &v) { v = r.u64(); });
+    // A child killed mid-write leaves a strict prefix, which always
+    // reads past the end; trailing bytes are just as malformed.
+    if (!r.ok() || !r.atEnd())
         return false;
-    tmp.profile.enabled = prof_enabled != 0;
-    size_t spos = text.find("\"stats\":");
-    if (spos == std::string::npos ||
-        !statsFromJson(text.substr(spos), tmp.stats))
-        return false;
-    tmp.failed = failed != 0;
-    tmp.timedOut = timed_out != 0;
-    tmp.setupSeconds = static_cast<double>(setup_us) / 1e6;
-    tmp.runSeconds = static_cast<double>(run_us) / 1e6;
-    tmp.asmBuilt = asm_built != 0;
-    tmp.warmBuilt = warm_built != 0;
-    tmp.ckptStopped = ckpt_stopped != 0;
-    tmp.ckptResumed = ckpt_resumed != 0;
-    tmp.ckptWritten = ckpt_written;
     out = std::move(tmp);
     return true;
 }
+
+namespace
+{
 
 void
 writeAll(int fd, const std::string &data)
@@ -402,33 +275,18 @@ runCellIsolated(const SweepCell &cell, const IsolationConfig &cfg,
                 std::shared_ptr<const Workload> prebuilt_w,
                 std::shared_ptr<const EmuSnapshot> prebuilt_snap)
 {
-    int res_pipe[2], err_pipe[2];
-    if (pipe(res_pipe) != 0) {
-        warn("VPIR_ISOLATE: pipe() failed (" +
-             std::string(std::strerror(errno)) +
-             "); running cell in-process");
-        return computeCellOnce(cell, cfg.timeoutMs, allow_resume,
-                               prebuilt_w, prebuilt_snap);
-    }
-    if (pipe(err_pipe) != 0) {
-        warn("VPIR_ISOLATE: pipe() failed (" +
-             std::string(std::strerror(errno)) +
-             "); running cell in-process");
-        close(res_pipe[0]);
-        close(res_pipe[1]);
-        return computeCellOnce(cell, cfg.timeoutMs, allow_resume,
-                               prebuilt_w, prebuilt_snap);
-    }
-
-    pid_t pid = fork();
-    if (pid < 0) {
-        warn("VPIR_ISOLATE: fork() failed (" +
-             std::string(std::strerror(errno)) +
-             "); running cell in-process");
-        close(res_pipe[0]);
-        close(res_pipe[1]);
-        close(err_pipe[0]);
-        close(err_pipe[1]);
+    // Any setup failure degrades to the in-process mode with a warning.
+    int res_pipe[2] = {-1, -1}, err_pipe[2] = {-1, -1};
+    pid_t pid = -1;
+    const char *failed = pipe(res_pipe) != 0 || pipe(err_pipe) != 0
+                             ? "pipe"
+                             : (pid = fork()) < 0 ? "fork" : nullptr;
+    if (failed) {
+        warn(std::string("VPIR_ISOLATE: ") + failed + "() failed (" +
+             std::strerror(errno) + "); running cell in-process");
+        for (int fd : {res_pipe[0], res_pipe[1], err_pipe[0], err_pipe[1]})
+            if (fd >= 0)
+                close(fd);
         return computeCellOnce(cell, cfg.timeoutMs, allow_resume,
                                prebuilt_w, prebuilt_snap);
     }

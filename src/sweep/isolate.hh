@@ -7,9 +7,11 @@
  * takes the whole harness (and every in-flight cell) with it. The
  * isolated mode (VPIR_ISOLATE=1) runs each cell in a forked child:
  *
- *  - the child simulates the cell and returns its CoreStats over a
- *    pipe using the stats_json serializer, so results are bit-
- *    identical to the in-process mode;
+ *  - the child simulates the cell and returns its whole CellOutcome
+ *    over a pipe in the bounds-checked binary ckpt_io encoding
+ *    (encodeOutcome()), so results are bit-identical to the
+ *    in-process mode and a payload truncated by a dying child is
+ *    rejected, never half-read;
  *  - an optional address-space rlimit (VPIR_CELL_RLIMIT_MB) turns a
  *    leaking or pathological cell into a contained allocation
  *    failure;
@@ -136,6 +138,15 @@ runCellIsolated(const SweepCell &cell, const IsolationConfig &cfg,
                 bool allow_resume = true,
                 std::shared_ptr<const Workload> prebuilt_w = nullptr,
                 std::shared_ptr<const EmuSnapshot> prebuilt_snap = nullptr);
+
+/** Fork wire protocol: the child's outcome as ckpt_io binary, every
+ *  CoreStats field through forEachStatField(), doubles bit-exact. */
+std::string encodeOutcome(const CellOutcome &out);
+
+/** Decode an encodeOutcome() payload. Accepted only when every field
+ *  reads in bounds and nothing trails it, so any strict prefix (a
+ *  child killed mid-write) is rejected; @p out is untouched then. */
+bool decodeOutcome(const std::string &data, CellOutcome &out);
 
 /** "SIGSEGV"-style name for common signals, "signal N" otherwise. */
 std::string signalName(int sig);

@@ -1,120 +1,75 @@
 #include "sweep/stats_json.hh"
 
-#include <cctype>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
+
+#include "common/fnv.hh"
+#include "common/json.hh"
 
 namespace vpir
 {
 namespace sweep
 {
 
-uint64_t
-statsSchemaFingerprint()
+namespace
 {
-    static const uint64_t fp = [] {
-        constexpr uint64_t FNV_OFFSET = 0xcbf29ce484222325ull;
-        constexpr uint64_t FNV_PRIME = 0x100000001b3ull;
-        uint64_t h = FNV_OFFSET;
-        auto mixName = [&h, FNV_PRIME](const char *name) {
-            for (const char *p = name; *p; ++p) {
-                h ^= static_cast<unsigned char>(*p);
-                h *= FNV_PRIME;
-            }
-            h ^= '\n'; // field separator: "ab","c" != "a","bc"
-            h *= FNV_PRIME;
-        };
-        CoreStats tmp;
-        forEachStatField(tmp,
-                         [&](const char *name, uint64_t &) {
-                             mixName(name);
-                         });
-        mixName("haltedCleanly");
-        return h;
-    }();
-    return fp;
+
+template <typename Fn>
+void
+visitFields(CoreStats &st, Fn &&fn)
+{
+    forEachStatField(st, fn);
 }
+
+template <typename Fn>
+void
+visitFields(CoreParams &p, Fn &&fn)
+{
+    forEachParamField(p, fn);
+}
+
+/** By value: the params visitor writes its proxies back. */
+template <typename T>
+std::string
+toJson(T obj)
+{
+    std::string out = "{";
+    visitFields(obj, [&out](const char *name, uint64_t &v) {
+        char buf[96];
+        std::snprintf(buf, sizeof(buf), "%s\"%s\": %" PRIu64,
+                      out.size() > 1 ? ", " : "", name, v);
+        out += buf;
+    });
+    return out + "}";
+}
+
+template <typename T>
+bool
+fromJson(const std::string &json, T &out)
+{
+    JsonObject obj(json);
+    T tmp;
+    bool ok = obj.ok();
+    visitFields(tmp, [&](const char *name, uint64_t &v) {
+        ok = ok && obj.getU64(name, v);
+    });
+    if (ok)
+        out = tmp;
+    return ok;
+}
+
+} // anonymous namespace
 
 std::string
 statsToJson(const CoreStats &st)
 {
-    std::string out = "{";
-    bool first = true;
-    auto emit = [&](const char *name, uint64_t v) {
-        char buf[96];
-        std::snprintf(buf, sizeof(buf), "%s\"%s\": %" PRIu64,
-                      first ? "" : ", ", name, v);
-        out += buf;
-        first = false;
-    };
-    forEachStatField(st, [&](const char *name, const uint64_t &v) {
-        emit(name, v);
-    });
-    emit("haltedCleanly", st.haltedCleanly ? 1 : 0);
-    out += "}";
-    return out;
+    return toJson(st);
 }
-
-namespace
-{
-
-/** Scan "name": value pairs of a flat JSON object into the visitor's
- *  matching fields; counts how many fields were filled. */
-class FlatJsonScanner
-{
-  public:
-    explicit FlatJsonScanner(const std::string &text) : s(text) {}
-
-    bool
-    lookup(const char *name, uint64_t &out) const
-    {
-        std::string needle = std::string("\"") + name + "\"";
-        size_t pos = s.find(needle);
-        if (pos == std::string::npos)
-            return false;
-        pos += needle.size();
-        while (pos < s.size() &&
-               (s[pos] == ':' || std::isspace(
-                                     static_cast<unsigned char>(s[pos]))))
-            ++pos;
-        if (pos >= s.size() ||
-            !std::isdigit(static_cast<unsigned char>(s[pos])))
-            return false;
-        uint64_t v = 0;
-        while (pos < s.size() &&
-               std::isdigit(static_cast<unsigned char>(s[pos]))) {
-            v = v * 10 + static_cast<uint64_t>(s[pos] - '0');
-            ++pos;
-        }
-        out = v;
-        return true;
-    }
-
-  private:
-    const std::string &s;
-};
-
-} // anonymous namespace
 
 bool
 statsFromJson(const std::string &json, CoreStats &out)
 {
-    FlatJsonScanner scan(json);
-    CoreStats tmp;
-    bool ok = true;
-    forEachStatField(tmp, [&](const char *name, uint64_t &v) {
-        if (!scan.lookup(name, v))
-            ok = false;
-    });
-    uint64_t halted = 0;
-    if (!scan.lookup("haltedCleanly", halted))
-        ok = false;
-    tmp.haltedCleanly = halted != 0;
-    if (!ok)
-        return false;
-    out = tmp;
-    return true;
+    return fromJson(json, out);
 }
 
 bool
@@ -122,7 +77,38 @@ statsEqual(const CoreStats &a, const CoreStats &b)
 {
     // The serialization covers every counter, so textual equality is
     // exact equality (and mismatches are easy to diff in test logs).
-    return statsToJson(a) == statsToJson(b);
+    return toJson(a) == toJson(b);
+}
+
+uint64_t
+paramsSchemaFingerprint()
+{
+    static const uint64_t fp = [] {
+        Fnv64 f;
+        CoreParams tmp;
+        forEachParamField(tmp,
+                          [&f](const char *name, uint64_t &) { f.name(name); });
+        return f.h;
+    }();
+    return fp;
+}
+
+std::string
+paramsToJson(const CoreParams &p)
+{
+    return toJson(p);
+}
+
+bool
+paramsFromJson(const std::string &json, CoreParams &out)
+{
+    return fromJson(json, out);
+}
+
+bool
+paramsEqual(const CoreParams &a, const CoreParams &b)
+{
+    return toJson(a) == toJson(b);
 }
 
 } // namespace sweep

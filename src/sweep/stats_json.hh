@@ -1,90 +1,26 @@
 /**
  * @file
- * Lossless JSON (de)serialization of CoreStats for the sweep engine's
- * on-disk result cache, plus a generic field visitor the sweep tests
- * use to compare two stat sets bit for bit.
+ * Lossless JSON (de)serialization of CoreStats (the on-disk result
+ * cache) and CoreParams (fuzz repro bundles), plus exact comparison of
+ * either. Both are flat objects of the u64 fields their struct visitor
+ * reports — forEachStatField() in core/core_stats.hh and
+ * forEachParamField() in core/params.hh — so doubles travel as their
+ * raw bit patterns and every round trip is bit-exact.
  */
 
 #ifndef VPIR_SWEEP_STATS_JSON_HH
 #define VPIR_SWEEP_STATS_JSON_HH
 
+#include <cstdint>
 #include <string>
 
 #include "core/core_stats.hh"
+#include "core/params.hh"
 
 namespace vpir
 {
 namespace sweep
 {
-
-/**
- * Visit every scalar counter of a CoreStats by name. The visitor
- * signature is fn(const char *name, uint64_t &value); haltedCleanly
- * is visited as 0/1 through a proxy, the execCountHist buckets as
- * execCountHist0..3. Serialization, parsing, and stat comparison all
- * share this single field list so they cannot drift apart.
- */
-template <typename Stats, typename Fn>
-void
-forEachStatField(Stats &st, Fn &&fn)
-{
-#define VPIR_STAT_FIELD(name) fn(#name, st.name)
-    VPIR_STAT_FIELD(cycles);
-    VPIR_STAT_FIELD(committedInsts);
-    VPIR_STAT_FIELD(committedMemOps);
-    VPIR_STAT_FIELD(committedLoads);
-    VPIR_STAT_FIELD(committedStores);
-    VPIR_STAT_FIELD(executedInsts);
-    VPIR_STAT_FIELD(squashedExecuted);
-    VPIR_STAT_FIELD(squashedRecovered);
-    VPIR_STAT_FIELD(branchSquashes);
-    VPIR_STAT_FIELD(spuriousSquashes);
-    VPIR_STAT_FIELD(condBranches);
-    VPIR_STAT_FIELD(condMispredicted);
-    VPIR_STAT_FIELD(returns);
-    VPIR_STAT_FIELD(returnMispredicted);
-    VPIR_STAT_FIELD(branchResLatSum);
-    VPIR_STAT_FIELD(branchResCount);
-    VPIR_STAT_FIELD(resourceRequests);
-    VPIR_STAT_FIELD(resourceDenied);
-    fn("execCountHist0", st.execCountHist[0]);
-    fn("execCountHist1", st.execCountHist[1]);
-    fn("execCountHist2", st.execCountHist[2]);
-    fn("execCountHist3", st.execCountHist[3]);
-    VPIR_STAT_FIELD(reusedResults);
-    VPIR_STAT_FIELD(reusedAddrs);
-    VPIR_STAT_FIELD(reusedControl);
-    VPIR_STAT_FIELD(resolvableControl);
-    VPIR_STAT_FIELD(vpResultPredicted);
-    VPIR_STAT_FIELD(vpResultCorrect);
-    VPIR_STAT_FIELD(vpResultWrong);
-    VPIR_STAT_FIELD(vpAddrPredicted);
-    VPIR_STAT_FIELD(vpAddrCorrect);
-    VPIR_STAT_FIELD(vpAddrWrong);
-    VPIR_STAT_FIELD(valueMispredictEvents);
-    VPIR_STAT_FIELD(icacheAccesses);
-    VPIR_STAT_FIELD(icacheMisses);
-    VPIR_STAT_FIELD(dcacheAccesses);
-    VPIR_STAT_FIELD(dcacheMisses);
-    VPIR_STAT_FIELD(checkedInsts);
-    VPIR_STAT_FIELD(faultsVptValue);
-    VPIR_STAT_FIELD(faultsVptConf);
-    VPIR_STAT_FIELD(faultsRbOperand);
-    VPIR_STAT_FIELD(faultsRbResult);
-    VPIR_STAT_FIELD(faultsRbLink);
-    VPIR_STAT_FIELD(faultsRbDropInv);
-#undef VPIR_STAT_FIELD
-}
-
-/**
- * FNV-1a fingerprint of the serialized stat schema: every field name
- * visited by forEachStatField() (plus haltedCleanly), in order. Two
- * binaries agree on this value iff their statsToJson() payloads are
- * field-compatible, so the disk cache stamps it into every file and
- * rejects mismatches loudly instead of failing a silent
- * field-by-field parse.
- */
-uint64_t statsSchemaFingerprint();
 
 /** Render the counters as a flat JSON object (uint64 as decimal). */
 std::string statsToJson(const CoreStats &st);
@@ -96,8 +32,21 @@ std::string statsToJson(const CoreStats &st);
  */
 bool statsFromJson(const std::string &json, CoreStats &out);
 
-/** Exact equality over every counter (including haltedCleanly). */
+/** Exact equality over every counter. */
 bool statsEqual(const CoreStats &a, const CoreStats &b);
+
+/** FNV-1a fingerprint of the param schema (field names in order). */
+uint64_t paramsSchemaFingerprint();
+
+/** Render the configuration as a flat JSON object. */
+std::string paramsToJson(const CoreParams &p);
+
+/** Parse a paramsToJson() object. @return false (leaving @p out
+ *  untouched) on malformed input or any missing field. */
+bool paramsFromJson(const std::string &json, CoreParams &out);
+
+/** Exact equality over every field. */
+bool paramsEqual(const CoreParams &a, const CoreParams &b);
 
 } // namespace sweep
 } // namespace vpir

@@ -15,8 +15,9 @@
 #include <unistd.h>
 
 #include "common/env.hh"
+#include "common/fnv.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
-#include "common/rng.hh"
 #include "sim/checkpoint.hh"
 #include "sim/simulator.hh"
 #include "sim/warm_cache.hh"
@@ -64,110 +65,30 @@ defaultCacheDir()
 
 // --------------------------------------------------------------- hash
 
-namespace
-{
-
-constexpr uint64_t FNV_OFFSET = 0xcbf29ce484222325ull;
-constexpr uint64_t FNV_PRIME = 0x100000001b3ull;
-
-void
-mix(uint64_t &h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= FNV_PRIME;
-    }
-}
-
-void
-mixCache(uint64_t &h, const CacheParams &c)
-{
-    mix(h, c.sizeBytes);
-    mix(h, c.ways);
-    mix(h, c.lineBytes);
-    mix(h, c.hitLatency);
-    mix(h, c.missLatency);
-}
-
-} // anonymous namespace
-
 uint64_t
 hashParams(const CoreParams &p)
 {
-    // Every field of CoreParams (and its nested parameter structs)
-    // must be mixed in: a skipped field is a latent stale-cache
-    // collision. This guard fails to compile when CoreParams changes
-    // size — update the field list below, then the constant.
-    static_assert(sizeof(CoreParams) == 240,
-                  "CoreParams changed: update hashParams()");
-
-    uint64_t h = FNV_OFFSET;
-    mix(h, p.fetchWidth);
-    mix(h, p.fetchQueueSize);
-    mix(h, p.dispatchWidth);
-    mix(h, p.issueWidth);
-    mix(h, p.commitWidth);
-    mix(h, p.robEntries);
-    mix(h, p.lsqEntries);
-    mix(h, p.maxUnresolvedBranches);
-    mix(h, p.dcachePorts);
-    mixCache(h, p.icache);
-    mixCache(h, p.dcache);
-    mix(h, p.bpred.historyBits);
-    mix(h, p.bpred.tableEntries);
-    mix(h, p.bpred.btbEntries);
-    mix(h, p.bpred.rasEntries);
-    mix(h, static_cast<uint64_t>(p.technique));
-    mix(h, p.vpt.entries);
-    mix(h, p.vpt.ways);
-    mix(h, static_cast<uint64_t>(p.vpt.scheme));
-    mix(h, p.vpt.confidenceBits);
-    mix(h, p.vpt.confidenceThreshold);
-    mix(h, p.rb.entries);
-    mix(h, p.rb.ways);
-    mix(h, static_cast<uint64_t>(p.branchRes));
-    mix(h, static_cast<uint64_t>(p.reexec));
-    mix(h, p.vpVerifyLatency);
-    mix(h, static_cast<uint64_t>(p.irValidation));
-    mix(h, p.vpPredictResults ? 1 : 0);
-    mix(h, p.vpPredictAddresses ? 1 : 0);
-    mix(h, p.maxCycles);
-    mix(h, p.maxInsts);
-    mix(h, p.warmupInsts);
-    mix(h, p.checkRetire ? 1 : 0);
-    mix(h, p.irOracleCheck ? 1 : 0);
-    mix(h, p.auditInvariants ? 1 : 0);
-    mix(h, p.watchdogCycles);
-    mix(h, p.ckptInsts);
-    mix(h, p.faults.seed);
-    auto mixDouble = [&h](double d) {
-        uint64_t bits;
-        std::memcpy(&bits, &d, sizeof(bits));
-        mix(h, bits);
-    };
-    mixDouble(p.faults.vptValueRate);
-    mixDouble(p.faults.vptConfRate);
-    mixDouble(p.faults.rbOperandRate);
-    mixDouble(p.faults.rbResultRate);
-    mixDouble(p.faults.rbLinkRate);
-    mixDouble(p.faults.rbDropInvRate);
-    return h;
+    // Every field forEachParamField() visits, as its u64 proxy; the
+    // visitor's sizeof() tripwire keeps a new field from being skipped
+    // (a skipped field is a latent stale-cache collision).
+    CoreParams tmp = p;
+    Fnv64 f;
+    forEachParamField(tmp, [&f](const char *, uint64_t &v) { f.u64(v); });
+    return f.h;
 }
 
 uint64_t
 cellHash(const SweepCell &cell)
 {
-    uint64_t h = hashParams(cell.params);
-    for (char c : cell.workload) {
-        h ^= static_cast<unsigned char>(c);
-        h *= FNV_PRIME;
-    }
+    Fnv64 f;
+    f.h = hashParams(cell.params);
+    f.str(cell.workload);
     uint64_t scale_bits;
     static_assert(sizeof(scale_bits) == sizeof(cell.scale.factor),
                   "scale factor must be 64-bit");
     std::memcpy(&scale_bits, &cell.scale.factor, sizeof(scale_bits));
-    mix(h, scale_bits);
-    return h;
+    f.u64(scale_bits);
+    return f.h;
 }
 
 // -------------------------------------------------------------- engine
@@ -420,36 +341,20 @@ SweepEngine::runRecord(Record &rec)
         }
     }
 
-    // Escalation ladder: retry (with optional exponential backoff and
-    // jitter) -> resume from the newest valid checkpoint -> cold
-    // restart -> structured CellFailure. Intermediate rungs resume so
-    // each retry makes forward progress past where the last attempt
-    // died; the final rung starts cold in case the checkpoint itself
-    // is what kills the cell. With one retry (the default) that means:
-    // attempt 1 resumes (continuing an interrupted sweep), attempt 2
-    // is the cold fallback.
+    // Escalation ladder: retry -> resume from the newest valid
+    // checkpoint -> cold restart -> structured CellFailure. Intermediate
+    // rungs resume so each retry makes forward progress past where the
+    // last attempt died; the final rung starts cold in case the
+    // checkpoint itself is what kills the cell. With one retry (the
+    // default) that means: attempt 1 resumes (continuing an interrupted
+    // sweep), attempt 2 is the cold fallback.
     const bool ckptPersist = rec.cell.params.ckptInsts != 0 &&
                              std::getenv("VPIR_CKPT_DIR") != nullptr;
     const int max_attempts =
         1 + static_cast<int>(std::min<uint64_t>(
                 parseEnvU64("VPIR_CELL_RETRIES", 1), 100));
-    const uint64_t backoff_ms = parseEnvU64("VPIR_RETRY_BACKOFF_MS", 0);
     for (int attempt = 1; attempt <= max_attempts; ++attempt) {
         rec.attempts = attempt;
-        if (attempt > 1 && backoff_ms) {
-            // Bounded exponential backoff, plus deterministic jitter
-            // derived from (cell key, attempt) so a fleet of workers
-            // retrying simultaneously does not stampede in phase.
-            uint64_t delay = backoff_ms;
-            for (int i = 2; i < attempt && delay < 30000; ++i)
-                delay *= 2;
-            delay = std::min<uint64_t>(delay, 30000);
-            Rng jitter(Rng::split(rec.key,
-                                  static_cast<uint64_t>(attempt)));
-            delay += jitter.below(delay / 2 + 1);
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(delay));
-        }
         const bool allow_resume =
             attempt == 1 || attempt < max_attempts;
         CellOutcome out =
@@ -509,9 +414,8 @@ SweepEngine::runRecord(Record &rec)
 std::string
 SweepEngine::diskPath(const Record &rec) const
 {
-    char hex[17];
-    std::snprintf(hex, sizeof(hex), "%016" PRIx64, rec.key);
-    return cacheDir + "/" + rec.cell.workload + "-" + hex + ".json";
+    return cacheDir + "/" + rec.cell.workload + "-" + hex16(rec.key) +
+           ".json";
 }
 
 bool
@@ -522,24 +426,19 @@ SweepEngine::tryLoadFromDisk(Record &rec)
         return false;
     std::stringstream ss;
     ss << in.rdbuf();
-    std::string text = ss.str();
+    JsonObject file(ss.str());
 
     // Validate the key: a file that does not carry the exact cell
     // hash (e.g. written by an incompatible version) is ignored.
-    char hex[17];
-    std::snprintf(hex, sizeof(hex), "%016" PRIx64, rec.key);
-    if (text.find(std::string("\"cell_hash\": \"") + hex + "\"") ==
-        std::string::npos)
+    std::string key, schema, stats;
+    if (!file.getString("cell_hash", key) || key != hex16(rec.key))
         return false;
 
     // Validate the stat schema: a file written by a binary with a
     // different stat field set must be rejected loudly up front, not
     // through a silent field-by-field parse failure.
-    char sfp[17];
-    std::snprintf(sfp, sizeof(sfp), "%016" PRIx64,
-                  statsSchemaFingerprint());
-    if (text.find(std::string("\"stats_schema\": \"") + sfp + "\"") ==
-        std::string::npos) {
+    if (!file.getString("stats_schema", schema) ||
+        schema != hex16(statsSchemaFingerprint())) {
         static std::atomic<bool> warned{false};
         if (!warned.exchange(true))
             warn("result cache file " + diskPath(rec) +
@@ -548,19 +447,10 @@ SweepEngine::tryLoadFromDisk(Record &rec)
         return false;
     }
 
-    size_t spos = text.find("\"stats\":");
-    if (spos == std::string::npos)
+    if (!file.getObject("stats", stats) ||
+        !statsFromJson(stats, rec.stats))
         return false;
-    if (!statsFromJson(text.substr(spos), rec.stats))
-        return false;
-
-    size_t ipos = text.find("\"input\": \"");
-    if (ipos != std::string::npos) {
-        ipos += std::strlen("\"input\": \"");
-        size_t end = text.find('"', ipos);
-        if (end != std::string::npos)
-            rec.workloadInput = text.substr(ipos, end - ipos);
-    }
+    file.getString("input", rec.workloadInput);
     return true;
 }
 
@@ -576,20 +466,17 @@ SweepEngine::saveToDisk(const Record &rec)
             warn("cannot write result cache file " + tmp);
             return;
         }
-        char hex[17], phex[17], sfp[17];
-        std::snprintf(hex, sizeof(hex), "%016" PRIx64, rec.key);
-        std::snprintf(phex, sizeof(phex), "%016" PRIx64,
-                      hashParams(rec.cell.params));
-        std::snprintf(sfp, sizeof(sfp), "%016" PRIx64,
-                      statsSchemaFingerprint());
         out << "{\n"
             << "  \"schema\": 2,\n"
-            << "  \"stats_schema\": \"" << sfp << "\",\n"
-            << "  \"workload\": \"" << rec.cell.workload << "\",\n"
-            << "  \"label\": \"" << rec.cell.label << "\",\n"
-            << "  \"input\": \"" << rec.workloadInput << "\",\n"
-            << "  \"cell_hash\": \"" << hex << "\",\n"
-            << "  \"params_hash\": \"" << phex << "\",\n"
+            << "  \"stats_schema\": \"" << hex16(statsSchemaFingerprint())
+            << "\",\n"
+            << "  \"workload\": \"" << jsonEscape(rec.cell.workload)
+            << "\",\n"
+            << "  \"label\": \"" << jsonEscape(rec.cell.label) << "\",\n"
+            << "  \"input\": \"" << jsonEscape(rec.workloadInput) << "\",\n"
+            << "  \"cell_hash\": \"" << hex16(rec.key) << "\",\n"
+            << "  \"params_hash\": \"" << hex16(hashParams(rec.cell.params))
+            << "\",\n"
             << "  \"max_insts\": " << rec.cell.params.maxInsts << ",\n"
             << "  \"scale\": " << rec.cell.scale.factor << ",\n"
             << "  \"stats\": " << statsToJson(rec.stats) << "\n"

@@ -35,9 +35,9 @@
  *  - mid-cell drain-and-checkpoint (VPIR_CKPT_INSTS + VPIR_CKPT_DIR,
  *    see sim/checkpoint.hh): long cells persist resumable progress,
  *    a graceful stop drains in-flight cells to their next boundary,
- *    and the retry ladder (VPIR_CELL_RETRIES, VPIR_RETRY_BACKOFF_MS)
- *    resumes a crashed cell from its newest valid checkpoint before
- *    falling back to a cold restart.
+ *    and the retry ladder (VPIR_CELL_RETRIES) resumes a crashed cell
+ *    from its newest valid checkpoint before falling back to a cold
+ *    restart.
  */
 
 #ifndef VPIR_SWEEP_SWEEP_HH
@@ -73,8 +73,9 @@ std::string defaultCacheDir();
 
 /**
  * Stable FNV-1a hash over every CoreParams field (machine geometry,
- * caches, predictor, technique knobs, run limits). Stable across
- * processes — safe as an on-disk cache key.
+ * caches, predictor, technique knobs, run limits), in the order
+ * forEachParamField() visits them. Stable across processes — safe as
+ * an on-disk cache key.
  */
 uint64_t hashParams(const CoreParams &p);
 

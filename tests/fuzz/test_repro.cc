@@ -15,7 +15,7 @@
 #include "fuzz/generator.hh"
 #include "fuzz/program_io.hh"
 #include "fuzz/repro.hh"
-#include "sweep/params_json.hh"
+#include "sweep/stats_json.hh"
 
 using namespace vpir;
 using namespace vpir::fuzz;

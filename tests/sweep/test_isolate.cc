@@ -333,6 +333,63 @@ TEST(DiskCache, StaleTmpFilesScrubbedAtStartup)
     std::filesystem::remove_all(dir);
 }
 
+// The fork wire protocol carries every field of the outcome bit for
+// bit, and a child killed mid-write (any strict prefix of the payload)
+// or trailing garbage is rejected rather than half-read.
+TEST(Isolate, WireProtocolRoundTripsAndRejectsEveryPrefix)
+{
+    CellOutcome out;
+    out.failed = true;
+    out.timedOut = true;
+    uint64_t next = 1;
+    forEachStatField(out.stats, [&next](const char *, uint64_t &v) {
+        v = next;
+        next = next * 6364136223846793005ull + 1442695040888963407ull;
+    });
+    out.stats.haltedCleanly = true;
+    out.workloadInput = "ref \"input\"\n";
+    out.error = std::string("panic:\0\x01\xff tail", 14);
+    out.ckptStopped = true;
+    out.ckptResumed = true;
+    out.ckptWritten = 7;
+    out.setupSeconds = 0.1234567890123;
+    out.runSeconds = 3.0e-9;
+    out.asmBuilt = true;
+    out.profile.enabled = true;
+    forEachProfileField(out.profile, [&next](const char *, uint64_t &v) {
+        v = next++;
+    });
+
+    std::string wire = encodeOutcome(out);
+    CellOutcome back;
+    ASSERT_TRUE(decodeOutcome(wire, back));
+    EXPECT_TRUE(statsEqual(out.stats, back.stats));
+    EXPECT_TRUE(back.stats.haltedCleanly);
+    EXPECT_EQ(back.failed, out.failed);
+    EXPECT_EQ(back.timedOut, out.timedOut);
+    EXPECT_EQ(back.workloadInput, out.workloadInput);
+    EXPECT_EQ(back.error, out.error);
+    EXPECT_EQ(back.ckptStopped, out.ckptStopped);
+    EXPECT_EQ(back.ckptResumed, out.ckptResumed);
+    EXPECT_EQ(back.ckptWritten, out.ckptWritten);
+    EXPECT_EQ(back.setupSeconds, out.setupSeconds);
+    EXPECT_EQ(back.runSeconds, out.runSeconds);
+    EXPECT_EQ(back.asmBuilt, out.asmBuilt);
+    EXPECT_EQ(back.warmBuilt, out.warmBuilt);
+    EXPECT_EQ(back.profile.enabled, out.profile.enabled);
+    EXPECT_EQ(back.profile.fetchNs, out.profile.fetchNs);
+    EXPECT_EQ(back.profile.idleSkippedCycles,
+              out.profile.idleSkippedCycles);
+
+    for (size_t n = 0; n < wire.size(); ++n) {
+        CellOutcome junk;
+        EXPECT_FALSE(decodeOutcome(wire.substr(0, n), junk))
+            << "accepted a " << n << "-byte prefix of " << wire.size();
+    }
+    CellOutcome junk;
+    EXPECT_FALSE(decodeOutcome(wire + '\0', junk));
+}
+
 TEST(Isolate, SignalNamesAreReadable)
 {
     EXPECT_EQ(signalName(SIGSEGV), "SIGSEGV");

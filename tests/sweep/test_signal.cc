@@ -154,14 +154,12 @@ TEST(Signal, GracefulSigintExits130AndCacheResumes)
 }
 
 // VPIR_CELL_RETRIES sizes the ladder: a cell that crashes on every
-// rung is attempted 1 + retries times before being reported. A tiny
-// VPIR_RETRY_BACKOFF_MS exercises the backoff+jitter path too.
+// rung is attempted 1 + retries times before being reported.
 TEST(Ladder, RetriesKnobControlsAttempts)
 {
     EnvGuard iso("VPIR_ISOLATE", "1");
     EnvGuard hook("VPIR_TEST_CRASH_CELL", "crashme");
     EnvGuard retries("VPIR_CELL_RETRIES", "3");
-    EnvGuard backoff("VPIR_RETRY_BACKOFF_MS", "1");
 
     SweepEngine eng(1, "");
     SweepCell bad = cell("compress", "crashme", baseConfig());

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "fuzz/differential.hh"
 #include "sim/simulator.hh"
 #include "sweep/stats_json.hh"
 #include "sweep/sweep.hh"
@@ -122,6 +123,27 @@ TEST(SweepEngine, HashCoversParamsWorkloadAndScale)
     EXPECT_NE(cellHash(c1), cellHash(c2));
     EXPECT_NE(cellHash(c1), cellHash(c3));
     EXPECT_EQ(cellHash(c1), cellHash(c4)); // label is display-only
+}
+
+// Cell keys and schema fingerprints are stamped into result caches,
+// checkpoints and repro bundles written by earlier builds. These
+// literals were recorded before the hashes were derived from the
+// struct visitors; a change to either field list must not move them.
+TEST(SweepEngine, HashesMatchRecordedValues)
+{
+    EXPECT_EQ(hashParams(baseConfig()), 0x4015860042a19457ull);
+    CoreParams fz = fuzz::fuzzParamsForSeed(0xabc);
+    EXPECT_EQ(hashParams(fz), 0xbf5c54ebac3a0e21ull);
+    fz.faults.rbLinkRate = 0.01; // a double field, hashed as its bits
+    EXPECT_EQ(hashParams(fz), 0x33f1a765e4684857ull);
+
+    SweepCell c{"m88ksim", "vp",
+                vpConfig(VpScheme::Magic, ReexecPolicy::Multiple,
+                         BranchResolution::Speculative, 1),
+                WorkloadScale{0.25}};
+    EXPECT_EQ(cellHash(c), 0x364efc4b05c74f0full);
+    EXPECT_EQ(statsSchemaFingerprint(), 0xb8c24bece0f32278ull);
+    EXPECT_EQ(paramsSchemaFingerprint(), 0x7a32b9b41fdec3d8ull);
 }
 
 TEST(SweepEngine, DiskCacheRoundTripsStatsLosslessly)
