@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <map>
-#include <mutex>
 #include <sstream>
 
 #include "common/deadline.hh"
@@ -39,12 +35,7 @@ Core::Core(const CoreParams &p, const Program &program,
                                                     warm);
     for (auto &r : regProducer)
         r = RobRef{};
-    lsqXcheck = parseEnvU64("VPIR_LSQ_XCHECK", 0) != 0;
     auditClobberCycle = parseEnvU64("VPIR_TEST_AUDIT_CLOBBER", UINT64_MAX);
-    if (parseEnvU64("VPIR_SCHED_XCHECK", 0) != 0)
-        schedMode = SchedMode::Xcheck;
-    else if (parseEnvU64("VPIR_SCHED_BRUTE", 0) != 0)
-        schedMode = SchedMode::Brute;
     prof.enabled = parseEnvU64("VPIR_PROFILE", 0) != 0;
     if (p.ckptInsts)
         nextCkptAt = p.ckptInsts;
@@ -55,16 +46,12 @@ Core::Core(const CoreParams &p, const Program &program,
     finWaiters.assign(2 * p.robEntries, OpWaiter{});
     schedScratch.reserve(p.robEntries);
     dueScratch.reserve(p.robEntries);
-    xcheckScratch.reserve(p.robEntries);
 
     // One decode-table lookup per *static* instruction; the pipeline
     // reads the cached pointer for every dynamic instance.
     decodeCache.reserve(program.text.size());
     for (const Instr &i : program.text)
         decodeCache.push_back(&decodeInfo(i.op));
-    // 2x capacity: orderHead compaction runs only when the consumed
-    // prefix reaches robEntries, so the vector never reallocates.
-    orderList.reserve(2 * p.robEntries);
 
     if (warm) {
         // Warm start: clone the shared post-warmup snapshot instead of
@@ -174,50 +161,14 @@ Core::noteStoreAddrReady()
 uint64_t
 Core::oldestUnknownStoreSeq() const
 {
-    uint64_t wm = storeAddrPrefix < storeQ.size()
-                      ? storeQ[storeAddrPrefix].seq
-                      : UINT64_MAX;
-    if (lsqXcheck) {
-        // Brute-force cross-check against the scan the watermark
-        // replaced: first in-order store with an unknown address.
-        uint64_t ref = UINT64_MAX;
-        for (const LsqEntry &le : lsq) {
-            if (le.isLoad || !refAlive(le.rob))
-                continue;
-            if (!at(le.rob.slot).storeAddrReady) {
-                ref = le.rob.seq;
-                break;
-            }
-        }
-        VPIR_ASSERT(wm == ref,
-                    "store-address watermark diverged from LSQ scan");
-    }
-    return wm;
+    return storeAddrPrefix < storeQ.size() ? storeQ[storeAddrPrefix].seq
+                                           : UINT64_MAX;
 }
 
 unsigned
 Core::unresolvedBranches() const
 {
-    unsigned n = robUnresolvedCtrl + fqResolvable;
-    if (schedMode == SchedMode::Xcheck) {
-        // Brute-force cross-check against the walks the counters
-        // replaced.
-        unsigned ref = 0;
-        forEachInOrder([&](int slot) {
-            const RobEntry &e = at(slot);
-            if (e.isCtrl && e.resolvable && !e.resolvedForFetch)
-                ++ref;
-            return true;
-        });
-        for (const FetchedInst &f : fetchQueue) {
-            if (f.resolvable)
-                ++ref;
-        }
-        VPIR_ASSERT(n == ref,
-                    "unresolved-branch counter diverged from the "
-                    "ROB/fetch-queue walk");
-    }
-    return n;
+    return robUnresolvedCtrl + fqResolvable;
 }
 
 // -------------------------------------------------------------- fetch
@@ -532,7 +483,6 @@ Core::dispatchStage()
         e.ghrUsed = f.ghrUsed;
         e.fromRas = f.fromRas;
         e.bpCp = f.bpCp;
-        orderList.push_back(slot);
 
         // Rename sources against in-flight producers.
         SrcRegs s = srcRegs(er.inst);
@@ -892,40 +842,30 @@ Core::issueEntry(int slot)
     if (e.predicted && e.pendResult != e.curResult)
         complete += params.vpVerifyLatency;
 
+    // Completions are processed before issue, so the earliest cycle
+    // one can be delivered is the next; zero-latency NOP/HALT and
+    // already-due results land there. completeAt is that delivery
+    // cycle, which the audit checks no in-flight entry outlives.
     e.inFlight = true;
-    e.completeAt = complete;
+    e.completeAt = std::max(complete, curCycle + 1);
     // In-flight entries leave both candidate sets; completion makes
     // the entry a finalize candidate again, and a wake landing during
     // the flight makes it an issue candidate again.
     readySet.erase(slot);
     finalCand.erase(slot);
-    if (schedMode != SchedMode::Brute) {
-        // The brute scan first sees a completion the cycle after
-        // issue, so an already-due completeAt fires then.
-        WheelEvent ev;
-        ev.at = std::max(complete, curCycle + 1);
-        ev.seq = e.seq;
-        ev.slot = slot;
-        wheel.schedule(ev, curCycle);
-    }
+    WheelEvent ev;
+    ev.at = e.completeAt;
+    ev.seq = e.seq;
+    ev.slot = slot;
+    wheel.schedule(ev, curCycle);
 }
 
 void
 Core::issueStage()
 {
     unsigned issued = 0;
-    // Fast: only ready-set members (program order). Brute and Xcheck:
-    // the legacy full-window walk; Xcheck additionally asserts that
-    // every entry the walk finds issuable is in the ready set, which
-    // (the evaluation code being shared) pins the fast path to
-    // identical issue decisions.
-    if (schedMode == SchedMode::Fast) {
-        collectInOrder(readySet, schedScratch);
-    } else {
-        schedScratch.assign(orderList.begin() +
-                                static_cast<long>(orderHead),
-                            orderList.end());
-    }
+    // Only ready-set members, in program order.
+    collectInOrder(readySet, schedScratch);
     for (int slot : schedScratch) {
         RobEntry &e = at(slot);
         if (!e.valid || !e.needsExec || e.inFlight || e.finalized)
@@ -991,10 +931,6 @@ Core::issueStage()
                     continue;
                 }
             }
-        }
-        if (schedMode == SchedMode::Xcheck) {
-            VPIR_ASSERT(readySet.test(slot),
-                        "issuable entry missing from the ready set");
         }
 
         // Loads must respect store disambiguation before requesting
@@ -1112,20 +1048,10 @@ Core::completeEntry(int slot)
 void
 Core::processCompletions()
 {
-    if (schedMode == SchedMode::Brute) {
-        forEachInOrder([&](int slot) {
-            RobEntry &e = at(slot);
-            if (e.valid && e.inFlight && e.completeAt <= curCycle)
-                completeEntry(slot);
-            return true;
-        });
-        return;
-    }
-
-    // Event-driven: only this cycle's wheel bucket. Squashes leave
-    // stale events behind, so each is validated against live ROB
-    // state; completion order must be program order (RB insertion and
-    // store-invalidation are order-sensitive), so sort by seq.
+    // Only this cycle's wheel bucket. Squashes leave stale events
+    // behind, so each is validated against live ROB state; completion
+    // order must be program order (RB insertion and store-invalidation
+    // are order-sensitive), so sort by seq.
     dueScratch.clear();
     wheel.popDue(curCycle, dueScratch);
     schedScratch.clear();
@@ -1149,21 +1075,6 @@ Core::processCompletions()
     }
     std::sort(schedScratch.begin(), schedScratch.end(),
               [this](int a, int b) { return at(a).seq < at(b).seq; });
-
-    if (schedMode == SchedMode::Xcheck) {
-        // The brute walk must find exactly the slots the wheel
-        // delivered (both lists are seq-ascending).
-        xcheckScratch.clear();
-        forEachInOrder([&](int slot) {
-            const RobEntry &e = at(slot);
-            if (e.valid && e.inFlight && e.completeAt <= curCycle)
-                xcheckScratch.push_back(slot);
-            return true;
-        });
-        VPIR_ASSERT(xcheckScratch == schedScratch,
-                    "event wheel diverged from the completion scan");
-    }
-
     for (int slot : schedScratch)
         completeEntry(slot);
 }
@@ -1171,27 +1082,16 @@ Core::processCompletions()
 void
 Core::finalizeScan()
 {
-    // Fast walks only the finalize-candidate set, as a mutable
-    // worklist: an entry that fails because an operand is not yet
-    // final *parks* — on the producer's finalize-waiter list when the
-    // producer has not finalized, or on a timed wheel recheck when
-    // only its verification delay is pending — instead of being
-    // re-polled every cycle. A producer finalizing mid-pass wakes its
-    // parked consumers and splices them back into the worklist in
-    // program order, so chains of same-cycle finalizations behave
-    // exactly as in the brute walk. Brute/Xcheck walk the whole
-    // window; Xcheck also runs the park bookkeeping for candidates
-    // (keeping the structures on the fast trajectory) and asserts
-    // every entry it finalizes is a candidate.
-    bool fast = schedMode == SchedMode::Fast;
-    bool park = schedMode != SchedMode::Brute;
-    if (fast) {
-        collectInOrder(finalCand, schedScratch);
-    } else {
-        schedScratch.assign(orderList.begin() +
-                                static_cast<long>(orderHead),
-                            orderList.end());
-    }
+    // Walks only the finalize-candidate set, as a mutable worklist:
+    // an entry that fails because an operand is not yet final *parks*
+    // — on the producer's finalize-waiter list when the producer has
+    // not finalized, or on a timed wheel recheck when only its
+    // verification delay is pending — instead of being re-polled
+    // every cycle. A producer finalizing mid-pass wakes its parked
+    // consumers and splices them back into the worklist in program
+    // order, so chains of same-cycle finalizations resolve in one
+    // pass, oldest first.
+    collectInOrder(finalCand, schedScratch);
     for (size_t i = 0; i < schedScratch.size(); ++i) {
         int slot = schedScratch[i];
         RobEntry &e = at(slot);
@@ -1199,7 +1099,6 @@ Core::finalizeScan()
             continue;
         if (!e.needsExec || !e.executedOnce)
             continue;
-        bool member = finalCand.test(slot);
 
         bool ops_final = true;
         for (int k = 0; k < 2; ++k) {
@@ -1207,7 +1106,7 @@ Core::finalizeScan()
             if (v.final)
                 continue;
             ops_final = false;
-            if (park && member && refAlive(e.srcRob[k])) {
+            if (refAlive(e.srcRob[k])) {
                 const RobEntry &p = at(e.srcRob[k].slot);
                 if (!p.finalized) {
                     // Re-completion can put a still-parked entry back
@@ -1235,8 +1134,7 @@ Core::finalizeScan()
         // the issue side, and its completion re-arms the candidate.
         if (e.usedVals[0] != e.exec.srcVals[0] ||
             e.usedVals[1] != e.exec.srcVals[1]) {
-            if (park && member)
-                finalCand.erase(slot);
+            finalCand.erase(slot);
             continue;
         }
 
@@ -1245,15 +1143,10 @@ Core::finalizeScan()
         // happened to match the oracle ones; hold it for the
         // addr-stale re-issue instead of finalizing wrong data.
         if (e.isLd && e.curMemAddr != e.exec.out.memAddr) {
-            if (park && member)
-                finalCand.erase(slot);
+            finalCand.erase(slot);
             continue;
         }
 
-        if (schedMode == SchedMode::Xcheck) {
-            VPIR_ASSERT(member, "finalizing entry missing from the "
-                                "finalize-candidate set");
-        }
         e.finalized = true;
         e.finalizeAt = curCycle + (e.predicted ? params.vpVerifyLatency
                                                : 0);
@@ -1282,16 +1175,13 @@ Core::finalizeScan()
             } else if (!c.inFlight && !c.finalized &&
                        !finalCand.test(cslot)) {
                 finalCand.insert(cslot);
-                if (fast) {
-                    auto it = std::upper_bound(
-                        schedScratch.begin() +
-                            static_cast<std::ptrdiff_t>(i) + 1,
-                        schedScratch.end(), cslot,
-                        [this](int a, int b) {
-                            return at(a).seq < at(b).seq;
-                        });
-                    schedScratch.insert(it, cslot);
-                }
+                auto it = std::upper_bound(
+                    schedScratch.begin() +
+                        static_cast<std::ptrdiff_t>(i) + 1,
+                    schedScratch.end(), cslot, [this](int a, int b) {
+                        return at(a).seq < at(b).seq;
+                    });
+                schedScratch.insert(it, cslot);
             }
             id = next;
         }
@@ -1321,18 +1211,10 @@ Core::doResolve(int slot, Addr computed_next, bool is_final)
 void
 Core::resolveControl()
 {
-    // Oldest-first; a squash removes all younger entries, so restart
-    // scanning is unnecessary (the validity guard sees them gone).
-    // Fast iterates only the unresolved-control set; Brute/Xcheck walk
-    // the whole window, Xcheck asserting every acting entry is in the
-    // set.
-    if (schedMode == SchedMode::Fast) {
-        collectInOrder(ctrlSet, schedScratch);
-    } else {
-        schedScratch.assign(orderList.begin() +
-                                static_cast<long>(orderHead),
-                            orderList.end());
-    }
+    // The unresolved-control set, oldest-first; a squash removes all
+    // younger entries, so restart scanning is unnecessary (the
+    // validity guard sees them gone).
+    collectInOrder(ctrlSet, schedScratch);
     for (int slot : schedScratch) {
         RobEntry &e = at(slot);
         if (!e.valid || !e.isCtrl || !e.resolvable)
@@ -1343,22 +1225,12 @@ Core::resolveControl()
         if (nsb) {
             if (e.finalized && e.finalizeAt <= curCycle &&
                 !e.finalActionDone) {
-                if (schedMode == SchedMode::Xcheck) {
-                    VPIR_ASSERT(ctrlSet.test(slot),
-                                "resolving entry missing from the "
-                                "control set");
-                }
                 doResolve(slot, e.curNextPC, true);
             } else if (e.finalized && !e.finalActionDone &&
                        e.finalizeAt > curCycle) {
                 noteWake(e.finalizeAt); // idle-skip bound
             }
         } else if (e.pendingResolve) {
-            if (schedMode == SchedMode::Xcheck) {
-                VPIR_ASSERT(ctrlSet.test(slot),
-                            "resolving entry missing from the "
-                            "control set");
-            }
             e.pendingResolve = false;
             cycleHadWork = true;
             bool fin = e.finalized && e.finalizeAt <= curCycle;
@@ -1419,7 +1291,6 @@ Core::squashAfter(int slot, Addr redirect)
         robTail = last;
         --robUsed;
         ++auditSquashed;
-        orderList.pop_back(); // youngest-first, mirrors the ROB pop
         // Scheduler teardown. Waiter unlinks are eager: this slot
         // will be reused, and a dangling node would corrupt a live
         // producer's list. Youngest-first order means y's own waiters
@@ -1544,44 +1415,6 @@ Core::insertIntoRb(int slot)
 
 // -------------------------------------------------------------- commit
 
-namespace
-{
-
-/** VPIR_BPRED_DEBUG=1: per-PC conditional mispredict histogram.
- *  Shared across cores; the sweep engine runs simulations on several
- *  threads, so updates take the mutex (only when the knob is set). */
-std::map<Addr, std::pair<uint64_t, uint64_t>> bpredDebugMap;
-std::mutex bpredDebugMu;
-
-bool
-bpredDebugEnabled()
-{
-    static const bool on = std::getenv("VPIR_BPRED_DEBUG") != nullptr;
-    return on;
-}
-
-} // anonymous namespace
-
-void
-dumpBpredDebug()
-{
-    std::lock_guard<std::mutex> lk(bpredDebugMu);
-    std::vector<std::pair<Addr, std::pair<uint64_t, uint64_t>>> v(
-        bpredDebugMap.begin(), bpredDebugMap.end());
-    std::sort(v.begin(), v.end(), [](const auto &a, const auto &b) {
-        return a.second.second > b.second.second;
-    });
-    for (size_t i = 0; i < v.size() && i < 12; ++i) {
-        std::fprintf(stderr, "  pc=0x%x execs=%llu miss=%llu (%.1f%%)\n",
-                     v[i].first,
-                     static_cast<unsigned long long>(v[i].second.first),
-                     static_cast<unsigned long long>(v[i].second.second),
-                     100.0 * static_cast<double>(v[i].second.second) /
-                         static_cast<double>(v[i].second.first));
-    }
-    bpredDebugMap.clear();
-}
-
 void
 Core::trainPredictors(RobEntry &e)
 {
@@ -1592,13 +1425,6 @@ Core::trainPredictors(RobEntry &e)
             ++st.condBranches;
             if (e.predTaken != e.exec.out.taken)
                 ++st.condMispredicted;
-            if (bpredDebugEnabled()) {
-                std::lock_guard<std::mutex> lk(bpredDebugMu);
-                auto &d = bpredDebugMap[e.pc];
-                ++d.first;
-                if (e.predTaken != e.exec.out.taken)
-                    ++d.second;
-            }
         }
         if (isReturn(e.inst)) {
             ++st.returns;
@@ -1776,15 +1602,6 @@ Core::commitStage()
         --robUsed;
         ++commits;
         cycleHadWork = true;
-        // Consume the order-list head; compact once the dead prefix
-        // reaches a full window (amortized O(1) per commit).
-        ++orderHead;
-        if (orderHead >= params.robEntries) {
-            orderList.erase(orderList.begin(),
-                            orderList.begin() +
-                                static_cast<long>(orderHead));
-            orderHead = 0;
-        }
 
         if (st.committedInsts >= params.maxInsts)
             done = true;
@@ -1937,30 +1754,13 @@ Core::auditCycle() const
             rob_bad = "entry both finalized and in flight";
         else if (e.seq >= nextSeq)
             rob_bad = "ROB entry with an unissued sequence number";
+        else if (e.inFlight && e.completeAt <= curCycle)
+            rob_bad = "in-flight entry outlived its completion cycle";
         prev_seq = e.seq;
         return rob_bad == nullptr;
     });
     if (rob_bad)
         auditFail(rob_bad);
-
-    // The persistent order list's live window must mirror the ROB's
-    // ring walk slot for slot (it replaces the per-cycle rebuild).
-    if (orderList.size() - orderHead != robUsed) {
-        auditFail("order list window size " +
-                  std::to_string(orderList.size() - orderHead) +
-                  " != ROB occupancy " + std::to_string(robUsed));
-    }
-    {
-        size_t oi = orderHead;
-        const char *ol_bad = nullptr;
-        forEachInOrder([&](int slot) {
-            if (orderList[oi++] != slot)
-                ol_bad = "order list diverged from the ROB ring walk";
-            return ol_bad == nullptr;
-        });
-        if (ol_bad)
-            auditFail(ol_bad);
-    }
 
     // Every LSQ/storeQ reference must point at a live ROB entry
     // (commit pops the head, squash pops the dead suffix).
@@ -1975,6 +1775,17 @@ Core::auditCycle() const
             auditFail("address-unready store inside the watermark "
                       "prefix");
     }
+    // The watermark must name what a full LSQ scan finds: the oldest
+    // live store whose address is still unknown.
+    uint64_t unknown_store = UINT64_MAX;
+    for (const LsqEntry &le : lsq) {
+        if (!le.isLoad && !at(le.rob.slot).storeAddrReady) {
+            unknown_store = le.rob.seq;
+            break;
+        }
+    }
+    if (oldestUnknownStoreSeq() != unknown_store)
+        auditFail("store-address watermark diverged from the LSQ scan");
 
     // Periodic structure sweeps (O(entries), too hot for every cycle).
     if ((curCycle & 0xfff) == 0) {
@@ -2013,7 +1824,7 @@ Core::auditSched() const
                   std::to_string(fqResolvable) + " != recount " +
                   std::to_string(fq_res));
 
-    // Ready-set completeness: any entry whose brute issue evaluation
+    // Ready-set completeness: any entry whose full issue evaluation
     // would currently want execution — or that is polling toward a
     // wake-less transition (an NME entry waiting only on operand
     // finality) — must be a member (the set may hold a conservative
@@ -2065,20 +1876,13 @@ Core::auditSched() const
     if (bad)
         auditFail(bad);
 
-    // Finalize-candidate completeness: anything the brute finalize
-    // walk would finalize right now must be a candidate. In Brute no
-    // parking happens, so the stronger invariant holds: every
-    // completed-unfinalized entry is a candidate.
+    // Finalize-candidate completeness: anything a full-window finalize
+    // walk would finalize right now must be a candidate.
     forEachInOrder([&](int slot) {
         const RobEntry &e = at(slot);
         if (!e.needsExec || !e.executedOnce || e.inFlight ||
             e.finalized || finalCand.test(slot)) {
             return true;
-        }
-        if (schedMode == SchedMode::Brute) {
-            bad = "completed entry missing from the finalize-candidate "
-                  "set";
-            return false;
         }
         bool ops_final = true;
         for (int k = 0; k < 2; ++k)
@@ -2181,7 +1985,7 @@ Core::auditSched() const
 
     // Every in-flight entry scheduled a completion event (stale events
     // from squashed incarnations may pad the wheel; pop validates).
-    if (schedMode != SchedMode::Brute && wheel.size() < in_flight)
+    if (wheel.size() < in_flight)
         auditFail("fewer wheel events than in-flight instructions");
 }
 
@@ -2262,15 +2066,14 @@ Core::cycle()
     if ((curCycle & 0x3fff) == 0 && cellDeadlineExpired())
         panic("cell wall-clock deadline exceeded "
               "(VPIR_CELL_TIMEOUT_MS)");
-    // Idle-cycle skipping (event-driven mode only): when nothing
-    // observable happened this cycle, jump to the cycle before the
-    // next possible action — the earliest wheel event or wake hint —
-    // never past the watchdog trip, the planted audit clobber, the
-    // next deadline-poll cycle, or the maxCycles budget. Skipped
-    // cycles still count toward st.cycles, so every cycle-derived
-    // observable matches the brute-force scheduler exactly.
-    if (schedMode == SchedMode::Fast && !done && !cycleHadWork &&
-        !ckptBoundary) {
+    // Idle-cycle skipping: when nothing observable happened this
+    // cycle, jump to the cycle before the next possible action — the
+    // earliest wheel event or wake hint — never past the watchdog
+    // trip, the planted audit clobber, the next deadline-poll cycle,
+    // or the maxCycles budget. Skipped cycles still count toward
+    // st.cycles, so every cycle-derived observable is what stepping
+    // through them one by one would give.
+    if (!done && !cycleHadWork && !ckptBoundary) {
         uint64_t target =
             std::min(schedWake, wheel.nextEventAt(curCycle));
         if (params.watchdogCycles)
@@ -2419,8 +2222,6 @@ Core::restoreCheckpoint(CkptReader &r)
     fetchQueue.clear();
     storeQ.clear();
     storeAddrPrefix = 0;
-    orderList.clear();
-    orderHead = 0;
     readySet.clear();
     ctrlSet.clear();
     finalCand.clear();

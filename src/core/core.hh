@@ -73,7 +73,7 @@ struct RobEntry
     // Dataflow timing state.
     bool needsExec = true;      //!< occupies an FU when issued
     bool inFlight = false;      //!< execution outstanding
-    uint64_t completeAt = 0;    //!< scheduled completion cycle
+    uint64_t completeAt = 0;    //!< cycle the completion is delivered
     bool executedOnce = false;
     int execCount = 0;
     bool hasValue = false;      //!< some value (pred/reuse/computed)
@@ -172,9 +172,6 @@ struct FetchedInst
     bool fromRas = false;
     BpredCheckpoint bpCp;
 };
-
-/** Dump and reset the VPIR_BPRED_DEBUG per-PC histogram. */
-void dumpBpredDebug();
 
 /** The out-of-order core. */
 class Core
@@ -289,8 +286,8 @@ class Core
      *  store; call after any store's storeAddrReady flips true. */
     void noteStoreAddrReady();
     /** Sequence of the oldest in-flight store whose address is still
-     *  unknown (UINT64_MAX if none): O(1) against the watermark.
-     *  Under VPIR_LSQ_XCHECK, cross-checked against a full LSQ scan. */
+     *  unknown (UINT64_MAX if none): O(1) against the watermark, which
+     *  auditCycle() checks against a full LSQ scan. */
     uint64_t oldestUnknownStoreSeq() const;
 
     void issueEntry(int slot);
@@ -338,8 +335,9 @@ class Core
         if (at < schedWake)
             schedWake = at;
     }
-    /** Scheduler-structure audit (ready/control sets, waiter links,
-    *   counters vs brute-force recomputation). */
+    /** Scheduler-structure audit: ready/control/finalize sets,
+     *  waiter links and counters against a from-scratch recomputation
+     *  over the whole window. */
     void auditSched() const;
 
     void recordCommitStats(RobEntry &e);
@@ -349,9 +347,11 @@ class Core
 
     // --- invariant audits (params.auditInvariants / VPIR_AUDIT) -----
     /** End-of-cycle structural audit: instruction conservation,
-     *  occupancy bounds, ROB ordering, LSQ/storeQ liveness, and
-     *  (periodically) RB/VPT entry sanity. Panics at the cycle of
-     *  first corruption. */
+     *  occupancy bounds, ROB ordering, no in-flight entry past its
+     *  completion cycle, LSQ/storeQ liveness, the store-address
+     *  watermark against an LSQ scan, (periodically) RB/VPT entry
+     *  sanity, and auditSched(). Panics at the cycle of first
+     *  corruption. */
     void auditCycle() const;
     /** Commit-side audit: no instruction may retire carrying an
      *  unvalidated (wrong) predicted or reused value. */
@@ -377,34 +377,16 @@ class Core
     /** DecodeInfo per static instruction, built once at construction
      *  so the pipeline never re-decodes a dynamic instruction. */
     std::vector<const DecodeInfo *> decodeCache;
-    /**
-     * Program-order list of live ROB slots, maintained incrementally
-     * instead of being rebuilt from a ring walk every cycle: dispatch
-     * appends, commit advances orderHead (compacting periodically so
-     * the vector stays bounded), and squash pops the dead suffix. The
-     * live window orderList[orderHead..] always equals a
-     * forEachInOrder() walk; auditCycle() checks exactly that.
-     */
-    std::vector<int> orderList;
-    size_t orderHead = 0;
 
     // --- incremental scheduler (DESIGN.md §13) ----------------------
-    /** How issue/complete/finalize/resolve find their candidates.
-     *  Fast uses the ready set + event wheel + idle-cycle skipping;
-     *  Brute runs the legacy full scans (perf baseline, and the
-     *  reference the fast path must match byte-for-byte); Xcheck
-     *  takes fast-path decisions while re-running the brute scans
-     *  each cycle and asserting agreement (no idle skipping, so every
-     *  cycle is checked). Env-selected (VPIR_SCHED_XCHECK wins over
-     *  VPIR_SCHED_BRUTE), never a CoreParams field: cell hashes,
-     *  caches, and stdout stay identical across modes. */
-    enum class SchedMode { Fast, Brute, Xcheck };
-    SchedMode schedMode = SchedMode::Fast;
+    // Issue, completion, finalize and resolve visit only these
+    // candidate sets and wheel events; auditSched() re-derives every
+    // membership obligation from a full-window walk.
     /** Slots that might issue: operands plausibly ready, or an
-     *  addr-reused/predicted load. Conservative superset of the brute
-     *  issue scan's side-effect reachers; entries the scan finds
-     *  unactionable drop out and are re-inserted by the next relevant
-     *  wakeup (operand publication). */
+     *  addr-reused/predicted load. Conservative superset of the
+     *  entries a full-window issue evaluation would act on; entries
+     *  the scan finds unactionable drop out and are re-inserted by
+     *  the next relevant wakeup (operand publication). */
     SlotSet readySet;
     /** Unresolved resolvable control entries (resolution candidates);
      *  emptied per entry once its final action is done. */
@@ -412,11 +394,9 @@ class Core
     /** Finalize candidates: completed entries whose finalize check is
      *  worth running. A failed check parks the entry — on a
      *  producer's finalize-waiter list, or on a timed wheel recheck —
-     *  instead of polling (Fast/Xcheck; Brute keeps the entry in and
-     *  polls nothing since it walks the window anyway). */
+     *  instead of polling. */
     SlotSet finalCand;
-    /** Completion + finalize-recheck events keyed by due cycle. Fed
-     *  in Fast/Xcheck; Brute keeps it empty and scans instead. */
+    /** Completion + finalize-recheck events keyed by due cycle. */
     EventWheel wheel;
     /** Waiter node per (consumer slot, operand): doubly linked into
      *  the producer's RobEntry::waiterHead list. Node id is
@@ -453,7 +433,6 @@ class Core
     /** Scratch for candidate collection (no per-cycle allocation). */
     std::vector<int> schedScratch;
     std::vector<WheelEvent> dueScratch;
-    std::vector<int> xcheckScratch;
     SchedProfile prof;
 
     std::vector<RobEntry> rob;
@@ -469,7 +448,6 @@ class Core
      *  at storeAddrPrefix (when present) does not. Monotone within a
      *  store's lifetime; commit shifts it down, squash clamps it. */
     size_t storeAddrPrefix = 0;
-    bool lsqXcheck = false; //!< VPIR_LSQ_XCHECK: brute-force verify
     RobRef regProducer[NUM_ARCH_REGS];
 
     Addr fetchPC;

@@ -5,10 +5,12 @@
  * Wall-clock time spent inside each pipeline stage of Core::cycle,
  * plus how many cycles ran versus were skipped by the idle-cycle
  * fast-forward. Lives outside CoreStats on purpose: the nanosecond
- * fields are host-dependent and idleSkippedCycles differs between the
- * event-driven and brute-force schedulers, so folding them into the
+ * fields are host-dependent, and the run/skip split describes the
+ * simulator rather than the simulated machine (a better skipper
+ * changes it without changing any stat), so folding either into the
  * deterministic stats block would break stats byte-identity, the
- * result-cache fingerprint, and checkpoint round-trips. The sweep
+ * result-cache fingerprint, and checkpoint round-trips. The skip
+ * count is still deterministic for a given build and cell. The sweep
  * engine carries the profile through the fork wire protocol as plain
  * integers and emits it per cell into bench_timing.*.json.
  */

@@ -84,29 +84,6 @@ applyHardeningEnv(CoreParams &p)
     // hashed into the cell key); persistence knobs live in
     // ckptConfigFromEnv().
     p.ckptInsts = parseEnvU64("VPIR_CKPT_INSTS", p.ckptInsts);
-    // Window-size overrides. Machine parameters like ckptInsts: they
-    // perturb timing and are hashed into the cell key. The perf
-    // harness uses them to compare schedulers at large windows, where
-    // per-cycle full-window scans stop being cheap.
-    p.robEntries = static_cast<unsigned>(
-        parseEnvU64("VPIR_ROB_ENTRIES", p.robEntries));
-    p.lsqEntries = static_cast<unsigned>(
-        parseEnvU64("VPIR_LSQ_ENTRIES", p.lsqEntries));
-    // Memory-system overrides, same contract as the window knobs: the
-    // perf harness disables the caches (single line, direct mapped, so
-    // every new line pays the miss latency) and stretches the miss
-    // penalty to put the pipeline in the stall-heavy regime where
-    // event-driven scheduling has something to skip.
-    if (parseEnvU64("VPIR_CACHE_DISABLE", 0) != 0) {
-        p.icache.ways = 1;
-        p.icache.sizeBytes = p.icache.lineBytes;
-        p.dcache.ways = 1;
-        p.dcache.sizeBytes = p.dcache.lineBytes;
-    }
-    unsigned miss = static_cast<unsigned>(
-        parseEnvU64("VPIR_MISS_LATENCY", p.dcache.missLatency));
-    p.icache.missLatency = miss;
-    p.dcache.missLatency = miss;
     p.faults = faultPlanFromEnv(p.faults);
 }
 

@@ -1,41 +1,27 @@
 /**
  * @file
- * Store-address watermark validation: with VPIR_LSQ_XCHECK=1 the core
- * cross-checks every oldestUnknownStoreSeq() query against the brute-
- * force LSQ scan it replaced and panics on the first divergence. The
- * tests drive that assertion through squash-heavy configurations —
- * speculative branch resolution with value prediction produces
- * spurious squashes, and injected VPT faults add misprediction storms
- * — so the watermark's commit/squash/ready bookkeeping is exercised
- * under fire, not just on the happy path.
+ * Store-address watermark validation: with auditInvariants armed the
+ * core checks, at the end of every cycle, that the O(1) watermark
+ * behind oldestUnknownStoreSeq() names the same store as a full LSQ
+ * scan, and panics on the first divergence. The tests drive that
+ * audit through squash-heavy configurations — speculative branch
+ * resolution with value prediction produces spurious squashes, and
+ * injected VPT faults add misprediction storms — so the watermark's
+ * commit/squash/ready bookkeeping is exercised under fire, not just
+ * on the happy path.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "sim/simulator.hh"
+#include "sweep/stats_json.hh"
 
 using namespace vpir;
 
 namespace
 {
-
-/** setenv/unsetenv for the test's scope (the core reads
- *  VPIR_LSQ_XCHECK at construction). */
-class EnvGuard
-{
-  public:
-    EnvGuard(const char *name, const std::string &value) : name_(name)
-    {
-        setenv(name, value.c_str(), 1);
-    }
-    ~EnvGuard() { unsetenv(name_); }
-
-  private:
-    const char *name_;
-};
 
 constexpr uint64_t TEST_INSTS = 30000;
 
@@ -50,11 +36,11 @@ smallScale()
 void
 runChecked(const std::string &workload, CoreParams cfg)
 {
-    EnvGuard xcheck("VPIR_LSQ_XCHECK", "1");
+    cfg.auditInvariants = true;
     CoreStats st = runWorkload(workload, withLimits(cfg, TEST_INSTS),
                                smallScale());
-    // The real assertion runs inside the core on every disambiguation
-    // query; reaching here with commits means it never diverged.
+    // The real assertion runs inside the core at the end of every
+    // cycle; reaching here with commits means it never diverged.
     EXPECT_GT(st.committedInsts, 0u) << workload;
 }
 
@@ -97,12 +83,20 @@ TEST(LsqWatermark, MatchesScanUnderFaultStorm)
 
 TEST(LsqWatermark, XcheckKnobIsReadAtConstruction)
 {
-    // Sanity: the knob off must also work (no accidental always-on
-    // scan, which would defeat the optimisation silently).
-    CoreStats st = runWorkload("compress",
-                               withLimits(baseConfig(), TEST_INSTS),
-                               smallScale());
-    EXPECT_GT(st.committedInsts, 0u);
+    // The LSQ scan lives only in the audit, and the audit is pure
+    // observation: an unaudited run must produce the audited run's
+    // stats exactly.
+    CoreParams cfg = vpConfig(VpScheme::Magic, ReexecPolicy::Multiple,
+                              BranchResolution::Speculative, 0);
+    CoreStats plain = runWorkload("compress",
+                                  withLimits(cfg, TEST_INSTS),
+                                  smallScale());
+    cfg.auditInvariants = true;
+    CoreStats audited = runWorkload("compress",
+                                    withLimits(cfg, TEST_INSTS),
+                                    smallScale());
+    EXPECT_GT(plain.committedInsts, 0u);
+    EXPECT_TRUE(sweep::statsEqual(plain, audited));
 }
 
 } // anonymous namespace

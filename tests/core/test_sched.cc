@@ -1,41 +1,33 @@
 /**
  * @file
- * Event-driven scheduler equivalence tests. The core keeps a ready
- * set, finalize-candidate set, and completion wheel incrementally;
- * VPIR_SCHED_BRUTE=1 swaps back the original full-window scans and
- * VPIR_SCHED_XCHECK=1 runs both, asserting identical decisions every
- * cycle. These tests drive all three modes through every technique
- * mix and through the squash/fault storms that stress the structure
- * restoration paths, requiring bit-identical architectural stats.
+ * Scheduler regression tests. The core has one scheduler: ready,
+ * control and finalize-candidate sets, a completion wheel, and
+ * idle-cycle skipping. Every run here arms the per-cycle audit
+ * (auditInvariants), the scheduler's only oracle: each cycle it
+ * re-derives the issue, finalize and resolve obligations from a
+ * full-window walk, checks the waiter links, counters and store
+ * watermark, and requires that no in-flight entry has outlived its
+ * completion cycle, panicking at the first divergence. The final
+ * stats must also hash to the digest recorded for the same cell from
+ * the original brute-force full-window scheduler, which the
+ * event-driven one matched on all of these cells before it was
+ * deleted. The cells cover every technique mix, stall-heavy machines
+ * where idle skipping dominates, checkpoint drains and the watchdog
+ * interacting with the skipper, and the squash/fault storms and tiny
+ * windows that stress structure restoration.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
+#include "common/fnv.hh"
 #include "sim/simulator.hh"
-#include "stats/stats.hh"
 
 using namespace vpir;
 
 namespace
 {
-
-/** setenv/unsetenv for the test's scope (the core reads the
- *  scheduler-mode knobs at construction). */
-class EnvGuard
-{
-  public:
-    EnvGuard(const char *name, const std::string &value) : name_(name)
-    {
-        setenv(name, value.c_str(), 1);
-    }
-    ~EnvGuard() { unsetenv(name_); }
-
-  private:
-    const char *name_;
-};
 
 constexpr uint64_t TEST_INSTS = 25000;
 
@@ -47,47 +39,44 @@ smallScale()
     return sc;
 }
 
-std::string
-statsDump(const std::string &workload, const CoreParams &cfg)
+/** FNV-64 over every CoreStats field, in forEachStatField() order. */
+uint64_t
+statsDigest(const CoreStats &st)
 {
-    CoreStats st = runWorkload(workload, withLimits(cfg, TEST_INSTS),
-                               smallScale());
-    EXPECT_GT(st.committedInsts, 0u) << workload;
-    StatSet out;
-    st.exportTo(out);
-    return out.dump();
+    Fnv64 f;
+    forEachStatField(st,
+                     [&f](const char *, const uint64_t &v) { f.u64(v); });
+    return f.h;
 }
 
-/** Every architectural stat must be identical whether the scheduler
- *  ran event-driven, brute-force, or cross-checked. */
-void
-expectModeEquivalence(const std::string &workload, const CoreParams &cfg)
+struct AuditedRun
 {
-    std::string fast = statsDump(workload, cfg);
-    std::string brute, xcheck;
-    {
-        EnvGuard g("VPIR_SCHED_BRUTE", "1");
-        brute = statsDump(workload, cfg);
-    }
-    {
-        EnvGuard g("VPIR_SCHED_XCHECK", "1");
-        xcheck = statsDump(workload, cfg);
-    }
-    EXPECT_EQ(fast, brute) << workload << ": fast vs brute";
-    EXPECT_EQ(fast, xcheck) << workload << ": fast vs xcheck";
-}
+    CoreStats st;
+    SchedProfile prof;
+};
 
-void
-runXchecked(const std::string &workload, CoreParams cfg)
+/** Run @p workload with the per-cycle audit armed (any broken
+ *  scheduler obligation panics inside the core); its stats must hash
+ *  to @p want, the digest the brute-force scheduler produced for the
+ *  same cell. */
+AuditedRun
+expectDigest(const std::string &workload, CoreParams cfg, uint64_t want)
 {
-    EnvGuard g("VPIR_SCHED_XCHECK", "1");
-    // The audit recomputes every scheduler structure from scratch each
-    // cycle, so arm it too: xcheck catches wrong decisions, the audit
-    // catches silently corrupt bookkeeping behind right decisions.
     cfg.auditInvariants = true;
-    CoreStats st = runWorkload(workload, withLimits(cfg, TEST_INSTS),
-                               smallScale());
-    EXPECT_GT(st.committedInsts, 0u) << workload;
+    Simulator sim(withLimits(cfg, TEST_INSTS),
+                  makeWorkload(workload, smallScale()).program);
+    AuditedRun r{sim.run(), sim.core().schedProfile()};
+    EXPECT_GT(r.st.committedInsts, 0u) << workload;
+    EXPECT_EQ(hex16(statsDigest(r.st)), hex16(want)) << workload;
+    return r;
+}
+
+/** Share of the run's cycles the idle skipper jumped over. */
+double
+skipShare(const AuditedRun &r)
+{
+    return static_cast<double>(r.prof.idleSkippedCycles) /
+           static_cast<double>(r.st.cycles);
 }
 
 CoreParams
@@ -103,52 +92,66 @@ noCaches(CoreParams p, unsigned miss_latency)
 
 TEST(SchedEquivalence, AllTechniqueMixes)
 {
-    expectModeEquivalence("compress", baseConfig());
-    expectModeEquivalence("perl", irConfig(IrValidation::Early));
-    expectModeEquivalence("gcc", irConfig(IrValidation::Late));
-    expectModeEquivalence(
-        "gcc", vpConfig(VpScheme::Magic, ReexecPolicy::Multiple,
-                        BranchResolution::Speculative, 0));
-    expectModeEquivalence(
-        "compress", vpConfig(VpScheme::Magic, ReexecPolicy::Single,
-                             BranchResolution::NonSpeculative, 3));
-    expectModeEquivalence(
-        "m88ksim", vpConfig(VpScheme::Lvp, ReexecPolicy::Multiple,
-                            BranchResolution::NonSpeculative, 1));
-    expectModeEquivalence("perl",
-                          hybridConfig(VpScheme::Magic,
-                                       BranchResolution::Speculative, 0));
-    expectModeEquivalence("compress",
-                          hybridConfig(VpScheme::Lvp,
-                                       BranchResolution::NonSpeculative,
-                                       2));
+    expectDigest("compress", baseConfig(), 0xfb830d9adf52aefbull);
+    expectDigest("perl", irConfig(IrValidation::Early),
+                 0x5400842cf64bb3ffull);
+    expectDigest("gcc", irConfig(IrValidation::Late),
+                 0x26944aef23313affull);
+    expectDigest("gcc",
+                 vpConfig(VpScheme::Magic, ReexecPolicy::Multiple,
+                          BranchResolution::Speculative, 0),
+                 0x6eb4def748c6f821ull);
+    expectDigest("compress",
+                 vpConfig(VpScheme::Magic, ReexecPolicy::Single,
+                          BranchResolution::NonSpeculative, 3),
+                 0x2cb87da1ca487e97ull);
+    expectDigest("m88ksim",
+                 vpConfig(VpScheme::Lvp, ReexecPolicy::Multiple,
+                          BranchResolution::NonSpeculative, 1),
+                 0x0d29f6f1ef39d420ull);
+    expectDigest("perl",
+                 hybridConfig(VpScheme::Magic,
+                              BranchResolution::Speculative, 0),
+                 0x3c4b6caad686c53eull);
+    expectDigest("compress",
+                 hybridConfig(VpScheme::Lvp,
+                              BranchResolution::NonSpeculative, 2),
+                 0x1f85d2ee9d53fb0aull);
 }
 
 TEST(SchedEquivalence, IdleHeavyRegime)
 {
     // Disabled caches + long miss latency: most cycles are idle and
-    // the fast path skips them wholesale. Skipped cycles still count,
-    // so cycle-derived stats must match brute exactly.
-    expectModeEquivalence("compress", noCaches(baseConfig(), 40));
-    expectModeEquivalence(
-        "gcc", noCaches(vpConfig(VpScheme::Magic, ReexecPolicy::Multiple,
-                                 BranchResolution::Speculative, 0),
-                        40));
+    // the skipper jumps over them wholesale. Skipped cycles still
+    // count, so the digests hold. The skipped share is deterministic;
+    // it must not fall below what the scheduler skipped when the
+    // digests were recorded (skipped/total cycles below).
+    AuditedRun r = expectDigest("compress", noCaches(baseConfig(), 40),
+                                0xf097d67bf7e95f55ull);
+    EXPECT_GE(skipShare(r), 250073.0 / 291851.0);
+    r = expectDigest("gcc",
+                     noCaches(vpConfig(VpScheme::Magic,
+                                       ReexecPolicy::Multiple,
+                                       BranchResolution::Speculative, 0),
+                              40),
+                     0x8dad8ab58ef7632aull);
+    EXPECT_GE(skipShare(r), 236857.0 / 277403.0);
 }
 
 TEST(SchedEquivalence, IdleSkipRespectsCkptAndWatchdog)
 {
     // The skipper must never jump past a checkpoint drain boundary or
-    // a watchdog trip cycle. Equivalence with brute (which never
-    // skips) under both features proves the skip bounds are exact.
+    // a watchdog trip cycle. The brute-force scheduler never skipped,
+    // so matching its digests under both features proves the skip
+    // bounds are exact.
     CoreParams cfg = noCaches(irConfig(), 40);
     cfg.ckptInsts = 5000;
     cfg.watchdogCycles = 50000;
-    expectModeEquivalence("compress", cfg);
+    expectDigest("compress", cfg, 0x4ad209c76f0ff438ull);
     cfg = noCaches(baseConfig(), 60);
     cfg.ckptInsts = 3000;
     cfg.watchdogCycles = 20000;
-    expectModeEquivalence("m88ksim", cfg);
+    expectDigest("m88ksim", cfg, 0x174fd193ca88ef5dull);
 }
 
 TEST(SchedXcheck, SquashStormRestoresReadySet)
@@ -156,12 +159,15 @@ TEST(SchedXcheck, SquashStormRestoresReadySet)
     // Speculative branch resolution on wrong value predictions causes
     // spurious squashes: every one must evict dying slots from the
     // ready/ctrl/finalize sets and unlink their operand waiters. The
-    // per-cycle xcheck + audit pair fails fast on any leftover.
-    runXchecked("gcc", vpConfig(VpScheme::Magic, ReexecPolicy::Multiple,
-                                BranchResolution::Speculative, 0));
-    runXchecked("compress",
-                hybridConfig(VpScheme::Magic,
-                             BranchResolution::Speculative, 0));
+    // per-cycle audit fails fast on any leftover.
+    expectDigest("gcc",
+                 vpConfig(VpScheme::Magic, ReexecPolicy::Multiple,
+                          BranchResolution::Speculative, 0),
+                 0x6eb4def748c6f821ull);
+    expectDigest("compress",
+                 hybridConfig(VpScheme::Magic,
+                              BranchResolution::Speculative, 0),
+                 0x04e8d3e82f2cd0a0ull);
 }
 
 TEST(SchedXcheck, FaultStormUnderVerifyLatency)
@@ -174,7 +180,7 @@ TEST(SchedXcheck, FaultStormUnderVerifyLatency)
     cfg.faults.seed = 12345;
     cfg.faults.vptValueRate = 0.05;
     cfg.faults.vptConfRate = 0.02;
-    runXchecked("m88ksim", cfg);
+    expectDigest("m88ksim", cfg, 0xe71718b8636d18fcull);
 }
 
 TEST(SchedXcheck, TinyWindowOccupancyCorners)
@@ -186,11 +192,11 @@ TEST(SchedXcheck, TinyWindowOccupancyCorners)
                               BranchResolution::NonSpeculative, 1);
     cfg.robEntries = 16;
     cfg.lsqEntries = 16;
-    runXchecked("compress", cfg);
+    expectDigest("compress", cfg, 0x17250d768a017b27ull);
     cfg = irConfig(IrValidation::Late);
     cfg.robEntries = 16;
     cfg.lsqEntries = 16;
-    runXchecked("perl", cfg);
+    expectDigest("perl", cfg, 0x39e203d3845c4265ull);
 }
 
 } // anonymous namespace

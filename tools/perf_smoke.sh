@@ -14,14 +14,11 @@
 #     baseline file is recorded on first run (and after deleting it),
 #     so the check is always relative to the same host.
 #
-#  3. Event-driven scheduler win: the fig3 sweep with the simulated
-#     caches disabled (VPIR_CACHE_DISABLE=1, long miss latency) is
-#     stall-dominated — most cycles are idle, and the event-driven
-#     core skips them while the brute-force scheduler walks the
-#     window every cycle. Aggregate simMIPS of the default scheduler
-#     must be >= 1.5x VPIR_SCHED_BRUTE=1 on that sweep, and the
-#     per-stage profiler counters must appear in the bench_timing
-#     JSON. No result cache is used: every cell simulates.
+#  3. Profiler plumbing: one uncached VPIR_PROFILE=1 fig3 sweep must
+#     land the per-stage profiler counters in its bench_timing JSON.
+#     (The idle skipper's effectiveness is pinned deterministically by
+#     the tier-1 test SchedEquivalence.IdleHeavyRegime, not by a
+#     timing ratio.)
 #
 # Usage: perf_smoke.sh <build-dir> [baseline-file]
 set -u
@@ -98,60 +95,20 @@ else
     fi
 fi
 
-# ---- 3. event-driven scheduler vs brute-force on uncached fig3 -----
+# ---- 3. profiler counters in the timing JSON ------------------------
 FIG3=$BUILD_DIR/bench/bench_fig3
 if [ ! -x "$FIG3" ]; then
     echo "perf_smoke: $FIG3 not found or not executable" >&2
     exit 1
 fi
 
-# Aggregate MIPS of one fig3 sweep run; $1 = extra env assignment (or
-# empty), $2 = bench_timing output path. VPIR_RESULT_CACHE is cleared
-# so every cell actually simulates.
-fig3_mips() {
-    env -u VPIR_RESULT_CACHE $1 \
-        VPIR_CACHE_DISABLE=1 VPIR_MISS_LATENCY=50 \
-        VPIR_ROB_ENTRIES=256 VPIR_LSQ_ENTRIES=256 \
-        VPIR_BENCH_INSTS=100000 VPIR_JOBS=1 VPIR_PROFILE=1 \
-        VPIR_TIMING_JSON="$2" "$FIG3" >/dev/null 2>&1
-    awk 'match($0, /"mips": [0-9.]+/) {
-        print substr($0, RSTART + 8, RLENGTH - 8); exit
-    }' "$2"
-}
-
-# Interleaved repetitions absorb scheduler noise on small shared
-# hosts: the check passes as soon as one pair clears the bar.
-sched_ok=0
-rep=1
-while [ $rep -le 3 ]; do
-    fast_mips=$(fig3_mips VPIR_SCHED_BRUTE=0 \
-        "$BUILD_DIR/bench_timing.perf_smoke_fast.json")
-    brute_mips=$(fig3_mips VPIR_SCHED_BRUTE=1 \
-        "$BUILD_DIR/bench_timing.perf_smoke_brute.json")
-    if [ -z "$fast_mips" ] || [ -z "$brute_mips" ]; then
-        echo "perf_smoke: could not parse fig3 aggregate MIPS" >&2
-        exit 1
-    fi
-    echo "perf_smoke: uncached fig3 rep $rep:" \
-         "event-driven ${fast_mips} MIPS, brute ${brute_mips} MIPS"
-    if awk -v f="$fast_mips" -v b="$brute_mips" \
-        'BEGIN{exit !(f >= 1.5 * b)}'; then
-        sched_ok=1
-        break
-    fi
-    rep=$((rep + 1))
-done
-if [ $sched_ok -ne 1 ]; then
-    echo "perf_smoke: FAIL: event-driven scheduler (${fast_mips}" \
-         "MIPS) is not >= 1.5x brute-force (${brute_mips} MIPS) on" \
-         "the cache-disabled fig3 sweep" >&2
-    fail=1
-fi
-
-# The per-stage profiler must land its counters in the timing JSON.
+# VPIR_RESULT_CACHE is cleared so every cell actually simulates.
+PROFILE_JSON=$BUILD_DIR/bench_timing.perf_smoke_profile.json
+env -u VPIR_RESULT_CACHE VPIR_BENCH_INSTS=100000 VPIR_JOBS=1 \
+    VPIR_PROFILE=1 VPIR_TIMING_JSON="$PROFILE_JSON" "$FIG3" \
+    >/dev/null 2>&1
 for key in issue_ns idle_skipped_cycles cycles_run; do
-    if ! grep -q "\"$key\":" \
-        "$BUILD_DIR/bench_timing.perf_smoke_fast.json"; then
+    if ! grep -q "\"$key\":" "$PROFILE_JSON"; then
         echo "perf_smoke: FAIL: profiler counter '$key' missing from" \
              "bench_timing JSON" >&2
         fail=1
