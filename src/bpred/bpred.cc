@@ -128,63 +128,4 @@ BranchPredUnit::update(Addr pc, const Instr &inst, bool taken, Addr target,
     }
 }
 
-void
-BranchPredUnit::serialize(CkptWriter &w) const
-{
-    w.u64(table.size());
-    for (const SatCounter &c : table)
-        w.u8(static_cast<uint8_t>(c.value()));
-    w.u32(ghr);
-    w.u64(btb.size());
-    for (const BtbEntry &e : btb) {
-        w.b(e.valid);
-        w.u64(e.pc);
-        w.u64(e.target);
-    }
-    w.u64(ras.size());
-    for (Addr a : ras)
-        w.u64(a);
-    w.u32(rasTop);
-}
-
-bool
-BranchPredUnit::deserialize(CkptReader &r)
-{
-    if (r.u64() != table.size()) {
-        r.fail();
-        return false;
-    }
-    for (SatCounter &c : table) {
-        unsigned v = r.u8();
-        if (v > c.max()) {
-            r.fail();
-            return false;
-        }
-        c.reset(v);
-    }
-    ghr = r.u32();
-    if (r.u64() != btb.size()) {
-        r.fail();
-        return false;
-    }
-    for (BtbEntry &e : btb) {
-        e.valid = r.b();
-        e.pc = r.u64();
-        e.target = r.u64();
-    }
-    if (r.u64() != ras.size()) {
-        r.fail();
-        return false;
-    }
-    for (Addr &a : ras)
-        a = r.u64();
-    rasTop = r.u32();
-    if (rasTop >= ras.size()) {
-        // rasTop wraps modulo rasEntries; anything beyond is torn data.
-        r.fail();
-        return false;
-    }
-    return r.ok();
-}
-
 } // namespace vpir

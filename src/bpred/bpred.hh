@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/ckpt_io.hh"
 #include "common/sat_counter.hh"
 #include "isa/decode.hh"
 #include "isa/instr.hh"
@@ -91,11 +90,6 @@ class BranchPredUnit
     void redoCall(Addr ret) { rasPush(ret); }
     /** Squash repair for a surviving return: redo its RAS pop. */
     void redoReturn() { rasPop(); }
-
-    /** Checkpoint counters, history, BTB, and RAS. */
-    void serialize(CkptWriter &w) const;
-    /** Restore serialize()d state; false on geometry mismatch. */
-    bool deserialize(CkptReader &r);
 
   private:
     BpredParams params;

@@ -108,77 +108,4 @@ LockstepChecker::history() const
     return os.str();
 }
 
-namespace
-{
-
-void
-serializeInstr(CkptWriter &w, const Instr &i)
-{
-    w.u8(static_cast<uint8_t>(i.op));
-    w.u8(i.rd);
-    w.u8(i.rd2);
-    w.u8(i.rs);
-    w.u8(i.rt);
-    w.u32(static_cast<uint32_t>(i.imm));
-    w.u32(i.target);
-}
-
-void
-deserializeInstr(CkptReader &r, Instr &i)
-{
-    i.op = static_cast<Op>(r.u8());
-    i.rd = r.u8();
-    i.rd2 = r.u8();
-    i.rs = r.u8();
-    i.rt = r.u8();
-    i.imm = static_cast<int32_t>(r.u32());
-    i.target = r.u32();
-}
-
-} // anonymous namespace
-
-void
-LockstepChecker::serialize(CkptWriter &w) const
-{
-    state.serialize(w);
-    w.u32(emu.pc());
-    w.b(emu.halted());
-    w.u64(checked);
-    w.u64(ringCount);
-    for (const Retired &r : ring) {
-        w.u64(r.seq);
-        w.u64(r.cycle);
-        w.u32(r.pc);
-        serializeInstr(w, r.inst);
-        w.u64(r.result);
-        w.u64(r.result2);
-        w.u32(r.nextPC);
-        w.u32(r.memAddr);
-        w.u64(r.storeValue);
-    }
-}
-
-bool
-LockstepChecker::deserialize(CkptReader &r)
-{
-    if (!state.deserialize(r))
-        return false;
-    emu.setPC(r.u32());
-    emu.setHalt(r.b());
-    checked = r.u64();
-    ringCount = static_cast<size_t>(r.u64());
-    for (Retired &e : ring) {
-        e.seq = r.u64();
-        e.cycle = r.u64();
-        e.pc = r.u32();
-        deserializeInstr(r, e.inst);
-        e.result = r.u64();
-        e.result2 = r.u64();
-        e.nextPC = r.u32();
-        e.memAddr = r.u32();
-        e.storeValue = r.u64();
-    }
-    return r.ok();
-}
-
 } // namespace vpir

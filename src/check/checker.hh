@@ -30,8 +30,8 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
 
-#include "common/ckpt_io.hh"
 #include "emu/executor.hh"
 #include "emu/state.hh"
 #include "isa/instr.hh"
@@ -75,13 +75,6 @@ class LockstepChecker
     void onRetire(const Retired &r);
 
     uint64_t checkedInsts() const { return checked; }
-
-    /** Checkpoint the independent machine (its architectural state,
-     *  PC, halt flag) plus the checked count and divergence-report
-     *  history ring. */
-    void serialize(CkptWriter &w) const;
-    /** Restore serialize()d state. */
-    bool deserialize(CkptReader &r);
 
   private:
     [[noreturn]] void diverge(const Retired &r, const std::string &what);

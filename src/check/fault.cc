@@ -33,63 +33,6 @@ FaultInjector::corrupt(uint64_t v)
     return v ^ (1ull << rng.below(32));
 }
 
-void
-FaultInjector::serialize(CkptWriter &w) const
-{
-    w.u64(rng.rawState());
-    w.u64(n.vptValue);
-    w.u64(n.vptConf);
-    w.u64(n.rbOperand);
-    w.u64(n.rbResult);
-    w.u64(n.rbLink);
-    w.u64(n.rbDropInv);
-}
-
-bool
-FaultInjector::deserialize(CkptReader &r)
-{
-    rng.setRawState(r.u64());
-    n.vptValue = r.u64();
-    n.vptConf = r.u64();
-    n.rbOperand = r.u64();
-    n.rbResult = r.u64();
-    n.rbLink = r.u64();
-    n.rbDropInv = r.u64();
-    return r.ok();
-}
-
-CkptFaultPlan
-ckptFaultPlanFromEnv()
-{
-    CkptFaultPlan p;
-    p.truncate = parseEnvU64("VPIR_FAULT_CKPT_TRUNC", 0) != 0;
-    p.bitflip = parseEnvU64("VPIR_FAULT_CKPT_BITFLIP", 0) != 0;
-    p.seed = parseEnvU64("VPIR_FAULT_SEED", p.seed);
-    return p;
-}
-
-bool
-applyCkptFaults(const CkptFaultPlan &plan, std::string &bundle,
-                uint64_t salt)
-{
-    if (!plan.any() || bundle.empty())
-        return false;
-    Rng rng(plan.seed, salt);
-    bool touched = false;
-    if (plan.truncate && bundle.size() >= 2) {
-        // Keep [1, size-1] bytes: the file exists but cannot parse.
-        bundle.resize(1 + rng.below(bundle.size() - 1));
-        touched = true;
-    }
-    if (plan.bitflip && !bundle.empty()) {
-        size_t pos = rng.below(bundle.size());
-        bundle[pos] = static_cast<char>(bundle[pos] ^
-                                        (1u << rng.below(8)));
-        touched = true;
-    }
-    return touched;
-}
-
 FaultPlan
 faultPlanFromEnv(const FaultPlan &defaults)
 {

@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <string>
 
-#include "common/ckpt_io.hh"
 #include "common/rng.hh"
 
 namespace vpir
@@ -109,13 +108,6 @@ class FaultInjector
 
     const FaultCounts &counts() const { return n; }
 
-    /** Checkpoint the RNG stream position and the fired counts, so a
-     *  resumed run draws the exact same fault sequence as an
-     *  uninterrupted one. */
-    void serialize(CkptWriter &w) const;
-    /** Restore serialize()d state. */
-    bool deserialize(CkptReader &r);
-
   private:
     bool fire(double rate, uint64_t &counter);
 
@@ -128,34 +120,6 @@ class FaultInjector
  *  (SEED, VPT_VALUE, VPT_CONF, RB_OPERAND, RB_RESULT, RB_LINK,
  *  RB_DROPINV); unset knobs keep the given defaults. */
 FaultPlan faultPlanFromEnv(const FaultPlan &defaults = FaultPlan());
-
-/**
- * Checkpoint-targeted fault injection: corrupts checkpoint bundles as
- * they are written, to prove the detection/quarantine paths. Unlike
- * FaultPlan this is NOT part of CoreParams — corrupting the bundle
- * must not change the cell key of the run being corrupted.
- */
-struct CkptFaultPlan
-{
-    bool truncate = false; //!< VPIR_FAULT_CKPT_TRUNC: chop the tail off
-    bool bitflip = false;  //!< VPIR_FAULT_CKPT_BITFLIP: flip one bit
-    uint64_t seed = 0x5eed;
-
-    bool any() const { return truncate || bitflip; }
-};
-
-/** Read VPIR_FAULT_CKPT_TRUNC / VPIR_FAULT_CKPT_BITFLIP /
- *  VPIR_FAULT_SEED. */
-CkptFaultPlan ckptFaultPlanFromEnv();
-
-/**
- * Apply the planned corruption to a serialized checkpoint bundle
- * in place. @p salt distinguishes successive writes (e.g. the
- * checkpoint's instruction count) so each write corrupts a different,
- * deterministic position. Returns true when the bundle was modified.
- */
-bool applyCkptFaults(const CkptFaultPlan &plan, std::string &bundle,
-                     uint64_t salt);
 
 } // namespace vpir
 

@@ -1,17 +1,16 @@
 /**
  * @file
- * Bounds-checked binary serialization primitives for mid-run
- * checkpoints (sim/checkpoint.hh).
+ * Bounds-checked binary encoding for the isolated mode's fork wire
+ * protocol (sweep/isolate.hh): a forked cell worker hands its whole
+ * CellOutcome back to the parent over a pipe in this format.
  *
- * Every integer travels little-endian at a fixed width, regardless of
- * host endianness, so a checkpoint bundle is a stable byte sequence:
- * the CRC32 guard and the FNV fingerprints stamped into the header
- * stay meaningful across processes. The reader carries a sticky
- * failure flag instead of throwing — a truncated or corrupt payload
- * turns every subsequent read into a zero and ok() into false, and
- * the caller checks once at the end. That keeps the per-subsystem
- * deserializers simple while guaranteeing that no torn read is ever
- * silently accepted.
+ * Every integer travels little-endian at a fixed width and every
+ * double as its raw bit pattern, so the parent reads back exactly the
+ * stats the child computed. The reader carries a sticky failure flag
+ * instead of throwing — a payload truncated by a dying child turns
+ * every subsequent read into a zero and ok() into false, and the
+ * caller checks once at the end. That keeps the decoder simple while
+ * guaranteeing that no torn read is ever silently accepted.
  */
 
 #ifndef VPIR_COMMON_CKPT_IO_HH
@@ -24,10 +23,6 @@
 namespace vpir
 {
 
-/** CRC-32 (IEEE 802.3 polynomial, reflected) over a byte range.
- *  Chain blocks by passing the previous return as @p seed. */
-uint32_t crc32(const void *data, size_t len, uint32_t seed = 0);
-
 /** Append-only little-endian binary encoder. */
 class CkptWriter
 {
@@ -36,13 +31,6 @@ class CkptWriter
     u8(uint8_t v)
     {
         buf.push_back(static_cast<char>(v));
-    }
-
-    void
-    u32(uint32_t v)
-    {
-        for (int i = 0; i < 4; ++i)
-            u8(static_cast<uint8_t>(v >> (8 * i)));
     }
 
     void
@@ -67,37 +55,26 @@ class CkptWriter
         u64(u);
     }
 
-    void
-    bytes(const void *data, size_t len)
-    {
-        buf.append(static_cast<const char *>(data), len);
-    }
-
     /** Length-prefixed byte string. */
     void
     str(const std::string &s)
     {
         u64(s.size());
-        bytes(s.data(), s.size());
+        buf.append(s);
     }
 
     const std::string &data() const { return buf; }
-    size_t size() const { return buf.size(); }
 
   private:
     std::string buf;
 };
 
-/** Bounds-checked decoder over a borrowed byte range. */
+/** Bounds-checked decoder over a borrowed byte string. */
 class CkptReader
 {
   public:
-    CkptReader(const void *data, size_t size)
-        : p(static_cast<const uint8_t *>(data)), len(size)
-    {
-    }
-
-    explicit CkptReader(const std::string &s) : CkptReader(s.data(), s.size())
+    explicit CkptReader(const std::string &s)
+        : p(reinterpret_cast<const uint8_t *>(s.data())), len(s.size())
     {
     }
 
@@ -109,15 +86,6 @@ class CkptReader
             return 0;
         }
         return p[off++];
-    }
-
-    uint32_t
-    u32()
-    {
-        uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<uint32_t>(u8()) << (8 * i);
-        return v;
     }
 
     uint64_t
@@ -140,24 +108,11 @@ class CkptReader
         return v;
     }
 
-    bool
-    bytes(void *out, size_t n)
-    {
-        if (off + n > len) {
-            failed = true;
-            std::memset(out, 0, n);
-            return false;
-        }
-        std::memcpy(out, p + off, n);
-        off += n;
-        return true;
-    }
-
     std::string
     str()
     {
         uint64_t n = u64();
-        if (failed || off + n > len) {
+        if (failed || n > len - off) {
             failed = true;
             return "";
         }
@@ -167,14 +122,8 @@ class CkptReader
         return s;
     }
 
-    /** Mark externally-detected corruption (e.g. a failed geometry or
-     *  invariant check inside a deserializer). */
-    void fail() { failed = true; }
-
     bool ok() const { return !failed; }
     bool atEnd() const { return off == len; }
-    size_t offset() const { return off; }
-    size_t remaining() const { return len - off; }
 
   private:
     const uint8_t *p;

@@ -1,10 +1,9 @@
 /**
  * @file
  * 64-bit FNV-1a: the one hash behind every stable key and fingerprint
- * (cell keys, params hashes, stat/param schema fingerprints, program
- * fingerprints, fuzz architectural checksums). Values are stamped into
- * on-disk caches, checkpoints and repro bundles, so the construction
- * must never change.
+ * (cell keys, params hashes, stat/param schema fingerprints, fuzz
+ * architectural checksums). Values are stamped into on-disk caches and
+ * repro bundles, so the construction must never change.
  */
 
 #ifndef VPIR_COMMON_FNV_HH

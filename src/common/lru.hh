@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/ckpt_io.hh"
 #include "common/logging.hh"
 
 namespace vpir
@@ -44,25 +43,6 @@ class LruSet
     }
 
     unsigned ways() const { return static_cast<unsigned>(stamps.size()); }
-
-    /** Checkpoint the recency state (ways are fixed by geometry). */
-    void
-    serialize(CkptWriter &w) const
-    {
-        w.u64(tick);
-        for (uint64_t s : stamps)
-            w.u64(s);
-    }
-
-    /** Restore serialize()d state into an identically-sized set. */
-    bool
-    deserialize(CkptReader &r)
-    {
-        tick = r.u64();
-        for (uint64_t &s : stamps)
-            s = r.u64();
-        return r.ok();
-    }
 
   private:
     std::vector<uint64_t> stamps;

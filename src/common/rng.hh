@@ -82,13 +82,6 @@ class Rng
         return static_cast<double>(next() >> 11) * 0x1.0p-53;
     }
 
-    // Raw generator state, for mid-run checkpoints: a restored stream
-    // must continue exactly where the saved one stopped, so the state
-    // is transported verbatim (never re-seeded, which would re-run the
-    // low-entropy scramble).
-    uint64_t rawState() const { return state; }
-    void setRawState(uint64_t s) { state = s; }
-
   private:
     /** splitmix64 finalizer: a full-avalanche 64-bit mixing step. */
     static uint64_t

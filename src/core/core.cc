@@ -37,8 +37,6 @@ Core::Core(const CoreParams &p, const Program &program,
         r = RobRef{};
     auditClobberCycle = parseEnvU64("VPIR_TEST_AUDIT_CLOBBER", UINT64_MAX);
     prof.enabled = parseEnvU64("VPIR_PROFILE", 0) != 0;
-    if (p.ckptInsts)
-        nextCkptAt = p.ckptInsts;
     readySet.reset(p.robEntries);
     ctrlSet.reset(p.robEntries);
     finalCand.reset(p.robEntries);
@@ -176,12 +174,12 @@ Core::unresolvedBranches() const
 void
 Core::fetchStage()
 {
-    if (done || fetchHalted || ckptDraining ||
-        curCycle < fetchResumeCycle || icacheStallUntil > curCycle) {
+    if (done || fetchHalted || curCycle < fetchResumeCycle ||
+        icacheStallUntil > curCycle) {
         // Time-gated stalls bound the idle skip; the other gates only
-        // clear on events (squash, drain completion) that are
-        // activity in their own cycle.
-        if (!done && !fetchHalted && !ckptDraining) {
+        // clear on events (a squash) that are activity in their own
+        // cycle.
+        if (!done && !fetchHalted) {
             if (curCycle < fetchResumeCycle)
                 noteWake(fetchResumeCycle);
             else
@@ -1996,7 +1994,6 @@ Core::cycle()
 {
     if (done)
         return false;
-    ckptBoundary = false;
     dcachePortsUsed = 0;
     // Per-cycle scheduler scratch: wake hints accumulate across the
     // stages below; cycleHadWork latches any observable activity and
@@ -2033,20 +2030,6 @@ Core::cycle()
         if (prof.enabled)
             lap(prof.fetchNs);
     }
-    // Checkpoint drain schedule: a pure function of commit progress.
-    // Crossing the threshold gates fetch; the pipeline then empties
-    // through normal commit and the boundary fires once quiesced. The
-    // same bubbles occur whether or not anything is persisted, which
-    // is what keeps resumed runs byte-identical to uninterrupted ones.
-    if (params.ckptInsts && !done) {
-        if (ckptDraining && quiescedForCkpt()) {
-            ckptDraining = false;
-            ckptBoundary = true;
-            nextCkptAt = st.committedInsts + params.ckptInsts;
-        } else if (!ckptDraining && st.committedInsts >= nextCkptAt) {
-            ckptDraining = true;
-        }
-    }
     if (params.watchdogCycles && !done) {
         if (st.committedInsts != lastCommitInsts) {
             lastCommitInsts = st.committedInsts;
@@ -2073,7 +2056,7 @@ Core::cycle()
     // or the maxCycles budget. Skipped cycles still count toward
     // st.cycles, so every cycle-derived observable is what stepping
     // through them one by one would give.
-    if (!done && !cycleHadWork && !ckptBoundary) {
+    if (!done && !cycleHadWork) {
         uint64_t target =
             std::min(schedWake, wheel.nextEventAt(curCycle));
         if (params.watchdogCycles)
@@ -2105,12 +2088,7 @@ Core::run()
 {
     while (cycle()) {
     }
-    return finishStats();
-}
-
-const CoreStats &
-Core::finishStats()
-{
+    // Derived counters: cache totals, checker and fault counts.
     st.icacheAccesses = icache.accesses();
     st.icacheMisses = icache.misses();
     st.dcacheAccesses = dcache.accesses();
@@ -2125,120 +2103,6 @@ Core::finishStats()
     st.faultsRbLink = fc.rbLink;
     st.faultsRbDropInv = fc.rbDropInv;
     return st;
-}
-
-// ------------------------------------------------------- checkpointing
-
-bool
-Core::quiescedForCkpt() const
-{
-    return robUsed == 0 && fetchQueue.empty() && lsq.empty() &&
-           storeQ.empty() && state.journalDepth() == 0;
-}
-
-void
-Core::saveCheckpoint(CkptWriter &w) const
-{
-    VPIR_ASSERT(quiescedForCkpt(),
-                "checkpoint outside a quiesced commit boundary");
-    w.u64(curCycle);
-    w.u64(nextSeq);
-    w.u32(fetchPC);
-    w.u64(fetchResumeCycle);
-    w.u64(icacheStallUntil);
-    w.b(fetchHalted);
-    w.u64(lastCommitCycle);
-    w.u64(lastCommitInsts);
-    w.u64(auditSquashed);
-    w.u64(nextCkptAt);
-    w.u32(static_cast<uint32_t>(robHead));
-    forEachStatField(st, [&w](const char *, const uint64_t &v) { w.u64(v); });
-    w.u32(emu.pc());
-    w.b(emu.halted());
-    state.serialize(w);
-    icache.serialize(w);
-    dcache.serialize(w);
-    bpred.serialize(w);
-    vptResult.serialize(w);
-    vptAddr.serialize(w);
-    rb.serialize(w);
-    fus.serialize(w);
-    injector.serialize(w);
-    w.b(checker != nullptr);
-    if (checker)
-        checker->serialize(w);
-}
-
-bool
-Core::restoreCheckpoint(CkptReader &r)
-{
-    curCycle = r.u64();
-    nextSeq = r.u64();
-    fetchPC = r.u32();
-    fetchResumeCycle = r.u64();
-    icacheStallUntil = r.u64();
-    fetchHalted = r.b();
-    lastCommitCycle = r.u64();
-    lastCommitInsts = r.u64();
-    auditSquashed = r.u64();
-    nextCkptAt = r.u64();
-    uint32_t head = r.u32();
-    if (head >= params.robEntries) {
-        r.fail();
-        return false;
-    }
-    forEachStatField(st, [&r](const char *, uint64_t &v) { v = r.u64(); });
-    emu.setPC(r.u32());
-    // The halt latch is legitimate mid-run state: a wrong-path HALT
-    // executed speculatively at dispatch sets it and nothing clears
-    // it, so it travels verbatim.
-    emu.setHalt(r.b());
-    if (!state.deserialize(r) || !icache.deserialize(r) ||
-        !dcache.deserialize(r) || !bpred.deserialize(r) ||
-        !vptResult.deserialize(r) || !vptAddr.deserialize(r) ||
-        !rb.deserialize(r) || !fus.deserialize(r) ||
-        !injector.deserialize(r)) {
-        return false;
-    }
-    if (r.b() != (checker != nullptr)) {
-        r.fail();
-        return false;
-    }
-    if (checker && !checker->deserialize(r))
-        return false;
-    if (!r.ok())
-        return false;
-
-    // The pipeline was empty at the boundary: reset all transient
-    // structures rather than serializing their (empty) contents. The
-    // ROB head position travels so physical slot allocation continues
-    // exactly where the interrupted run's would have.
-    robHead = static_cast<int>(head);
-    robTail = robHead;
-    robUsed = 0;
-    for (RobEntry &e : rob)
-        e.valid = false;
-    lsq.clear();
-    fetchQueue.clear();
-    storeQ.clear();
-    storeAddrPrefix = 0;
-    readySet.clear();
-    ctrlSet.clear();
-    finalCand.clear();
-    wheel.clear();
-    waiters.assign(waiters.size(), OpWaiter{});
-    finWaiters.assign(finWaiters.size(), OpWaiter{});
-    robUnresolvedCtrl = 0;
-    fqResolvable = 0;
-    schedWake = UINT64_MAX;
-    cycleHadWork = false;
-    for (RobRef &p : regProducer)
-        p = RobRef{};
-    dcachePortsUsed = 0;
-    done = false;
-    ckptDraining = false;
-    ckptBoundary = false;
-    return true;
 }
 
 } // namespace vpir

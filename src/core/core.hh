@@ -138,7 +138,7 @@ struct RobEntry
 
     bool isHalt = false;
 
-    // Incremental-scheduler state (see DESIGN.md §13).
+    // Incremental-scheduler state (see DESIGN.md §12).
     /** Operands still waiting on a live producer's first publication;
      *  reaching zero moves the entry into the ready set. */
     int pendingOps = 0;
@@ -194,32 +194,6 @@ class Core
 
     /** Advance one cycle. @return false when the run is over. */
     bool cycle();
-
-    /** Fill the derived counters (cache totals, checker/fault counts)
-     *  into the stats and return them. Idempotent; run() calls it, and
-     *  external cycle() drivers (sim/checkpoint.cc) call it once the
-     *  run is over. */
-    const CoreStats &finishStats();
-
-    // --- mid-run checkpointing (params.ckptInsts) -------------------
-    /**
-     * True right after a cycle() that completed a scheduled drain: the
-     * pipeline is empty, all speculation is retired or rolled back,
-     * and the machine may be serialized. Cleared by the next cycle().
-     */
-    bool atCkptBoundary() const { return ckptBoundary; }
-
-    /** Serialize the quiesced machine (architectural state, tables,
-     *  stats, RNG streams). Only legal when atCkptBoundary(). */
-    void saveCheckpoint(CkptWriter &w) const;
-
-    /**
-     * Restore a saveCheckpoint() bundle into a freshly constructed
-     * core for the same (params, program). @return false (reader
-     * failed) on any geometry or invariant mismatch; the core must
-     * then be discarded (cold restart), not run.
-     */
-    bool restoreCheckpoint(CkptReader &r);
 
     const CoreStats &stats() const { return st; }
     /** Per-stage cycle profile (VPIR_PROFILE=1; idle-skip counter is
@@ -301,7 +275,7 @@ class Core
     bool loadMayAccess(int slot, bool &forward, RobRef &conflict) const;
     void insertIntoRb(int slot);
 
-    // --- incremental scheduling (DESIGN.md §13) ---------------------
+    // --- incremental scheduling (DESIGN.md §12) ---------------------
     /** Register the freshly dispatched entry with the scheduler:
      *  waiter links for unavailable operands, ready-set membership,
      *  control-set membership, unresolved-branch counter. */
@@ -378,7 +352,7 @@ class Core
      *  so the pipeline never re-decodes a dynamic instruction. */
     std::vector<const DecodeInfo *> decodeCache;
 
-    // --- incremental scheduler (DESIGN.md §13) ----------------------
+    // --- incremental scheduler (DESIGN.md §12) ----------------------
     // Issue, completion, finalize and resolve visit only these
     // candidate sets and wheel events; auditSched() re-derives every
     // membership obligation from a full-window walk.
@@ -463,19 +437,6 @@ class Core
     // Watchdog progress tracking.
     uint64_t lastCommitCycle = 0;
     uint64_t lastCommitInsts = 0;
-
-    // --- checkpoint drain state (params.ckptInsts) ------------------
-    /** True when the pipeline is empty at a commit boundary with no
-     *  live journal speculation. */
-    bool quiescedForCkpt() const;
-    /** Fetch is gated off while the pipeline drains to a boundary. */
-    bool ckptDraining = false;
-    /** Set for exactly the cycle() that reached the boundary. */
-    bool ckptBoundary = false;
-    /** Committed-instruction count that triggers the next drain. The
-     *  schedule is a pure function of commit progress, so interrupted
-     *  and uninterrupted runs drain at identical points. */
-    uint64_t nextCkptAt = UINT64_MAX;
 
     /** Dispatched entries dropped by squashes, for the conservation
      *  audit (dispatched == committed + squashed + in-ROB). */

@@ -112,9 +112,9 @@ struct CoreStats
  * Visit every field of a CoreStats by name: fn(const char *name,
  * uint64_t &value), const-qualified when @p st is. The execCountHist
  * buckets are visited as execCountHist0..3 and haltedCleanly, last, as
- * 0/1 through a proxy. The result cache, checkpoints, the fork
- * protocol, statsEqual() and the stats schema fingerprint all share
- * this single field list so they cannot drift apart.
+ * 0/1 through a proxy. The result cache, the fork protocol,
+ * statsEqual() and the stats schema fingerprint all share this single
+ * field list so they cannot drift apart.
  */
 template <typename Stats, typename Fn>
 void
@@ -177,9 +177,9 @@ forEachStatField(Stats &st, Fn &&fn)
 /**
  * FNV-1a fingerprint of the stat schema: every field name visited by
  * forEachStatField(), in order. Two binaries agree on this value iff
- * their serialized stats are field-compatible, so the result cache,
- * checkpoints and repro bundles stamp it and reject mismatches loudly
- * instead of failing a silent field-by-field parse.
+ * their serialized stats are field-compatible, so the result cache
+ * and repro bundles stamp it and reject mismatches loudly instead of
+ * failing a silent field-by-field parse.
  */
 uint64_t statsSchemaFingerprint();
 

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/ckpt_io.hh"
 #include "isa/decode.hh"
 
 namespace vpir
@@ -69,34 +68,6 @@ class FuPool
             for (uint64_t &b : v)
                 b = 0;
         }
-    }
-
-    /** Checkpoint unit busy times. All units are free at a quiesced
-     *  commit boundary, but the exact times still travel as insurance
-     *  against a future latency model where they are not. */
-    void
-    serialize(CkptWriter &w) const
-    {
-        for (const auto &v : busyUntil) {
-            w.u64(v.size());
-            for (uint64_t b : v)
-                w.u64(b);
-        }
-    }
-
-    /** Restore serialize()d state; false on geometry mismatch. */
-    bool
-    deserialize(CkptReader &r)
-    {
-        for (auto &v : busyUntil) {
-            if (r.u64() != v.size()) {
-                r.fail();
-                return false;
-            }
-            for (uint64_t &b : v)
-                b = r.u64();
-        }
-        return r.ok();
     }
 
   private:

@@ -115,17 +115,6 @@ struct CoreParams
      *  many cycles (0 disables the watchdog). */
     uint64_t watchdogCycles = 0;
 
-    /**
-     * Drain the pipeline to a quiesced commit boundary every this many
-     * committed instructions (0 disables draining). The drain bubbles
-     * perturb timing, so the interval is part of the simulated machine:
-     * it is hashed into the cell key, and a run resumed from a
-     * checkpoint is byte-identical to an uninterrupted run at the same
-     * interval. Checkpoint *persistence* additionally requires
-     * VPIR_CKPT_DIR (sim/checkpoint.hh).
-     */
-    uint64_t ckptInsts = 0;
-
     /** Deterministic fault injection into VPT / reuse buffer. */
     FaultPlan faults;
 };
@@ -142,7 +131,7 @@ template <typename Fn>
 void
 forEachParamField(CoreParams &p, Fn &&fn)
 {
-    static_assert(sizeof(CoreParams) == 240,
+    static_assert(sizeof(CoreParams) == 232,
                   "CoreParams changed: update forEachParamField()");
 
     auto u64f = [&fn](const char *name, auto &v) {
@@ -201,7 +190,6 @@ forEachParamField(CoreParams &p, Fn &&fn)
     VPIR_PARAM_FIELD(irOracleCheck);
     VPIR_PARAM_FIELD(auditInvariants);
     VPIR_PARAM_FIELD(watchdogCycles);
-    VPIR_PARAM_FIELD(ckptInsts);
     VPIR_PARAM_FIELD(faults.seed);
 #undef VPIR_PARAM_FIELD
     dblf("faults.vptValueRate", p.faults.vptValueRate);

@@ -8,8 +8,8 @@
  * fields are host-dependent, and the run/skip split describes the
  * simulator rather than the simulated machine (a better skipper
  * changes it without changing any stat), so folding either into the
- * deterministic stats block would break stats byte-identity, the
- * result-cache fingerprint, and checkpoint round-trips. The skip
+ * deterministic stats block would break stats byte-identity and the
+ * result-cache fingerprint. The skip
  * count is still deterministic for a given build and cell. The sweep
  * engine carries the profile through the fork wire protocol as plain
  * integers and emits it per cell into bench_timing.*.json.

@@ -79,12 +79,6 @@ class Emulator
     bool halted() const { return isHalted; }
     void clearHalt() { isHalted = false; }
 
-    // Checkpoint transport. The halt latch is sticky — a wrong-path
-    // HALT executed speculatively at dispatch sets it and nothing
-    // clears it mid-run — so a restored emulator must reproduce it
-    // verbatim, halted or not.
-    void setHalt(bool h) { isHalted = h; }
-
     const Program &program() const { return prog; }
     EmuState &state() { return st; }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <vector>
 
 #include "common/logging.hh"
 
@@ -180,57 +179,6 @@ EmuState::retire(JournalMark m)
         journal.pop_front();
         ++journalBase;
     }
-}
-
-void
-EmuState::serialize(CkptWriter &w) const
-{
-    VPIR_ASSERT(journal.empty(),
-                "checkpoint with live speculation in the journal");
-    for (uint64_t r : regs)
-        w.u64(r);
-    w.u64(journalBase);
-    // Sorted page order: the bundle must be a deterministic function
-    // of the architectural state, not of hash-map iteration order.
-    std::vector<uint32_t> nums;
-    nums.reserve(pages.size());
-    for (const auto &kv : pages)
-        nums.push_back(kv.first);
-    std::sort(nums.begin(), nums.end());
-    w.u64(nums.size());
-    for (uint32_t n : nums) {
-        w.u32(n);
-        w.bytes(pages.at(n)->data(), pageSize);
-    }
-}
-
-bool
-EmuState::deserialize(CkptReader &r)
-{
-    for (uint64_t &reg : regs)
-        reg = r.u64();
-    journalBase = r.u64();
-    journal.clear();
-    pages.clear();
-    uint64_t count = r.u64();
-    if (count > r.remaining() / pageSize) {
-        r.fail();
-        return false;
-    }
-    uint32_t prev = 0;
-    for (uint64_t i = 0; i < count; ++i) {
-        uint32_t n = r.u32();
-        if (i > 0 && n <= prev) {
-            r.fail(); // violates sorted-unique invariant: torn data
-            return false;
-        }
-        prev = n;
-        auto page = std::make_shared<Page>();
-        if (!r.bytes(page->data(), pageSize))
-            return false;
-        pages.emplace(n, std::move(page));
-    }
-    return r.ok();
 }
 
 } // namespace vpir

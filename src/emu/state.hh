@@ -29,7 +29,6 @@
 #include <memory>
 #include <unordered_map>
 
-#include "common/ckpt_io.hh"
 #include "isa/instr.hh"
 #include "isa/regs.hh"
 
@@ -92,19 +91,6 @@ class EmuState
     /** Write faults that cloned a shared page since construction
      *  (copies inherit the source's count; compare deltas). */
     uint64_t cowFaults() const { return cowFaults_; }
-
-    // --- checkpointing -------------------------------------------------
-    /**
-     * Checkpoint registers and resident pages. Only callable at a
-     * quiesced commit boundary: the undo journal must be empty (all
-     * speculation retired or rolled back), so only architectural
-     * state travels. Pages are emitted in sorted page-number order so
-     * the bundle is a deterministic byte sequence.
-     */
-    void serialize(CkptWriter &w) const;
-
-    /** Restore serialize()d state; existing pages are discarded. */
-    bool deserialize(CkptReader &r);
 
   private:
     struct UndoRec

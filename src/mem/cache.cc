@@ -74,43 +74,4 @@ Cache::reset()
     nMisses = 0;
 }
 
-void
-Cache::serialize(CkptWriter &w) const
-{
-    w.u32(numSets);
-    w.u32(params.ways);
-    for (const auto &set : lines) {
-        for (const Line &l : set) {
-            w.b(l.valid);
-            w.u32(l.tag);
-        }
-    }
-    for (const LruSet &s : lru)
-        s.serialize(w);
-    w.u64(nAccesses);
-    w.u64(nMisses);
-}
-
-bool
-Cache::deserialize(CkptReader &r)
-{
-    if (r.u32() != numSets || r.u32() != params.ways) {
-        r.fail();
-        return false;
-    }
-    for (auto &set : lines) {
-        for (Line &l : set) {
-            l.valid = r.b();
-            l.tag = r.u32();
-        }
-    }
-    for (LruSet &s : lru) {
-        if (!s.deserialize(r))
-            return false;
-    }
-    nAccesses = r.u64();
-    nMisses = r.u64();
-    return r.ok();
-}
-
 } // namespace vpir

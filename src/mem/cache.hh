@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/ckpt_io.hh"
 #include "common/lru.hh"
 #include "isa/instr.hh"
 
@@ -59,13 +58,6 @@ class Cache
     {
         return (a / params.lineBytes) == (b / params.lineBytes);
     }
-
-    /** Checkpoint tags, LRU state, and counters (geometry is rebuilt
-     *  from params by the constructor, so only contents travel). */
-    void serialize(CkptWriter &w) const;
-    /** Restore serialize()d state; false (and reader failure) on a
-     *  geometry mismatch or torn payload. */
-    bool deserialize(CkptReader &r);
 
   private:
     struct Line

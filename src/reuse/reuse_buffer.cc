@@ -321,104 +321,4 @@ ReuseBuffer::audit() const
     return "";
 }
 
-namespace
-{
-
-void
-serializeRef(CkptWriter &w, const RbRef &ref)
-{
-    w.u64(static_cast<uint64_t>(static_cast<int64_t>(ref.idx)));
-    w.u64(ref.serial);
-}
-
-RbRef
-deserializeRef(CkptReader &r)
-{
-    RbRef ref;
-    ref.idx = static_cast<int>(static_cast<int64_t>(r.u64()));
-    ref.serial = r.u64();
-    return ref;
-}
-
-} // anonymous namespace
-
-void
-ReuseBuffer::serialize(CkptWriter &w) const
-{
-    w.u64(entries.size());
-    for (const Entry &e : entries) {
-        w.b(e.valid);
-        w.u64(e.pc);
-        w.u8(static_cast<uint8_t>(e.op));
-        for (const Operand &op : e.ops) {
-            w.u32(static_cast<uint32_t>(op.reg));
-            w.u64(op.value);
-            serializeRef(w, op.src);
-        }
-        w.u64(e.result);
-        w.u64(e.result2);
-        w.b(e.taken);
-        w.u64(e.nextPC);
-        w.u64(e.memAddr);
-        w.u64(e.memValue);
-        w.b(e.memValid);
-        w.b(e.fromSquashed);
-        w.b(e.isLd);
-        w.u32(e.memSz);
-        w.u64(e.serial);
-    }
-    for (const LruSet &s : lru)
-        s.serialize(w);
-    w.u64(nextSerial);
-    for (const RbRef &ref : regLink)
-        serializeRef(w, ref);
-}
-
-bool
-ReuseBuffer::deserialize(CkptReader &r)
-{
-    if (r.u64() != entries.size()) {
-        r.fail();
-        return false;
-    }
-    loadIndex.clear();
-    for (Entry &e : entries) {
-        e.valid = r.b();
-        e.pc = r.u64();
-        e.op = static_cast<Op>(r.u8());
-        for (Operand &op : e.ops) {
-            op.reg = static_cast<RegId>(r.u32());
-            op.value = r.u64();
-            op.src = deserializeRef(r);
-        }
-        e.result = r.u64();
-        e.result2 = r.u64();
-        e.taken = r.b();
-        e.nextPC = r.u64();
-        e.memAddr = r.u64();
-        e.memValue = r.u64();
-        e.memValid = r.b();
-        e.fromSquashed = r.b();
-        e.isLd = r.b();
-        e.memSz = r.u32();
-        e.serial = r.u64();
-    }
-    for (LruSet &s : lru) {
-        if (!s.deserialize(r))
-            return false;
-    }
-    nextSerial = r.u64();
-    for (RbRef &ref : regLink)
-        ref = deserializeRef(r);
-    if (!r.ok())
-        return false;
-    // The load index is derived: rebuild it from the restored entries
-    // (same registration rule as insert()).
-    for (size_t i = 0; i < entries.size(); ++i) {
-        if (entries[i].valid && entries[i].isLd)
-            registerLoad(static_cast<int>(i));
-    }
-    return true;
-}
-
 } // namespace vpir

@@ -22,10 +22,10 @@
 #define VPIR_REUSE_REUSE_BUFFER_HH
 
 #include <cstdint>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "common/ckpt_io.hh"
 #include "common/lru.hh"
 #include "isa/decode.hh"
 #include "isa/instr.hh"
@@ -146,12 +146,6 @@ class ReuseBuffer
      * injected value faults must stay invisible to the audit.
      */
     std::string audit() const;
-
-    /** Checkpoint entries, LRU, serial counter, and register links.
-     *  The load index is derived state and is rebuilt on restore. */
-    void serialize(CkptWriter &w) const;
-    /** Restore serialize()d state; false on geometry mismatch. */
-    bool deserialize(CkptReader &r);
 
   private:
     struct Operand

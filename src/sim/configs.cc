@@ -80,10 +80,6 @@ applyHardeningEnv(CoreParams &p)
     // pipeline would otherwise spin to maxCycles silently.
     uint64_t wd_default = p.checkRetire ? 100000 : p.watchdogCycles;
     p.watchdogCycles = parseEnvU64("VPIR_WATCHDOG_CYCLES", wd_default);
-    // Drain interval is a machine parameter (it perturbs timing and is
-    // hashed into the cell key); persistence knobs live in
-    // ckptConfigFromEnv().
-    p.ckptInsts = parseEnvU64("VPIR_CKPT_INSTS", p.ckptInsts);
     p.faults = faultPlanFromEnv(p.faults);
 }
 

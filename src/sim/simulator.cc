@@ -7,33 +7,25 @@ namespace vpir
 {
 
 Simulator::Simulator(const CoreParams &params, Program program)
-    : params_(params)
 {
     auto w = std::make_shared<Workload>();
     w->program = std::move(program);
     wl = std::move(w);
-    core_ = std::make_unique<Core>(params_, wl->program);
+    core_ = std::make_unique<Core>(params, wl->program);
 }
 
 Simulator::Simulator(const CoreParams &params,
                      std::shared_ptr<const Workload> workload,
                      std::shared_ptr<const EmuSnapshot> warm)
-    : params_(params), wl(std::move(workload)), warm_(std::move(warm))
+    : wl(std::move(workload))
 {
-    core_ = std::make_unique<Core>(params_, wl->program, warm_.get());
+    core_ = std::make_unique<Core>(params, wl->program, warm.get());
 }
 
 const CoreStats &
 Simulator::run()
 {
     return core_->run();
-}
-
-Core &
-Simulator::resetCore()
-{
-    core_ = std::make_unique<Core>(params_, wl->program, warm_.get());
-    return *core_;
 }
 
 CoreStats

@@ -42,18 +42,8 @@ class Simulator
     Core &core() { return *core_; }
     const Program &program() const { return wl->program; }
 
-    /**
-     * Discard the core and rebuild it from scratch (same params,
-     * program, and warm snapshot). Used by checkpoint resume when a
-     * restore fails partway: a half-restored core is torn state and
-     * must not run. @return the fresh core.
-     */
-    Core &resetCore();
-
   private:
-    CoreParams params_;
     std::shared_ptr<const Workload> wl;
-    std::shared_ptr<const EmuSnapshot> warm_;
     std::unique_ptr<Core> core_;
 };
 

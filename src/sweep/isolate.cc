@@ -19,7 +19,6 @@
 #include "common/fnv.hh"
 #include "common/logging.hh"
 #include "fuzz/generator.hh"
-#include "sim/checkpoint.hh"
 #include "sim/simulator.hh"
 #include "sim/warm_cache.hh"
 #include "sweep/sweep.hh"
@@ -72,11 +71,10 @@ cellReproInfo(const SweepCell &cell)
     return s;
 }
 
-// --------------------------------------------------- in-process attempt
+// ------------------------------------------------------ in-process run
 
 CellOutcome
 computeCellOnce(const SweepCell &cell, uint64_t timeout_ms,
-                bool allow_resume,
                 std::shared_ptr<const Workload> prebuilt_w,
                 std::shared_ptr<const EmuSnapshot> prebuilt_snap)
 {
@@ -128,19 +126,8 @@ computeCellOnce(const SweepCell &cell, uint64_t timeout_ms,
             return "cycle " + std::to_string(core.now()) + ", seq " +
                    std::to_string(core.seqAllocated());
         });
-        CkptCellId id;
-        id.workload = cell.workload;
-        id.cellKey = cellHash(cell);
-        id.paramsHash = hashParams(cell.params);
-        id.warmupInsts = cell.params.warmupInsts;
-        CkptRunResult cr = runWithCheckpoints(
-            sim, ckptConfigFromEnv(cell.params.ckptInsts), id,
-            allow_resume);
-        out.stats = sim.stats();
-        out.profile = sim.core().schedProfile();
-        out.ckptStopped = cr.stopped;
-        out.ckptResumed = cr.resumed;
-        out.ckptWritten = cr.checkpointsWritten;
+        out.stats = sim.run();
+        out.profile = core.schedProfile();
         out.runSeconds = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - t1)
                              .count();
@@ -165,9 +152,6 @@ encodeOutcome(const CellOutcome &out)
                      [&w](const char *, const uint64_t &v) { w.u64(v); });
     w.str(out.workloadInput);
     w.str(out.error);
-    w.b(out.ckptStopped);
-    w.b(out.ckptResumed);
-    w.u64(out.ckptWritten);
     w.f64(out.setupSeconds);
     w.f64(out.runSeconds);
     w.b(out.asmBuilt);
@@ -189,9 +173,6 @@ decodeOutcome(const std::string &data, CellOutcome &out)
                      [&r](const char *, uint64_t &v) { v = r.u64(); });
     tmp.workloadInput = r.str();
     tmp.error = r.str();
-    tmp.ckptStopped = r.b();
-    tmp.ckptResumed = r.b();
-    tmp.ckptWritten = r.u64();
     tmp.setupSeconds = r.f64();
     tmp.runSeconds = r.f64();
     tmp.asmBuilt = r.b();
@@ -271,7 +252,6 @@ stderrTail(const std::string &captured, size_t max = 2048)
 
 CellOutcome
 runCellIsolated(const SweepCell &cell, const IsolationConfig &cfg,
-                bool allow_resume,
                 std::shared_ptr<const Workload> prebuilt_w,
                 std::shared_ptr<const EmuSnapshot> prebuilt_snap)
 {
@@ -287,26 +267,13 @@ runCellIsolated(const SweepCell &cell, const IsolationConfig &cfg,
         for (int fd : {res_pipe[0], res_pipe[1], err_pipe[0], err_pipe[1]})
             if (fd >= 0)
                 close(fd);
-        return computeCellOnce(cell, cfg.timeoutMs, allow_resume,
-                               prebuilt_w, prebuilt_snap);
+        return computeCellOnce(cell, cfg.timeoutMs, prebuilt_w,
+                               prebuilt_snap);
     }
 
     if (pid == 0) {
-        // Child: graceful stop arrives as SIGUSR1 from the parent (not
-        // SIGINT/SIGTERM, which a terminal delivers to the whole
-        // process group); install the handler *before* unmasking
-        // anything so a stop racing the fork is never lost. The flag
-        // is only acted on at checkpoint boundaries.
-        clearCkptStopSignal();
-        struct sigaction usr;
-        std::memset(&usr, 0, sizeof(usr));
-        usr.sa_handler = [](int) { noteCkptStopSignal(); };
-        sigemptyset(&usr.sa_mask);
-        usr.sa_flags = SA_RESTART;
-        sigaction(SIGUSR1, &usr, nullptr);
-
-        // Finish this cell even if a terminal ^C reaches the whole
-        // process group — the parent coordinates shutdown; a
+        // Child: finish this cell even if a terminal ^C reaches the
+        // whole process group — the parent coordinates shutdown; a
         // hard-killed parent leaves us to die on SIGPIPE at result
         // write. The parent enforces the wall-clock deadline with
         // SIGKILL, so no cooperative deadline is armed here.
@@ -328,11 +295,7 @@ runCellIsolated(const SweepCell &cell, const IsolationConfig &cfg,
         }
         CellOutcome out;
         try {
-            // Disarm any stop scope inherited from the forking worker
-            // thread: the child listens to its own SIGUSR1 flag only.
-            CkptStopScope child_scope(nullptr);
-            out = computeCellOnce(cell, 0, allow_resume, prebuilt_w,
-                                  prebuilt_snap);
+            out = computeCellOnce(cell, 0, prebuilt_w, prebuilt_snap);
         } catch (...) {
             out.failed = true;
             out.error = "unexpected exception in isolated cell worker";
@@ -358,20 +321,12 @@ runCellIsolated(const SweepCell &cell, const IsolationConfig &cfg,
                         cfg.timeoutMs ? cfg.timeoutMs : 0);
     bool timedOut = false;
     bool reaped = false;
-    bool stopForwarded = false;
     int status = 0;
     std::string resultText, errText;
     constexpr size_t RESULT_CAP = 4u << 20;
     constexpr size_t STDERR_CAP = 64u << 10;
 
     while (!reaped) {
-        // Engine stop: tell the child once; it drains to its next
-        // checkpoint boundary and hands back a resumable outcome (or,
-        // without persistence, simply finishes the cell).
-        if (!stopForwarded && cfg.stopFlag && cfg.stopFlag->load()) {
-            kill(pid, SIGUSR1);
-            stopForwarded = true;
-        }
         struct pollfd fds[2] = {{res_pipe[0], POLLIN, 0},
                                 {err_pipe[0], POLLIN, 0}};
         int wait_ms = 100;

@@ -20,9 +20,9 @@
  *  - any abnormal child exit (signal, exit code, captured stderr
  *    tail) is reported as a structured failure instead of killing
  *    the sweep;
- *  - a graceful engine stop is forwarded to the child as SIGUSR1, so
- *    a checkpointing cell (sim/checkpoint.hh) drains to its next
- *    boundary, persists, and reports a resumable partial outcome.
+ *  - the child blocks SIGINT/SIGTERM, so a terminal ^C lets an
+ *    in-flight cell finish and hand back its result; the parent
+ *    engine coordinates the graceful stop (sweep.hh).
  *
  * In the default in-process mode the same deadline is enforced
  * cooperatively: computeCellOnce() arms a CellDeadlineScope that the
@@ -36,7 +36,6 @@
 #ifndef VPIR_SWEEP_ISOLATE_HH
 #define VPIR_SWEEP_ISOLATE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -62,42 +61,29 @@ struct IsolationConfig
     bool enabled = false;    //!< VPIR_ISOLATE=1: fork per cell
     uint64_t timeoutMs = 0;  //!< VPIR_CELL_TIMEOUT_MS (0 = none)
     uint64_t rlimitMb = 0;   //!< VPIR_CELL_RLIMIT_MB (0 = none)
-
-    /** Engine stop flag (nonzero = graceful stop requested). The
-     *  isolated-mode parent watches it and forwards the request to the
-     *  child as one SIGUSR1, so an in-flight forked cell drains to its
-     *  next checkpoint boundary instead of running to completion. */
-    const std::atomic<int> *stopFlag = nullptr;
 };
 
 /** Read VPIR_ISOLATE / VPIR_CELL_TIMEOUT_MS / VPIR_CELL_RLIMIT_MB. */
 IsolationConfig isolationFromEnv();
 
-/** Outcome of one cell execution attempt, either mode. */
+/** Outcome of one cell execution, either mode. */
 struct CellOutcome
 {
     bool failed = false;
-    bool timedOut = false;      //!< deadline overrun (retried only when
-                                //!< checkpoints persist progress)
+    bool timedOut = false;      //!< deadline overrun
     CoreStats stats;            //!< zeroed when failed
     std::string workloadInput;  //!< Workload::input (for vpirsim)
     std::string error;          //!< failure message, context included
 
-    // Checkpoint provenance of this attempt (sim/checkpoint.hh).
-    bool ckptStopped = false;   //!< stopped gracefully at a checkpoint
-                                //!< boundary; stats are partial
-    bool ckptResumed = false;   //!< continued from an on-disk checkpoint
-    uint64_t ckptWritten = 0;   //!< checkpoints persisted by this attempt
-
-    // Phase breakdown of this attempt (bench_timing provenance).
+    // Phase breakdown (bench_timing provenance).
     double setupSeconds = 0.0;  //!< workload + core construction
     double runSeconds = 0.0;    //!< timed simulation proper
-    bool asmBuilt = false;      //!< this attempt assembled the program
-    bool warmBuilt = false;     //!< this attempt executed the warmup
+    bool asmBuilt = false;      //!< this run assembled the program
+    bool warmBuilt = false;     //!< this run executed the warmup
 
-    /** Per-stage cycle profile of this attempt (core/sched_profile.hh).
-     *  Host-dependent, so it rides next to the phase timings rather
-     *  than inside the deterministic stats block. */
+    /** Per-stage cycle profile (core/sched_profile.hh). Host-dependent,
+     *  so it rides next to the phase timings rather than inside the
+     *  deterministic stats block. */
     SchedProfile profile;
 };
 
@@ -105,12 +91,6 @@ struct CellOutcome
  * Run the cell on the calling thread under a PanicThrowScope, cell
  * context frames, and (when @p timeout_ms > 0) a cooperative
  * deadline. Never throws; panics and fatals become a failed outcome.
- *
- * @param allow_resume
- *     Restore the newest valid checkpoint for this cell before
- *     running (when VPIR_CKPT_DIR persistence is configured). The
- *     retry ladder passes false on its final cold-restart rung, in
- *     case the checkpoint itself is what kills the cell.
  *
  * @param prebuilt_w, prebuilt_snap
  *     Pre-resolved warm-start handles for this cell's (workload,
@@ -123,7 +103,6 @@ struct CellOutcome
  */
 CellOutcome
 computeCellOnce(const SweepCell &cell, uint64_t timeout_ms,
-                bool allow_resume = true,
                 std::shared_ptr<const Workload> prebuilt_w = nullptr,
                 std::shared_ptr<const EmuSnapshot> prebuilt_snap = nullptr);
 
@@ -135,7 +114,6 @@ computeCellOnce(const SweepCell &cell, uint64_t timeout_ms,
  */
 CellOutcome
 runCellIsolated(const SweepCell &cell, const IsolationConfig &cfg,
-                bool allow_resume = true,
                 std::shared_ptr<const Workload> prebuilt_w = nullptr,
                 std::shared_ptr<const EmuSnapshot> prebuilt_snap = nullptr);
 

@@ -18,7 +18,6 @@
 #include "common/fnv.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
-#include "sim/checkpoint.hh"
 #include "sim/simulator.hh"
 #include "sim/warm_cache.hh"
 #include "sweep/isolate.hh"
@@ -97,13 +96,6 @@ SweepEngine::SweepEngine(unsigned jobs, const std::string &cache_dir)
     : numJobs(jobs ? jobs : defaultJobs()), cacheDir(cache_dir),
       iso(isolationFromEnv())
 {
-    // Isolated cells observe the engine's graceful-stop flag through
-    // the forking parent (SIGUSR1 forwarding, isolate.hh).
-    iso.stopFlag = &stopSig;
-    // Same crash-consistency policy as the result cache: a killed
-    // process leaks its checkpoint tmp file between write and rename.
-    if (const char *d = std::getenv("VPIR_CKPT_DIR"))
-        scrubCkptTmpFiles(d);
     if (!cacheDir.empty()) {
         std::error_code ec;
         std::filesystem::create_directories(cacheDir, ec);
@@ -313,16 +305,18 @@ SweepEngine::runRecord(Record &rec)
     // lockstep divergence, bad workload name) become SimError inside
     // computeCellOnce(); under VPIR_ISOLATE=1 even a hard crash,
     // sanitizer abort, rlimit OOM, or deadline SIGKILL of the forked
-    // worker is contained. Either way the cell is retried once and a
-    // persistent failure is recorded in the result instead of
-    // propagating.
+    // worker is contained. Either way the failure is recorded in the
+    // result instead of propagating. It is not retried: a panic
+    // replays identically, and a deadline overrun would only overrun
+    // again.
     // Warm-start prewarm for the isolated mode: the forked child must
     // never touch the WarmStartCache (another worker thread could hold
     // its mutex at fork time), so the parent resolves the handles
     // here, on a plain thread, and hands them to the child via the
     // copied address space. A prewarm failure (bad workload name etc.)
-    // is deliberately swallowed: the child retries cold and reports
-    // the same error through the normal structured-failure path.
+    // is deliberately swallowed: the child builds the workload itself
+    // and reports the same error through the normal structured-failure
+    // path.
     std::shared_ptr<const Workload> pw;
     std::shared_ptr<const EmuSnapshot> psnap;
     bool prewarm_asm = false, prewarm_warm = false;
@@ -341,67 +335,22 @@ SweepEngine::runRecord(Record &rec)
         }
     }
 
-    // Escalation ladder: retry -> resume from the newest valid
-    // checkpoint -> cold restart -> structured CellFailure. Intermediate
-    // rungs resume so each retry makes forward progress past where the
-    // last attempt died; the final rung starts cold in case the
-    // checkpoint itself is what kills the cell. With one retry (the
-    // default) that means: attempt 1 resumes (continuing an interrupted
-    // sweep), attempt 2 is the cold fallback.
-    const bool ckptPersist = rec.cell.params.ckptInsts != 0 &&
-                             std::getenv("VPIR_CKPT_DIR") != nullptr;
-    const int max_attempts =
-        1 + static_cast<int>(std::min<uint64_t>(
-                parseEnvU64("VPIR_CELL_RETRIES", 1), 100));
-    for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-        rec.attempts = attempt;
-        const bool allow_resume =
-            attempt == 1 || attempt < max_attempts;
-        CellOutcome out =
-            iso.enabled
-                ? runCellIsolated(rec.cell, iso, allow_resume, pw,
-                                  psnap)
-                : [&] {
-                      // In-process cells poll the engine stop flag at
-                      // checkpoint boundaries (isolated ones get it
-                      // forwarded as SIGUSR1).
-                      CkptStopScope stop_scope(&stopSig);
-                      return computeCellOnce(rec.cell, iso.timeoutMs,
-                                             allow_resume);
-                  }();
-        rec.stats = out.stats;
-        rec.workloadInput = std::move(out.workloadInput);
-        rec.failed = out.failed;
-        rec.timedOut = out.timedOut;
-        rec.error = std::move(out.error);
-        rec.setupSeconds = out.setupSeconds;
-        rec.runSeconds = out.runSeconds;
-        rec.profile = out.profile;
-        rec.ckptResumed = out.ckptResumed;
-        rec.ckptWritten = out.ckptWritten;
-        // Attribute a parent-side prewarm build to this cell: the cell
-        // that triggered the build is the one that paid for it, in
-        // both execution modes.
-        rec.asmBuilt = out.asmBuilt || prewarm_asm;
-        rec.warmBuilt = out.warmBuilt || prewarm_warm;
-        if (out.ckptStopped) {
-            // Graceful stop honored at a checkpoint boundary: the cell
-            // is unfinished but its progress is on disk. Report it
-            // skipped (not failed, never cached) so a rerun resumes it.
-            rec.skipped = true;
-            rec.failed = false;
-            rec.stats = CoreStats{};
-            rec.wallSeconds = secondsSince(t0);
-            return;
-        }
-        if (!rec.failed)
-            break;
-        // A deadline overrun is deterministic in time: retrying only
-        // doubles the loss — unless checkpoints persist progress, in
-        // which case each retry resumes past where the last one died.
-        if (rec.timedOut && !ckptPersist)
-            break;
-    }
+    CellOutcome out =
+        iso.enabled ? runCellIsolated(rec.cell, iso, pw, psnap)
+                    : computeCellOnce(rec.cell, iso.timeoutMs);
+    rec.stats = out.stats;
+    rec.workloadInput = std::move(out.workloadInput);
+    rec.failed = out.failed;
+    rec.timedOut = out.timedOut;
+    rec.error = std::move(out.error);
+    rec.setupSeconds = out.setupSeconds;
+    rec.runSeconds = out.runSeconds;
+    rec.profile = out.profile;
+    // Attribute a parent-side prewarm build to this cell: the cell
+    // that triggered the build is the one that paid for it, in both
+    // execution modes.
+    rec.asmBuilt = out.asmBuilt || prewarm_asm;
+    rec.warmBuilt = out.warmBuilt || prewarm_warm;
     rec.wallSeconds = secondsSince(t0);
     // Never cache a failed cell: a transient failure must not poison
     // later runs through the disk cache.
@@ -513,9 +462,6 @@ SweepEngine::timings() const
         t.runSeconds = r->runSeconds;
         t.assembled = r->asmBuilt;
         t.warmed = r->warmBuilt;
-        t.attempts = r->attempts > 0 ? r->attempts : 1;
-        t.ckptResumed = r->ckptResumed;
-        t.ckptWritten = r->ckptWritten;
         t.profile = r->profile;
         out.push_back(std::move(t));
     }
@@ -534,7 +480,6 @@ SweepEngine::failures() const
         f.workload = r->cell.workload;
         f.label = r->cell.label;
         f.paramsHash = hashParams(r->cell.params);
-        f.attempts = r->attempts;
         f.timedOut = r->timedOut;
         f.error = r->error;
         out.push_back(std::move(f));
@@ -655,18 +600,13 @@ SweepEngine::writeTimingJson(const std::string &path) const
                       "\", \"wall_s\": %.6f, \"setup_s\": %.6f, "
                       "\"run_s\": %.6f, \"insts\": %" PRIu64
                       ", \"mips\": %.3f, \"disk_cache\": %s, "
-                      "\"assembled\": %s, \"warmed\": %s, "
-                      "\"attempts\": %d, \"ckpt_resumed\": %s, "
-                      "\"ckpt_written\": %" PRIu64,
+                      "\"assembled\": %s, \"warmed\": %s",
                       t.workload.c_str(), t.label.c_str(), t.paramsHash,
                       t.wallSeconds, t.setupSeconds, t.runSeconds,
                       t.committedInsts, t.mips(),
                       t.fromDiskCache ? "true" : "false",
                       t.assembled ? "true" : "false",
-                      t.warmed ? "true" : "false",
-                      t.attempts,
-                      t.ckptResumed ? "true" : "false",
-                      t.ckptWritten);
+                      t.warmed ? "true" : "false");
         out << buf;
         if (t.profile.enabled) {
             out << ", \"profile\": {";
@@ -738,10 +678,9 @@ SweepEngine::printSummary(std::FILE *out) const
         for (const CellFailure &f : fails) {
             std::fprintf(out,
                          "[sweep]   FAILED %s / %s (params %016" PRIx64
-                         ", %d attempt%s):\n%s\n",
+                         "):\n%s\n",
                          f.workload.c_str(), f.label.c_str(),
-                         f.paramsHash, f.attempts,
-                         f.attempts == 1 ? "" : "s", f.error.c_str());
+                         f.paramsHash, f.error.c_str());
         }
     }
     if (std::getenv("VPIR_TIMING_VERBOSE")) {

@@ -31,13 +31,8 @@
  *  - graceful SIGINT/SIGTERM handling on the global engine: stop
  *    scheduling, let in-flight cells finish, flush completed cells to
  *    the disk cache, print a partial summary, exit 128+signal (a
- *    second signal hard-kills);
- *  - mid-cell drain-and-checkpoint (VPIR_CKPT_INSTS + VPIR_CKPT_DIR,
- *    see sim/checkpoint.hh): long cells persist resumable progress,
- *    a graceful stop drains in-flight cells to their next boundary,
- *    and the retry ladder (VPIR_CELL_RETRIES) resumes a crashed cell
- *    from its newest valid checkpoint before falling back to a cold
- *    restart.
+ *    second signal hard-kills). The disk cache is the one resume
+ *    path: a rerun recomputes exactly the cells that never finished.
  */
 
 #ifndef VPIR_SWEEP_SWEEP_HH
@@ -91,13 +86,12 @@ struct SweepCell
 /** Full cache key: workload + params-hash + scale. */
 uint64_t cellHash(const SweepCell &cell);
 
-/** A cell whose simulation failed (after retry); see failures(). */
+/** A cell whose simulation failed; see failures(). */
 struct CellFailure
 {
     std::string workload;
     std::string label;
     uint64_t paramsHash = 0;
-    int attempts = 0;      //!< ladder rungs used (VPIR_CELL_RETRIES)
     bool timedOut = false; //!< killed by the per-cell deadline
     std::string error; //!< full panic/fatal message, context included;
                        //!< for an isolated crash: signal name, exit
@@ -123,12 +117,6 @@ struct CellTiming
     double runSeconds = 0.0;   //!< timed simulation proper
     bool assembled = false;    //!< this cell assembled the program
     bool warmed = false;       //!< this cell executed the warmup
-
-    // Robustness provenance: how many ladder attempts the cell took,
-    // and whether it continued from / persisted mid-run checkpoints.
-    int attempts = 1;
-    bool ckptResumed = false;
-    uint64_t ckptWritten = 0;
 
     /** Per-stage cycle profile (VPIR_PROFILE=1; zeroed for disk-cache
      *  hits). Emitted per cell into the timing JSON when enabled. */
@@ -179,14 +167,12 @@ class SweepEngine
     std::vector<CellTiming> timings() const;
 
     /**
-     * Cells whose simulation panicked (in submission order). A failing
-     * cell climbs the retry ladder — up to VPIR_CELL_RETRIES retries
-     * (default 1) with optional exponential backoff, resuming from its
-     * newest checkpoint on intermediate rungs and cold-restarting on
-     * the last — then is recorded here with its error message; the
-     * rest of the sweep completes normally and get() returns zeroed
-     * stats for the failed cell. Harnesses must report these and exit
-     * non-zero.
+     * Cells whose simulation failed (in submission order). A failing
+     * cell runs once — a panic replays identically, so a retry would
+     * only fail again — and is recorded here with its error message;
+     * the rest of the sweep completes normally and get() returns
+     * zeroed stats for the failed cell. Harnesses must report these
+     * and exit non-zero.
      */
     std::vector<CellFailure> failures() const;
 
@@ -242,13 +228,9 @@ class SweepEngine
         bool fromDiskCache = false;
         bool done = false;
         bool running = false;
-        bool failed = false;  //!< simulation failed (ladder exhausted)
+        bool failed = false;  //!< simulation failed
         bool timedOut = false; //!< failed by per-cell deadline
-        bool skipped = false; //!< abandoned by a stop request — either
-                              //!< unrun, or checkpointed mid-cell
-        bool ckptResumed = false; //!< continued from a checkpoint
-        uint64_t ckptWritten = 0; //!< checkpoints persisted
-        int attempts = 0;
+        bool skipped = false; //!< abandoned unrun by a stop request
         std::string error;    //!< failure message, context included
         SchedProfile profile; //!< per-stage cycle profile (host side)
     };

@@ -197,48 +197,4 @@ Vpt::audit() const
     return "";
 }
 
-void
-Vpt::serialize(CkptWriter &w) const
-{
-    w.u32(numSets);
-    w.u32(params.ways);
-    for (const auto &set : sets) {
-        for (const Entry &e : set) {
-            w.b(e.valid);
-            w.u64(e.pc);
-            w.u64(e.value);
-            w.u8(static_cast<uint8_t>(e.conf.value()));
-        }
-    }
-    for (const LruSet &s : lru)
-        s.serialize(w);
-}
-
-bool
-Vpt::deserialize(CkptReader &r)
-{
-    if (r.u32() != numSets || r.u32() != params.ways) {
-        r.fail();
-        return false;
-    }
-    for (auto &set : sets) {
-        for (Entry &e : set) {
-            e.valid = r.b();
-            e.pc = r.u64();
-            e.value = r.u64();
-            unsigned c = r.u8();
-            if (c > e.conf.max()) {
-                r.fail();
-                return false;
-            }
-            e.conf.reset(c);
-        }
-    }
-    for (LruSet &s : lru) {
-        if (!s.deserialize(r))
-            return false;
-    }
-    return r.ok();
-}
-
 } // namespace vpir

@@ -24,9 +24,9 @@
 #define VPIR_VP_VPT_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
-#include "common/ckpt_io.hh"
 #include "common/lru.hh"
 #include "common/sat_counter.hh"
 #include "isa/instr.hh"
@@ -88,11 +88,6 @@ class Vpt
      *  sits in the set its PC indexes to and its confidence is
      *  within the counter's range. @return "" when clean. */
     std::string audit() const;
-
-    /** Checkpoint all entries and LRU state. */
-    void serialize(CkptWriter &w) const;
-    /** Restore serialize()d state; false on geometry mismatch. */
-    bool deserialize(CkptReader &r);
 
   private:
     struct Entry

@@ -144,7 +144,6 @@ TEST(Isolate, CrashingCellIsContainedAndResumable)
         ASSERT_EQ(fails.size(), 1u);
         EXPECT_EQ(fails[0].workload, "go");
         EXPECT_EQ(fails[0].label, "crashme");
-        EXPECT_EQ(fails[0].attempts, 2); // crash is retried once
         EXPECT_FALSE(fails[0].timedOut);
         EXPECT_NE(fails[0].error.find("SIGSEGV"), std::string::npos)
             << fails[0].error;
@@ -187,7 +186,6 @@ TEST(Isolate, DeadlineKillsRunawayIsolatedCell)
     std::vector<CellFailure> fails = eng.failures();
     ASSERT_EQ(fails.size(), 1u);
     EXPECT_TRUE(fails[0].timedOut);
-    EXPECT_EQ(fails[0].attempts, 1); // deadline overruns never retry
     EXPECT_NE(fails[0].error.find("deadline exceeded"),
               std::string::npos)
         << fails[0].error;
@@ -205,7 +203,6 @@ TEST(Isolate, DeadlineStopsRunawayInProcessCell)
     std::vector<CellFailure> fails = eng.failures();
     ASSERT_EQ(fails.size(), 1u);
     EXPECT_TRUE(fails[0].timedOut);
-    EXPECT_EQ(fails[0].attempts, 1);
     EXPECT_NE(fails[0].error.find("deadline exceeded"),
               std::string::npos)
         << fails[0].error;
@@ -349,9 +346,6 @@ TEST(Isolate, WireProtocolRoundTripsAndRejectsEveryPrefix)
     out.stats.haltedCleanly = true;
     out.workloadInput = "ref \"input\"\n";
     out.error = std::string("panic:\0\x01\xff tail", 14);
-    out.ckptStopped = true;
-    out.ckptResumed = true;
-    out.ckptWritten = 7;
     out.setupSeconds = 0.1234567890123;
     out.runSeconds = 3.0e-9;
     out.asmBuilt = true;
@@ -369,9 +363,6 @@ TEST(Isolate, WireProtocolRoundTripsAndRejectsEveryPrefix)
     EXPECT_EQ(back.timedOut, out.timedOut);
     EXPECT_EQ(back.workloadInput, out.workloadInput);
     EXPECT_EQ(back.error, out.error);
-    EXPECT_EQ(back.ckptStopped, out.ckptStopped);
-    EXPECT_EQ(back.ckptResumed, out.ckptResumed);
-    EXPECT_EQ(back.ckptWritten, out.ckptWritten);
     EXPECT_EQ(back.setupSeconds, out.setupSeconds);
     EXPECT_EQ(back.runSeconds, out.runSeconds);
     EXPECT_EQ(back.asmBuilt, out.asmBuilt);

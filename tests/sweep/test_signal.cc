@@ -1,10 +1,11 @@
 /**
  * @file
- * Graceful-interrupt and retry-ladder tests: a SIGINT mid-sweep must
+ * Graceful-interrupt and timing-JSON tests: a SIGINT mid-sweep must
  * stop the global engine at a cell boundary, report "interrupted:
  * N/M", exit 128+sig, and leave a disk cache a rerun resumes from;
- * the escalation ladder must honor VPIR_CELL_RETRIES and retry
- * deadline overruns exactly when checkpoints persist progress.
+ * a VPIR_PROFILE=1 sweep's timing JSON must carry every simulated
+ * cell's profile, in-process and isolated alike, next to the keys
+ * the benchmark reads.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +22,8 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv.hh"
+#include "common/json.hh"
 #include "sim/simulator.hh"
 #include "sweep/stats_json.hh"
 #include "sweep/sweep.hh"
@@ -54,16 +57,6 @@ cell(const std::string &workload, const std::string &label,
     scale.factor = 0.25;
     return SweepCell{workload, label, withLimits(params, TEST_INSTS),
                      scale};
-}
-
-/** A cell that simulates for seconds: no instruction limit, larger
- *  input. Only useful together with a deadline. */
-SweepCell
-longRunningCell()
-{
-    WorkloadScale scale;
-    scale.factor = 5.0;
-    return SweepCell{"compress", "runaway", baseConfig(), scale};
 }
 
 std::string
@@ -153,66 +146,113 @@ TEST(Signal, GracefulSigintExits130AndCacheResumes)
     std::filesystem::remove_all(cache);
 }
 
-// VPIR_CELL_RETRIES sizes the ladder: a cell that crashes on every
-// rung is attempted 1 + retries times before being reported.
-TEST(Ladder, RetriesKnobControlsAttempts)
+/** The timing JSON's line for @p key ("  \"key\": {...},"), as a
+ *  one-member object; the document itself holds an array, which the
+ *  reader does not parse, but the writer puts each member on a line. */
+JsonObject
+timingMember(const std::string &json, const std::string &key)
 {
-    EnvGuard iso("VPIR_ISOLATE", "1");
-    EnvGuard hook("VPIR_TEST_CRASH_CELL", "crashme");
-    EnvGuard retries("VPIR_CELL_RETRIES", "3");
-
-    SweepEngine eng(1, "");
-    SweepCell bad = cell("compress", "crashme", baseConfig());
-    eng.get(bad);
-
-    std::vector<CellFailure> fails = eng.failures();
-    ASSERT_EQ(fails.size(), 1u);
-    EXPECT_EQ(fails[0].attempts, 4)
-        << "ladder must use 1 + VPIR_CELL_RETRIES rungs";
+    std::istringstream in(json);
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("  \"" + key + "\": ", 0) != 0)
+            continue;
+        if (!line.empty() && line.back() == ',')
+            line.pop_back();
+        return JsonObject("{" + line + "}");
+    }
+    return JsonObject("");
 }
 
-// A deadline overrun is useless to retry when the retry would start
-// from scratch against the same deadline — but with persisted
-// checkpoints each rung carries forward the previous rung's progress,
-// so timeouts become retryable. (test_isolate.cc pins the converse:
-// with checkpoints off, a timeout is never retried.)
-TEST(Ladder, TimeoutRetriedWhenCheckpointsPersist)
+/** The per-cell objects of the timing JSON's "cells" array, one per
+ *  line. */
+std::vector<std::string>
+timingCells(const std::string &json)
 {
-    std::string dir = scratchDir("timeout_ck");
-    EnvGuard timeout("VPIR_CELL_TIMEOUT_MS", "150");
-    EnvGuard ckdir("VPIR_CKPT_DIR", dir);
-
-    SweepCell runaway = longRunningCell();
-    runaway.params.ckptInsts = 50000;
-
-    SweepEngine eng(1, "");
-    eng.get(runaway);
-
-    std::vector<CellFailure> fails = eng.failures();
-    ASSERT_EQ(fails.size(), 1u);
-    EXPECT_TRUE(fails[0].timedOut);
-    EXPECT_EQ(fails[0].attempts, 2)
-        << "a timeout with persisted checkpoints must climb the ladder";
-
-    std::filesystem::remove_all(dir);
+    std::vector<std::string> out;
+    std::istringstream in(json);
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("    {", 0) != 0)
+            continue;
+        if (line.back() == ',')
+            line.pop_back();
+        out.push_back(line);
+    }
+    return out;
 }
 
-// The bench_timing JSON carries the robustness provenance fields.
-TEST(Ladder, TimingJsonCarriesAttemptProvenance)
+/** Sweep threeCells() with VPIR_PROFILE=1 and check that the timing
+ *  JSON carries, for every simulated cell, the profile (whose run and
+ *  skipped cycles must add up to the cell's simulated cycles) and
+ *  every key perfbench/suite.py reads. */
+void
+expectProfiledTimingJson(const char *tag)
 {
-    std::string dir = scratchDir("timing_json");
+    std::string dir = scratchDir(tag);
     std::string path = dir + "/timing.json";
+    EnvGuard profile("VPIR_PROFILE", "1");
+    std::vector<SweepCell> cs = threeCells();
 
     SweepEngine eng(1, "");
-    eng.get(cell("compress", "a", baseConfig()));
+    for (const SweepCell &c : cs)
+        eng.prefetch(c);
+    eng.drain();
+    ASSERT_TRUE(eng.failures().empty());
     ASSERT_TRUE(eng.writeTimingJson(path));
-
     std::string json = slurp(path);
-    EXPECT_NE(json.find("\"attempts\": 1"), std::string::npos) << json;
-    EXPECT_NE(json.find("\"ckpt_resumed\": false"), std::string::npos);
-    EXPECT_NE(json.find("\"ckpt_written\": 0"), std::string::npos);
+
+    std::string warm;
+    ASSERT_TRUE(timingMember(json, "warm_cache").getObject("warm_cache",
+                                                           warm))
+        << json;
+    JsonObject wc(warm);
+    for (const char *key :
+         {"program_builds", "program_hits", "snapshot_builds",
+          "snapshot_hits", "cells_assembled", "cells_warmed"}) {
+        uint64_t v;
+        EXPECT_TRUE(wc.getU64(key, v)) << "warm_cache." << key;
+    }
+
+    std::vector<std::string> lines = timingCells(json);
+    ASSERT_EQ(lines.size(), cs.size()) << json;
+    for (size_t i = 0; i < cs.size(); ++i) {
+        JsonObject cell(lines[i]);
+        ASSERT_TRUE(cell.ok()) << lines[i];
+        std::string workload, params_hash, prof;
+        uint64_t insts = 0;
+        EXPECT_TRUE(cell.getString("workload", workload));
+        EXPECT_EQ(workload, cs[i].workload);
+        EXPECT_TRUE(cell.getString("params_hash", params_hash));
+        EXPECT_EQ(params_hash, hex16(hashParams(cs[i].params)));
+        for (const char *key : {"wall_s", "setup_s", "run_s"})
+            EXPECT_NE(lines[i].find(std::string("\"") + key + "\": "),
+                      std::string::npos)
+                << key << " missing: " << lines[i];
+        EXPECT_TRUE(cell.getU64("insts", insts));
+        EXPECT_EQ(insts, eng.get(cs[i]).committedInsts);
+
+        ASSERT_TRUE(cell.getObject("profile", prof)) << lines[i];
+        JsonObject p(prof);
+        uint64_t issue_ns, skipped, run;
+        EXPECT_TRUE(p.getU64("issue_ns", issue_ns)) << prof;
+        ASSERT_TRUE(p.getU64("idle_skipped_cycles", skipped)) << prof;
+        ASSERT_TRUE(p.getU64("cycles_run", run)) << prof;
+        EXPECT_GT(run, 0u);
+        EXPECT_EQ(run + skipped, eng.get(cs[i]).cycles)
+            << cs[i].workload << ": profile is not this cell's";
+    }
 
     std::filesystem::remove_all(dir);
+}
+
+// Tier-1 guard of the profiler plumbing that perfbench's traced passes
+// read: in-process, and through the fork wire protocol.
+TEST(TimingJson, ProfileRidesEverySimulatedCell)
+{
+    expectProfiledTimingJson("timing_json");
+    EnvGuard iso("VPIR_ISOLATE", "1");
+    expectProfiledTimingJson("timing_json_iso");
 }
 
 } // anonymous namespace

