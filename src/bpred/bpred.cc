@@ -11,11 +11,12 @@ BranchPredUnit::BranchPredUnit(const BpredParams &p)
       table(p.tableEntries, SatCounter(2, 1)), // weakly not-taken
       ghr(0),
       btb(p.btbEntries),
-      ras(p.rasEntries, 0),
       rasTop(0)
 {
     VPIR_ASSERT(isPowerOf2(p.tableEntries), "table size not power of 2");
     VPIR_ASSERT(isPowerOf2(p.btbEntries), "btb size not power of 2");
+    VPIR_ASSERT(p.rasEntries >= 1 && p.rasEntries <= maxRasEntries,
+                "rasEntries must be 1..16 (BpredCheckpoint's fixed RAS)");
 }
 
 uint32_t

@@ -34,13 +34,18 @@ struct BpredParams
     unsigned rasEntries = 16;
 };
 
+/** Deepest return stack a checkpoint can hold. Table 1's RAS is 16
+ *  deep; a fixed bound keeps checkpoints off the heap, and
+ *  BranchPredUnit refuses a deeper rasEntries at construction. */
+constexpr unsigned maxRasEntries = 16;
+
 /** Snapshot of the speculative predictor state taken at each fetched
  *  control instruction; restored when that instruction squashes. */
 struct BpredCheckpoint
 {
     uint32_t ghr = 0;
     unsigned rasTop = 0;
-    std::vector<Addr> ras;
+    std::array<Addr, maxRasEntries> ras{};
 };
 
 /** What fetch learns about a control instruction. */
@@ -104,7 +109,7 @@ class BranchPredUnit
     };
     std::vector<BtbEntry> btb;
 
-    std::vector<Addr> ras;
+    std::array<Addr, maxRasEntries> ras{}; //!< first rasEntries used
     unsigned rasTop; //!< index of next push slot
 
     void rasPush(Addr ret);

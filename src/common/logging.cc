@@ -83,6 +83,13 @@ fatal(const std::string &msg)
 }
 
 void
+assertFailed(const char *file, int line, std::string_view msg)
+{
+    panic(std::string("assertion failed at ") + file + ":" +
+          std::to_string(line) + ": " + std::string(msg));
+}
+
+void
 warn(const std::string &msg)
 {
     std::fprintf(stderr, "warn: %s\n", msg.c_str());

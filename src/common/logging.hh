@@ -24,6 +24,7 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace vpir
 {
@@ -95,15 +96,21 @@ void warn(const std::string &msg);
 void inform(const std::string &msg);
 
 /**
+ * VPIR_ASSERT's failure path: builds "assertion failed at FILE:LINE:
+ * MSG" and panics. Out of line and cold, so a helper that asserts
+ * keeps only a compare and a call and stays small enough to inline.
+ */
+[[noreturn, gnu::cold, gnu::noinline]] void
+assertFailed(const char *file, int line, std::string_view msg);
+
+/**
  * Assert a simulator invariant; calls panic() with location info on
  * failure. Active in all build types (unlike assert()).
  */
 #define VPIR_ASSERT(cond, msg)                                              \
     do {                                                                    \
-        if (!(cond)) {                                                      \
-            ::vpir::panic(std::string("assertion failed at ") + __FILE__ + \
-                          ":" + std::to_string(__LINE__) + ": " + (msg));   \
-        }                                                                   \
+        if (!(cond)) [[unlikely]]                                           \
+            ::vpir::assertFailed(__FILE__, __LINE__, (msg));                \
     } while (0)
 
 } // namespace vpir

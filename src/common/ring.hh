@@ -3,11 +3,9 @@
  * Fixed-capacity circular buffer.
  *
  * The core's per-cycle queues (LSQ, fetch queue, store queue) have
- * hard architectural bounds, yet were held in std::deque — which
- * allocates and frees chunks as the queue breathes, every cycle, in
- * the hottest loop of the simulator. Ring allocates its full capacity
- * once at reset() and never touches the allocator again; push/pop are
- * an index increment.
+ * hard architectural bounds. Ring allocates its full capacity once at
+ * reset() and never touches the allocator again, even as the queues
+ * fill and drain every cycle; push/pop are an index increment.
  */
 
 #ifndef VPIR_COMMON_RING_HH
@@ -84,9 +82,8 @@ class Ring
         ++count;
     }
 
-    /** Pops leave the slot's payload in place: a later push_back
-     *  copy-assigns over it, so element-owned heap storage (e.g. a
-     *  checkpoint's RAS vector) is reused instead of reallocated. */
+    /** Pops leave the slot's payload in place; a later push_back
+     *  copy-assigns over it. */
     void
     pop_front()
     {

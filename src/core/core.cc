@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <new>
 #include <sstream>
+#include <type_traits>
 
 #include "common/deadline.hh"
 #include "common/env.hh"
@@ -20,16 +22,20 @@ Core::Core(const CoreParams &p, const Program &program,
       icache(p.icache),
       dcache(p.dcache),
       bpred(p.bpred),
-      vptResult(p.vpt),
-      vptAddr(p.vpt),
-      rb(p.rb),
       injector(p.faults),
       rob(p.robEntries),
+      bpCps(p.robEntries),
       lsq(p.lsqEntries),
       fetchQueue(p.fetchQueueSize),
       storeQ(p.lsqEntries),
       fetchPC(program.entry)
 {
+    if (p.technique == Technique::VP || p.technique == Technique::Hybrid) {
+        vptResult.emplace(p.vpt);
+        vptAddr.emplace(p.vpt);
+    }
+    if (p.technique == Technique::IR || p.technique == Technique::Hybrid)
+        rb.emplace(p.rb);
     if (p.checkRetire)
         checker = std::make_unique<LockstepChecker>(program, p.warmupInsts,
                                                     warm);
@@ -93,7 +99,7 @@ Core::allocRob()
     if (robUsed == params.robEntries)
         return -1;
     int slot = robTail;
-    robTail = (robTail + 1) % static_cast<int>(params.robEntries);
+    robTail = nextSlot(robTail);
     ++robUsed;
     return slot;
 }
@@ -265,7 +271,7 @@ Core::tryDispatchPredict(int slot)
 
     if (params.vpPredictResults && producesResult(e.inst) &&
         !e.isSt && e.inst.rd != REG_INVALID) {
-        e.madePred = vptResult.predict(e.pc, e.exec.out.result);
+        e.madePred = vptResult->predict(e.pc, e.exec.out.result);
         // Injected VPT faults: corrupt the predicted value and/or flip
         // the confidence gate. Both must be absorbed by the normal
         // late-validation path (squash + re-execute), never escaping
@@ -288,7 +294,7 @@ Core::tryDispatchPredict(int slot)
     // existed) silently time the cache access at the wrong line.
     if (params.vpPredictAddresses && (e.isLd || e.isSt) &&
         !e.addrReused) {
-        e.madeAddrPred = vptAddr.predict(e.pc, e.exec.out.memAddr);
+        e.madeAddrPred = vptAddr->predict(e.pc, e.exec.out.memAddr);
         if (e.madeAddrPred.valid && injector.fireVptValue())
             e.madeAddrPred.value = injector.corrupt(e.madeAddrPred.value);
         if (e.madeAddrPred.valid) {
@@ -337,7 +343,7 @@ Core::tryDispatchReuse(int slot)
         }
     }
 
-    RbProbeResult hit = rb.probe(e.pc, e.inst, q);
+    RbProbeResult hit = rb->probe(e.pc, e.inst, q);
     if (!hit.entry.valid())
         return;
 
@@ -388,7 +394,7 @@ Core::tryDispatchReuse(int slot)
         }
         if (hit.recoveredSquashedWork)
             ++st.squashedRecovered;
-        rb.noteReused(hit, e.inst);
+        rb->noteReused(hit, e.inst);
         e.rbEntry = hit.entry;
         return;
     }
@@ -414,7 +420,7 @@ Core::tryDispatchReuse(int slot)
         }
         if (hit.recoveredSquashedWork)
             ++st.squashedRecovered;
-        rb.noteReused(hit, e.inst);
+        rb->noteReused(hit, e.inst);
         if (params.irOracleCheck) {
             VPIR_ASSERT(!producesResult(e.inst) ||
                             e.curResult == e.exec.out.result,
@@ -435,7 +441,7 @@ Core::tryDispatchReuse(int slot)
             e.storeAddrReady = true; // unblocks younger loads early
             noteStoreAddrReady();
         }
-        rb.noteReused(hit, e.inst);
+        rb->noteReused(hit, e.inst);
         if (hit.recoveredSquashedWork)
             ++st.squashedRecovered;
     }
@@ -456,17 +462,18 @@ Core::dispatchStage()
         if (slot < 0)
             break;
 
-        ExecResult er = emu.stepAt(f.pc);
-
         RobEntry &e = at(slot);
-        e = RobEntry{};
+        // Reset the slot in place (no temporary copied over it).
+        static_assert(std::is_trivially_destructible_v<RobEntry>);
+        ::new (static_cast<void *>(&e)) RobEntry;
+        e.exec = emu.stepAt(f.pc);
+        const ExecResult &er = e.exec;
         e.valid = true;
         e.seq = nextSeq++;
         e.pc = f.pc;
         e.inst = er.inst;
         e.cls = di.cls;
         e.di = f.di;
-        e.exec = er;
         e.postMark = state.mark();
         e.dispatchCycle = curCycle;
         e.isHalt = er.halted;
@@ -480,7 +487,8 @@ Core::dispatchStage()
         e.followedNextPC = f.predNextPC;
         e.ghrUsed = f.ghrUsed;
         e.fromRas = f.fromRas;
-        e.bpCp = f.bpCp;
+        if (f.isCtrl)
+            bpCps[slot] = f.bpCp;
 
         // Rename sources against in-flight producers.
         SrcRegs s = srcRegs(er.inst);
@@ -797,10 +805,7 @@ Core::issueEntry(int slot)
     } else {
         // Speculative inputs: genuinely evaluate with the wrong
         // values (this is what makes spurious outcomes possible).
-        MemReadFn mem = [this](Addr a, unsigned sz) {
-            return state.readMem(a, sz);
-        };
-        SemOut o = evalInstr(e.inst, e.pc, v0.value, v1.value, mem);
+        SemOut o = evalInstr(e.inst, e.pc, v0.value, v1.value, &state);
         e.pendResult = o.result;
         e.pendResult2 = o.result2;
         e.pendTaken = o.taken;
@@ -1006,7 +1011,7 @@ Core::completeEntry(int slot)
             // the dispatch precision check refuses the stale hit;
             // with it off, an escape is the retire checker's to catch.
             if (!injector.fireRbDropInv())
-                rb.storeInvalidate(e.curMemAddr, e.memSz);
+                rb->storeInvalidate(e.curMemAddr, e.memSz);
         }
     }
 
@@ -1272,8 +1277,7 @@ Core::squashAfter(int slot, Addr redirect)
 
     // Drop everything younger than the squashing instruction.
     while (robUsed > 0) {
-        int last = (robTail + static_cast<int>(params.robEntries) - 1) %
-                   static_cast<int>(params.robEntries);
+        int last = prevSlot(robTail);
         RobEntry &y = at(last);
         if (y.seq <= e.seq)
             break;
@@ -1282,7 +1286,7 @@ Core::squashAfter(int slot, Addr redirect)
             if ((params.technique == Technique::IR ||
                  params.technique == Technique::Hybrid) &&
                 y.rbInserted) {
-                rb.markSquashed(y.rbEntry);
+                rb->markSquashed(y.rbEntry);
             }
         }
         y.valid = false;
@@ -1328,7 +1332,8 @@ Core::squashAfter(int slot, Addr redirect)
     // Repair the speculative predictor state: restore the snapshot
     // taken before this instruction predicted, then re-apply its own
     // effect with the outcome just used for the redirect.
-    bpred.restore(e.bpCp);
+    VPIR_ASSERT(e.isCtrl, "squash by a non-control instruction");
+    bpred.restore(bpCps[slot]);
     if (e.cls == InstClass::Branch)
         bpred.forceHistoryBit(e.curTaken);
     if (isCall(e.inst.op))
@@ -1387,7 +1392,7 @@ Core::insertIntoRb(int slot)
             info.memValue = injector.corrupt(info.memValue);
     }
 
-    RbRef ref = rb.insert(info);
+    RbRef ref = rb->insert(info);
 
     // Dependence pointers: exact program-order producers resolved
     // through the ROB (still-alive producers carry their RB entry).
@@ -1405,7 +1410,7 @@ Core::insertIntoRb(int slot)
     // safe failure mode early validation is supposed to guarantee.
     if (injector.fireRbLink())
         links[injector.pick(2)] = RbRef{};
-    rb.linkSources(ref, links);
+    rb->linkSources(ref, links);
 
     e.rbEntry = ref;
     e.rbInserted = true;
@@ -1439,7 +1444,7 @@ Core::trainPredictors(RobEntry &e)
         params.technique == Technique::Hybrid) {
         if (producesResult(e.inst) && !e.isSt &&
             e.inst.rd != REG_INVALID) {
-            vptResult.update(e.pc, e.exec.out.result, e.madePred);
+            vptResult->update(e.pc, e.exec.out.result, e.madePred);
             if (e.predicted) {
                 ++st.vpResultPredicted;
                 if (e.predValue == e.exec.out.result)
@@ -1449,7 +1454,7 @@ Core::trainPredictors(RobEntry &e)
             }
         }
         if (e.isLd || e.isSt) {
-            vptAddr.update(e.pc, e.exec.out.memAddr, e.madeAddrPred);
+            vptAddr->update(e.pc, e.exec.out.memAddr, e.madeAddrPred);
             if (e.addrPredicted) {
                 ++st.vpAddrPredicted;
                 if (e.addrPredValue == e.exec.out.memAddr)
@@ -1596,7 +1601,7 @@ Core::commitStage()
             finalCand.insert(cs); // re-arm rather than strand
         }
         e.valid = false;
-        robHead = (robHead + 1) % static_cast<int>(params.robEntries);
+        robHead = nextSlot(robHead);
         --robUsed;
         ++commits;
         cycleHadWork = true;
@@ -1787,11 +1792,11 @@ Core::auditCycle() const
 
     // Periodic structure sweeps (O(entries), too hot for every cycle).
     if ((curCycle & 0xfff) == 0) {
-        std::string w = rb.audit();
-        if (w.empty())
-            w = vptResult.audit();
-        if (w.empty())
-            w = vptAddr.audit();
+        std::string w = rb ? rb->audit() : "";
+        if (w.empty() && vptResult)
+            w = vptResult->audit();
+        if (w.empty() && vptAddr)
+            w = vptAddr->audit();
         if (!w.empty())
             auditFail(w);
     }

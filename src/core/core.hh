@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "bpred/bpred.hh"
@@ -52,7 +53,10 @@ struct RobRef
     bool valid() const { return slot >= 0; }
 };
 
-/** One in-flight instruction (reorder buffer / RUU entry). */
+/** One in-flight instruction (reorder buffer / RUU entry). Plain
+ *  data that owns no heap storage: dispatch resets it in place, and
+ *  a control instruction's predictor checkpoint lives beside it in
+ *  Core::bpCps. */
 struct RobEntry
 {
     bool valid = false;
@@ -114,7 +118,6 @@ struct RobEntry
     Addr followedNextPC = 0;    //!< path fetch currently follows
     uint32_t ghrUsed = 0;
     bool fromRas = false;
-    BpredCheckpoint bpCp;
     bool pendingResolve = false;   //!< a publication needs SB action
     bool finalActionDone = false;  //!< final-outcome action happened
     bool resolvedForFetch = false; //!< counts against the 8-branch cap
@@ -170,7 +173,7 @@ struct FetchedInst
     bool predTaken = false;
     uint32_t ghrUsed = 0;
     bool fromRas = false;
-    BpredCheckpoint bpCp;
+    BpredCheckpoint bpCp; //!< predictor state before predict()
 };
 
 /** The out-of-order core. */
@@ -219,6 +222,19 @@ class Core
     const RobEntry &at(int slot) const { return rob[slot]; }
     bool refAlive(const RobRef &r) const;
     int allocRob();
+    /** Ring successor and predecessor of a ROB slot. */
+    int
+    nextSlot(int slot) const
+    {
+        return slot + 1 == static_cast<int>(params.robEntries) ? 0
+                                                               : slot + 1;
+    }
+    int
+    prevSlot(int slot) const
+    {
+        return (slot == 0 ? static_cast<int>(params.robEntries) : slot) -
+               1;
+    }
 
     /** Visit live ROB slots oldest-first until @p fn returns false.
      *  A template (not std::function) — this runs every cycle and
@@ -231,7 +247,7 @@ class Core
         for (unsigned i = 0; i < robUsed; ++i) {
             if (!fn(slot))
                 return;
-            slot = (slot + 1) % static_cast<int>(params.robEntries);
+            slot = nextSlot(slot);
         }
     }
 
@@ -340,9 +356,12 @@ class Core
     Cache icache;
     Cache dcache;
     BranchPredUnit bpred;
-    Vpt vptResult;
-    Vpt vptAddr;
-    ReuseBuffer rb;
+    /** Built only when the technique uses them (VP and hybrid: the
+     *  VPTs; IR and hybrid: the RB), so a cell never pays for
+     *  writing out megabytes of table it does not read. */
+    std::optional<Vpt> vptResult;
+    std::optional<Vpt> vptAddr;
+    std::optional<ReuseBuffer> rb;
     FuPool fus;
     FaultInjector injector;
     std::unique_ptr<LockstepChecker> checker;
@@ -410,6 +429,10 @@ class Core
     SchedProfile prof;
 
     std::vector<RobEntry> rob;
+    /** Predictor checkpoint per ROB slot, written at dispatch only for
+     *  control instructions (the only ones that squash), so the
+     *  entries themselves stay small and heap-free. */
+    std::vector<BpredCheckpoint> bpCps;
     int robHead = 0;
     int robTail = 0; //!< next free slot
     unsigned robUsed = 0;

@@ -44,7 +44,7 @@ slo32(uint64_t v)
 
 SemOut
 evalInstr(const Instr &inst, Addr pc, uint64_t src0, uint64_t src1,
-          const MemReadFn &mem)
+          const EmuState *mem)
 {
     SemOut o;
     o.nextPC = pc + 4;
@@ -142,7 +142,7 @@ evalInstr(const Instr &inst, Addr pc, uint64_t src0, uint64_t src1,
       case Op::LW: case Op::L_D: {
         o.memAddr = a + static_cast<uint32_t>(inst.imm);
         unsigned sz = memSize(inst.op);
-        uint64_t raw = mem ? mem(o.memAddr, sz) : 0;
+        uint64_t raw = mem ? mem->readMem(o.memAddr, sz) : 0;
         switch (inst.op) {
           case Op::LB:
             o.result = lo32(static_cast<uint32_t>(
@@ -276,10 +276,7 @@ Emulator::step()
     r.srcVals[0] = s.src[0] != REG_INVALID ? st.readReg(s.src[0]) : 0;
     r.srcVals[1] = s.src[1] != REG_INVALID ? st.readReg(s.src[1]) : 0;
 
-    MemReadFn mem = [this](Addr a, unsigned sz) {
-        return st.readMem(a, sz);
-    };
-    r.out = evalInstr(*ip, curPC, r.srcVals[0], r.srcVals[1], mem);
+    r.out = evalInstr(*ip, curPC, r.srcVals[0], r.srcVals[1], &st);
 
     if (isStore(ip->op))
         st.writeMem(r.out.memAddr, memSize(ip->op), r.out.storeValue);

@@ -12,8 +12,6 @@
 #ifndef VPIR_EMU_EXECUTOR_HH
 #define VPIR_EMU_EXECUTOR_HH
 
-#include <functional>
-
 #include "asm/assembler.hh"
 #include "emu/state.hh"
 #include "isa/decode.hh"
@@ -33,9 +31,6 @@ struct SemOut
     uint64_t storeValue = 0;  //!< memory: value stored
 };
 
-/** Callback used by loads to read memory during evaluation. */
-using MemReadFn = std::function<uint64_t(Addr, unsigned)>;
-
 /**
  * Evaluate an instruction given its operand values.
  *
@@ -43,10 +38,10 @@ using MemReadFn = std::function<uint64_t(Addr, unsigned)>;
  * @param pc    Its PC (for fall-through / link values).
  * @param src0  Value of srcRegs(inst).src[0] (0 if absent).
  * @param src1  Value of srcRegs(inst).src[1] (0 if absent).
- * @param mem   Memory reader for loads; when null, loads return 0.
+ * @param mem   State loads read; when null, loads return 0.
  */
 SemOut evalInstr(const Instr &inst, Addr pc, uint64_t src0, uint64_t src1,
-                 const MemReadFn &mem);
+                 const EmuState *mem);
 
 /** A fully executed dynamic instruction, as seen by the dispatcher. */
 struct ExecResult

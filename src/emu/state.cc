@@ -160,7 +160,7 @@ void
 EmuState::rollback(JournalMark m)
 {
     VPIR_ASSERT(m >= journalBase, "rollback past retired state");
-    while (journalBase + journal.size() > m) {
+    while (mark() > m) {
         const UndoRec &u = journal.back();
         if (u.isReg)
             regs[u.reg] = u.oldValue;
@@ -173,11 +173,22 @@ EmuState::rollback(JournalMark m)
 void
 EmuState::retire(JournalMark m)
 {
-    VPIR_ASSERT(m <= journalBase + journal.size(),
-                "retire beyond journal head");
-    while (journalBase < m) {
-        journal.pop_front();
-        ++journalBase;
+    VPIR_ASSERT(m <= mark(), "retire beyond journal head");
+    if (m <= journalBase)
+        return;
+    journalHead += m - journalBase;
+    journalBase = m;
+    size_t live = journal.size() - journalHead;
+    if (live == 0) {
+        journal.clear();
+        journalHead = 0;
+    } else if (journalHead >= live) {
+        // Compact: this moves no more live records than it drops
+        // retired ones, so retire stays amortised O(1).
+        journal.erase(journal.begin(),
+                      journal.begin() +
+                          static_cast<std::ptrdiff_t>(journalHead));
+        journalHead = 0;
     }
 }
 

@@ -25,9 +25,9 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "isa/instr.hh"
 #include "isa/regs.hh"
@@ -70,7 +70,11 @@ class EmuState
     // --- journal -------------------------------------------------------
     /** Current journal position; instructions record this before
      *  executing so squashes can restore the state exactly. */
-    JournalMark mark() const { return journalBase + journal.size(); }
+    JournalMark
+    mark() const
+    {
+        return journalBase + (journal.size() - journalHead);
+    }
 
     /** Undo all writes made at or after @p m. */
     void rollback(JournalMark m);
@@ -79,7 +83,7 @@ class EmuState
     void retire(JournalMark m);
 
     /** Number of live journal records (test/diagnostic hook). */
-    size_t journalDepth() const { return journal.size(); }
+    size_t journalDepth() const { return journal.size() - journalHead; }
 
     // --- copy-on-write observability ---------------------------------
     /** Pages resident in this state's sparse map. */
@@ -116,8 +120,13 @@ class EmuState
     /** shared_ptr, not unique_ptr: the default copy operations then
      *  implement the COW clone (pages shared until written). */
     std::unordered_map<uint32_t, std::shared_ptr<Page>> pages;
-    std::deque<UndoRec> journal;
-    JournalMark journalBase = 0;
+    /** Live records are journal[journalHead, size()): rollback pops
+     *  the back, retire advances journalHead, and the retired prefix
+     *  is dropped once it outgrows the live part, so the storage
+     *  stops growing once the window's high-water mark is reached. */
+    std::vector<UndoRec> journal;
+    size_t journalHead = 0;
+    JournalMark journalBase = 0; //!< mark of journal[journalHead]
     uint64_t cowFaults_ = 0;
 };
 

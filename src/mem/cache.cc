@@ -12,29 +12,30 @@ Cache::Cache(const CacheParams &p) : params(p)
     VPIR_ASSERT(p.ways >= 1, "need at least one way");
     numSets = p.sizeBytes / (p.lineBytes * p.ways);
     VPIR_ASSERT(isPowerOf2(numSets), "set count not a power of two");
-    lines.assign(numSets, std::vector<Line>(p.ways));
-    lru.assign(numSets, LruSet(p.ways));
+    lineBits = floorLog2(p.lineBytes);
+    setBits = floorLog2(numSets);
+    lines.assign(static_cast<size_t>(numSets) * p.ways, Line());
 }
 
 uint32_t
 Cache::setIndex(Addr addr) const
 {
-    return (addr / params.lineBytes) & (numSets - 1);
+    return (addr >> lineBits) & (numSets - 1);
 }
 
 uint32_t
 Cache::tagOf(Addr addr) const
 {
-    return (addr / params.lineBytes) / numSets;
+    return (addr >> lineBits) >> setBits;
 }
 
 bool
 Cache::probe(Addr addr) const
 {
-    const auto &set = lines[setIndex(addr)];
+    const Line *set = &lines[setIndex(addr) * params.ways];
     uint32_t tag = tagOf(addr);
-    for (const Line &l : set) {
-        if (l.valid && l.tag == tag)
+    for (unsigned w = 0; w < params.ways; ++w) {
+        if (set[w].valid && set[w].tag == tag)
             return true;
     }
     return false;
@@ -44,32 +45,34 @@ unsigned
 Cache::access(Addr addr)
 {
     ++nAccesses;
-    uint32_t si = setIndex(addr);
+    Line *set = &lines[setIndex(addr) * params.ways];
     uint32_t tag = tagOf(addr);
-    auto &set = lines[si];
 
-    for (unsigned w = 0; w < set.size(); ++w) {
+    for (unsigned w = 0; w < params.ways; ++w) {
         if (set[w].valid && set[w].tag == tag) {
-            lru[si].touch(w);
+            set[w].lru = ++clock;
             return params.hitLatency;
         }
     }
 
     ++nMisses;
-    unsigned victim = lru[si].victim();
-    set[victim].valid = true;
-    set[victim].tag = tag;
-    lru[si].touch(victim);
+    // LRU victim, lowest way on ties.
+    Line *victim = &set[0];
+    for (unsigned w = 1; w < params.ways; ++w) {
+        if (set[w].lru < victim->lru)
+            victim = &set[w];
+    }
+    victim->valid = true;
+    victim->tag = tag;
+    victim->lru = ++clock;
     return params.hitLatency + params.missLatency;
 }
 
 void
 Cache::reset()
 {
-    for (auto &set : lines) {
-        for (Line &l : set)
-            l.valid = false;
-    }
+    for (Line &l : lines)
+        l.valid = false;
     nAccesses = 0;
     nMisses = 0;
 }

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/lru.hh"
 #include "isa/instr.hh"
 
 namespace vpir
@@ -56,7 +55,7 @@ class Cache
     bool
     sameLine(Addr a, Addr b) const
     {
-        return (a / params.lineBytes) == (b / params.lineBytes);
+        return (a >> lineBits) == (b >> lineBits);
     }
 
   private:
@@ -64,6 +63,7 @@ class Cache
     {
         bool valid = false;
         uint32_t tag = 0;
+        uint64_t lru = 0; //!< clock at last touch; 0 = never touched
     };
 
     uint32_t setIndex(Addr addr) const;
@@ -71,8 +71,12 @@ class Cache
 
     CacheParams params;
     uint32_t numSets;
-    std::vector<std::vector<Line>> lines; //!< [set][way]
-    std::vector<LruSet> lru;
+    unsigned lineBits; //!< log2(lineBytes)
+    unsigned setBits;  //!< log2(numSets)
+    std::vector<Line> lines; //!< [set * ways + way]
+    /** One LRU clock for the whole cache: within a set, stamp order
+     *  is touch order, and never-touched ways tie at 0. */
+    uint64_t clock = 0;
     uint64_t nAccesses = 0;
     uint64_t nMisses = 0;
 };

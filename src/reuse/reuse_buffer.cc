@@ -1,12 +1,24 @@
 #include "reuse/reuse_buffer.hh"
 
-#include <algorithm>
-
 #include "common/bitutils.hh"
 #include "common/logging.hh"
 
 namespace vpir
 {
+
+namespace
+{
+
+/** Number of aligned words an access of @p size bytes at @p addr
+ *  touches. Word i of the span is (addr & ~3) + 4 * i, wrapping past
+ *  the top of the 32-bit space as EmuState's byte addressing does. */
+unsigned
+wordsSpanned(Addr addr, unsigned size)
+{
+    return ((addr & 3u) + size + 3u) / 4u;
+}
+
+} // anonymous namespace
 
 ReuseBuffer::ReuseBuffer(const RbParams &p) : params(p)
 {
@@ -14,17 +26,59 @@ ReuseBuffer::ReuseBuffer(const RbParams &p) : params(p)
                 "entries must divide into ways");
     numSets = p.entries / p.ways;
     VPIR_ASSERT(isPowerOf2(numSets), "set count not a power of two");
+    setBits = floorLog2(numSets);
     entries.assign(p.entries, Entry());
-    lru.assign(numSets, LruSet(p.ways));
-    // One bucket per entry is a comfortable upper bound on distinct
-    // load words tracked at once; avoids steady-state rehashing.
-    loadIndex.reserve(p.entries);
+    wordNodes.assign(static_cast<size_t>(p.entries) * maxLoadWords,
+                     WordNode());
+    // About one bucket per entry; at least two, so the hash shift
+    // stays below 32.
+    bucketBits = 1;
+    while ((1u << bucketBits) < p.entries)
+        ++bucketBits;
+    buckets.assign(size_t{1} << bucketBits, -1);
 }
 
 uint32_t
 ReuseBuffer::setIndex(Addr pc) const
 {
-    return foldPC(pc, floorLog2(numSets));
+    return foldPC(pc, setBits);
+}
+
+uint32_t
+ReuseBuffer::bucketOf(Addr word) const
+{
+    // Fibonacci hashing: strided load streams spread over buckets.
+    return (word * 0x9e3779b1u) >> (32 - bucketBits);
+}
+
+void
+ReuseBuffer::linkWord(int node, Addr word)
+{
+    WordNode &n = wordNodes[node];
+    int &head = buckets[bucketOf(word)];
+    n.word = word;
+    n.prev = -1;
+    n.next = head;
+    if (head >= 0)
+        wordNodes[head].prev = node;
+    head = node;
+}
+
+void
+ReuseBuffer::unlinkWord(int node)
+{
+    WordNode &n = wordNodes[node];
+    int &head = buckets[bucketOf(n.word)];
+    VPIR_ASSERT(n.prev >= 0 || head == node,
+                "unlinking an unregistered load word");
+    if (n.prev >= 0)
+        wordNodes[n.prev].next = n.next;
+    else
+        head = n.next;
+    if (n.next >= 0)
+        wordNodes[n.next].prev = n.prev;
+    n.prev = -1;
+    n.next = -1;
 }
 
 bool
@@ -112,7 +166,7 @@ ReuseBuffer::noteReused(const RbProbeResult &hit, const Instr &inst)
     Entry &e = entries[hit.entry.idx];
     if (e.serial != hit.entry.serial)
         return; // overwritten between probe and use; nothing to note
-    lru[hit.entry.idx / params.ways].touch(hit.entry.idx % params.ways);
+    touch(e);
     if (e.fromSquashed)
         e.fromSquashed = false; // recovery credit consumed once
 }
@@ -121,23 +175,22 @@ void
 ReuseBuffer::registerLoad(int idx)
 {
     const Entry &e = entries[idx];
-    for (Addr a = e.memAddr & ~3u; a < e.memAddr + e.memSz; a += 4)
-        loadIndex[a].push_back(idx);
+    unsigned n = wordsSpanned(e.memAddr, e.memSz);
+    VPIR_ASSERT(n <= maxLoadWords, "load spans more words than its nodes");
+    Addr a = e.memAddr & ~3u;
+    for (unsigned k = 0; k < n; ++k, a += 4)
+        linkWord(idx * static_cast<int>(maxLoadWords) + static_cast<int>(k),
+                 a);
 }
 
 void
 ReuseBuffer::unregisterLoad(int idx)
 {
     const Entry &e = entries[idx];
-    for (Addr a = e.memAddr & ~3u; a < e.memAddr + e.memSz; a += 4) {
-        auto it = loadIndex.find(a);
-        if (it == loadIndex.end())
-            continue;
-        auto &v = it->second;
-        v.erase(std::remove(v.begin(), v.end(), idx), v.end());
-        if (v.empty())
-            loadIndex.erase(it);
-    }
+    unsigned n = wordsSpanned(e.memAddr, e.memSz);
+    for (unsigned k = 0; k < n; ++k)
+        unlinkWord(idx * static_cast<int>(maxLoadWords) +
+                   static_cast<int>(k));
 }
 
 RbRef
@@ -169,8 +222,15 @@ ReuseBuffer::insert(const RbInsertInfo &info)
                 break;
             }
         }
-        if (way < 0)
-            way = static_cast<int>(lru[si].victim());
+        if (way < 0) {
+            // LRU victim, lowest way on ties.
+            const Entry *set = &entries[si * params.ways];
+            way = 0;
+            for (unsigned w = 1; w < params.ways; ++w) {
+                if (set[w].lru < set[way].lru)
+                    way = static_cast<int>(w);
+            }
+        }
     }
 
     int idx = static_cast<int>(si * params.ways + way);
@@ -178,8 +238,8 @@ ReuseBuffer::insert(const RbInsertInfo &info)
 
     const bool new_ld = isLoad(info.inst.op);
     const unsigned new_sz = memSize(info.inst.op);
-    // A refreshed load covering the same span keeps its loadIndex
-    // registrations; only a changed span pays the map updates.
+    // A refreshed load covering the same span keeps its load-index
+    // registrations; only a changed span relinks its words.
     const bool same_span = e.valid && e.isLd && new_ld &&
                            e.memAddr == info.memAddr && e.memSz == new_sz;
     if (e.valid && e.isLd && !same_span)
@@ -209,7 +269,7 @@ ReuseBuffer::insert(const RbInsertInfo &info)
     if (new_ld && !same_span)
         registerLoad(idx);
 
-    lru[si].touch(static_cast<unsigned>(way));
+    touch(e);
     return RbRef{idx, e.serial};
 }
 
@@ -228,12 +288,14 @@ ReuseBuffer::linkSources(const RbRef &ref, const RbRef src_links[2])
 void
 ReuseBuffer::storeInvalidate(Addr addr, unsigned size)
 {
-    for (Addr a = addr & ~3u; a < addr + size; a += 4) {
-        auto it = loadIndex.find(a);
-        if (it == loadIndex.end())
-            continue;
-        for (int idx : it->second)
-            entries[idx].memValid = false;
+    unsigned n = wordsSpanned(addr, size);
+    Addr a = addr & ~3u;
+    for (unsigned k = 0; k < n; ++k, a += 4) {
+        for (int id = buckets[bucketOf(a)]; id >= 0;
+             id = wordNodes[id].next) {
+            if (wordNodes[id].word == a)
+                entries[id / maxLoadWords].memValid = false;
+        }
     }
 }
 
@@ -252,7 +314,8 @@ ReuseBuffer::reset()
 {
     for (Entry &e : entries)
         e.valid = false;
-    loadIndex.clear();
+    for (int &h : buckets)
+        h = -1;
 }
 
 unsigned
@@ -271,6 +334,23 @@ ReuseBuffer::instancesFor(Addr pc) const
 std::string
 ReuseBuffer::audit() const
 {
+    // Bucket lists first: each is acyclic, doubly linked, and holds
+    // only nodes whose word hashes to it. The walks below rely on it.
+    size_t total_regs = 0;
+    for (size_t b = 0; b < buckets.size(); ++b) {
+        int prev = -1;
+        for (int id = buckets[b]; id >= 0; id = wordNodes[id].next) {
+            if (++total_regs > wordNodes.size())
+                return "RB load index list is cyclic";
+            const WordNode &n = wordNodes[id];
+            if (n.prev != prev)
+                return "RB load index back link broken";
+            if (bucketOf(n.word) != b)
+                return "RB load index node in the wrong bucket";
+            prev = id;
+        }
+    }
+
     size_t expect_regs = 0;
     for (size_t i = 0; i < entries.size(); ++i) {
         const Entry &e = entries[i];
@@ -289,16 +369,16 @@ ReuseBuffer::audit() const
         if (e.isLd) {
             // Every covered word must index back to this entry,
             // exactly once.
-            for (Addr a = e.memAddr & ~3u; a < e.memAddr + e.memSz;
-                 a += 4) {
+            unsigned n = wordsSpanned(e.memAddr, e.memSz);
+            Addr a = e.memAddr & ~3u;
+            for (unsigned k = 0; k < n; ++k, a += 4) {
                 ++expect_regs;
-                auto it = loadIndex.find(a);
                 unsigned hits = 0;
-                if (it != loadIndex.end()) {
-                    for (int idx : it->second) {
-                        if (idx == static_cast<int>(i))
-                            ++hits;
-                    }
+                for (int id = buckets[bucketOf(a)]; id >= 0;
+                     id = wordNodes[id].next) {
+                    if (wordNodes[id].word == a &&
+                        static_cast<size_t>(id) / maxLoadWords == i)
+                        ++hits;
                 }
                 if (hits != 1) {
                     return at + "load registered " +
@@ -310,9 +390,6 @@ ReuseBuffer::audit() const
     }
     // No stale registrations: the index holds exactly the valid load
     // entries' covered words, nothing else.
-    size_t total_regs = 0;
-    for (const auto &kv : loadIndex)
-        total_regs += kv.second.size();
     if (total_regs != expect_regs) {
         return "RB load index holds " + std::to_string(total_regs) +
                " registrations, entries imply " +

@@ -23,10 +23,8 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "common/lru.hh"
 #include "isa/decode.hh"
 #include "isa/instr.hh"
 
@@ -172,25 +170,48 @@ class ReuseBuffer
         bool isLd = false;         //!< cached isLoad(op)
         unsigned memSz = 0;        //!< cached memSize(op), 0 if not mem
         uint64_t serial = 0;
+        uint64_t lru = 0; //!< clock at last touch; 0 = never touched
     };
+
+    /** One word of a load entry's registration in the load index. */
+    struct WordNode
+    {
+        Addr word = 0;
+        int prev = -1; //!< node ids in the bucket's list, -1 = none
+        int next = -1;
+    };
+    /** An 8-byte load at a misaligned address covers three words. */
+    static constexpr unsigned maxLoadWords = 3;
 
     uint32_t setIndex(Addr pc) const;
     bool operandOk(const Operand &op, const RbOperandQuery &q) const;
+    void touch(Entry &e) { e.lru = ++clock; }
     void unregisterLoad(int idx);
     void registerLoad(int idx);
+    uint32_t bucketOf(Addr word) const;
+    void linkWord(int node, Addr word);
+    void unlinkWord(int node);
 
     RbParams params;
     uint32_t numSets;
+    unsigned setBits;
     std::vector<Entry> entries;   //!< flat [set*ways + way]
-    std::vector<LruSet> lru;
+    /** One LRU clock for the whole buffer: within a set, stamp order
+     *  is touch order, and never-touched ways tie at 0. */
+    uint64_t clock = 0;
     uint64_t nextSerial = 1;
 
     /** Last RB entry whose instruction wrote each register ('n'+'d'
      *  link formation). */
     RbRef regLink[NUM_ARCH_REGS];
 
-    /** word-address -> load entry indices covering it. */
-    std::unordered_map<Addr, std::vector<int>> loadIndex;
+    /** Load index, word address -> load entries covering it, as
+     *  intrusive lists over a fixed node pool: node k of entry i is
+     *  wordNodes[i * maxLoadWords + k], linked into the bucket of
+     *  the k-th word entry i covers while it is a valid load. */
+    std::vector<WordNode> wordNodes;
+    std::vector<int> buckets; //!< list heads by word hash, -1 = empty
+    unsigned bucketBits;
 };
 
 } // namespace vpir

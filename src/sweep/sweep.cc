@@ -180,6 +180,17 @@ SweepEngine::findOrCreate(const SweepCell &cell)
     return raw;
 }
 
+SweepEngine::Record *
+SweepEngine::popQueued()
+{
+    Record *r = queue[queueHead++];
+    if (queueHead == queue.size()) {
+        queue.clear();
+        queueHead = 0;
+    }
+    return r;
+}
+
 void
 SweepEngine::prefetch(const SweepCell &cell)
 {
@@ -193,11 +204,10 @@ SweepEngine::workerLoop()
     std::unique_lock<std::mutex> lk(mu);
     for (;;) {
         workAvailable.wait(
-            lk, [&] { return shuttingDown || !queue.empty(); });
+            lk, [&] { return shuttingDown || queueHead < queue.size(); });
         if (shuttingDown)
             return;
-        Record *r = queue.front();
-        queue.pop_front();
+        Record *r = popQueued();
         // Graceful stop: abandon queued cells unrun (in-flight ones
         // finish on their own threads); a rerun resumes them through
         // the disk cache.
@@ -225,9 +235,8 @@ SweepEngine::drain()
     auto t0 = std::chrono::steady_clock::now();
     std::unique_lock<std::mutex> lk(mu);
     if (numJobs <= 1) {
-        while (!queue.empty()) {
-            Record *r = queue.front();
-            queue.pop_front();
+        while (queueHead < queue.size()) {
+            Record *r = popQueued();
             if (stopSig.load()) {
                 r->skipped = true;
                 r->done = true;
@@ -262,12 +271,11 @@ SweepEngine::get(const SweepCell &cell)
     if (numJobs <= 1) {
         // Inline mode: run the requested cell now (FIFO position is
         // irrelevant — every cell eventually runs exactly once).
-        for (auto it = queue.begin(); it != queue.end(); ++it) {
-            if (*it == r) {
-                queue.erase(it);
-                break;
-            }
-        }
+        auto it = std::find(queue.begin() +
+                                static_cast<std::ptrdiff_t>(queueHead),
+                            queue.end(), r);
+        if (it != queue.end())
+            queue.erase(it);
         if (stopSig.load()) {
             r->skipped = true;
             r->done = true;
@@ -719,9 +727,8 @@ SweepEngine::maybeExitOnStop()
     {
         std::unique_lock<std::mutex> lk(mu);
         if (numJobs <= 1) {
-            while (!queue.empty()) {
-                Record *r = queue.front();
-                queue.pop_front();
+            while (queueHead < queue.size()) {
+                Record *r = popQueued();
                 r->skipped = true;
                 r->done = true;
                 --pending;

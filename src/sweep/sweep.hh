@@ -41,7 +41,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -239,6 +238,9 @@ class SweepEngine
     void workerLoop();
     void startWorkers();
     Record *findOrCreate(const SweepCell &cell); //!< locked by caller
+    /** Oldest queued record, removed from the queue (locked by
+     *  caller; the queue must not be empty). */
+    Record *popQueued();
     bool tryLoadFromDisk(Record &rec);
     void saveToDisk(const Record &rec);
     std::string diskPath(const Record &rec) const;
@@ -256,7 +258,9 @@ class SweepEngine
     std::condition_variable cellFinished;
     std::unordered_map<uint64_t, std::unique_ptr<Record>> cells;
     std::vector<Record *> submissionOrder;
-    std::deque<Record *> queue;
+    /** FIFO of records not yet taken: queue[queueHead, size()). */
+    std::vector<Record *> queue;
+    size_t queueHead = 0;
     std::vector<std::thread> workers;
     bool shuttingDown = false;
     size_t pending = 0;      //!< queued or running cells

@@ -12,21 +12,22 @@ Vpt::Vpt(const VptParams &p) : params(p)
                 "entries must divide into ways");
     numSets = p.entries / p.ways;
     VPIR_ASSERT(isPowerOf2(numSets), "set count not a power of two");
-    sets.assign(numSets, std::vector<Entry>(p.ways));
-    lru.assign(numSets, LruSet(p.ways));
+    setBits = floorLog2(numSets);
+    entries.assign(p.entries, Entry());
 }
 
 uint32_t
 Vpt::setIndex(Addr pc) const
 {
-    return foldPC(pc, floorLog2(numSets));
+    return foldPC(pc, setBits);
 }
 
 Vpt::Entry *
 Vpt::findValue(Addr pc, uint64_t value)
 {
-    auto &set = sets[setIndex(pc)];
-    for (Entry &e : set) {
+    Entry *set = setOf(pc);
+    for (unsigned w = 0; w < params.ways; ++w) {
+        Entry &e = set[w];
         if (e.valid && e.pc == pc && e.value == value)
             return &e;
     }
@@ -36,20 +37,24 @@ Vpt::findValue(Addr pc, uint64_t value)
 void
 Vpt::insert(Addr pc, uint64_t value)
 {
-    uint32_t si = setIndex(pc);
-    auto &set = sets[si];
-    // Prefer an invalid way; otherwise evict LRU.
-    unsigned victim = set.size();
-    for (unsigned w = 0; w < set.size(); ++w) {
+    Entry *set = setOf(pc);
+    // Prefer an invalid way; otherwise evict LRU (lowest way on ties).
+    Entry *victim = nullptr;
+    for (unsigned w = 0; w < params.ways; ++w) {
         if (!set[w].valid) {
-            victim = w;
+            victim = &set[w];
             break;
         }
     }
-    if (victim == set.size())
-        victim = lru[si].victim();
+    if (!victim) {
+        victim = &set[0];
+        for (unsigned w = 1; w < params.ways; ++w) {
+            if (set[w].lru < victim->lru)
+                victim = &set[w];
+        }
+    }
 
-    Entry &e = set[victim];
+    Entry &e = *victim;
     e.valid = true;
     e.pc = pc;
     e.value = value;
@@ -57,22 +62,21 @@ Vpt::insert(Addr pc, uint64_t value)
     // before they are used for prediction. This is what keeps
     // VP_Magic's misprediction rate low on rotating value sequences.
     e.conf.reset(0);
-    lru[si].touch(victim);
+    touch(e);
 }
 
 VptPrediction
 Vpt::predict(Addr pc, uint64_t oracle)
 {
     VptPrediction r;
-    uint32_t si = setIndex(pc);
-    auto &set = sets[si];
+    Entry *set = setOf(pc);
 
     if (params.scheme == VpScheme::Lvp) {
         // At most one instance per pc by construction of update().
-        for (unsigned w = 0; w < set.size(); ++w) {
+        for (unsigned w = 0; w < params.ways; ++w) {
             Entry &e = set[w];
             if (e.valid && e.pc == pc) {
-                lru[si].touch(w);
+                touch(e);
                 if (e.conf.atLeast(params.confidenceThreshold)) {
                     r.valid = true;
                     r.value = e.value;
@@ -88,12 +92,12 @@ Vpt::predict(Addr pc, uint64_t oracle)
     // observed at least twice; otherwise fall back to the most
     // confident instance, which needs full confidence.
     Entry *best = nullptr;
-    for (unsigned w = 0; w < set.size(); ++w) {
+    for (unsigned w = 0; w < params.ways; ++w) {
         Entry &e = set[w];
         if (!e.valid || e.pc != pc)
             continue;
         if (e.value == oracle && e.conf.atLeast(1)) {
-            lru[si].touch(w);
+            touch(e);
             r.valid = true;
             r.value = e.value;
             return r;
@@ -117,8 +121,8 @@ void
 Vpt::update(Addr pc, uint64_t actual, const VptPrediction &made)
 {
     if (params.scheme == VpScheme::Lvp) {
-        auto &set = sets[setIndex(pc)];
-        for (unsigned w = 0; w < set.size(); ++w) {
+        Entry *set = setOf(pc);
+        for (unsigned w = 0; w < params.ways; ++w) {
             Entry &e = set[w];
             if (e.valid && e.pc == pc) {
                 if (e.value == actual) {
@@ -127,7 +131,7 @@ Vpt::update(Addr pc, uint64_t actual, const VptPrediction &made)
                     e.conf.decrement();
                     e.value = actual; // last value semantics
                 }
-                lru[setIndex(pc)].touch(w);
+                touch(e);
                 return;
             }
         }
@@ -144,14 +148,7 @@ Vpt::update(Addr pc, uint64_t actual, const VptPrediction &made)
     }
     if (Entry *e = findValue(pc, actual)) {
         e->conf.increment();
-        // Refresh recency of the matching way.
-        auto &set = sets[setIndex(pc)];
-        for (unsigned w = 0; w < set.size(); ++w) {
-            if (&set[w] == e) {
-                lru[setIndex(pc)].touch(w);
-                break;
-            }
-        }
+        touch(*e);
     } else {
         insert(pc, actual);
     }
@@ -160,18 +157,17 @@ Vpt::update(Addr pc, uint64_t actual, const VptPrediction &made)
 void
 Vpt::reset()
 {
-    for (auto &set : sets) {
-        for (Entry &e : set)
-            e.valid = false;
-    }
+    for (Entry &e : entries)
+        e.valid = false;
 }
 
 unsigned
 Vpt::instancesFor(Addr pc) const
 {
+    const Entry *set = &entries[setIndex(pc) * params.ways];
     unsigned n = 0;
-    for (const Entry &e : sets[setIndex(pc)]) {
-        if (e.valid && e.pc == pc)
+    for (unsigned w = 0; w < params.ways; ++w) {
+        if (set[w].valid && set[w].pc == pc)
             ++n;
     }
     return n;
@@ -180,18 +176,17 @@ Vpt::instancesFor(Addr pc) const
 std::string
 Vpt::audit() const
 {
-    for (uint32_t s = 0; s < numSets; ++s) {
-        for (const Entry &e : sets[s]) {
-            if (!e.valid)
-                continue;
-            if (setIndex(e.pc) != s) {
-                return "VPT entry for pc " + std::to_string(e.pc) +
-                       " outside its PC's set";
-            }
-            if (e.conf.value() > e.conf.max()) {
-                return "VPT entry for pc " + std::to_string(e.pc) +
-                       " confidence above saturation";
-            }
+    for (size_t i = 0; i < entries.size(); ++i) {
+        const Entry &e = entries[i];
+        if (!e.valid)
+            continue;
+        if (setIndex(e.pc) != i / params.ways) {
+            return "VPT entry for pc " + std::to_string(e.pc) +
+                   " outside its PC's set";
+        }
+        if (e.conf.value() > e.conf.max()) {
+            return "VPT entry for pc " + std::to_string(e.pc) +
+                   " confidence above saturation";
         }
     }
     return "";

@@ -27,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "common/lru.hh"
 #include "common/sat_counter.hh"
 #include "isa/instr.hh"
 
@@ -94,20 +93,25 @@ class Vpt
     {
         bool valid = false;
         Addr pc = 0;
+        SatCounter conf{2, 0};
         uint64_t value = 0;
-        SatCounter conf;
-
-        Entry() : conf(2, 0) {}
+        uint64_t lru = 0; //!< clock at last touch; 0 = never touched
     };
 
     uint32_t setIndex(Addr pc) const;
+    /** First way of @p pc's set in the flat entry array. */
+    Entry *setOf(Addr pc) { return &entries[setIndex(pc) * params.ways]; }
     Entry *findValue(Addr pc, uint64_t value);
     void insert(Addr pc, uint64_t value);
+    void touch(Entry &e) { e.lru = ++clock; }
 
     VptParams params;
     uint32_t numSets;
-    std::vector<std::vector<Entry>> sets;
-    std::vector<LruSet> lru;
+    unsigned setBits;
+    std::vector<Entry> entries; //!< [set * ways + way]
+    /** One LRU clock for the whole table: within a set, stamp order
+     *  is touch order, and never-touched ways tie at 0. */
+    uint64_t clock = 0;
 };
 
 } // namespace vpir

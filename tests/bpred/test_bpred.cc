@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "bpred/bpred.hh"
+#include "common/logging.hh"
 
 using namespace vpir;
 
@@ -197,4 +198,11 @@ TEST(Bpred, DeepCallChainsWrapRas)
         BpredLookup l = bp.predict(0x9100, returnInst());
         EXPECT_EQ(l.predTarget, 0x1000u + 16 * i + 4);
     }
+
+    // 16 is also the deepest stack a checkpoint holds; a deeper one
+    // is refused at construction.
+    PanicThrowScope throws;
+    BpredParams deep;
+    deep.rasEntries = maxRasEntries + 1;
+    EXPECT_THROW(BranchPredUnit{deep}, SimError);
 }

@@ -204,14 +204,15 @@ TEST(EvalInstr, FloatingPoint)
 
 TEST(EvalInstr, LoadsSignAndZeroExtend)
 {
-    auto mem = [](Addr, unsigned) -> uint64_t { return 0x80; };
+    EmuState mem;
+    mem.initMem(0x100, 1, 0x80);
     Instr l;
     l.op = Op::LB;
     l.rd = T0;
     l.rs = T1;
-    EXPECT_EQ(evalInstr(l, 0, 0x100, 0, mem).result, 0xffffff80u);
+    EXPECT_EQ(evalInstr(l, 0, 0x100, 0, &mem).result, 0xffffff80u);
     l.op = Op::LBU;
-    EXPECT_EQ(evalInstr(l, 0, 0x100, 0, mem).result, 0x80u);
+    EXPECT_EQ(evalInstr(l, 0, 0x100, 0, &mem).result, 0x80u);
 }
 
 TEST(Emulator, RunsAssembledProgram)

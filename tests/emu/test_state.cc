@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
+#include <vector>
 
 #include "common/rng.hh"
 #include "emu/state.hh"
@@ -243,4 +245,99 @@ TEST(EmuState, RandomisedJournalEquivalence)
         ASSERT_EQ(s.readReg(reg), v);
     for (const auto &[a, v] : cur.mem)
         ASSERT_EQ(s.readMem(a, 1), v);
+}
+
+/**
+ * Property test for the journal's storage: random runs of register
+ * and memory writes, partial retires and partial rollbacks, many of
+ * them retiring past the point where the retired prefix outgrows the
+ * live records and gets compacted away. After every operation the
+ * state, mark() and journalDepth() must equal a reference that keeps
+ * the retired state plus the list of live writes and replays them.
+ */
+TEST(EmuState, JournalCompactionMatchesReferenceReplay)
+{
+    struct Write
+    {
+        bool isReg;
+        RegId reg;
+        Addr addr;
+        unsigned size;
+        uint64_t value;
+    };
+    struct Ref
+    {
+        std::array<uint64_t, NUM_ARCH_REGS> regs{};
+        std::map<Addr, uint8_t> mem;
+
+        void
+        apply(const Write &w)
+        {
+            if (w.isReg) {
+                regs[w.reg] = w.value;
+                return;
+            }
+            for (unsigned b = 0; b < w.size; ++b)
+                mem[w.addr + b] = static_cast<uint8_t>(w.value >> (8 * b));
+        }
+    };
+
+    EmuState s;
+    Rng rng(17);
+    Ref retired;              // state at the retire point
+    std::vector<Write> live;  // journaled writes since then, in order
+    JournalMark base = s.mark();
+    int writes = 0;
+    int retires_leaving_live = 0;
+    for (int step = 0; step < 8000; ++step) {
+        uint64_t r = rng.below(100);
+        if (r < 70) {
+            Write w{};
+            w.value = rng.next();
+            if (rng.below(2)) {
+                w.isReg = true;
+                w.reg = static_cast<RegId>(1 + rng.below(NUM_ARCH_REGS - 1));
+                s.writeReg(w.reg, w.value);
+            } else {
+                static const unsigned sizes[] = {1, 2, 4, 8};
+                w.size = sizes[rng.below(4)];
+                // 64 bytes straddling a page boundary.
+                w.addr = static_cast<Addr>(0x4fe0 + rng.below(64));
+                s.writeMem(w.addr, w.size, w.value);
+                if (w.size < 8)
+                    w.value &= (uint64_t{1} << (8 * w.size)) - 1;
+            }
+            live.push_back(w);
+            ++writes;
+        } else if (r < 85) {
+            size_t n = rng.below(live.size() + 1);
+            s.retire(base + n);
+            for (size_t i = 0; i < n; ++i)
+                retired.apply(live[i]);
+            live.erase(live.begin(),
+                       live.begin() + static_cast<std::ptrdiff_t>(n));
+            base += n;
+            retires_leaving_live += n > 0 && !live.empty();
+        } else {
+            size_t n = rng.below(live.size() + 1);
+            s.rollback(base + n);
+            live.resize(n);
+        }
+
+        ASSERT_EQ(s.mark(), base + live.size()) << "step " << step;
+        ASSERT_EQ(s.journalDepth(), live.size()) << "step " << step;
+        Ref expect = retired;
+        for (const Write &w : live)
+            expect.apply(w);
+        for (RegId g = 1; g < NUM_ARCH_REGS; ++g)
+            ASSERT_EQ(s.readReg(g), expect.regs[g])
+                << "step " << step << " reg " << unsigned(g);
+        for (Addr a = 0x4fe0; a < 0x4fe0 + 64 + 7; ++a) {
+            auto it = expect.mem.find(a);
+            ASSERT_EQ(s.readMem(a, 1), it == expect.mem.end() ? 0 : it->second)
+                << "step " << step << " addr " << a;
+        }
+    }
+    EXPECT_GE(writes, 5000);
+    EXPECT_GT(retires_leaving_live, 100);
 }

@@ -121,3 +121,45 @@ TEST(Cache, SmallWorkingSetHits)
         c.access(static_cast<Addr>(rng.below(8 * 1024)));
     EXPECT_EQ(c.misses(), warm_misses); // 8KB fits entirely
 }
+
+/** Property: an 8-way, one-set cache keeps exactly the lines a
+ *  per-way stamp LRU reference keeps (untouched ways tie at stamp 0
+ *  and the lowest one is the victim). */
+TEST(Cache, EightWayMatchesLruReferenceModel)
+{
+    Cache c(CacheParams{8 * 32, 8, 32, 1, 6});
+    struct Way
+    {
+        uint64_t stamp = 0;
+        int64_t line = -1;
+    };
+    std::vector<Way> ref(8);
+    uint64_t t = 0;
+    uint64_t s = 99;
+    for (int i = 0; i < 2000; ++i) {
+        s = s * 6364136223846793005ull + 1;
+        int64_t line = static_cast<int64_t>(s >> 60); // 16 lines
+        unsigned w = 0;
+        while (w < 8 && ref[w].line != line)
+            ++w;
+        bool hit = w < 8;
+        if (!hit) {
+            w = 0;
+            for (unsigned k = 1; k < 8; ++k) {
+                if (ref[k].stamp < ref[w].stamp)
+                    w = k;
+            }
+            ref[w].line = line;
+        }
+        ref[w].stamp = ++t;
+        ASSERT_EQ(c.access(static_cast<Addr>(line * 32)) == 1, hit)
+            << "access " << i;
+        for (int64_t l = 0; l < 16; ++l) {
+            bool resident = false;
+            for (const Way &r : ref)
+                resident = resident || r.line == l;
+            ASSERT_EQ(c.probe(static_cast<Addr>(l * 32)), resident)
+                << "access " << i << " line " << l;
+        }
+    }
+}

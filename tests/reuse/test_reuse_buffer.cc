@@ -339,3 +339,56 @@ TEST(ReuseBuffer, ResetClears)
     readyOps(q, 5, 7);
     EXPECT_FALSE(rb.probe(0x1000, addInstr(), q).resultReused);
 }
+
+/** A reused or refreshed instance survives; the least recently used
+ *  one is evicted. Probing alone does not count as a use. */
+TEST(ReuseBuffer, EvictsLeastRecentlyUsedInstance)
+{
+    ReuseBuffer rb(smallRb());
+    for (uint64_t v = 1; v <= 4; ++v)
+        rb.insert(addInsert(0x1000, v, v));
+    RbOperandQuery q[2];
+    readyOps(q, 1, 1);
+    RbProbeResult hit = rb.probe(0x1000, addInstr(), q);
+    ASSERT_TRUE(hit.resultReused);
+    rb.noteReused(hit, addInstr()); // reuse re-touches instance 1
+    readyOps(q, 2, 2);
+    ASSERT_TRUE(rb.probe(0x1000, addInstr(), q).resultReused);
+    rb.insert(addInsert(0x1000, 5, 5)); // evicts 2, despite its probe
+    rb.insert(addInsert(0x1000, 3, 3)); // refresh re-touches 3
+    rb.insert(addInsert(0x1000, 6, 6)); // evicts 4
+    EXPECT_EQ(rb.instancesFor(0x1000), 4u);
+    for (uint64_t v = 1; v <= 6; ++v) {
+        readyOps(q, v, v);
+        EXPECT_EQ(rb.probe(0x1000, addInstr(), q).resultReused,
+                  v != 2 && v != 4)
+            << v;
+    }
+    EXPECT_EQ(rb.audit(), "");
+}
+
+/** Word spans wrap past the top of the 32-bit space, as EmuState's
+ *  byte addressing does; no span loop may run away or miss the
+ *  wrapped words. */
+TEST(ReuseBuffer, SpanAtTopOfAddressSpaceTerminates)
+{
+    ReuseBuffer rb(smallRb());
+    RbOperandQuery q[2];
+    q[0] = RbOperandQuery{};
+    q[0].reg = 1;
+    q[0].ready = true;
+    q[0].value = 0xfffffffc;
+    q[1] = RbOperandQuery{};
+
+    rb.insert(loadInsert(0x2000, 0xfffffffc, 77));
+    EXPECT_EQ(rb.audit(), "");
+    ASSERT_TRUE(rb.probe(0x2000, loadInstr(), q).resultReused);
+    rb.storeInvalidate(0xfffffffc, 1); // byte store, top word
+    EXPECT_FALSE(rb.probe(0x2000, loadInstr(), q).resultReused);
+
+    rb.insert(loadInsert(0x2000, 0xfffffffc, 77)); // revalidate
+    ASSERT_TRUE(rb.probe(0x2000, loadInstr(), q).resultReused);
+    rb.storeInvalidate(0xfffffffb, 8); // bytes 0xfffffffb..0x2, wrapping
+    EXPECT_FALSE(rb.probe(0x2000, loadInstr(), q).resultReused);
+    EXPECT_EQ(rb.audit(), "");
+}

@@ -213,13 +213,15 @@ TEST(Isolate, RlimitTurnsOverconsumptionIntoFailure)
     EnvGuard iso("VPIR_ISOLATE", "1");
     EnvGuard rlimit("VPIR_CELL_RLIMIT_MB", "8");
     SweepEngine eng(1, "");
-    SweepCell c = cell("compress", "base", baseConfig());
+    SweepCell c = cell("compress", "hybrid", hybridConfig());
     eng.prefetch(c);
     eng.drain();
 
-    // 8MB of address space cannot even hold the workload program; the
-    // child dies on allocation failure (the exact signal/exit depends
-    // on the allocator and sanitizers) and the sweep survives.
+    // The workload is built before the fork, but a hybrid core builds
+    // every predictor table, megabytes that 8MB of address space
+    // cannot hold; the child dies on allocation failure (the exact
+    // signal/exit depends on the allocator and sanitizers) and the
+    // sweep survives.
     std::vector<CellFailure> fails = eng.failures();
     ASSERT_EQ(fails.size(), 1u);
     EXPECT_FALSE(fails[0].error.empty());

@@ -176,3 +176,37 @@ TEST(VptMagic, AlternatingValuesArePredictable)
         EXPECT_EQ(p.value, static_cast<uint64_t>(i % 2));
     }
 }
+
+/** Replacement is LRU over every touch of an instance: its insert,
+ *  a confidence update, and an oracle-hit prediction. */
+TEST(VptMagic, EvictsLeastRecentlyUsedInstance)
+{
+    Vpt v(magicParams());
+    for (uint64_t val = 10; val < 14; ++val)
+        observe(v, 0x1000, val, 2); // four instances at confidence 1
+    observe(v, 0x1000, 10);         // update re-touches the oldest
+    observe(v, 0x1000, 14);         // evicts 11
+    EXPECT_FALSE(v.predict(0x1000, 11).valid);
+    EXPECT_TRUE(v.predict(0x1000, 12).valid); // prediction re-touches 12
+    observe(v, 0x1000, 15);                   // evicts 13
+    EXPECT_EQ(v.instancesFor(0x1000), 4u);
+    EXPECT_FALSE(v.predict(0x1000, 13).valid);
+    EXPECT_TRUE(v.predict(0x1000, 12).valid);
+    EXPECT_TRUE(v.predict(0x1000, 10).valid);
+}
+
+TEST(VptLvp, EvictsLeastRecentlyUsedPc)
+{
+    Vpt v(lvpParams());
+    // pc >> 2 is a multiple of 4096, so every term foldPC XORs has
+    // zero low bits: all five PCs index set 0 of the 16-set table.
+    const Addr pc[5] = {0x4000, 0x8000, 0xc000, 0x10000, 0x14000};
+    for (int i = 0; i < 4; ++i)
+        observe(v, pc[i], 1);
+    v.predict(pc[0], 0); // a prediction lookup re-touches pc[0]
+    observe(v, pc[1], 1); // so does an update of pc[1]
+    observe(v, pc[4], 1); // evicts pc[2], now least recently used
+    EXPECT_EQ(v.instancesFor(pc[2]), 0u);
+    for (int i : {0, 1, 3, 4})
+        EXPECT_EQ(v.instancesFor(pc[i]), 1u) << i;
+}
