@@ -18,13 +18,9 @@
  *   VPIR_CHECK          =1: lockstep-verify every retired instruction
  *   VPIR_WATCHDOG_CYCLES commit-progress watchdog limit
  *   VPIR_FAULT_*        deterministic fault injection (see configs.hh)
- *   VPIR_ISOLATE        =1: run each sweep cell in a forked child so
- *                       a crash/hang is contained as a CellFailure
- *   VPIR_CELL_TIMEOUT_MS per-cell wall-clock deadline (SIGKILL when
- *                       isolated, cooperative panic in-process)
- *   VPIR_CELL_RLIMIT_MB address-space rlimit per isolated cell
- *   VPIR_WARM_CACHE     =0: disable the warm-start cache (per-cell
- *                       assembly + warmup; byte-identical results)
+ *
+ * A cell that panics is reported and the harness exits 1 once every
+ * other cell has finished; VPIR_WATCHDOG_CYCLES bounds a hung cell.
  */
 
 #ifndef VPIR_BENCH_BENCH_UTIL_HH

@@ -6,7 +6,6 @@
 #include <sstream>
 #include <type_traits>
 
-#include "common/deadline.hh"
 #include "common/env.hh"
 #include "common/logging.hh"
 #include "isa/disasm.hh"
@@ -2048,19 +2047,13 @@ Core::cycle()
             ++st.committedInsts; // VPIR_TEST_AUDIT_CLOBBER: planted bug
         auditCycle();
     }
-    // Cooperative per-cell deadline (the sweep's in-process timeout
-    // mode, VPIR_CELL_TIMEOUT_MS): polled every 16K cycles so the
-    // wall-clock read stays off the hot path.
-    if ((curCycle & 0x3fff) == 0 && cellDeadlineExpired())
-        panic("cell wall-clock deadline exceeded "
-              "(VPIR_CELL_TIMEOUT_MS)");
     // Idle-cycle skipping: when nothing observable happened this
     // cycle, jump to the cycle before the next possible action — the
     // earliest wheel event or wake hint — never past the watchdog
-    // trip, the planted audit clobber, the next deadline-poll cycle,
-    // or the maxCycles budget. Skipped cycles still count toward
-    // st.cycles, so every cycle-derived observable is what stepping
-    // through them one by one would give.
+    // trip, the planted audit clobber, or the maxCycles budget.
+    // Skipped cycles still count toward st.cycles, so every
+    // cycle-derived observable is what stepping through them one by
+    // one would give.
     if (!done && !cycleHadWork) {
         uint64_t target =
             std::min(schedWake, wheel.nextEventAt(curCycle));
@@ -2069,8 +2062,6 @@ Core::cycle()
                               lastCommitCycle + params.watchdogCycles);
         if (auditClobberCycle > curCycle)
             target = std::min(target, auditClobberCycle);
-        if (cellDeadlineArmed())
-            target = std::min(target, (curCycle | 0x3fff) + 1);
         uint64_t room = params.maxCycles - st.cycles; // >= 1 here
         uint64_t delta = 0;
         if (target == UINT64_MAX)

@@ -112,9 +112,9 @@ struct CoreStats
  * Visit every field of a CoreStats by name: fn(const char *name,
  * uint64_t &value), const-qualified when @p st is. The execCountHist
  * buckets are visited as execCountHist0..3 and haltedCleanly, last, as
- * 0/1 through a proxy. The result cache, the fork protocol,
- * statsEqual() and the stats schema fingerprint all share this single
- * field list so they cannot drift apart.
+ * 0/1 through a proxy. The result cache, statsEqual() and the stats
+ * schema fingerprint all share this single field list so they cannot
+ * drift apart.
  */
 template <typename Stats, typename Fn>
 void

@@ -11,8 +11,7 @@
  * deterministic stats block would break stats byte-identity and the
  * result-cache fingerprint. The skip
  * count is still deterministic for a given build and cell. The sweep
- * engine carries the profile through the fork wire protocol as plain
- * integers and emits it per cell into bench_timing.*.json.
+ * engine emits the profile per cell into bench_timing.*.json.
  */
 
 #ifndef VPIR_CORE_SCHED_PROFILE_HH
@@ -40,8 +39,8 @@ struct SchedProfile
     bool enabled = false;
 };
 
-/** Visit every integer field with its JSON/wire name; keeps the fork
- *  wire protocol and the timing-JSON emitter on one field list. */
+/** Visit every integer field with its JSON name; keeps the timing-JSON
+ *  emitter and the [profile] stderr lines on one field list. */
 template <typename P, typename F>
 void
 forEachProfileField(P &p, F f)

@@ -34,8 +34,6 @@ classifyPanic(const std::string &msg)
         return "audit";
     if (msg.find("watchdog:") != std::string::npos)
         return "watchdog";
-    if (msg.find("deadline exceeded") != std::string::npos)
-        return "deadline";
     return "panic";
 }
 

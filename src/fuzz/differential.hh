@@ -28,10 +28,10 @@ namespace fuzz
 struct DiffOutcome
 {
     bool diverged = false;
-    /** Failure class: "checker", "audit", "watchdog", "deadline",
-     *  "panic", "conservation", "end-state", "no-halt"; "" on a
-     *  clean run. Stable across shrinking (details may move, the
-     *  kind must not). */
+    /** Failure class: "checker", "audit", "watchdog", "panic",
+     *  "conservation", "end-state", "no-halt"; "" on a clean run.
+     *  Stable across shrinking (details may move, the kind must
+     *  not). */
     std::string kind;
     /** First line of the failure message / description. */
     std::string detail;

@@ -32,15 +32,10 @@ CoreStats
 runWorkload(const std::string &name, const CoreParams &params,
             const WorkloadScale &scale)
 {
-    if (WarmStartCache::enabledFromEnv()) {
-        WarmStartCache &cache = WarmStartCache::global();
-        auto w = cache.workload(name, scale);
-        auto snap = cache.snapshot(name, scale, params.warmupInsts);
-        Simulator sim(params, std::move(w), std::move(snap));
-        return sim.run();
-    }
-    Workload w = makeWorkload(name, scale);
-    Simulator sim(params, std::move(w.program));
+    WarmStartCache &cache = WarmStartCache::global();
+    auto w = cache.workload(name, scale);
+    auto snap = cache.snapshot(name, scale, params.warmupInsts);
+    Simulator sim(params, std::move(w), std::move(snap));
     return sim.run();
 }
 

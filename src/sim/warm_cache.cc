@@ -3,8 +3,6 @@
 #include <cstdio>
 #include <cstring>
 
-#include "common/env.hh"
-
 namespace vpir
 {
 
@@ -27,12 +25,6 @@ scaleKey(const std::string &name, const WorkloadScale &scale)
 }
 
 } // namespace
-
-bool
-WarmStartCache::enabledFromEnv()
-{
-    return parseEnvU64("VPIR_WARM_CACHE", 1) != 0;
-}
 
 WarmStartCache &
 WarmStartCache::global()

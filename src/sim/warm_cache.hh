@@ -17,13 +17,10 @@
  * PanicThrowScope) leaves the slot unbuilt; the next caller retries
  * and observes the same error.
  *
- * Fork safety: under VPIR_ISOLATE the parent must populate the cache
- * *before* forking a cell child (SweepEngine does) — a child forked
- * while another worker holds a cache mutex would deadlock on it.
- *
- * Disabled with VPIR_WARM_CACHE=0 (default on), in which case callers
- * fall back to per-cell assembly/warmup and results must be
- * byte-identical.
+ * Every sweep cell and runWorkload() go through the cache. The cold
+ * path — Simulator(params, Program), whose Core constructor replays
+ * the warmup itself — stays as the reference the tests hold the
+ * cloned machines to, bit for bit.
  */
 
 #ifndef VPIR_SIM_WARM_CACHE_HH
@@ -53,10 +50,6 @@ class WarmStartCache
         uint64_t snapshotBuilds = 0;
         uint64_t snapshotHits = 0;
     };
-
-    /** The VPIR_WARM_CACHE knob (default on). Read per call so tests
-     *  can toggle it with an env guard mid-process. */
-    static bool enabledFromEnv();
 
     static WarmStartCache &global();
 

@@ -18,9 +18,9 @@
 #include "common/fnv.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "fuzz/generator.hh"
 #include "sim/simulator.hh"
 #include "sim/warm_cache.hh"
-#include "sweep/isolate.hh"
 #include "sweep/stats_json.hh"
 
 namespace vpir
@@ -37,6 +37,22 @@ secondsSince(std::chrono::steady_clock::time_point t0)
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - t0)
         .count();
+}
+
+/** Reproducibility tail for cell failure reports: the active fault
+ *  seed and, for generated fuzz programs, the generator seed and
+ *  revision. */
+std::string
+cellReproInfo(const SweepCell &cell)
+{
+    std::string s;
+    if (cell.params.faults.any())
+        s += " fault_seed=0x" + hex16(cell.params.faults.seed);
+    if (fuzz::isFuzzWorkloadName(cell.workload)) {
+        s += " fuzz_seed=0x" + hex16(fuzz::fuzzSeedFromName(cell.workload)) +
+             " gen_rev=" + std::to_string(fuzz::GENERATOR_REVISION);
+    }
+    return s;
 }
 
 } // anonymous namespace
@@ -60,6 +76,22 @@ defaultCacheDir()
     if (const char *s = std::getenv("VPIR_RESULT_CACHE"))
         return s;
     return "";
+}
+
+std::string
+signalName(int sig)
+{
+    switch (sig) {
+      case SIGSEGV: return "SIGSEGV";
+      case SIGABRT: return "SIGABRT";
+      case SIGBUS:  return "SIGBUS";
+      case SIGILL:  return "SIGILL";
+      case SIGFPE:  return "SIGFPE";
+      case SIGKILL: return "SIGKILL";
+      case SIGTERM: return "SIGTERM";
+      case SIGINT:  return "SIGINT";
+      default:      return "signal " + std::to_string(sig);
+    }
 }
 
 // --------------------------------------------------------------- hash
@@ -93,8 +125,7 @@ cellHash(const SweepCell &cell)
 // -------------------------------------------------------------- engine
 
 SweepEngine::SweepEngine(unsigned jobs, const std::string &cache_dir)
-    : numJobs(jobs ? jobs : defaultJobs()), cacheDir(cache_dir),
-      iso(isolationFromEnv())
+    : numJobs(jobs ? jobs : defaultJobs()), cacheDir(cache_dir)
 {
     if (!cacheDir.empty()) {
         std::error_code ec;
@@ -180,22 +211,44 @@ SweepEngine::findOrCreate(const SweepCell &cell)
     return raw;
 }
 
-SweepEngine::Record *
-SweepEngine::popQueued()
-{
-    Record *r = queue[queueHead++];
-    if (queueHead == queue.size()) {
-        queue.clear();
-        queueHead = 0;
-    }
-    return r;
-}
-
 void
 SweepEngine::prefetch(const SweepCell &cell)
 {
     std::lock_guard<std::mutex> lk(mu);
     findOrCreate(cell);
+}
+
+void
+SweepEngine::runQueued(std::unique_lock<std::mutex> &lk, Record *rec)
+{
+    auto head = queue.begin() + static_cast<std::ptrdiff_t>(queueHead);
+    if (!rec) {
+        rec = *head;
+        ++queueHead;
+    } else {
+        // Inline get() runs its cell out of turn; the rest keep their
+        // FIFO order.
+        auto it = std::find(head, queue.end(), rec);
+        VPIR_ASSERT(it != queue.end(), "sweep: record is not queued");
+        queue.erase(it);
+    }
+    if (queueHead == queue.size()) {
+        queue.clear();
+        queueHead = 0;
+    }
+    // Graceful stop: abandon queued cells unrun (in-flight ones finish
+    // on their own threads); a rerun resumes them through the disk
+    // cache.
+    if (stopSig.load()) {
+        rec->skipped = true;
+    } else {
+        lk.unlock();
+        runRecord(*rec);
+        lk.lock();
+    }
+    rec->done = true;
+    --pending;
+    cellFinished.notify_all();
 }
 
 void
@@ -207,25 +260,7 @@ SweepEngine::workerLoop()
             lk, [&] { return shuttingDown || queueHead < queue.size(); });
         if (shuttingDown)
             return;
-        Record *r = popQueued();
-        // Graceful stop: abandon queued cells unrun (in-flight ones
-        // finish on their own threads); a rerun resumes them through
-        // the disk cache.
-        if (stopSig.load()) {
-            r->skipped = true;
-            r->done = true;
-            --pending;
-            cellFinished.notify_all();
-            continue;
-        }
-        r->running = true;
-        lk.unlock();
-        runRecord(*r);
-        lk.lock();
-        r->running = false;
-        r->done = true;
-        --pending;
-        cellFinished.notify_all();
+        runQueued(lk);
     }
 }
 
@@ -235,22 +270,8 @@ SweepEngine::drain()
     auto t0 = std::chrono::steady_clock::now();
     std::unique_lock<std::mutex> lk(mu);
     if (numJobs <= 1) {
-        while (queueHead < queue.size()) {
-            Record *r = popQueued();
-            if (stopSig.load()) {
-                r->skipped = true;
-                r->done = true;
-                --pending;
-                continue;
-            }
-            r->running = true;
-            lk.unlock();
-            runRecord(*r);
-            lk.lock();
-            r->running = false;
-            r->done = true;
-            --pending;
-        }
+        while (queueHead < queue.size())
+            runQueued(lk);
     } else {
         cellFinished.wait(lk, [&] { return pending == 0; });
     }
@@ -271,24 +292,7 @@ SweepEngine::get(const SweepCell &cell)
     if (numJobs <= 1) {
         // Inline mode: run the requested cell now (FIFO position is
         // irrelevant — every cell eventually runs exactly once).
-        auto it = std::find(queue.begin() +
-                                static_cast<std::ptrdiff_t>(queueHead),
-                            queue.end(), r);
-        if (it != queue.end())
-            queue.erase(it);
-        if (stopSig.load()) {
-            r->skipped = true;
-            r->done = true;
-            --pending;
-        } else {
-            r->running = true;
-            lk.unlock();
-            runRecord(*r);
-            lk.lock();
-            r->running = false;
-            r->done = true;
-            --pending;
-        }
+        runQueued(lk, r);
     } else {
         cellFinished.wait(lk, [&] { return r->done; });
     }
@@ -302,68 +306,67 @@ void
 SweepEngine::runRecord(Record &rec)
 {
     auto t0 = std::chrono::steady_clock::now();
-    if (!cacheDir.empty() && tryLoadFromDisk(rec)) {
+    // A checked or audited cell always simulates: a cached result
+    // would skip its check without a word. It still writes its
+    // result below.
+    const CoreParams &p = rec.cell.params;
+    bool checked = p.checkRetire || p.auditInvariants;
+    if (!checked && !cacheDir.empty() && tryLoadFromDisk(rec)) {
         rec.fromDiskCache = true;
         rec.wallSeconds = secondsSince(t0);
         return;
     }
 
-    // Fault isolation: a failure inside this cell must not take down
-    // the sweep. In-process, panic()/fatal() (simulator bug, watchdog,
-    // lockstep divergence, bad workload name) become SimError inside
-    // computeCellOnce(); under VPIR_ISOLATE=1 even a hard crash,
-    // sanitizer abort, rlimit OOM, or deadline SIGKILL of the forked
-    // worker is contained. Either way the failure is recorded in the
-    // result instead of propagating. It is not retried: a panic
-    // replays identically, and a deadline overrun would only overrun
-    // again.
-    // Warm-start prewarm for the isolated mode: the forked child must
-    // never touch the WarmStartCache (another worker thread could hold
-    // its mutex at fork time), so the parent resolves the handles
-    // here, on a plain thread, and hands them to the child via the
-    // copied address space. A prewarm failure (bad workload name etc.)
-    // is deliberately swallowed: the child builds the workload itself
-    // and reports the same error through the normal structured-failure
-    // path.
-    std::shared_ptr<const Workload> pw;
-    std::shared_ptr<const EmuSnapshot> psnap;
-    bool prewarm_asm = false, prewarm_warm = false;
-    if (iso.enabled && WarmStartCache::enabledFromEnv()) {
-        PanicThrowScope throw_scope;
-        try {
-            WarmStartCache &cache = WarmStartCache::global();
-            pw = cache.workload(rec.cell.workload, rec.cell.scale,
-                                &prewarm_asm);
-            psnap = cache.snapshot(rec.cell.workload, rec.cell.scale,
-                                   rec.cell.params.warmupInsts,
-                                   &prewarm_warm);
-        } catch (const SimError &) {
-            pw = nullptr;
-            psnap = nullptr;
-        }
-    }
-
-    CellOutcome out =
-        iso.enabled ? runCellIsolated(rec.cell, iso, pw, psnap)
-                    : computeCellOnce(rec.cell, iso.timeoutMs);
-    rec.stats = out.stats;
-    rec.workloadInput = std::move(out.workloadInput);
-    rec.failed = out.failed;
-    rec.timedOut = out.timedOut;
-    rec.error = std::move(out.error);
-    rec.setupSeconds = out.setupSeconds;
-    rec.runSeconds = out.runSeconds;
-    rec.profile = out.profile;
-    // Attribute a parent-side prewarm build to this cell: the cell
-    // that triggered the build is the one that paid for it, in both
-    // execution modes.
-    rec.asmBuilt = out.asmBuilt || prewarm_asm;
-    rec.warmBuilt = out.warmBuilt || prewarm_warm;
+    simulate(rec);
     rec.wallSeconds = secondsSince(t0);
-    // Never cache a failed cell: a transient failure must not poison
-    // later runs through the disk cache.
+    // Never cache a failed cell: a rerun must try it again.
     if (!rec.failed && !cacheDir.empty())
         saveToDisk(rec);
+}
+
+void
+SweepEngine::simulate(Record &rec)
+{
+    // Fault containment: panic()/fatal() inside the cell (simulator
+    // bug, watchdog, lockstep divergence, bad workload name) become a
+    // SimError here and a failed record, never a dead sweep. The cell
+    // is not retried: a panic replays identically.
+    const SweepCell &cell = rec.cell;
+    const std::string phex = hex16(hashParams(cell.params));
+    PanicThrowScope throw_scope;
+    PanicContext cell_frame([&cell, &phex] {
+        return "sweep cell workload=" + cell.workload + " label=" +
+               cell.label + " params=" + phex + cellReproInfo(cell);
+    });
+
+    auto t0 = std::chrono::steady_clock::now();
+    try {
+        // The first cell per key builds the program and the warm
+        // snapshot, the others clone them; the build cost lands in
+        // that one cell's setupSeconds.
+        WarmStartCache &cache = WarmStartCache::global();
+        std::shared_ptr<const Workload> w =
+            cache.workload(cell.workload, cell.scale, &rec.asmBuilt);
+        std::shared_ptr<const EmuSnapshot> snap =
+            cache.snapshot(cell.workload, cell.scale,
+                           cell.params.warmupInsts, &rec.warmBuilt);
+        rec.workloadInput = w->input;
+        Simulator sim(cell.params, std::move(w), std::move(snap));
+        auto t1 = std::chrono::steady_clock::now();
+        rec.setupSeconds = std::chrono::duration<double>(t1 - t0).count();
+        Core &core = sim.core();
+        PanicContext sim_frame([&core] {
+            return "cycle " + std::to_string(core.now()) + ", seq " +
+                   std::to_string(core.seqAllocated());
+        });
+        rec.stats = sim.run();
+        rec.profile = core.schedProfile();
+        rec.runSeconds = secondsSince(t1);
+    } catch (const SimError &e) {
+        rec.failed = true;
+        rec.error = e.what();
+        rec.stats = CoreStats{};
+    }
 }
 
 // ---------------------------------------------------------- disk cache
@@ -488,7 +491,6 @@ SweepEngine::failures() const
         f.workload = r->cell.workload;
         f.label = r->cell.label;
         f.paramsHash = hashParams(r->cell.params);
-        f.timedOut = r->timedOut;
         f.error = r->error;
         out.push_back(std::move(f));
     }
@@ -589,14 +591,12 @@ SweepEngine::writeTimingJson(const std::string &path) const
     // number of distinct (workload, scale[, warmup]) keys the process
     // ever touched, no matter how many cells ran.
     std::snprintf(buf, sizeof(buf),
-                  "  \"warm_cache\": {\"enabled\": %s, "
-                  "\"program_builds\": %" PRIu64
+                  "  \"warm_cache\": {\"program_builds\": %" PRIu64
                   ", \"program_hits\": %" PRIu64
                   ", \"snapshot_builds\": %" PRIu64
                   ", \"snapshot_hits\": %" PRIu64
                   ", \"cells_assembled\": %zu, "
                   "\"cells_warmed\": %zu},\n",
-                  WarmStartCache::enabledFromEnv() ? "true" : "false",
                   wc.programBuilds, wc.programHits, wc.snapshotBuilds,
                   wc.snapshotHits, assembled, warmed);
     out << buf << "  \"cells\": [\n";
@@ -727,12 +727,8 @@ SweepEngine::maybeExitOnStop()
     {
         std::unique_lock<std::mutex> lk(mu);
         if (numJobs <= 1) {
-            while (queueHead < queue.size()) {
-                Record *r = popQueued();
-                r->skipped = true;
-                r->done = true;
-                --pending;
-            }
+            while (queueHead < queue.size())
+                runQueued(lk); // skips: the stop is requested
         } else {
             cellFinished.wait(lk, [&] { return pending == 0; });
         }

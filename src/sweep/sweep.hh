@@ -23,11 +23,15 @@
  *    from exactly the missing cells on rerun;
  *  - per-cell and aggregate wall-time / simulated-MIPS records,
  *    exportable as machine-readable bench_timing JSON;
- *  - crash containment (VPIR_ISOLATE=1): each cell runs in a forked
- *    child with an optional address-space rlimit and wall-clock
- *    deadline, so a segfault, sanitizer abort, OOM, or hang in one
- *    cell becomes a structured CellFailure instead of killing the
- *    fleet (see isolate.hh);
+ *  - one execution path: every cell runs in process on a worker
+ *    thread, drawing its program and post-warmup state from the
+ *    process-wide WarmStartCache. A panic inside a cell (checker,
+ *    watchdog, audit, assertion) becomes a structured CellFailure and
+ *    the other cells complete; a hard crash ends the process, and
+ *    the finished cells are already in the disk cache;
+ *  - checked cells (checkRetire or auditInvariants) always simulate:
+ *    they write the disk cache but never read it, so a checked rerun
+ *    checks every cell;
  *  - graceful SIGINT/SIGTERM handling on the global engine: stop
  *    scheduling, let in-flight cells finish, flush completed cells to
  *    the disk cache, print a partial summary, exit 128+signal (a
@@ -51,7 +55,7 @@
 
 #include "core/core_stats.hh"
 #include "core/params.hh"
-#include "sweep/isolate.hh"
+#include "core/sched_profile.hh"
 #include "workload/workload.hh"
 
 namespace vpir
@@ -64,6 +68,9 @@ unsigned defaultJobs();
 
 /** VPIR_RESULT_CACHE directory ("" = disk cache disabled). */
 std::string defaultCacheDir();
+
+/** "SIGSEGV"-style name for common signals, "signal N" otherwise. */
+std::string signalName(int sig);
 
 /**
  * Stable FNV-1a hash over every CoreParams field (machine geometry,
@@ -91,10 +98,7 @@ struct CellFailure
     std::string workload;
     std::string label;
     uint64_t paramsHash = 0;
-    bool timedOut = false; //!< killed by the per-cell deadline
-    std::string error; //!< full panic/fatal message, context included;
-                       //!< for an isolated crash: signal name, exit
-                       //!< code, and captured child stderr tail
+    std::string error; //!< full panic/fatal message, context included
 };
 
 /** Timing/observability record for one executed cell. */
@@ -109,9 +113,9 @@ struct CellTiming
 
     // Phase breakdown (zero for disk-cache hits): where the wall time
     // went, and whether this cell paid the one-time assembly/warmup
-    // for its (workload, scale, warmup) key. With VPIR_WARM_CACHE=1,
-    // cells with assembled=true should equal the number of distinct
-    // keys in the sweep — that is the warm-start win, made auditable.
+    // for its (workload, scale, warmup) key. Cells with
+    // assembled=true equal the number of distinct keys in the sweep —
+    // that is the warm-start win, made auditable.
     double setupSeconds = 0.0; //!< workload + core construction
     double runSeconds = 0.0;   //!< timed simulation proper
     bool assembled = false;    //!< this cell assembled the program
@@ -226,21 +230,27 @@ class SweepEngine
         bool warmBuilt = false;
         bool fromDiskCache = false;
         bool done = false;
-        bool running = false;
         bool failed = false;  //!< simulation failed
-        bool timedOut = false; //!< failed by per-cell deadline
         bool skipped = false; //!< abandoned unrun by a stop request
         std::string error;    //!< failure message, context included
         SchedProfile profile; //!< per-stage cycle profile (host side)
     };
 
+    /**
+     * Take a record off the queue — @p rec, or the oldest one when
+     * null — then run it, or skip it once a stop is requested, and
+     * publish it as done. Called with @p lk held on a non-empty
+     * queue; the lock is dropped while the cell runs.
+     */
+    void runQueued(std::unique_lock<std::mutex> &lk,
+                   Record *rec = nullptr);
     void runRecord(Record &rec); //!< compute (or disk-load) one cell
+    /** Simulate the cell on this thread, filling @p rec; a panic
+     *  becomes a failed record. */
+    void simulate(Record &rec);
     void workerLoop();
     void startWorkers();
     Record *findOrCreate(const SweepCell &cell); //!< locked by caller
-    /** Oldest queued record, removed from the queue (locked by
-     *  caller; the queue must not be empty). */
-    Record *popQueued();
     bool tryLoadFromDisk(Record &rec);
     void saveToDisk(const Record &rec);
     std::string diskPath(const Record &rec) const;
@@ -249,7 +259,6 @@ class SweepEngine
 
     unsigned numJobs;
     std::string cacheDir;
-    IsolationConfig iso;
     std::atomic<int> stopSig{0};
     bool exitOnStop = false; //!< set on the global engine only
 

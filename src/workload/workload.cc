@@ -33,8 +33,8 @@ makeWorkload(const std::string &name, const WorkloadScale &scale)
     if (name == "compress")
         return makeCompress(scale);
     if (fuzz::isFuzzWorkloadName(name)) {
-        // Generated fuzz programs ride the whole sweep stack
-        // (isolation, deadlines, result cache) as ordinary workload
+        // Generated fuzz programs ride the whole sweep stack (warm
+        // cache, failure reports, result cache) as ordinary workload
         // names; the seed in the name fully determines the program.
         uint64_t seed = fuzz::fuzzSeedFromName(name);
         fuzz::GenOptions opt;

@@ -2,12 +2,12 @@
  * @file
  * WarmStartCache tests: exactly-once builds with pointer-identity
  * hits, snapshots equivalent to a hand-run warmup, and end-to-end
- * stats identity between cache-on and cache-off simulation.
+ * stats identity between cores cloned from the cache and cold cores
+ * that replay the warmup themselves.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "emu/executor.hh"
@@ -20,26 +20,22 @@ using namespace vpir;
 namespace
 {
 
-/** setenv/unsetenv for the test's scope. */
-class EnvGuard
-{
-  public:
-    EnvGuard(const char *name, const std::string &value) : name_(name)
-    {
-        setenv(name, value.c_str(), 1);
-    }
-    ~EnvGuard() { unsetenv(name_); }
-
-  private:
-    const char *name_;
-};
-
 WorkloadScale
 scaleOf(double f)
 {
     WorkloadScale sc;
     sc.factor = f;
     return sc;
+}
+
+/** The cold reference: assemble the program and let the Core
+ *  constructor replay the warmup, with no cache involved. */
+CoreStats
+runCold(const std::string &name, const CoreParams &params,
+        const WorkloadScale &scale)
+{
+    Simulator sim(params, makeWorkload(name, scale).program);
+    return sim.run();
 }
 
 TEST(WarmStartCache, ProgramBuiltOncePerKey)
@@ -115,23 +111,20 @@ TEST(WarmStartCache, SnapshotMatchesHandRunWarmup)
     ASSERT_EQ(cached->state.residentPages(), ref.state.residentPages());
 }
 
-TEST(WarmStartCache, RunWorkloadIdenticalWithCacheOnAndOff)
+TEST(WarmStartCache, RunWorkloadMatchesColdCore)
 {
-    WarmStartCache::global().clear();
+    WarmStartCache &cache = WarmStartCache::global();
+    cache.clear();
 
     CoreParams cfg = withLimits(baseConfig(), 20000);
     cfg.warmupInsts = 3000;
 
-    CoreStats cold, warm1, warm2;
-    {
-        EnvGuard off("VPIR_WARM_CACHE", "0");
-        cold = runWorkload("perl", cfg, scaleOf(0.25));
-    }
-    {
-        EnvGuard on("VPIR_WARM_CACHE", "1");
-        warm1 = runWorkload("perl", cfg, scaleOf(0.25)); // builds
-        warm2 = runWorkload("perl", cfg, scaleOf(0.25)); // clones
-    }
+    CoreStats cold = runCold("perl", cfg, scaleOf(0.25));
+    CoreStats warm1 = runWorkload("perl", cfg, scaleOf(0.25)); // builds
+    CoreStats warm2 = runWorkload("perl", cfg, scaleOf(0.25)); // clones
+    WarmStartCache::Counters c = cache.counters();
+    EXPECT_EQ(c.snapshotBuilds, 1u);
+    EXPECT_EQ(c.snapshotHits, 1u);
     EXPECT_TRUE(sweep::statsEqual(cold, warm1));
     EXPECT_TRUE(sweep::statsEqual(cold, warm2));
     EXPECT_GT(cold.committedInsts, 0u);
@@ -147,15 +140,8 @@ TEST(WarmStartCache, WarmCoreIdenticalWithCheckerOn)
     cfg.warmupInsts = 3000;
     cfg.checkRetire = true;
 
-    CoreStats cold, warm;
-    {
-        EnvGuard off("VPIR_WARM_CACHE", "0");
-        cold = runWorkload("compress", cfg, scaleOf(0.25));
-    }
-    {
-        EnvGuard on("VPIR_WARM_CACHE", "1");
-        warm = runWorkload("compress", cfg, scaleOf(0.25));
-    }
+    CoreStats cold = runCold("compress", cfg, scaleOf(0.25));
+    CoreStats warm = runWorkload("compress", cfg, scaleOf(0.25));
     EXPECT_TRUE(sweep::statsEqual(cold, warm));
     EXPECT_GT(warm.committedInsts, 0u);
 }

@@ -4,8 +4,7 @@
  * stop the global engine at a cell boundary, report "interrupted:
  * N/M", exit 128+sig, and leave a disk cache a rerun resumes from;
  * a VPIR_PROFILE=1 sweep's timing JSON must carry every simulated
- * cell's profile, in-process and isolated alike, next to the keys
- * the benchmark reads.
+ * cell's profile next to the keys the benchmark reads.
  */
 
 #include <gtest/gtest.h>
@@ -182,14 +181,14 @@ timingCells(const std::string &json)
     return out;
 }
 
-/** Sweep threeCells() with VPIR_PROFILE=1 and check that the timing
- *  JSON carries, for every simulated cell, the profile (whose run and
- *  skipped cycles must add up to the cell's simulated cycles) and
- *  every key perfbench/suite.py reads. */
-void
-expectProfiledTimingJson(const char *tag)
+// Tier-1 guard of the profiler plumbing that perfbench's traced passes
+// read: sweep threeCells() with VPIR_PROFILE=1 and check that the
+// timing JSON carries, for every simulated cell, the profile (whose
+// run and skipped cycles must add up to the cell's simulated cycles)
+// and every key perfbench/suite.py reads.
+TEST(TimingJson, ProfileRidesEverySimulatedCell)
 {
-    std::string dir = scratchDir(tag);
+    std::string dir = scratchDir("timing_json");
     std::string path = dir + "/timing.json";
     EnvGuard profile("VPIR_PROFILE", "1");
     std::vector<SweepCell> cs = threeCells();
@@ -244,15 +243,6 @@ expectProfiledTimingJson(const char *tag)
     }
 
     std::filesystem::remove_all(dir);
-}
-
-// Tier-1 guard of the profiler plumbing that perfbench's traced passes
-// read: in-process, and through the fork wire protocol.
-TEST(TimingJson, ProfileRidesEverySimulatedCell)
-{
-    expectProfiledTimingJson("timing_json");
-    EnvGuard iso("VPIR_ISOLATE", "1");
-    expectProfiledTimingJson("timing_json_iso");
 }
 
 } // anonymous namespace

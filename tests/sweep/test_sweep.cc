@@ -2,15 +2,21 @@
  * @file
  * SweepEngine tests: parallel execution must be bit-identical to
  * serial for every workload and technique, the cache key must depend
- * on the full parameter set (not display labels), and the on-disk
- * result cache must round-trip CoreStats losslessly.
+ * on the full parameter set (not display labels), the on-disk result
+ * cache must round-trip CoreStats losslessly and never answer a
+ * checked cell, and a graceful stop must leave a cache a rerun
+ * resumes from.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -60,6 +66,17 @@ scratchDir(const char *tag)
     std::filesystem::remove_all(d);
     std::filesystem::create_directories(d);
     return d;
+}
+
+size_t
+fileCount(const std::string &dir)
+{
+    size_t n = 0;
+    for (const auto &ent : std::filesystem::directory_iterator(dir)) {
+        (void)ent;
+        ++n;
+    }
+    return n;
 }
 
 TEST(SweepEngine, ParallelBitIdenticalToSerial)
@@ -176,6 +193,48 @@ TEST(SweepEngine, DiskCacheRoundTripsStatsLosslessly)
     }
     EXPECT_EQ(reader.cellsFromDiskCache(), cs.size());
     EXPECT_EQ(reader.cellsComputed(), 0u);
+
+    std::filesystem::remove_all(dir);
+}
+
+// A checked or audited cell must simulate even when the result cache
+// holds its result: a cached answer would skip the check without a
+// word. It still writes the cache, and an unchecked cell still reads
+// it.
+TEST(SweepEngine, CheckedCellNeverReadsResultCache)
+{
+    std::string dir = scratchDir("checked");
+    CoreParams checked = baseConfig();
+    checked.checkRetire = true;
+    CoreParams audited = irConfig();
+    audited.auditInvariants = true;
+    std::vector<SweepCell> cs = {
+        cell("compress", "checked", checked),
+        cell("perl", "audited", audited),
+        cell("go", "plain", baseConfig()),
+    };
+
+    {
+        SweepEngine writer(1, dir);
+        for (const SweepCell &c : cs)
+            writer.prefetch(c);
+        writer.drain();
+        EXPECT_EQ(writer.cellsComputed(), cs.size());
+        EXPECT_EQ(fileCount(dir), cs.size());
+    }
+
+    SweepEngine reader(1, dir);
+    for (const SweepCell &c : cs)
+        reader.prefetch(c);
+    reader.drain();
+    EXPECT_TRUE(reader.failures().empty());
+    EXPECT_EQ(reader.cellsComputed(), 2u);
+    EXPECT_EQ(reader.cellsFromDiskCache(), 1u);
+    const CoreStats &st = reader.get(cs[0]);
+    EXPECT_GT(st.checkedInsts, 0u);
+    EXPECT_EQ(st.checkedInsts, st.committedInsts);
+    for (const CellTiming &t : reader.timings())
+        EXPECT_EQ(t.fromDiskCache, t.label == "plain") << t.label;
 
     std::filesystem::remove_all(dir);
 }
@@ -330,6 +389,117 @@ TEST(SweepEngine, TimingRecordsFollowSubmissionOrder)
     std::error_code ec;
     EXPECT_GT(std::filesystem::file_size(path, ec), 0u);
     std::filesystem::remove(path);
+}
+
+TEST(Sweep, GracefulStopSkipsQueuedCellsAndRerunResumes)
+{
+    std::string dir = scratchDir("resume");
+    std::vector<SweepCell> cs = {
+        cell("compress", "base", baseConfig()),
+        cell("perl", "base", baseConfig()),
+        cell("go", "base", baseConfig()),
+        cell("m88ksim", "base", baseConfig()),
+    };
+
+    {
+        SweepEngine eng(1, dir);
+        // Complete the first two cells...
+        eng.get(cs[0]);
+        eng.get(cs[1]);
+        // ...then a stop request (what the SIGINT handler issues on
+        // the global engine) abandons the rest unrun. The stop lands
+        // before the remaining cells are queued, so none of them can
+        // slip into a worker first.
+        eng.requestStop(SIGINT);
+        for (const SweepCell &c : cs)
+            eng.prefetch(c);
+        eng.drain();
+
+        EXPECT_EQ(eng.stopRequestedSignal(), SIGINT);
+        EXPECT_EQ(eng.cellsComputed(), 2u);
+        EXPECT_EQ(eng.cellsSkipped(), 2u);
+        EXPECT_TRUE(eng.failures().empty());
+        EXPECT_EQ(eng.timings().size(), 2u);
+        // The completed cells were flushed to the cache as they
+        // finished.
+        EXPECT_EQ(fileCount(dir), 2u);
+    }
+
+    // Rerun: completed cells load from the cache, only the skipped
+    // ones are recomputed, and results match a clean engine.
+    SweepEngine rerun(2, dir);
+    for (const SweepCell &c : cs)
+        rerun.prefetch(c);
+    rerun.drain();
+    EXPECT_EQ(rerun.cellsFromDiskCache(), 2u);
+    EXPECT_EQ(rerun.cellsComputed(), 2u);
+    SweepEngine clean(1, "");
+    for (const SweepCell &c : cs)
+        EXPECT_TRUE(statsEqual(rerun.get(c), clean.get(c)))
+            << c.workload << "/" << c.label;
+
+    std::filesystem::remove_all(dir);
+}
+
+TEST(DiskCache, SchemaFingerprintMismatchRecomputes)
+{
+    std::string dir = scratchDir("schema");
+    SweepCell c = cell("compress", "base", baseConfig());
+
+    CoreStats fresh;
+    {
+        SweepEngine writer(1, dir);
+        fresh = writer.get(c);
+    }
+
+    // Flip one digit of the stamped stats-schema fingerprint, as if
+    // the file had been written by a binary with a different stat
+    // field set (the per-field payload may even still parse — the
+    // fingerprint must reject it first).
+    for (const auto &ent : std::filesystem::directory_iterator(dir)) {
+        std::ifstream in(ent.path());
+        std::stringstream ss;
+        ss << in.rdbuf();
+        std::string text = ss.str();
+        size_t pos = text.find("\"stats_schema\": \"");
+        ASSERT_NE(pos, std::string::npos);
+        pos += std::strlen("\"stats_schema\": \"");
+        text[pos] = text[pos] == '0' ? '1' : '0';
+        std::ofstream out(ent.path());
+        out << text;
+    }
+
+    SweepEngine reader(1, dir);
+    EXPECT_TRUE(statsEqual(fresh, reader.get(c)));
+    EXPECT_EQ(reader.cellsFromDiskCache(), 0u);
+    EXPECT_EQ(reader.cellsComputed(), 1u);
+
+    std::filesystem::remove_all(dir);
+}
+
+TEST(DiskCache, StaleTmpFilesScrubbedAtStartup)
+{
+    std::string dir = scratchDir("tmpscrub");
+    // What a SIGKILLed writer leaves behind: a published record and a
+    // half-written tmp that never got renamed.
+    { std::ofstream(dir + "/keep-0123456789abcdef.json") << "{}\n"; }
+    { std::ofstream(dir + "/dead-fedcba9876543210.json.tmp.4242")
+          << "{\"schema\":"; }
+
+    SweepEngine eng(1, dir);
+    EXPECT_FALSE(std::filesystem::exists(
+        dir + "/dead-fedcba9876543210.json.tmp.4242"));
+    EXPECT_TRUE(
+        std::filesystem::exists(dir + "/keep-0123456789abcdef.json"));
+
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Sweep, SignalNamesAreReadable)
+{
+    EXPECT_EQ(signalName(SIGSEGV), "SIGSEGV");
+    EXPECT_EQ(signalName(SIGKILL), "SIGKILL");
+    EXPECT_EQ(signalName(1000), "signal 1000");
 }
 
 TEST(StatsJson, RoundTripAndRejection)

@@ -1,15 +1,14 @@
 /**
  * @file
  * Warm-start sweep tests: a sweep's per-cell stats must be
- * bit-identical with the warm-start cache on and off, in both the
- * in-process and the forked-isolation execution modes; and with the
- * cache on, assembly and warmup must happen exactly once per
- * (workload, scale, warmup) key no matter how many cells share it.
+ * bit-identical to cold cores that assemble the program and replay
+ * the warmup themselves; and assembly and warmup must happen exactly
+ * once per (workload, scale, warmup) key no matter how many cells
+ * share it.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -25,21 +24,6 @@ namespace
 {
 
 constexpr uint64_t TEST_INSTS = 20000;
-
-/** setenv/unsetenv for the test's scope (engines and cells read the
- *  environment when they run, so ordering matters). */
-class EnvGuard
-{
-  public:
-    EnvGuard(const char *name, const std::string &value) : name_(name)
-    {
-        setenv(name, value.c_str(), 1);
-    }
-    ~EnvGuard() { unsetenv(name_); }
-
-  private:
-    const char *name_;
-};
 
 /** Three configs x two workloads: six cells over two warm-start keys
  *  (all configs share the same warmup length). */
@@ -81,53 +65,23 @@ runSweep(const std::vector<SweepCell> &cells, unsigned jobs)
     return out;
 }
 
-void
-expectAllEqual(const std::vector<CoreStats> &a,
-               const std::vector<CoreStats> &b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_TRUE(statsEqual(a[i], b[i])) << "cell " << i;
-        EXPECT_GT(a[i].committedInsts, 0u) << "cell " << i;
-    }
-}
-
-TEST(WarmSweep, StatsIdenticalCacheOnVsOffInProcess)
+TEST(WarmSweep, StatsMatchColdCores)
 {
     std::vector<SweepCell> cells = standardCells();
-    std::vector<CoreStats> off, on;
-    {
-        EnvGuard cache("VPIR_WARM_CACHE", "0");
-        off = runSweep(cells, 2);
+    WarmStartCache::global().clear();
+    std::vector<CoreStats> warm = runSweep(cells, 2);
+    ASSERT_EQ(warm.size(), cells.size());
+    for (size_t i = 0; i < cells.size(); ++i) {
+        const SweepCell &c = cells[i];
+        Simulator cold(c.params,
+                       makeWorkload(c.workload, c.scale).program);
+        EXPECT_TRUE(statsEqual(cold.run(), warm[i])) << "cell " << i;
+        EXPECT_GT(warm[i].committedInsts, 0u) << "cell " << i;
     }
-    {
-        EnvGuard cache("VPIR_WARM_CACHE", "1");
-        WarmStartCache::global().clear();
-        on = runSweep(cells, 2);
-    }
-    expectAllEqual(off, on);
-}
-
-TEST(WarmSweep, StatsIdenticalCacheOnVsOffIsolated)
-{
-    EnvGuard iso("VPIR_ISOLATE", "1");
-    std::vector<SweepCell> cells = standardCells();
-    std::vector<CoreStats> off, on;
-    {
-        EnvGuard cache("VPIR_WARM_CACHE", "0");
-        off = runSweep(cells, 2);
-    }
-    {
-        EnvGuard cache("VPIR_WARM_CACHE", "1");
-        WarmStartCache::global().clear();
-        on = runSweep(cells, 2);
-    }
-    expectAllEqual(off, on);
 }
 
 TEST(WarmSweep, BuildsExactlyOncePerKeyInProcess)
 {
-    EnvGuard cache("VPIR_WARM_CACHE", "1");
     WarmStartCache::global().clear();
 
     std::vector<SweepCell> cells = standardCells(); // 6 cells, 2 keys
@@ -154,56 +108,6 @@ TEST(WarmSweep, BuildsExactlyOncePerKeyInProcess)
     }
     EXPECT_EQ(assembled, 2u);
     EXPECT_EQ(warmed, 2u);
-}
-
-TEST(WarmSweep, BuildsExactlyOncePerKeyIsolated)
-{
-    EnvGuard iso("VPIR_ISOLATE", "1");
-    EnvGuard cache("VPIR_WARM_CACHE", "1");
-    WarmStartCache::global().clear();
-
-    std::vector<SweepCell> cells = standardCells();
-    SweepEngine eng(2, "");
-    for (const SweepCell &c : cells)
-        eng.prefetch(c);
-    eng.drain();
-    EXPECT_TRUE(eng.failures().empty());
-
-    // The parent prewarms before forking, so the counters live in the
-    // parent and tell the same exactly-once story.
-    WarmStartCache::Counters c = WarmStartCache::global().counters();
-    EXPECT_EQ(c.programBuilds, 2u);
-    EXPECT_EQ(c.snapshotBuilds, 2u);
-
-    std::vector<CellTiming> ts = eng.timings();
-    ASSERT_EQ(ts.size(), cells.size());
-    size_t assembled = 0;
-    for (const CellTiming &t : ts)
-        assembled += t.assembled ? 1 : 0;
-    EXPECT_EQ(assembled, 2u);
-}
-
-TEST(WarmSweep, CacheOffCellsDoTheirOwnSetup)
-{
-    EnvGuard cache("VPIR_WARM_CACHE", "0");
-    WarmStartCache::global().clear();
-
-    std::vector<SweepCell> cells = standardCells();
-    SweepEngine eng(1, "");
-    for (const SweepCell &c : cells)
-        eng.prefetch(c);
-    eng.drain();
-
-    // No cache traffic at all...
-    WarmStartCache::Counters c = WarmStartCache::global().counters();
-    EXPECT_EQ(c.programBuilds + c.programHits + c.snapshotBuilds +
-                  c.snapshotHits,
-              0u);
-    // ...and every cell reports paying for its own assembly + warmup.
-    for (const CellTiming &t : eng.timings()) {
-        EXPECT_TRUE(t.assembled);
-        EXPECT_TRUE(t.warmed);
-    }
 }
 
 } // anonymous namespace

@@ -1,20 +1,14 @@
 #!/bin/sh
-# Run every experiment harness in sequence. A failing harness (e.g. a
-# sweep cell that panicked — the harnesses exit non-zero when any cell
-# fails) no longer aborts the remaining benches: every harness runs,
-# the failures are summarised at the end, and the script exits 1 if
-# there were any. Usage:
+# Run every experiment harness in sequence. A failing harness (a sweep
+# cell that panicked — the harnesses exit non-zero when any cell fails
+# — or a harness that crashed) does not abort the remaining benches:
+# every harness runs, the failures are summarised at the end, and the
+# script exits 1 if there were any. Usage:
 #
-#   tools/run_all_benches.sh [--isolate] [build-dir]
-#
-#   --isolate   export VPIR_ISOLATE=1: each sweep cell runs in a
-#               forked child, so a crashing or hanging cell is
-#               reported as a CellFailure instead of killing the
-#               harness.
+#   tools/run_all_benches.sh [build-dir]
 #
 # The usual knobs apply (VPIR_JOBS, VPIR_BENCH_INSTS, VPIR_BENCH_SCALE,
-# VPIR_RESULT_CACHE, VPIR_TIMING_JSON, VPIR_CHECK, VPIR_FAULT_*,
-# VPIR_ISOLATE, VPIR_CELL_TIMEOUT_MS, VPIR_CELL_RLIMIT_MB). Each
+# VPIR_RESULT_CACHE, VPIR_TIMING_JSON, VPIR_CHECK, VPIR_FAULT_*). Each
 # harness writes its own bench_timing.<harness>.json unless
 # VPIR_TIMING_JSON overrides the path.
 #
@@ -25,13 +19,11 @@
 # Wired into ctest as the opt-in "bench" configuration: ctest -C bench.
 set -u
 
-ISOLATE=0
 BUILD=build
 for arg; do
     case "$arg" in
-        --isolate) ISOLATE=1 ;;
         --help|-h)
-            echo "usage: $0 [--isolate] [build-dir]" >&2
+            echo "usage: $0 [build-dir]" >&2
             exit 2 ;;
         *) BUILD=$arg ;;
     esac
@@ -39,13 +31,8 @@ done
 
 if [ ! -d "$BUILD/bench" ]; then
     echo "run_all_benches: no bench binaries under '$BUILD'" >&2
-    echo "usage: $0 [--isolate] [build-dir]" >&2
+    echo "usage: $0 [build-dir]" >&2
     exit 2
-fi
-
-if [ "$ISOLATE" = 1 ]; then
-    VPIR_ISOLATE=1
-    export VPIR_ISOLATE
 fi
 
 BENCHES="bench_table1 bench_table2 bench_table3 bench_table4
@@ -67,13 +54,13 @@ for b in $BENCHES; do
         COMPLETED="$COMPLETED $b"
     else
         rc=$?
-        if [ "$rc" -ge 128 ]; then
-            # Killed by a signal (130 = SIGINT): graceful interrupt,
-            # not a bench failure.
+        if [ "$rc" -eq 130 ] || [ "$rc" -eq 143 ]; then
+            # Graceful SIGINT/SIGTERM stop, not a bench failure. Any
+            # other signal (a crash, 139 = SIGSEGV) is a failure.
             INTERRUPTED=1
             break
         fi
-        echo "run_all_benches: $b exited non-zero" >&2
+        echo "run_all_benches: $b exited with status $rc" >&2
         FAILED="$FAILED $b"
     fi
 done

@@ -16,11 +16,6 @@
  *     --warmup N            functional fast-forward instructions
  *     --scale F             workload scale factor (default 1.0)
  *     --stats               dump the full named statistics set
- *     --isolate             run the cell in a forked child
- *                           (VPIR_ISOLATE=1): a simulator crash or
- *                           hang is reported instead of inherited
- *     --timeout-ms N        per-cell wall-clock deadline
- *                           (VPIR_CELL_TIMEOUT_MS)
  *     --repro BUNDLE.json   replay a fuzz repro bundle instead of a
  *                           workload: re-run its program under its
  *                           exact configuration and verify the bundled
@@ -56,7 +51,6 @@ usage()
         "               [--branch sb|nsb] [--reexec me|nme]\n"
         "               [--verify N] [--max-insts N] [--max-cycles N]\n"
         "               [--warmup N] [--scale F] [--stats]\n"
-        "               [--isolate] [--timeout-ms N]\n"
         "               <workload>\n"
         "       vpirsim --repro <bundle.json>\n");
     std::exit(1);
@@ -148,12 +142,6 @@ main(int argc, char **argv)
             scale.factor = std::strtod(next(), nullptr);
         } else if (arg == "--stats") {
             dump_stats = true;
-        } else if (arg == "--isolate") {
-            // The engine reads the environment when it is first
-            // constructed, which happens after argument parsing.
-            setenv("VPIR_ISOLATE", "1", 1);
-        } else if (arg == "--timeout-ms") {
-            setenv("VPIR_CELL_TIMEOUT_MS", next(), 1);
         } else if (arg == "--repro") {
             return replayRepro(next());
         } else if (!arg.empty() && arg[0] == '-') {
