@@ -58,8 +58,8 @@ Core::Core(const CoreParams &p, const Program &program,
 
     if (warm) {
         // Warm start: clone the shared post-warmup snapshot instead of
-        // loading the image and replaying the warmup. The clone is
-        // O(pages-resident) pointer copies; writes fault private pages
+        // loading the image and replaying the warmup. The clone copies
+        // the page-table leaves' pointers; writes fault private pages
         // (see emu/state.hh). Must end bit-identical to the cold path
         // below, warning included.
         VPIR_ASSERT(warm->warmupInsts == p.warmupInsts,

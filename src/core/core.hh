@@ -183,7 +183,7 @@ class Core
     /**
      * @param warm  Optional post-warmup snapshot for the same
      *              (program, params.warmupInsts): the image load and
-     *              functional warmup are replaced by an O(pages)
+     *              functional warmup are replaced by an O(leaves)
      *              copy-on-write clone. Must have been built by
      *              makeWarmSnapshot() on the same program with the
      *              same warmup length; the resulting machine is

@@ -91,7 +91,7 @@ class Emulator
  * Frozen post-warmup machine state: the program image loaded and the
  * first warmupInsts instructions retired functionally. Built once per
  * (program, warmup) by the warm-start cache and cloned copy-on-write
- * (EmuState's copy is O(pages)) into every core and lockstep checker
+ * (EmuState's copy is O(leaves)) into every core and lockstep checker
  * that starts from the same point. Immutable after construction.
  */
 struct EmuSnapshot

@@ -44,11 +44,16 @@ EmuState::initReg(RegId r, uint64_t value)
 EmuState::Page &
 EmuState::pageFor(Addr addr)
 {
-    uint32_t pn = addr >> pageBits;
-    auto &p = pages[pn];
+    uint16_t &leaf = root[addr >> (leafBits + pageBits)];
+    if (!leaf) {
+        leaves.emplace_back();
+        leaf = static_cast<uint16_t>(leaves.size());
+    }
+    auto &p = leaves[leaf - 1][(addr >> pageBits) & (leafPages - 1)];
     if (!p) {
         p = std::make_shared<Page>();
         p->fill(0);
+        ++resident;
     } else if (p.use_count() > 1) {
         // Write fault on a shared page: clone before mutating so every
         // other state sharing it keeps its snapshot intact. A stale
@@ -64,17 +69,20 @@ EmuState::pageFor(Addr addr)
 const EmuState::Page *
 EmuState::pageForRead(Addr addr) const
 {
-    auto it = pages.find(addr >> pageBits);
-    return it == pages.end() ? nullptr : it->second.get();
+    uint16_t leaf = root[addr >> (leafBits + pageBits)];
+    if (!leaf)
+        return nullptr;
+    return leaves[leaf - 1][(addr >> pageBits) & (leafPages - 1)].get();
 }
 
 size_t
 EmuState::sharedPages() const
 {
     size_t n = 0;
-    for (const auto &[pn, p] : pages)
-        if (p.use_count() > 1)
-            ++n;
+    for (const Leaf &leaf : leaves)
+        for (const auto &p : leaf)
+            if (p.use_count() > 1)
+                ++n;
     return n;
 }
 
@@ -83,7 +91,7 @@ EmuState::readMemRaw(Addr addr, unsigned size) const
 {
     uint32_t off = addr & (pageSize - 1);
     if (off + size <= pageSize) {
-        // Single-page access (the overwhelming case): one map lookup
+        // Single-page access (the overwhelming case): one table walk
         // instead of one per byte.
         const Page *p = pageForRead(addr);
         if (!p)

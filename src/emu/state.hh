@@ -9,12 +9,17 @@
  * the offending branch's position, restoring the exact architectural
  * state the correct path must see.
  *
- * Memory pages are held behind shared_ptr and cloned copy-on-write:
- * copying an EmuState is O(pages-resident) pointer copies, and the
- * first write to a shared page clones just that page. This is what
- * makes post-warmup snapshots (sim/warm_cache.hh) cheap enough to
- * hand every sweep cell — and every lockstep checker — a private
- * state without re-executing the warmup. shared_ptr's atomic
+ * Memory is a two-level page table of 4 KiB pages: a 1,024-entry root
+ * indexed by the top 10 address bits selects a leaf of 1,024 page
+ * pointers indexed by the next 10. A read of an absent leaf or page
+ * returns 0 and allocates nothing. Pages are held behind shared_ptr
+ * and cloned copy-on-write: copying an EmuState copies its leaves,
+ * O(leaves) pointer copies (every workload lives in two: text and
+ * data below 0x400000, the stack below 0x7ff000), and the first write
+ * to a shared page clones just that page. This is what makes
+ * post-warmup snapshots (sim/warm_cache.hh) cheap enough to hand
+ * every sweep cell — and every lockstep checker — a private state
+ * without re-executing the warmup. shared_ptr's atomic
  * refcounts make concurrent clones of one immutable snapshot safe:
  * writers clone before touching a page whose count exceeds one, and
  * a count of one means this state is the sole owner.
@@ -26,7 +31,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "isa/instr.hh"
@@ -38,7 +42,7 @@ namespace vpir
 /** Position in the undo journal (monotonically increasing). */
 using JournalMark = uint64_t;
 
-/** Registers + sparse paged memory + undo journal. */
+/** Registers + two-level paged memory + undo journal. */
 class EmuState
 {
   public:
@@ -86,8 +90,8 @@ class EmuState
     size_t journalDepth() const { return journal.size() - journalHead; }
 
     // --- copy-on-write observability ---------------------------------
-    /** Pages resident in this state's sparse map. */
-    size_t residentPages() const { return pages.size(); }
+    /** Pages resident in this state's page table. */
+    size_t residentPages() const { return resident; }
 
     /** Pages currently shared with at least one other state. */
     size_t sharedPages() const;
@@ -108,7 +112,13 @@ class EmuState
 
     static constexpr unsigned pageBits = 12;
     static constexpr uint32_t pageSize = 1u << pageBits;
+    static constexpr unsigned leafBits = 10;
+    static constexpr uint32_t leafPages = 1u << leafBits;
+    static constexpr unsigned rootBits = 32 - leafBits - pageBits;
     using Page = std::array<uint8_t, pageSize>;
+    /** shared_ptr, not unique_ptr: the default copy operations then
+     *  implement the COW clone (pages shared until written). */
+    using Leaf = std::array<std::shared_ptr<Page>, leafPages>;
 
     Page &pageFor(Addr addr);
     const Page *pageForRead(Addr addr) const;
@@ -117,9 +127,11 @@ class EmuState
     void writeMemRaw(Addr addr, unsigned size, uint64_t value);
 
     std::array<uint64_t, NUM_ARCH_REGS> regs;
-    /** shared_ptr, not unique_ptr: the default copy operations then
-     *  implement the COW clone (pages shared until written). */
-    std::unordered_map<uint32_t, std::shared_ptr<Page>> pages;
+    /** 1 + the index in leaves of each 4 MiB region's leaf; 0 while
+     *  the region has never been written. */
+    std::array<uint16_t, 1u << rootBits> root{};
+    std::vector<Leaf> leaves;
+    size_t resident = 0; //!< non-null page pointers over all leaves
     /** Live records are journal[journalHead, size()): rollback pops
      *  the back, retire advances journalHead, and the retired prefix
      *  is dropped once it outgrows the live part, so the storage

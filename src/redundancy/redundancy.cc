@@ -1,8 +1,9 @@
 #include "redundancy/redundancy.hh"
 
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
+#include <vector>
 
+#include "common/logging.hh"
 #include "emu/executor.hh"
 #include "emu/state.hh"
 #include "isa/decode.hh"
@@ -22,12 +23,105 @@ operandKey(uint64_t a, uint64_t b)
     return h;
 }
 
-/** Per-static-instruction history buffers. */
+/** A results-buffer slot: one result value. */
+struct ResultSlot
+{
+    uint64_t key;
+};
+
+/** An operand-buffer slot: operand tuple -> last result from it. */
+struct OperandSlot
+{
+    uint64_t key;
+    uint64_t value;
+};
+
+/**
+ * One history buffer: an open-addressing table of Slots keyed by a
+ * 64-bit key. Power-of-two slots, linear probing, load at most 1/2
+ * and a multiplicative hash. Key 0 marks an empty slot, so that key
+ * is kept out of line.
+ */
+template <typename Slot>
+class HistTable
+{
+  public:
+    /** A key's slot (null when absent and not inserted), and whether
+     *  the key was present before. */
+    struct Lookup
+    {
+        Slot *slot;
+        bool found;
+    };
+
+    size_t size() const { return used + hasZero; }
+
+    /** Find @p key, inserting it when absent and @p mayInsert. The
+     *  caller sets the rest of an inserted slot. */
+    Lookup
+    findOrInsert(uint64_t key, bool mayInsert)
+    {
+        if (key == 0) {
+            bool found = hasZero;
+            hasZero |= mayInsert;
+            return {hasZero ? &zero : nullptr, found};
+        }
+        size_t i = slots.empty() ? 0 : probe(key);
+        if (!slots.empty() && slots[i].key == key)
+            return {&slots[i], true};
+        if (!mayInsert)
+            return {nullptr, false};
+        if (2 * (used + 1) > slots.size()) {
+            grow();
+            i = probe(key);
+        }
+        ++used;
+        slots[i].key = key;
+        return {&slots[i], false};
+    }
+
+  private:
+    static constexpr unsigned initialBits = 3;
+
+    /** The slot holding @p key, or the empty slot its probe ends at. */
+    size_t
+    probe(uint64_t key) const
+    {
+        size_t mask = slots.size() - 1;
+        size_t i = static_cast<size_t>((key * 0x9e3779b97f4a7c15ull) >> shift);
+        while (slots[i].key != key && slots[i].key != 0)
+            i = (i + 1) & mask;
+        return i;
+    }
+
+    void
+    grow()
+    {
+        unsigned bits = slots.empty() ? initialBits : 65 - shift;
+        std::vector<Slot> old =
+            std::exchange(slots, std::vector<Slot>(size_t{1} << bits));
+        shift = 64 - bits;
+        for (const Slot &s : old)
+            if (s.key != 0)
+                slots[probe(s.key)] = s;
+    }
+
+    std::vector<Slot> slots;
+    unsigned shift = 64;
+    size_t used = 0;      //!< nonzero keys in slots
+    bool hasZero = false; //!< key 0, held in zero
+    Slot zero{};
+};
+
+/**
+ * Per-static-instruction history buffers. Each holds at most
+ * maxInstances keys; once full it stops changing, including the
+ * values already stored.
+ */
 struct StaticHistory
 {
-    std::unordered_set<uint64_t> results;
-    /** operand tuple -> last result computed from it. */
-    std::unordered_map<uint64_t, uint64_t> byOperands;
+    HistTable<ResultSlot> results;
+    HistTable<OperandSlot> byOperands;
     uint64_t lastResult = 0;
     uint64_t prevResult = 0;
     unsigned seen = 0;
@@ -52,7 +146,9 @@ analyzeRedundancy(const Program &program, const RedundancyParams &params)
     Emulator emu(program, state);
     Emulator::loadProgram(program, state);
 
-    std::unordered_map<Addr, StaticHistory> hist;
+    // One history per text word: Emulator::step halts off the text,
+    // so every analysed PC has a slot.
+    std::vector<StaticHistory> hist(program.text.size());
     WriterInfo writers[NUM_ARCH_REGS] = {};
 
     uint64_t idx = 0;
@@ -71,10 +167,17 @@ analyzeRedundancy(const Program &program, const RedundancyParams &params)
         bool this_reused = false;
         if (produces) {
             ++out.resultProducing;
-            StaticHistory &h = hist[er.pc];
+            size_t slot = (er.pc - program.textBase) / 4;
+            VPIR_ASSERT(slot < hist.size(), "analysed PC outside the text");
+            StaticHistory &h = hist[slot];
             uint64_t result = er.out.result;
 
-            bool is_repeated = h.results.count(result) > 0;
+            // Both buffers are classified by their contents before
+            // this instance's inserts, and insert only while below
+            // the cap; a full operand buffer keeps its stored results.
+            bool results_open = h.results.size() < params.maxInstances;
+            bool is_repeated =
+                h.results.findOrInsert(result, results_open).found;
             bool is_derivable = false;
             if (!is_repeated && h.seen >= 2) {
                 uint64_t stride = h.lastResult - h.prevResult;
@@ -84,10 +187,12 @@ analyzeRedundancy(const Program &program, const RedundancyParams &params)
             // An instance is reused when it repeats a result that
             // was computed from the same operand values before
             // (paper §4.3: the operand-based reuse test succeeds).
-            uint64_t key = operandKey(er.srcVals[0], er.srcVals[1]);
-            auto op_it = h.byOperands.find(key);
-            bool operands_seen =
-                op_it != h.byOperands.end() && op_it->second == result;
+            bool operands_open = h.byOperands.size() < params.maxInstances;
+            auto [op, operands_known] = h.byOperands.findOrInsert(
+                operandKey(er.srcVals[0], er.srcVals[1]), operands_open);
+            bool operands_seen = operands_known && op->value == result;
+            if (operands_open)
+                op->value = result;
             this_reused = is_repeated && operands_seen;
 
             if (is_repeated) {
@@ -126,18 +231,12 @@ analyzeRedundancy(const Program &program, const RedundancyParams &params)
                     ++out.reusable;
             } else if (is_derivable) {
                 ++out.derivable;
-            } else if (h.results.size() >= params.maxInstances) {
+            } else if (!results_open) {
                 ++out.unaccounted;
             } else {
                 ++out.unique;
             }
 
-            if (h.results.size() < params.maxInstances)
-                h.results.insert(result);
-            if (h.byOperands.size() < params.maxInstances) {
-                h.byOperands[operandKey(er.srcVals[0],
-                                        er.srcVals[1])] = result;
-            }
             h.prevResult = h.lastResult;
             h.lastResult = result;
             ++h.seen;

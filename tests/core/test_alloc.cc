@@ -1,8 +1,9 @@
 /**
  * @file
- * The core's steady state makes no heap allocations. This binary
- * replaces the global operator new and delete with counting versions,
- * which is why it is a test executable of its own.
+ * The core's steady state and the redundancy limit study make no heap
+ * allocations per instruction. This binary replaces the global
+ * operator new and delete with counting versions, which is why it is
+ * a test executable of its own.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <new>
 
 #include "core/core.hh"
+#include "redundancy/redundancy.hh"
 #include "sim/configs.hh"
 #include "workload/workload.hh"
 
@@ -106,4 +108,24 @@ TEST(CoreAllocs, IrSteadyStateIsAllocationFree)
 TEST(CoreAllocs, HybridSteadyStateIsAllocationFree)
 {
     EXPECT_LT(steadyAllocsPerKiloInst(hybridConfig()), 1.0);
+}
+
+TEST(RedundancyAllocs, AnalysisIsAllocationFreePerInstruction)
+{
+    // The history buffers grow by doubling and the emulator's pages
+    // are allocated on first touch, so the whole 2 M-instruction
+    // analysis allocates about 800 times, not per instruction.
+    Workload w = makeWorkload("gcc");
+    RedundancyParams params;
+    params.maxInsts = 2000000;
+    uint64_t allocs0 = heapAllocs.load(std::memory_order_relaxed);
+    RedundancyStats st = analyzeRedundancy(w.program, params);
+    uint64_t allocs = heapAllocs.load(std::memory_order_relaxed) - allocs0;
+    ASSERT_EQ(st.totalDynamic, params.maxInsts);
+    double per_kilo = 1000.0 * static_cast<double>(allocs) /
+                      static_cast<double>(st.totalDynamic);
+    std::printf("%" PRIu64 " allocations over %" PRIu64
+                " analysed instructions (%.4f per 1,000)\n",
+                allocs, st.totalDynamic, per_kilo);
+    EXPECT_LT(per_kilo, 1.0);
 }

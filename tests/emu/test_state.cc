@@ -124,6 +124,45 @@ TEST(EmuState, InitWritesAreNotJournaled)
     EXPECT_EQ(s.readMem(0x10, 4), 77u);
 }
 
+TEST(EmuState, AccessesAcrossLeafAndAddressSpaceEnd)
+{
+    // A page-table leaf covers 4 MiB. 0x003ffffc + 8 straddles the
+    // first and second leaves; 0xfffffffc + 8 wraps to address 0.
+    EmuState s;
+    s.writeMem(0x003ffffc, 8, 0x0102030405060708ull);
+    s.writeMem(0xfffffffc, 8, 0x1112131415161718ull);
+    s.retire(s.mark());
+    EXPECT_EQ(s.readMem(0x003ffffc, 8), 0x0102030405060708ull);
+    EXPECT_EQ(s.readMem(0x00400000, 4), 0x01020304u);
+    EXPECT_EQ(s.readMem(0xfffffffc, 8), 0x1112131415161718ull);
+    EXPECT_EQ(s.readMem(0x00000000, 4), 0x11121314u);
+    ASSERT_EQ(s.residentPages(), 4u);
+
+    JournalMark m = s.mark();
+    s.writeMem(0x003ffffc, 8, ~0ull);
+    s.writeMem(0xfffffffc, 8, ~0ull);
+    EXPECT_EQ(s.readMem(0x00000000, 4), 0xffffffffu);
+    s.rollback(m);
+    EXPECT_EQ(s.readMem(0x003ffffc, 8), 0x0102030405060708ull);
+    EXPECT_EQ(s.readMem(0xfffffffc, 8), 0x1112131415161718ull);
+
+    // A region never written reads as zero without allocating.
+    EXPECT_EQ(s.readMem(0x80000000, 8), 0u);
+    EXPECT_EQ(s.residentPages(), 4u);
+
+    // A clone shares the pages of every leaf, and a write inside one
+    // page faults that page alone.
+    EmuState clone = s;
+    EXPECT_EQ(clone.residentPages(), 4u);
+    EXPECT_EQ(clone.sharedPages(), 4u);
+    clone.writeMem(0x00400000, 4, 0xdeadbeef);
+    EXPECT_EQ(clone.cowFaults() - s.cowFaults(), 1u);
+    EXPECT_EQ(clone.sharedPages(), 3u);
+    EXPECT_EQ(s.sharedPages(), 3u);
+    EXPECT_EQ(s.readMem(0x00400000, 4), 0x01020304u);
+    EXPECT_EQ(clone.readMem(0xfffffffc, 8), 0x1112131415161718ull);
+}
+
 // ----------------------------------------------------- copy-on-write
 
 TEST(EmuStateCow, CloneSharesAllPages)

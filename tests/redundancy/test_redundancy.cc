@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "asm/assembler.hh"
 #include "redundancy/redundancy.hh"
+#include "workload/workload.hh"
 #include "workload/wregs.hh"
 
 using namespace vpir;
@@ -62,6 +65,16 @@ lcgLoop(int iters)
     a.bgtz(S1, "loop");
     a.halt();
     return a.finish();
+}
+
+/** All eleven counters, in declaration order. */
+std::array<uint64_t, 11>
+counters(const RedundancyStats &s)
+{
+    return {s.totalDynamic, s.resultProducing, s.unique,
+            s.repeated, s.derivable, s.unaccounted,
+            s.prodReused, s.prodFar, s.prodNear,
+            s.inputsDifferent, s.reusable};
 }
 
 } // anonymous namespace
@@ -180,4 +193,118 @@ TEST(Redundancy, PaperBandHoldsForMixedProgram)
     RedundancyStats st = analyzeRedundancy(a.finish());
     EXPECT_GT(st.redundant(), st.resultProducing / 2);
     EXPECT_GT(st.reusableFraction(), 0.5);
+}
+
+TEST(Redundancy, WorkloadStatsPinned)
+{
+    // Figures 8-10 at 200 K instructions, with the paper's 10K
+    // buffers and with 64-instance buffers, which fill on every
+    // workload so unaccounted results and full-buffer freezes occur.
+    struct Row
+    {
+        const char *name;
+        unsigned maxInstances;
+        std::array<uint64_t, 11> expect;
+    };
+    const Row rows[] = {
+        {"go", 10000, {200000, 142212, 4227, 134836, 3149, 0,
+                       109257, 7619, 17960, 12398, 111539}},
+        {"m88ksim", 10000, {200000, 171318, 10824, 157536, 2958, 0,
+                            118485, 25504, 13547, 9463, 139926}},
+        {"ijpeg", 10000, {200000, 172083, 12796, 150982, 8305, 0,
+                          119690, 13121, 18171, 12720, 128048}},
+        {"perl", 10000, {200000, 160231, 18699, 135867, 5665, 0,
+                         115279, 11913, 8675, 6377, 125323}},
+        {"vortex", 10000, {200000, 145568, 9878, 130732, 4958, 0,
+                           107248, 12119, 11365, 5716, 118989}},
+        {"gcc", 10000, {200000, 155063, 24759, 123896, 6408, 0,
+                        116645, 14, 7237, 5148, 116633}},
+        {"compress", 10000, {200000, 132195, 9482, 101694, 21019, 0,
+                             44765, 16435, 40494, 13493, 59882}},
+        {"go", 64, {200000, 142212, 602, 117184, 14508, 9918,
+                    56015, 6370, 54799, 27770, 58691}},
+        {"m88ksim", 64, {200000, 171318, 2378, 142808, 14180, 11952,
+                         112525, 25363, 4920, 4161, 135651}},
+        {"ijpeg", 64, {200000, 172083, 1212, 82099, 24986, 63786,
+                       60874, 3803, 17422, 12630, 62090}},
+        {"perl", 64, {200000, 160231, 1050, 110944, 13475, 34762,
+                      69824, 11913, 29207, 19065, 79371}},
+        {"vortex", 64, {200000, 145568, 1371, 108847, 11683, 23667,
+                        74161, 10650, 24036, 14215, 83949}},
+        {"gcc", 64, {200000, 155063, 1572, 67337, 24202, 61952,
+                     47668, 14, 19655, 13826, 47665}},
+        {"compress", 64, {200000, 132195, 1007, 65104, 24931, 41153,
+                          17137, 7270, 40697, 14036, 22852}},
+    };
+    for (const Row &row : rows) {
+        RedundancyParams params;
+        params.maxInsts = 200000;
+        params.maxInstances = row.maxInstances;
+        RedundancyStats st =
+            analyzeRedundancy(makeWorkload(row.name).program, params);
+        EXPECT_EQ(counters(st), row.expect)
+            << row.name << " with " << row.maxInstances
+            << "-instance buffers";
+    }
+}
+
+TEST(Redundancy, FullOperandTableFreezesStoredResults)
+{
+    // Two-instance buffers. Per iteration, P loads an address from
+    // the list A, B, C, A, A and L loads the word there; the words are
+    // 7, 9 and 100, and the store in the first iteration turns the
+    // word at A into 9. The 50 nops put P at least 50 instructions
+    // ahead of L, so L's input is ready and only the operand buffer
+    // decides whether it is reusable.
+    Assembler a;
+    a.dataLabel("wa");
+    a.word(7);
+    a.dataLabel("wb");
+    a.word(9);
+    a.word(0); // C - B != B - A: C is not a stride step
+    a.dataLabel("wc");
+    a.word(100);
+    a.dataLabel("ptrs");
+    for (const char *w : {"wa", "wb", "wc", "wa", "wa"})
+        a.word(a.dataAddr(w));
+    a.la(S0, "ptrs");
+    a.la(S2, "wa");
+    a.li(S3, 9);
+    a.li(S1, 5);
+    a.label("loop");
+    a.lw(T1, S0, 0);   // P
+    for (int i = 0; i < 50; ++i)
+        a.nop();
+    a.lw(T2, T1, 0);   // L
+    a.sw(S3, S2, 0);
+    a.addi(S0, S0, 4);
+    a.addi(S1, S1, -1);
+    a.bgtz(S1, "loop");
+    a.halt();
+
+    RedundancyParams params;
+    params.maxInstances = 2;
+    RedundancyStats st = analyzeRedundancy(a.finish(), params);
+
+    // L reads 7 at A, 9 at B, then 100 at C: unique, unique, and
+    // unaccounted (both buffers are full; 100 is not 9 + (9 - 7)).
+    // Its operand buffer holds A -> 7 and B -> 9. The next two reads
+    // at A return 9, a repeated result. A full buffer keeps A -> 7,
+    // so both count as inputsDifferent and neither is reusable. A
+    // buffer that still overwrote A would store A -> 9 and make the
+    // second read reusable: inputsDifferent 3 and reusable 1 overall.
+    // P returns A, B (unique), C (unaccounted), then A twice:
+    // repeated, with unseen operands and a near producer (the
+    // address increment three instructions back). The setup's four
+    // li are unique; both increments are unique twice, then strided.
+    EXPECT_EQ(st.totalDynamic, 4u + 5 * 56);
+    EXPECT_EQ(st.resultProducing, 24u);
+    EXPECT_EQ(st.unique, 12u);
+    EXPECT_EQ(st.unaccounted, 2u);
+    EXPECT_EQ(st.derivable, 6u);
+    EXPECT_EQ(st.repeated, 4u);
+    EXPECT_EQ(st.prodFar, 2u);  // L: P is 51 instructions ahead
+    EXPECT_EQ(st.prodNear, 2u); // P
+    EXPECT_EQ(st.inputsDifferent, 4u);
+    EXPECT_EQ(st.reusable, 0u);
 }
