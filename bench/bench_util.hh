@@ -9,12 +9,12 @@
  *   VPIR_BENCH_INSTS    committed-instruction budget per run
  *                       (default 400000)
  *   VPIR_BENCH_SCALE    workload scale factor (default 1.0)
- *   VPIR_JOBS           worker threads (default hardware concurrency)
+ *   VPIR_JOBS           threads per sweep batch (default hardware
+ *                       concurrency; 1 = inline)
  *   VPIR_RESULT_CACHE   on-disk result cache directory (off if unset)
  *   VPIR_TIMING_JSON    timing report path (default
  *                       bench_timing.<harness>.json, so a full bench
  *                       run keeps every harness's records)
- *   VPIR_TIMING_VERBOSE per-cell lines in the stderr summary
  *   VPIR_CHECK          =1: lockstep-verify every retired instruction
  *   VPIR_WATCHDOG_CYCLES commit-progress watchdog limit
  *   VPIR_FAULT_*        deterministic fault injection (see configs.hh)
@@ -35,6 +35,7 @@
 
 #include "redundancy/redundancy.hh"
 #include "sim/simulator.hh"
+#include "stats/stats.hh"
 #include "stats/table.hh"
 #include "sweep/sweep.hh"
 
@@ -50,11 +51,11 @@ namespace bench
  * label can never alias each other's cached stats, and identical
  * configs under different labels are simulated once.
  *
- * Harnesses call prefetch() for every cell up front (fanning the work
- * out across VPIR_JOBS threads), then run() in table order; run()
- * blocks only on cells still in flight, and tables print byte-identical
- * output for any job count. Calling run() without prefetch() still
- * works — it just serializes on that cell.
+ * Harnesses call prefetch() for every cell up front, then run() in
+ * table order: the first run() runs every queued cell as one batch
+ * across VPIR_JOBS threads, later ones read finished results, and
+ * tables print byte-identical output for any job count. Calling run()
+ * without prefetch() still works — that cell just runs alone.
  */
 class Runner
 {

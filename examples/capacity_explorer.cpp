@@ -13,6 +13,7 @@
 #include <string>
 
 #include "sim/simulator.hh"
+#include "stats/stats.hh"
 
 using namespace vpir;
 

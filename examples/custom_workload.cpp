@@ -14,6 +14,7 @@
 #include "asm/assembler.hh"
 #include "redundancy/redundancy.hh"
 #include "sim/simulator.hh"
+#include "stats/stats.hh"
 #include "workload/wregs.hh"
 
 using namespace vpir;

@@ -9,6 +9,7 @@
 
 #include "asm/assembler.hh"
 #include "sim/simulator.hh"
+#include "stats/stats.hh"
 #include "workload/wregs.hh"
 
 using namespace vpir;

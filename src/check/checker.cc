@@ -10,24 +10,11 @@ namespace vpir
 {
 
 LockstepChecker::LockstepChecker(const Program &program,
-                                 uint64_t warmupInsts,
-                                 const EmuSnapshot *warm)
+                                 const EmuSnapshot &start)
     : emu(program, state)
 {
-    if (warm) {
-        VPIR_ASSERT(warm->warmupInsts == warmupInsts,
-                    "warm snapshot built for a different warmup length");
-        state = warm->state; // COW page share; writes fault private
-        emu.setPC(warm->pc);
-        return;
-    }
-    Emulator::loadProgram(program, state);
-    // Mirror the core's functional warmup so the checked region starts
-    // with both machines in the same architectural state.
-    for (uint64_t i = 0; i < warmupInsts && !emu.halted(); ++i) {
-        emu.step();
-        state.retire(state.mark());
-    }
+    state = start.state; // COW page share; writes fault private
+    emu.setPC(start.pc);
 }
 
 void

@@ -21,8 +21,10 @@
  * instructions — and calls panic(), which a PanicThrowScope turns
  * into a catchable SimError.
  *
- * The checker shares nothing with the core's emulation state; it only
- * reads the same immutable Program. That independence is the point.
+ * The checker shares no mutable state with the core: it starts from
+ * a copy-on-write clone of the core's start snapshot and otherwise
+ * only reads the same immutable Program. That independence is the
+ * point.
  */
 
 #ifndef VPIR_CHECK_CHECKER_HH
@@ -57,19 +59,16 @@ class LockstepChecker
 {
   public:
     /**
-     * @param program      The (immutable) program image, shared with
-     *                     the core by reference.
-     * @param warmupInsts  Instructions the core retires functionally
-     *                     before timing starts; replayed here so both
-     *                     machines start the checked region aligned.
-     * @param warm         Optional post-warmup snapshot for the same
-     *                     (program, warmupInsts): cloned copy-on-write
-     *                     instead of replaying the warmup. The checker
-     *                     still shares no *mutable* state with the
-     *                     core — both write-fault private pages.
+     * @param program  The (immutable) program image, shared with the
+     *                 core by reference.
+     * @param start    The core's start state (see makeWarmSnapshot()):
+     *                 cloned copy-on-write, so both machines begin the
+     *                 checked region at the same PC in the same
+     *                 architectural state. The checker still shares no
+     *                 *mutable* state with the core — both write-fault
+     *                 private pages.
      */
-    LockstepChecker(const Program &program, uint64_t warmupInsts,
-                    const EmuSnapshot *warm = nullptr);
+    LockstepChecker(const Program &program, const EmuSnapshot &start);
 
     /** Cross-validate one retired instruction; panics on divergence. */
     void onRetire(const Retired &r);

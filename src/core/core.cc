@@ -35,9 +35,6 @@ Core::Core(const CoreParams &p, const Program &program,
     }
     if (p.technique == Technique::IR || p.technique == Technique::Hybrid)
         rb.emplace(p.rb);
-    if (p.checkRetire)
-        checker = std::make_unique<LockstepChecker>(program, p.warmupInsts,
-                                                    warm);
     for (auto &r : regProducer)
         r = RobRef{};
     auditClobberCycle = parseEnvU64("VPIR_TEST_AUDIT_CLOBBER", UINT64_MAX);
@@ -56,32 +53,25 @@ Core::Core(const CoreParams &p, const Program &program,
     for (const Instr &i : program.text)
         decodeCache.push_back(&decodeInfo(i.op));
 
-    if (warm) {
-        // Warm start: clone the shared post-warmup snapshot instead of
-        // loading the image and replaying the warmup. The clone copies
-        // the page-table leaves' pointers; writes fault private pages
-        // (see emu/state.hh). Must end bit-identical to the cold path
-        // below, warning included.
-        VPIR_ASSERT(warm->warmupInsts == p.warmupInsts,
-                    "warm snapshot built for a different warmup length");
-        state = warm->state;
-        fetchPC = warm->halted ? prog.entry : warm->pc;
-        if (warm->halted)
-            warn("warmup consumed the whole program");
-        return;
+    // Start state: the shared post-warmup snapshot when given, else a
+    // private one built the same way (paper §4.1.5: the first
+    // warmupInsts instructions run on the emulator alone). The core
+    // and its checker clone it: the clone copies the page-table
+    // leaves' pointers and writes fault private pages (see
+    // emu/state.hh).
+    EmuSnapshot cold;
+    if (!warm) {
+        cold = makeWarmSnapshot(program, p.warmupInsts);
+        warm = &cold;
     }
-
-    Emulator::loadProgram(program, state);
-    // Functional fast-forward (paper §4.1.5): execute the first
-    // warmupInsts instructions on the emulator alone, then start the
-    // timing simulation from wherever the program got to.
-    for (uint64_t i = 0; i < p.warmupInsts && !emu.halted(); ++i) {
-        emu.step();
-        state.retire(state.mark());
-    }
-    fetchPC = emu.halted() ? prog.entry : emu.pc();
-    if (emu.halted())
+    VPIR_ASSERT(warm->warmupInsts == p.warmupInsts,
+                "warm snapshot built for a different warmup length");
+    state = warm->state;
+    fetchPC = warm->pc;
+    if (warm->halted)
         warn("warmup consumed the whole program");
+    if (p.checkRetire)
+        checker = std::make_unique<LockstepChecker>(program, *warm);
 }
 
 // ------------------------------------------------------------ helpers

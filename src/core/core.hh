@@ -181,13 +181,14 @@ class Core
 {
   public:
     /**
-     * @param warm  Optional post-warmup snapshot for the same
-     *              (program, params.warmupInsts): the image load and
-     *              functional warmup are replaced by an O(leaves)
-     *              copy-on-write clone. Must have been built by
+     * @param warm  Optional start state shared with other cores:
      *              makeWarmSnapshot() on the same program with the
-     *              same warmup length; the resulting machine is
-     *              bit-identical to a cold-started one.
+     *              same warmup length. Without one the core builds a
+     *              private snapshot the same way. Either is cloned
+     *              copy-on-write (O(leaves)) into the core and, when
+     *              checkRetire is set, into its lockstep checker, so
+     *              the warmup runs at most once per core and the
+     *              resulting machine is the same either way.
      */
     Core(const CoreParams &params, const Program &program,
          const EmuSnapshot *warm = nullptr);

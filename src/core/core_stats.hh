@@ -11,8 +11,6 @@
 #include <cstdint>
 #include <type_traits>
 
-#include "stats/stats.hh"
-
 namespace vpir
 {
 
@@ -103,18 +101,15 @@ struct CoreStats
                         static_cast<double>(cycles)
                       : 0.0;
     }
-
-    /** Export every counter into a named StatSet. */
-    void exportTo(StatSet &out) const;
 };
 
 /**
  * Visit every field of a CoreStats by name: fn(const char *name,
  * uint64_t &value), const-qualified when @p st is. The execCountHist
  * buckets are visited as execCountHist0..3 and haltedCleanly, last, as
- * 0/1 through a proxy. The result cache, statsEqual() and the stats
- * schema fingerprint all share this single field list so they cannot
- * drift apart.
+ * 0/1 through a proxy. The result cache, statsEqual(), the stats
+ * schema fingerprint and vpirsim --stats all share this single field
+ * list so they cannot drift apart.
  */
 template <typename Stats, typename Fn>
 void

@@ -297,15 +297,15 @@ makeWarmSnapshot(const Program &program, uint64_t warmupInsts)
     EmuSnapshot snap;
     Emulator emu(program, snap.state);
     Emulator::loadProgram(program, snap.state);
-    // Must mirror the cold warmup loop in Core/LockstepChecker
-    // instruction for instruction: a snapshot-started machine and a
-    // cold-started one have to be bit-identical.
     for (uint64_t i = 0; i < warmupInsts && !emu.halted(); ++i) {
         emu.step();
         snap.state.retire(snap.state.mark());
     }
-    snap.pc = emu.pc();
+    // The one place that decides where timing starts: where the
+    // warmup stopped, or back at the entry when it ran the program to
+    // its end (the state stays as the warmup left it).
     snap.halted = emu.halted();
+    snap.pc = snap.halted ? program.entry : emu.pc();
     snap.warmupInsts = warmupInsts;
     return snap;
 }

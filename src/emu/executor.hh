@@ -89,22 +89,23 @@ class Emulator
 
 /**
  * Frozen post-warmup machine state: the program image loaded and the
- * first warmupInsts instructions retired functionally. Built once per
- * (program, warmup) by the warm-start cache and cloned copy-on-write
- * (EmuState's copy is O(leaves)) into every core and lockstep checker
- * that starts from the same point. Immutable after construction.
+ * first warmupInsts instructions retired functionally. The start
+ * state of every core and lockstep checker: built once per (program,
+ * warmup) by the warm-start cache, or privately by a Core given
+ * none, and cloned copy-on-write (EmuState's copy is O(leaves)) into
+ * each machine that starts from it. Immutable after construction.
  */
 struct EmuSnapshot
 {
     EmuState state;         //!< post-load, post-warmup architecture
-    Addr pc = 0;            //!< where the emulator stopped
+    Addr pc = 0;            //!< where timing starts (entry if halted)
     bool halted = false;    //!< warmup consumed the whole program
     uint64_t warmupInsts = 0; //!< requested warmup (key sanity check)
 };
 
 /**
- * Execute loadProgram + the functional warmup exactly as Core's and
- * LockstepChecker's cold constructors do, and freeze the result.
+ * Execute loadProgram + the functional warmup and freeze the result,
+ * including the one decision of where timing starts.
  */
 EmuSnapshot makeWarmSnapshot(const Program &program, uint64_t warmupInsts);
 

@@ -4,7 +4,6 @@
 #include <filesystem>
 
 #include "check/fault.hh"
-#include "common/env.hh"
 #include "common/rng.hh"
 #include "fuzz/generator.hh"
 #include "fuzz/repro.hh"
@@ -14,16 +13,6 @@ namespace vpir
 {
 namespace fuzz
 {
-
-FuzzCampaignOptions
-campaignOptionsFromEnv()
-{
-    FuzzCampaignOptions opt;
-    opt.baseSeed = parseEnvU64("VPIR_FUZZ_SEED", opt.baseSeed);
-    opt.cells = static_cast<unsigned>(
-        parseEnvU64("VPIR_FUZZ_CELLS", opt.cells));
-    return opt;
-}
 
 FuzzCampaignResult
 runFuzzCampaign(const FuzzCampaignOptions &opt, std::FILE *log)

@@ -27,16 +27,13 @@ namespace fuzz
 
 struct FuzzCampaignOptions
 {
-    uint64_t baseSeed = 0x5eedf00d; //!< VPIR_FUZZ_SEED
-    unsigned cells = 20;            //!< VPIR_FUZZ_CELLS
+    uint64_t baseSeed = 0x5eedf00d; //!< vpirfuzz --seed
+    unsigned cells = 20;            //!< vpirfuzz --cells
     std::string reproDir = ".";     //!< where bundles are published
     uint64_t shrinkMaxEvals = 4000;
     bool shrink = true;             //!< minimize failures before bundling
     unsigned jobs = 0;              //!< 0 = VPIR_JOBS default
 };
-
-/** Read VPIR_FUZZ_SEED / VPIR_FUZZ_CELLS over the defaults. */
-FuzzCampaignOptions campaignOptionsFromEnv();
 
 /** One cell's outcome, in campaign index order. */
 struct FuzzCellResult

@@ -1,9 +1,7 @@
 #include "fuzz/generator.hh"
 
 #include <cstdio>
-#include <cstdlib>
 
-#include "common/logging.hh"
 #include "common/rng.hh"
 #include "workload/wregs.hh"
 
@@ -503,27 +501,6 @@ generateProgram(uint64_t seed, const GenOptions &opt)
     a.patchWord(a.dataAddr("jumptab") + 4, a.labelPC("leaf_d"));
 
     return a.finish();
-}
-
-bool
-isFuzzWorkloadName(const std::string &name)
-{
-    if (name.size() != 5 + 16 || name.compare(0, 5, "fuzz:") != 0)
-        return false;
-    for (size_t i = 5; i < name.size(); ++i) {
-        char c = name[i];
-        if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')))
-            return false;
-    }
-    return true;
-}
-
-uint64_t
-fuzzSeedFromName(const std::string &name)
-{
-    if (!isFuzzWorkloadName(name))
-        fatal("malformed fuzz workload name: " + name);
-    return std::strtoull(name.c_str() + 5, nullptr, 16);
 }
 
 std::string

@@ -39,7 +39,7 @@ namespace fuzz
 constexpr int GENERATOR_REVISION = 1;
 
 /** Knobs for program shape; defaults give a few-thousand-instruction
- *  run. The sweep's WorkloadScale multiplies outerIters. */
+ *  run. */
 struct GenOptions
 {
     unsigned outerIters = 24; //!< trip count of the outer loop
@@ -49,13 +49,7 @@ struct GenOptions
 /** Generate the program for @p seed. Deterministic. */
 Program generateProgram(uint64_t seed, const GenOptions &opt = {});
 
-/** True for "fuzz:<16-hex-digit-seed>" workload names. */
-bool isFuzzWorkloadName(const std::string &name);
-
-/** Parse the seed out of a fuzz workload name (fatal if malformed). */
-uint64_t fuzzSeedFromName(const std::string &name);
-
-/** Canonical workload name for a seed: "fuzz:%016x". */
+/** Display name of the campaign cell for a seed: "fuzz:%016x". */
 std::string fuzzWorkloadName(uint64_t seed);
 
 } // namespace fuzz

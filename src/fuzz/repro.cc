@@ -33,7 +33,6 @@ captureHardeningEnv()
         "VPIR_FAULT_VPT_VALUE", "VPIR_FAULT_VPT_CONF",
         "VPIR_FAULT_RB_OPERAND", "VPIR_FAULT_RB_RESULT",
         "VPIR_FAULT_RB_LINK",   "VPIR_FAULT_RB_DROPINV",
-        "VPIR_FUZZ_SEED",       "VPIR_FUZZ_CELLS",
     };
     std::string out;
     for (const char *k : knobs) {

@@ -29,7 +29,8 @@ class Simulator
      * Share a cached workload (and optionally a post-warmup snapshot
      * for params.warmupInsts) with other simulators — see
      * sim/warm_cache.hh. The snapshot skips the functional warmup via
-     * a copy-on-write clone; results are bit-identical either way.
+     * a copy-on-write clone; without one the core builds its own, and
+     * results are bit-identical either way.
      */
     Simulator(const CoreParams &params,
               std::shared_ptr<const Workload> workload,

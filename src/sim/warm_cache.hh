@@ -18,9 +18,9 @@
  * and observes the same error.
  *
  * Every sweep cell and runWorkload() go through the cache. The cold
- * path — Simulator(params, Program), whose Core constructor replays
- * the warmup itself — stays as the reference the tests hold the
- * cloned machines to, bit for bit.
+ * path — Simulator(params, Program), whose Core builds a private
+ * snapshot no other core shares — stays as the reference the tests
+ * hold the cached machines to, bit for bit.
  */
 
 #ifndef VPIR_SIM_WARM_CACHE_HH

@@ -1,7 +1,5 @@
 #include "stats/stats.hh"
 
-#include <cstdio>
-
 namespace vpir
 {
 
@@ -40,44 +38,6 @@ double
 ratio(double num, double den)
 {
     return den != 0.0 ? num / den : 0.0;
-}
-
-void
-StatSet::set(const std::string &name, double value)
-{
-    vals[name] = value;
-}
-
-void
-StatSet::add(const std::string &name, double value)
-{
-    vals[name] += value;
-}
-
-double
-StatSet::get(const std::string &name) const
-{
-    auto it = vals.find(name);
-    return it == vals.end() ? 0.0 : it->second;
-}
-
-bool
-StatSet::has(const std::string &name) const
-{
-    return vals.find(name) != vals.end();
-}
-
-std::string
-StatSet::dump() const
-{
-    std::string out;
-    char line[160];
-    for (const auto &kv : vals) {
-        std::snprintf(line, sizeof(line), "%-40s %.6g\n", kv.first.c_str(),
-                      kv.second);
-        out += line;
-    }
-    return out;
 }
 
 } // namespace vpir

@@ -1,76 +1,17 @@
 /**
  * @file
- * Statistics infrastructure: named scalar counters, distributions, and
- * derived ratios, collected into a registry that can be dumped or
- * queried by name. Mirrors (in miniature) the role of the SimpleScalar
- * stats package the paper's simulator used.
+ * Summary helpers the harnesses derive their table columns with:
+ * means over a series and guarded percentages and ratios. The raw
+ * counters live in CoreStats (core/core_stats.hh).
  */
 
 #ifndef VPIR_STATS_STATS_HH
 #define VPIR_STATS_STATS_HH
 
-#include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace vpir
 {
-
-/** A scalar event counter. */
-class Counter
-{
-  public:
-    Counter() : val(0) {}
-
-    void inc(uint64_t n = 1) { val += n; }
-    void set(uint64_t v) { val = v; }
-    uint64_t value() const { return val; }
-
-  private:
-    uint64_t val;
-};
-
-/** A small fixed-bucket histogram (bucket i counts value == i; the last
- *  bucket also absorbs overflow). */
-class Histogram
-{
-  public:
-    explicit Histogram(unsigned buckets = 8) : counts(buckets, 0) {}
-
-    void
-    sample(unsigned v, uint64_t n = 1)
-    {
-        unsigned b = v < counts.size() ? v
-                                       : static_cast<unsigned>(
-                                             counts.size() - 1);
-        counts[b] += n;
-    }
-
-    uint64_t bucket(unsigned i) const { return counts.at(i); }
-    unsigned buckets() const { return static_cast<unsigned>(counts.size()); }
-
-    uint64_t
-    total() const
-    {
-        uint64_t t = 0;
-        for (uint64_t c : counts)
-            t += c;
-        return t;
-    }
-
-    /** Fraction of samples in bucket i (0 if empty). */
-    double
-    fraction(unsigned i) const
-    {
-        uint64_t t = total();
-        return t ? static_cast<double>(bucket(i)) / static_cast<double>(t)
-                 : 0.0;
-    }
-
-  private:
-    std::vector<uint64_t> counts;
-};
 
 /** Harmonic mean of a series of positive values (paper's HM bars). */
 double harmonicMean(const std::vector<double> &values);
@@ -83,35 +24,6 @@ double pct(double num, double den);
 
 /** Ratio helper: num / den, 0 when den == 0. */
 double ratio(double num, double den);
-
-/**
- * A registry of named scalar statistics. The simulator fills one of
- * these per run; benches read values by name.
- */
-class StatSet
-{
-  public:
-    /** Set (or overwrite) a named value. */
-    void set(const std::string &name, double value);
-
-    /** Add to a named value (creating it at zero). */
-    void add(const std::string &name, double value);
-
-    /** Read a value; returns 0 and does not create it when missing. */
-    double get(const std::string &name) const;
-
-    /** True if a value of this name has been recorded. */
-    bool has(const std::string &name) const;
-
-    /** All entries in name order. */
-    const std::map<std::string, double> &entries() const { return vals; }
-
-    /** Render "name value" lines. */
-    std::string dump() const;
-
-  private:
-    std::map<std::string, double> vals;
-};
 
 } // namespace vpir
 

@@ -18,7 +18,6 @@
 #include "common/fnv.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
-#include "fuzz/generator.hh"
 #include "sim/simulator.hh"
 #include "sim/warm_cache.hh"
 #include "sweep/stats_json.hh"
@@ -40,35 +39,16 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 }
 
 /** Reproducibility tail for cell failure reports: the active fault
- *  seed and, for generated fuzz programs, the generator seed and
- *  revision. */
+ *  seed. */
 std::string
 cellReproInfo(const SweepCell &cell)
 {
-    std::string s;
-    if (cell.params.faults.any())
-        s += " fault_seed=0x" + hex16(cell.params.faults.seed);
-    if (fuzz::isFuzzWorkloadName(cell.workload)) {
-        s += " fuzz_seed=0x" + hex16(fuzz::fuzzSeedFromName(cell.workload)) +
-             " gen_rev=" + std::to_string(fuzz::GENERATOR_REVISION);
-    }
-    return s;
+    if (!cell.params.faults.any())
+        return "";
+    return " fault_seed=0x" + hex16(cell.params.faults.seed);
 }
 
 } // anonymous namespace
-
-unsigned
-defaultJobs()
-{
-    if (envSet("VPIR_JOBS")) {
-        uint64_t v = parseEnvU64("VPIR_JOBS", 0);
-        if (v >= 1)
-            return static_cast<unsigned>(v);
-        warn("ignoring VPIR_JOBS=0");
-    }
-    unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 1;
-}
 
 std::string
 defaultCacheDir()
@@ -166,140 +146,62 @@ SweepEngine::scrubStaleTmpFiles()
              "' by a killed process");
 }
 
-SweepEngine::~SweepEngine()
-{
-    {
-        std::lock_guard<std::mutex> lk(mu);
-        shuttingDown = true;
-    }
-    workAvailable.notify_all();
-    for (std::thread &t : workers)
-        t.join();
-}
-
-void
-SweepEngine::startWorkers()
-{
-    // Called with mu held, only in threaded mode.
-    if (!workers.empty() || numJobs <= 1)
-        return;
-    workers.reserve(numJobs);
-    for (unsigned i = 0; i < numJobs; ++i)
-        workers.emplace_back([this] { workerLoop(); });
-}
-
-SweepEngine::Record *
+size_t
 SweepEngine::findOrCreate(const SweepCell &cell)
 {
     uint64_t key = cellHash(cell);
-    auto it = cells.find(key);
-    if (it != cells.end())
-        return it->second.get();
-
-    auto rec = std::make_unique<Record>();
-    rec->cell = cell;
-    rec->key = key;
-    Record *raw = rec.get();
-    cells.emplace(key, std::move(rec));
-    submissionOrder.push_back(raw);
-    queue.push_back(raw);
-    ++pending;
-    if (numJobs > 1) {
-        startWorkers();
-        workAvailable.notify_one();
+    auto [it, added] = byKey.try_emplace(key, records.size());
+    if (added) {
+        auto rec = std::make_unique<Record>();
+        rec->cell = cell;
+        rec->key = key;
+        records.push_back(std::move(rec));
     }
-    return raw;
+    return it->second;
 }
 
 void
 SweepEngine::prefetch(const SweepCell &cell)
 {
-    std::lock_guard<std::mutex> lk(mu);
     findOrCreate(cell);
 }
 
 void
-SweepEngine::runQueued(std::unique_lock<std::mutex> &lk, Record *rec)
+SweepEngine::runQueued()
 {
-    auto head = queue.begin() + static_cast<std::ptrdiff_t>(queueHead);
-    if (!rec) {
-        rec = *head;
-        ++queueHead;
-    } else {
-        // Inline get() runs its cell out of turn; the rest keep their
-        // FIFO order.
-        auto it = std::find(head, queue.end(), rec);
-        VPIR_ASSERT(it != queue.end(), "sweep: record is not queued");
-        queue.erase(it);
-    }
-    if (queueHead == queue.size()) {
-        queue.clear();
-        queueHead = 0;
-    }
-    // Graceful stop: abandon queued cells unrun (in-flight ones finish
-    // on their own threads); a rerun resumes them through the disk
-    // cache.
-    if (stopSig.load()) {
-        rec->skipped = true;
-    } else {
-        lk.unlock();
-        runRecord(*rec);
-        lk.lock();
-    }
-    rec->done = true;
-    --pending;
-    cellFinished.notify_all();
-}
-
-void
-SweepEngine::workerLoop()
-{
-    std::unique_lock<std::mutex> lk(mu);
-    for (;;) {
-        workAvailable.wait(
-            lk, [&] { return shuttingDown || queueHead < queue.size(); });
-        if (shuttingDown)
-            return;
-        runQueued(lk);
-    }
+    auto t0 = std::chrono::steady_clock::now();
+    const size_t first = nextToRun;
+    parallelFor(
+        records.size() - first,
+        [&](size_t i) {
+            Record &rec = *records[first + i];
+            // Graceful stop: the batch starts no further cell (running
+            // ones finish on their own threads); a rerun resumes the
+            // skipped ones through the disk cache.
+            if (stopSig.load())
+                rec.skipped = true;
+            else
+                runRecord(rec);
+        },
+        numJobs);
+    nextToRun = records.size();
+    drainSeconds += secondsSince(t0);
+    maybeExitOnStop();
 }
 
 void
 SweepEngine::drain()
 {
-    auto t0 = std::chrono::steady_clock::now();
-    std::unique_lock<std::mutex> lk(mu);
-    if (numJobs <= 1) {
-        while (queueHead < queue.size())
-            runQueued(lk);
-    } else {
-        cellFinished.wait(lk, [&] { return pending == 0; });
-    }
-    drainSeconds += secondsSince(t0);
-    lk.unlock();
-    maybeExitOnStop();
+    runQueued();
 }
 
 const CoreStats &
 SweepEngine::get(const SweepCell &cell)
 {
-    std::unique_lock<std::mutex> lk(mu);
-    Record *r = findOrCreate(cell);
-    if (r->done)
-        return r->stats;
-
-    auto t0 = std::chrono::steady_clock::now();
-    if (numJobs <= 1) {
-        // Inline mode: run the requested cell now (FIFO position is
-        // irrelevant — every cell eventually runs exactly once).
-        runQueued(lk, r);
-    } else {
-        cellFinished.wait(lk, [&] { return r->done; });
-    }
-    drainSeconds += secondsSince(t0);
-    lk.unlock();
-    maybeExitOnStop();
-    return r->stats;
+    size_t i = findOrCreate(cell);
+    if (i >= nextToRun)
+        runQueued();
+    return records[i]->stats;
 }
 
 void
@@ -456,11 +358,10 @@ SweepEngine::saveToDisk(const Record &rec)
 std::vector<CellTiming>
 SweepEngine::timings() const
 {
-    std::lock_guard<std::mutex> lk(mu);
     std::vector<CellTiming> out;
-    out.reserve(submissionOrder.size());
-    for (const Record *r : submissionOrder) {
-        if (!r->done || r->failed || r->skipped)
+    out.reserve(nextToRun);
+    for (const auto &r : ran()) {
+        if (r->failed || r->skipped)
             continue;
         CellTiming t;
         t.workload = r->cell.workload;
@@ -482,10 +383,9 @@ SweepEngine::timings() const
 std::vector<CellFailure>
 SweepEngine::failures() const
 {
-    std::lock_guard<std::mutex> lk(mu);
     std::vector<CellFailure> out;
-    for (const Record *r : submissionOrder) {
-        if (!r->done || !r->failed)
+    for (const auto &r : ran()) {
+        if (!r->failed)
             continue;
         CellFailure f;
         f.workload = r->cell.workload;
@@ -500,17 +400,15 @@ SweepEngine::failures() const
 double
 SweepEngine::sweepWallSeconds() const
 {
-    std::lock_guard<std::mutex> lk(mu);
     return drainSeconds;
 }
 
 size_t
 SweepEngine::cellsComputed() const
 {
-    std::lock_guard<std::mutex> lk(mu);
     size_t n = 0;
-    for (const Record *r : submissionOrder)
-        if (r->done && !r->fromDiskCache && !r->skipped)
+    for (const auto &r : ran())
+        if (!r->fromDiskCache && !r->skipped)
             ++n;
     return n;
 }
@@ -518,9 +416,8 @@ SweepEngine::cellsComputed() const
 size_t
 SweepEngine::cellsSkipped() const
 {
-    std::lock_guard<std::mutex> lk(mu);
     size_t n = 0;
-    for (const Record *r : submissionOrder)
+    for (const auto &r : ran())
         if (r->skipped)
             ++n;
     return n;
@@ -529,10 +426,9 @@ SweepEngine::cellsSkipped() const
 size_t
 SweepEngine::cellsFromDiskCache() const
 {
-    std::lock_guard<std::mutex> lk(mu);
     size_t n = 0;
-    for (const Record *r : submissionOrder)
-        if (r->done && r->fromDiskCache)
+    for (const auto &r : ran())
+        if (r->fromDiskCache)
             ++n;
     return n;
 }
@@ -691,15 +587,6 @@ SweepEngine::printSummary(std::FILE *out) const
                          f.paramsHash, f.error.c_str());
         }
     }
-    if (std::getenv("VPIR_TIMING_VERBOSE")) {
-        for (const CellTiming &t : ts) {
-            std::fprintf(out,
-                         "[sweep]   %-10s %-18s %8.3fs %8.2f MIPS%s\n",
-                         t.workload.c_str(), t.label.c_str(),
-                         t.wallSeconds, t.mips(),
-                         t.fromDiskCache ? " (disk cache)" : "");
-        }
-    }
 }
 
 // ------------------------------------------------- signals & interrupt
@@ -708,8 +595,8 @@ void
 SweepEngine::requestStop(int sig)
 {
     // Called from the signal handler: a lock-free atomic store is the
-    // only thing allowed here. Workers observe the flag at their next
-    // dequeue; drain()/get() observe it on completion.
+    // only thing allowed here. The running batch reads the flag before
+    // each cell it starts; drain()/get() read it when the batch ends.
     stopSig.store(sig);
 }
 
@@ -720,24 +607,11 @@ SweepEngine::maybeExitOnStop()
     if (!sig || !exitOnStop)
         return;
 
-    // Let every in-flight cell finish (workers skip the rest of the
-    // queue); completed cells were flushed to the disk cache as they
-    // finished, so a rerun resumes exactly the missing ones.
-    size_t total, done_cells;
-    {
-        std::unique_lock<std::mutex> lk(mu);
-        if (numJobs <= 1) {
-            while (queueHead < queue.size())
-                runQueued(lk); // skips: the stop is requested
-        } else {
-            cellFinished.wait(lk, [&] { return pending == 0; });
-        }
-        total = submissionOrder.size();
-        done_cells = 0;
-        for (const Record *r : submissionOrder)
-            if (r->done && !r->skipped)
-                ++done_cells;
-    }
+    // Called after a batch, so every cell has run or been skipped;
+    // completed cells were flushed to the disk cache as they finished,
+    // so a rerun resumes exactly the skipped ones.
+    size_t total = records.size();
+    size_t done_cells = total - cellsSkipped();
     printSummary(stderr);
     std::fprintf(stderr,
                  "[sweep] interrupted by %s: %zu/%zu cells done, "
@@ -808,11 +682,23 @@ const std::string &
 cellWorkloadInput(SweepEngine &eng, const SweepCell &cell)
 {
     eng.get(cell);
-    std::lock_guard<std::mutex> lk(eng.mu);
-    return eng.cells.at(cellHash(cell))->workloadInput;
+    return eng.records[eng.findOrCreate(cell)]->workloadInput;
 }
 
 // --------------------------------------------------------- parallelFor
+
+unsigned
+defaultJobs()
+{
+    if (envSet("VPIR_JOBS")) {
+        uint64_t v = parseEnvU64("VPIR_JOBS", 0);
+        if (v >= 1)
+            return static_cast<unsigned>(v);
+        warn("ignoring VPIR_JOBS=0");
+    }
+    unsigned hw = std::thread::hardware_concurrency();
+    return hw ? hw : 1;
+}
 
 void
 parallelFor(size_t n, const std::function<void(size_t)> &body,

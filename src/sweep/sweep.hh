@@ -7,12 +7,14 @@
  * each Simulator owns its core and workload with no shared mutable
  * state, so cells are embarrassingly parallel. The engine provides:
  *
- *  - a fixed-size std::thread pool with a FIFO work queue
- *    (VPIR_JOBS, default hardware_concurrency; 1 = run inline);
- *  - a thread-safe memoized result cache keyed by a stable hash of
- *    the *full* CoreParams plus workload and scale — two configs
- *    sharing a display label can never alias (the bench_util.hh
- *    stale-cache fix);
+ *  - batch execution: queued cells run as parallelFor() batches on
+ *    VPIR_JOBS threads (default hardware_concurrency; 1 = inline on
+ *    the calling thread), the same loop the limit study and the fuzz
+ *    campaign use;
+ *  - a memoized result cache keyed by a stable hash of the *full*
+ *    CoreParams plus workload and scale — two configs sharing a
+ *    display label can never alias (the bench_util.hh stale-cache
+ *    fix);
  *  - deterministic results independent of completion order: callers
  *    read results back by key in their own (program) order, so table
  *    output is byte-identical for any job count;
@@ -23,7 +25,7 @@
  *    from exactly the missing cells on rerun;
  *  - per-cell and aggregate wall-time / simulated-MIPS records,
  *    exportable as machine-readable bench_timing JSON;
- *  - one execution path: every cell runs in process on a worker
+ *  - one execution path: every cell runs in process on a batch
  *    thread, drawing its program and post-warmup state from the
  *    process-wide WarmStartCache. A panic inside a cell (checker,
  *    watchdog, audit, assertion) becomes a structured CellFailure and
@@ -32,24 +34,24 @@
  *  - checked cells (checkRetire or auditInvariants) always simulate:
  *    they write the disk cache but never read it, so a checked rerun
  *    checks every cell;
- *  - graceful SIGINT/SIGTERM handling on the global engine: stop
- *    scheduling, let in-flight cells finish, flush completed cells to
- *    the disk cache, print a partial summary, exit 128+signal (a
- *    second signal hard-kills). The disk cache is the one resume
- *    path: a rerun recomputes exactly the cells that never finished.
+ *  - graceful SIGINT/SIGTERM handling on the global engine: the
+ *    running batch starts no further cell, in-flight cells finish and
+ *    are flushed to the disk cache, then a partial summary is printed
+ *    and the process exits 128+signal (a second signal hard-kills).
+ *    The disk cache is the one resume path: a rerun recomputes
+ *    exactly the cells that never finished.
  */
 
 #ifndef VPIR_SWEEP_SWEEP_HH
 #define VPIR_SWEEP_SWEEP_HH
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <memory>
-#include <mutex>
+#include <span>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -135,32 +137,38 @@ struct CellTiming
     }
 };
 
-/** The parallel sweep engine. */
+/**
+ * The sweep engine. An engine is driven from one thread and owns no
+ * thread between calls: prefetch() only queues a cell, and drain(),
+ * or get() on a cell with no result yet, runs every queued cell as
+ * one parallelFor() batch whose threads are joined before that call
+ * returns. It holds no lock or condition variable.
+ */
 class SweepEngine
 {
   public:
     /**
-     * @param jobs worker threads; 0 = defaultJobs(); 1 = inline (no
-     *             threads spawned).
+     * @param jobs threads per batch; 0 = defaultJobs(); 1 = inline
+     *             (no thread started).
      * @param cache_dir on-disk cache directory; "" disables. Defaults
      *             to VPIR_RESULT_CACHE.
      */
     explicit SweepEngine(unsigned jobs = 0,
                          const std::string &cache_dir = defaultCacheDir());
-    ~SweepEngine();
 
     SweepEngine(const SweepEngine &) = delete;
     SweepEngine &operator=(const SweepEngine &) = delete;
 
-    /** Schedule a cell (no-op if an identical cell is already known).
-     *  Returns without blocking; workers may start immediately. */
+    /** Queue a cell (no-op if an identical cell is already known);
+     *  nothing runs until the next drain() or get(). */
     void prefetch(const SweepCell &cell);
 
-    /** Block until every prefetched cell has a result. */
+    /** Run every queued cell; returns when each has a result. */
     void drain();
 
     /**
-     * Memoized result lookup; schedules and waits as needed. The
+     * Memoized result lookup. A cell with no result yet is queued if
+     * needed and run in a batch with every other queued cell. The
      * returned reference stays valid for the engine's lifetime.
      */
     const CoreStats &get(const SweepCell &cell);
@@ -179,7 +187,7 @@ class SweepEngine
      */
     std::vector<CellFailure> failures() const;
 
-    /** Wall-clock seconds spent inside drain()/get() waits. */
+    /** Wall-clock seconds spent running batches in drain()/get(). */
     double sweepWallSeconds() const;
 
     unsigned jobs() const { return numJobs; }
@@ -191,12 +199,12 @@ class SweepEngine
 
     /**
      * Request a graceful stop (what the SIGINT/SIGTERM handler calls
-     * on the global engine; async-signal-safe): queued cells are
-     * skipped, in-flight cells finish and are flushed to the disk
-     * cache. On the global engine the next drain()/get() then prints
-     * the partial summary plus an "interrupted: N/M cells done" line
-     * and exits 128+sig; test engines just return, with the skip
-     * observable via cellsSkipped().
+     * on the global engine; async-signal-safe): queued cells not yet
+     * started are skipped, in-flight cells finish and are flushed to
+     * the disk cache. On the global engine the batch's drain()/get()
+     * then prints the partial summary plus an "interrupted: N/M cells
+     * done" line and exits 128+sig; test engines just return, with
+     * the skip observable via cellsSkipped().
      */
     void requestStop(int sig);
 
@@ -229,7 +237,6 @@ class SweepEngine
         bool asmBuilt = false;
         bool warmBuilt = false;
         bool fromDiskCache = false;
-        bool done = false;
         bool failed = false;  //!< simulation failed
         bool skipped = false; //!< abandoned unrun by a stop request
         std::string error;    //!< failure message, context included
@@ -237,20 +244,23 @@ class SweepEngine
     };
 
     /**
-     * Take a record off the queue — @p rec, or the oldest one when
-     * null — then run it, or skip it once a stop is requested, and
-     * publish it as done. Called with @p lk held on a non-empty
-     * queue; the lock is dropped while the cell runs.
+     * Run every record not yet run as one parallelFor() batch — each
+     * one through runRecord(), or skipped once a stop is requested —
+     * then apply the global engine's interrupt epilogue.
      */
-    void runQueued(std::unique_lock<std::mutex> &lk,
-                   Record *rec = nullptr);
+    void runQueued();
     void runRecord(Record &rec); //!< compute (or disk-load) one cell
     /** Simulate the cell on this thread, filling @p rec; a panic
      *  becomes a failed record. */
     void simulate(Record &rec);
-    void workerLoop();
-    void startWorkers();
-    Record *findOrCreate(const SweepCell &cell); //!< locked by caller
+    /** Index of @p cell's record, appending a new one if needed. */
+    size_t findOrCreate(const SweepCell &cell);
+    /** The records that have run (or been skipped), in submission
+     *  order. */
+    std::span<const std::unique_ptr<Record>> ran() const
+    {
+        return {records.data(), nextToRun};
+    }
     bool tryLoadFromDisk(Record &rec);
     void saveToDisk(const Record &rec);
     std::string diskPath(const Record &rec) const;
@@ -262,17 +272,11 @@ class SweepEngine
     std::atomic<int> stopSig{0};
     bool exitOnStop = false; //!< set on the global engine only
 
-    mutable std::mutex mu;
-    std::condition_variable workAvailable;
-    std::condition_variable cellFinished;
-    std::unordered_map<uint64_t, std::unique_ptr<Record>> cells;
-    std::vector<Record *> submissionOrder;
-    /** FIFO of records not yet taken: queue[queueHead, size()). */
-    std::vector<Record *> queue;
-    size_t queueHead = 0;
-    std::vector<std::thread> workers;
-    bool shuttingDown = false;
-    size_t pending = 0;      //!< queued or running cells
+    /** Every cell in submission order; records[0, nextToRun) have
+     *  run or been skipped, the rest are queued. */
+    std::vector<std::unique_ptr<Record>> records;
+    std::unordered_map<uint64_t, size_t> byKey; //!< cell key -> record
+    size_t nextToRun = 0;
     double drainSeconds = 0.0;
 
     friend const std::string &cellWorkloadInput(SweepEngine &,
@@ -284,10 +288,15 @@ const std::string &cellWorkloadInput(SweepEngine &eng,
                                      const SweepCell &cell);
 
 /**
- * Deterministic parallel-for over [0, n): body(i) runs on the pool's
- * worker threads, but callers observe results via their own output
- * slots indexed by i, so ordering is caller-controlled. Used by the
- * analysis benches (fig8-10) that do not run the timing simulator.
+ * Deterministic parallel-for over [0, n): body(i) runs once per index
+ * on up to @p jobs threads (0 = defaultJobs()) started for this call
+ * and joined before it returns; one job, or n <= 1, runs inline on
+ * the calling thread. Indices are handed out in increasing order, and
+ * callers observe results via their own output slots indexed by i, so
+ * ordering is caller-controlled. The first exception a body throws is
+ * rethrown on the calling thread after every thread has finished.
+ * Runs SweepEngine batches, the limit study (fig8-10) and the fuzz
+ * campaign.
  */
 void parallelFor(size_t n, const std::function<void(size_t)> &body,
                  unsigned jobs = 0);

@@ -1,7 +1,6 @@
 #include "workload/workload.hh"
 
 #include "common/logging.hh"
-#include "fuzz/generator.hh"
 
 namespace vpir
 {
@@ -32,20 +31,6 @@ makeWorkload(const std::string &name, const WorkloadScale &scale)
         return makeGcc(scale);
     if (name == "compress")
         return makeCompress(scale);
-    if (fuzz::isFuzzWorkloadName(name)) {
-        // Generated fuzz programs ride the whole sweep stack (warm
-        // cache, failure reports, result cache) as ordinary workload
-        // names; the seed in the name fully determines the program.
-        uint64_t seed = fuzz::fuzzSeedFromName(name);
-        fuzz::GenOptions opt;
-        opt.outerIters = scale.scaled(opt.outerIters);
-        Workload w;
-        w.name = name;
-        w.input = "generated (rev " +
-                  std::to_string(fuzz::GENERATOR_REVISION) + ")";
-        w.program = fuzz::generateProgram(seed, opt);
-        return w;
-    }
     fatal("unknown workload: " + name);
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "asm/assembler.hh"
+#include "common/logging.hh"
 #include "core/core.hh"
 #include "sim/configs.hh"
 #include "workload/wregs.hh"
@@ -148,4 +149,29 @@ TEST(CoreWarmup, SurvivesWarmupPastHalt)
     // Warmup consumed everything; the timed run restarts at entry
     // and still terminates.
     EXPECT_TRUE(st.haltedCleanly);
+}
+
+TEST(CoreWarmup, CheckedRunSurvivesWarmupPastHalt)
+{
+    // The lockstep checker must start where the core does: at the
+    // entry once the warmup has run the program to its end, whether
+    // the core builds its start state or clones a shared snapshot.
+    PanicThrowScope throws_; // a divergence must surface as SimError
+    Program p = mixedKernel(50);
+    CoreParams cfg = baseConfig();
+    cfg.warmupInsts = 10000000; // beyond the whole program
+    cfg.checkRetire = true;
+    EmuSnapshot snap = makeWarmSnapshot(p, cfg.warmupInsts);
+    ASSERT_TRUE(snap.halted);
+
+    Core cold(cfg, p);
+    Core warm(cfg, p, &snap);
+    for (Core *core : {&cold, &warm}) {
+        const char *which = core == &cold ? "cold" : "warm";
+        CoreStats st;
+        ASSERT_NO_THROW(st = core->run()) << which;
+        EXPECT_TRUE(st.haltedCleanly) << which;
+        EXPECT_GT(st.committedInsts, 0u) << which;
+        EXPECT_EQ(st.checkedInsts, st.committedInsts) << which;
+    }
 }

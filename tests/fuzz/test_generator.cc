@@ -1,8 +1,7 @@
 /**
  * @file
- * Generator unit tests: determinism, termination by construction,
- * full static Op coverage in every program, and the fuzz workload
- * naming scheme (including routing through makeWorkload).
+ * Generator unit tests: determinism, termination by construction and
+ * full static Op coverage in every program.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +13,6 @@
 #include "fuzz/generator.hh"
 #include "fuzz/program_io.hh"
 #include "isa/instr.hh"
-#include "workload/workload.hh"
 
 using namespace vpir;
 using namespace vpir::fuzz;
@@ -90,26 +88,4 @@ TEST(FuzzGenerator, ScaledItersShortenRuns)
     };
     EXPECT_LT(run(generateProgram(11, small)),
               run(generateProgram(11, big)));
-}
-
-TEST(FuzzGenerator, WorkloadNameRoundTrip)
-{
-    uint64_t seed = 0xabcdef0123456789ull;
-    std::string name = fuzzWorkloadName(seed);
-    EXPECT_TRUE(isFuzzWorkloadName(name));
-    EXPECT_EQ(fuzzSeedFromName(name), seed);
-
-    EXPECT_FALSE(isFuzzWorkloadName("gcc"));
-    EXPECT_FALSE(isFuzzWorkloadName("fuzz:"));
-    EXPECT_FALSE(isFuzzWorkloadName("fuzz:xyz"));
-    EXPECT_FALSE(isFuzzWorkloadName("fuzz:ABCDEF0123456789"));
-}
-
-TEST(FuzzGenerator, MakeWorkloadRoutesFuzzNames)
-{
-    std::string name = fuzzWorkloadName(0x77);
-    Workload w = makeWorkload(name, WorkloadScale{});
-    EXPECT_EQ(w.name, name);
-    EXPECT_EQ(programToText(w.program),
-              programToText(generateProgram(0x77)));
 }

@@ -128,22 +128,6 @@ TEST(Integration, RunWorkloadHelper)
     EXPECT_GT(st.ipc(), 0.2);
 }
 
-TEST(Integration, StatsExportCoversKeyCounters)
-{
-    WorkloadScale sc;
-    sc.factor = 0.01;
-    CoreStats st = runWorkload("gcc", irConfig(), sc);
-    StatSet out;
-    st.exportTo(out);
-    EXPECT_TRUE(out.has("cycles"));
-    EXPECT_TRUE(out.has("ipc"));
-    EXPECT_TRUE(out.has("reused_results"));
-    EXPECT_TRUE(out.has("branch_squashes"));
-    EXPECT_TRUE(out.has("resource_contention"));
-    EXPECT_DOUBLE_EQ(out.get("cycles"),
-                     static_cast<double>(st.cycles));
-}
-
 TEST(Integration, TechniquesChangeTimingNotSemantics)
 {
     WorkloadScale sc;

@@ -1,42 +1,10 @@
-/** @file Unit tests for the statistics primitives. */
+/** @file Unit tests for the summary helpers. */
 
 #include <gtest/gtest.h>
 
 #include "stats/stats.hh"
 
 using namespace vpir;
-
-TEST(Counter, IncrementAndSet)
-{
-    Counter c;
-    EXPECT_EQ(c.value(), 0u);
-    c.inc();
-    c.inc(9);
-    EXPECT_EQ(c.value(), 10u);
-    c.set(3);
-    EXPECT_EQ(c.value(), 3u);
-}
-
-TEST(Histogram, BucketsAndOverflow)
-{
-    Histogram h(4);
-    h.sample(0);
-    h.sample(1, 2);
-    h.sample(3);
-    h.sample(9); // overflow -> last bucket
-    EXPECT_EQ(h.bucket(0), 1u);
-    EXPECT_EQ(h.bucket(1), 2u);
-    EXPECT_EQ(h.bucket(2), 0u);
-    EXPECT_EQ(h.bucket(3), 2u);
-    EXPECT_EQ(h.total(), 5u);
-    EXPECT_DOUBLE_EQ(h.fraction(1), 0.4);
-}
-
-TEST(Histogram, EmptyFractionIsZero)
-{
-    Histogram h(4);
-    EXPECT_DOUBLE_EQ(h.fraction(0), 0.0);
-}
 
 TEST(Means, HarmonicMean)
 {
@@ -58,27 +26,4 @@ TEST(Means, PctAndRatio)
     EXPECT_DOUBLE_EQ(pct(1, 0), 0.0);
     EXPECT_DOUBLE_EQ(ratio(3, 4), 0.75);
     EXPECT_DOUBLE_EQ(ratio(3, 0), 0.0);
-}
-
-TEST(StatSet, SetAddGet)
-{
-    StatSet s;
-    EXPECT_FALSE(s.has("x"));
-    EXPECT_DOUBLE_EQ(s.get("x"), 0.0);
-    s.set("x", 2.5);
-    s.add("x", 1.0);
-    s.add("y", 4.0);
-    EXPECT_TRUE(s.has("x"));
-    EXPECT_DOUBLE_EQ(s.get("x"), 3.5);
-    EXPECT_DOUBLE_EQ(s.get("y"), 4.0);
-}
-
-TEST(StatSet, DumpContainsEntries)
-{
-    StatSet s;
-    s.set("cycles", 100);
-    s.set("ipc", 1.5);
-    std::string d = s.dump();
-    EXPECT_NE(d.find("cycles"), std::string::npos);
-    EXPECT_NE(d.find("ipc"), std::string::npos);
 }

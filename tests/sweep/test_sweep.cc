@@ -391,6 +391,33 @@ TEST(SweepEngine, TimingRecordsFollowSubmissionOrder)
     std::filesystem::remove(path);
 }
 
+size_t
+liveThreads()
+{
+    size_t n = 0;
+    for (const auto &ent :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+        (void)ent;
+        ++n;
+    }
+    return n;
+}
+
+// An engine owns no thread between calls: every thread a batch
+// starts is joined before drain() returns, which also makes it safe
+// to fork after a sweep.
+TEST(SweepEngine, NoThreadOutlivesABatch)
+{
+    size_t before = liveThreads();
+    SweepEngine eng(4, "");
+    eng.prefetch(cell("compress", "base", baseConfig()));
+    eng.prefetch(cell("perl", "ir", irConfig()));
+    eng.prefetch(cell("go", "base", baseConfig()));
+    eng.drain();
+    EXPECT_EQ(eng.cellsComputed(), 3u);
+    EXPECT_EQ(liveThreads(), before);
+}
+
 TEST(Sweep, GracefulStopSkipsQueuedCellsAndRerunResumes)
 {
     std::string dir = scratchDir("resume");

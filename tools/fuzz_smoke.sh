@@ -6,17 +6,17 @@
 # Every fuzz cell already runs with the per-cycle audit armed, so any
 # broken scheduler obligation panics the cell and fails the script.
 #
-# Usage: fuzz_smoke.sh <build-dir>
-# Knobs: VPIR_FUZZ_SEED / VPIR_FUZZ_CELLS override the fixed corpus.
+# Usage: fuzz_smoke.sh <build-dir> [seed] [cells]
+# The optional seed and cell count override the fixed corpus.
 set -eu
 
-BUILD="${1:?usage: fuzz_smoke.sh <build-dir>}"
+BUILD="${1:?usage: fuzz_smoke.sh <build-dir> [seed] [cells]}"
 BIN="$BUILD/tools/vpirfuzz"
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT INT TERM
 
-SEED="${VPIR_FUZZ_SEED:-0xf00dfeed}"
-CELLS="${VPIR_FUZZ_CELLS:-8}"
+SEED="${2:-0xf00dfeed}"
+CELLS="${3:-8}"
 
 "$BIN" --seed "$SEED" --cells "$CELLS" --dir "$TMP/r1" --jobs 1 \
     > "$TMP/report1.txt"

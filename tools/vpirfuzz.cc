@@ -4,8 +4,8 @@
  *
  * Usage:
  *   vpirfuzz [options]
- *     --seed N              campaign base seed (VPIR_FUZZ_SEED)
- *     --cells N             number of fuzz cells (VPIR_FUZZ_CELLS)
+ *     --seed N              campaign base seed (default 0x5eedf00d)
+ *     --cells N             number of fuzz cells (default 20)
  *     --dir PATH            where repro bundles are published (default .)
  *     --jobs N              worker threads (default VPIR_JOBS)
  *     --no-shrink           bundle failures unshrunk
@@ -53,7 +53,7 @@ usage()
 int
 main(int argc, char **argv)
 {
-    fuzz::FuzzCampaignOptions opt = fuzz::campaignOptionsFromEnv();
+    fuzz::FuzzCampaignOptions opt;
     uint64_t require_shrunk_max = 0;
 
     for (int i = 1; i < argc; ++i) {

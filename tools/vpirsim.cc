@@ -15,7 +15,8 @@
  *     --max-cycles N        cycle limit
  *     --warmup N            functional fast-forward instructions
  *     --scale F             workload scale factor (default 1.0)
- *     --stats               dump the full named statistics set
+ *     --stats               dump every CoreStats counter, exactly,
+ *                           one "name value" line per field
  *     --repro BUNDLE.json   replay a fuzz repro bundle instead of a
  *                           workload: re-run its program under its
  *                           exact configuration and verify the bundled
@@ -35,6 +36,7 @@
 
 #include "fuzz/repro.hh"
 #include "sim/simulator.hh"
+#include "stats/stats.hh"
 #include "sweep/sweep.hh"
 
 using namespace vpir;
@@ -226,9 +228,11 @@ main(int argc, char **argv)
     }
 
     if (dump_stats) {
-        StatSet out;
-        st.exportTo(out);
-        std::printf("\n%s", out.dump().c_str());
+        std::printf("\n");
+        forEachStatField(st, [](const char *name, const uint64_t &v) {
+            std::printf("%-24s %llu\n", name,
+                        static_cast<unsigned long long>(v));
+        });
     }
 
     std::fprintf(stderr, "[sweep] host wall %.3f s, %.2f simulated MIPS%s\n",
