@@ -8,22 +8,13 @@ namespace vpir
 FaultInjector::FaultInjector(const FaultPlan &p) : plan(p), rng(p.seed) {}
 
 bool
-FaultInjector::fire(double rate, uint64_t &counter)
+FaultInjector::draw(double rate, uint64_t &counter)
 {
-    if (rate <= 0.0)
-        return false;
     if (rng.uniform() >= rate)
         return false;
     ++counter;
     return true;
 }
-
-bool FaultInjector::fireVptValue() { return fire(plan.vptValueRate, n.vptValue); }
-bool FaultInjector::fireVptConf() { return fire(plan.vptConfRate, n.vptConf); }
-bool FaultInjector::fireRbOperand() { return fire(plan.rbOperandRate, n.rbOperand); }
-bool FaultInjector::fireRbResult() { return fire(plan.rbResultRate, n.rbResult); }
-bool FaultInjector::fireRbLink() { return fire(plan.rbLinkRate, n.rbLink); }
-bool FaultInjector::fireRbDropInv() { return fire(plan.rbDropInvRate, n.rbDropInv); }
 
 uint64_t
 FaultInjector::corrupt(uint64_t v)

@@ -91,13 +91,19 @@ class FaultInjector
   public:
     explicit FaultInjector(const FaultPlan &plan);
 
-    // One predicate per fault site; each counts when it fires.
-    bool fireVptValue();
-    bool fireVptConf();
-    bool fireRbOperand();
-    bool fireRbResult();
-    bool fireRbLink();
-    bool fireRbDropInv();
+    // One predicate per fault site; each counts when it fires. A
+    // zero rate (every cell that injects nothing) answers inline and
+    // draws nothing.
+    bool fireVptValue() { return fire(plan.vptValueRate, n.vptValue); }
+    bool fireVptConf() { return fire(plan.vptConfRate, n.vptConf); }
+    bool fireRbOperand() { return fire(plan.rbOperandRate, n.rbOperand); }
+    bool fireRbResult() { return fire(plan.rbResultRate, n.rbResult); }
+    bool fireRbLink() { return fire(plan.rbLinkRate, n.rbLink); }
+    bool
+    fireRbDropInv()
+    {
+        return fire(plan.rbDropInvRate, n.rbDropInv);
+    }
 
     /** Corrupt a value: flips one pseudo-random low bit, so the
      *  result is guaranteed to differ from the input. */
@@ -109,7 +115,15 @@ class FaultInjector
     const FaultCounts &counts() const { return n; }
 
   private:
-    bool fire(double rate, uint64_t &counter);
+    bool
+    fire(double rate, uint64_t &counter)
+    {
+        if (rate <= 0.0)
+            return false;
+        return draw(rate, counter);
+    }
+    /** Draw against a positive @p rate; counts a hit. */
+    bool draw(double rate, uint64_t &counter);
 
     FaultPlan plan;
     Rng rng;

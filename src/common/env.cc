@@ -1,5 +1,6 @@
 #include "common/env.hh"
 
+#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -13,15 +14,46 @@ namespace vpir
 namespace
 {
 
-/** The full value must be consumed; stray characters mean the user
- *  typed something the parser ignored (the "10m" failure mode). */
+/** strtoull and strtod skip leading space and then accept a '-'
+ *  (strtoull by wrapping); the rule has no minus sign. */
 bool
-fullyParsed(const char *s, const char *end)
+negative(const char *text)
 {
-    return end != s && *end == '\0';
+    while (std::isspace(static_cast<unsigned char>(*text)))
+        ++text;
+    return *text == '-';
 }
 
 } // anonymous namespace
+
+bool
+parseU64(const char *text, int base, uint64_t *out)
+{
+    if (negative(text))
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    unsigned long long v = std::strtoull(text, &end, base);
+    if (end == text || *end != '\0' || errno == ERANGE)
+        return false;
+    *out = static_cast<uint64_t>(v);
+    return true;
+}
+
+bool
+parseF64(const char *text, double *out)
+{
+    if (negative(text))
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || errno == ERANGE ||
+        !std::isfinite(v))
+        return false;
+    *out = v;
+    return true;
+}
 
 bool
 envSet(const char *name)
@@ -35,20 +67,14 @@ parseEnvU64(const char *name, uint64_t def)
     const char *s = std::getenv(name);
     if (!s)
         return def;
-    // strtoull silently accepts a leading '-' by wrapping; reject it.
-    const char *p = s;
-    while (*p == ' ' || *p == '\t')
-        ++p;
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(p, &end, 10);
-    if (*p == '-' || !fullyParsed(p, end) || errno == ERANGE) {
+    uint64_t v = def;
+    if (!parseU64(s, 10, &v)) {
         warn(std::string(name) + "='" + s +
              "' is not a valid unsigned integer; using default " +
              std::to_string(def));
         return def;
     }
-    return static_cast<uint64_t>(v);
+    return v;
 }
 
 double
@@ -57,10 +83,8 @@ parseEnvF64(const char *name, double def)
     const char *s = std::getenv(name);
     if (!s)
         return def;
-    errno = 0;
-    char *end = nullptr;
-    double v = std::strtod(s, &end);
-    if (!fullyParsed(s, end) || errno == ERANGE || !std::isfinite(v)) {
+    double v = def;
+    if (!parseF64(s, &v)) {
         warn(std::string(name) + "='" + s +
              "' is not a valid number; using default " +
              std::to_string(def));

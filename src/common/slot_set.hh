@@ -85,48 +85,47 @@ class SlotSet
     void
     forEach(F f) const
     {
-        forEachRange(0, cap, f);
+        forEachFrom(0, f);
     }
 
     /** Visit members in ring order: ascending from @p start, wrapping
      *  at capacity. With ROB slots this is program order when @p start
-     *  is the ROB head. */
+     *  is the ROB head. The core walks its sets this way several
+     *  times a cycle, mostly nearly empty, so the walk returns as soon
+     *  as it has seen every member. */
     template <typename F>
     void
     forEachFrom(size_t start, F f) const
     {
         VPIR_ASSERT(start <= cap, "ring start beyond capacity");
-        if (forEachRange(start, cap, f))
-            forEachRange(0, start, f);
-    }
-
-  private:
-    /** Visit members in [lo, hi); returns false on early stop. */
-    template <typename F>
-    bool
-    forEachRange(size_t lo, size_t hi, F &f) const
-    {
-        if (lo >= hi)
-            return true;
-        size_t wlo = lo / 64;
-        size_t whi = (hi - 1) / 64;
-        for (size_t wi = wlo; wi <= whi; ++wi) {
+        size_t left = n;
+        if (left == 0)
+            return;
+        if (start == cap)
+            start = 0;
+        // Word w0 is visited twice: its bits from start on first, its
+        // bits below start last. Bits at or above cap are never set.
+        const size_t nw = words.size();
+        const size_t w0 = start / 64;
+        const uint64_t below = (uint64_t{1} << (start % 64)) - 1;
+        for (size_t k = 0; k <= nw; ++k) {
+            size_t wi = w0 + k < nw ? w0 + k : w0 + k - nw;
             uint64_t w = words[wi];
-            if (wi == wlo)
-                w &= ~uint64_t{0} << (lo % 64);
-            if (wi == whi && (hi % 64) != 0)
-                w &= (uint64_t{1} << (hi % 64)) - 1;
+            if (k == 0)
+                w &= ~below;
+            else if (k == nw)
+                w &= below;
             while (w) {
-                int slot = static_cast<int>(wi * 64) +
-                           __builtin_ctzll(w);
-                if (!f(slot))
-                    return false;
+                if (!f(static_cast<int>(wi * 64) + __builtin_ctzll(w)))
+                    return;
+                if (--left == 0)
+                    return;
                 w &= w - 1;
             }
         }
-        return true;
     }
 
+  private:
     bool
     inRange(int slot) const
     {

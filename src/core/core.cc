@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <new>
+#include <cstring>
 #include <sstream>
-#include <type_traits>
 
 #include "common/env.hh"
 #include "common/logging.hh"
@@ -23,9 +22,11 @@ Core::Core(const CoreParams &p, const Program &program,
       bpred(p.bpred),
       injector(p.faults),
       rob(p.robEntries),
+      robCold(p.robEntries),
       bpCps(p.robEntries),
       lsq(p.lsqEntries),
       fetchQueue(p.fetchQueueSize),
+      fetchCps(p.fetchQueueSize),
       storeQ(p.lsqEntries),
       fetchPC(program.entry)
 {
@@ -46,12 +47,6 @@ Core::Core(const CoreParams &p, const Program &program,
     finWaiters.assign(2 * p.robEntries, OpWaiter{});
     schedScratch.reserve(p.robEntries);
     dueScratch.reserve(p.robEntries);
-
-    // One decode-table lookup per *static* instruction; the pipeline
-    // reads the cached pointer for every dynamic instance.
-    decodeCache.reserve(program.text.size());
-    for (const Instr &i : program.text)
-        decodeCache.push_back(&decodeInfo(i.op));
 
     // Start state: the shared post-warmup snapshot when given, else a
     // private one built the same way (paper §4.1.5: the first
@@ -96,7 +91,8 @@ Core::allocRob()
 uint64_t
 Core::entryValueFor(const RobEntry &e, RegId reg) const
 {
-    if (e.inst.rd2 != REG_INVALID && reg == e.inst.rd2)
+    RegId rd2 = e.si->inst.rd2;
+    if (rd2 != REG_INVALID && reg == rd2)
         return e.curResult2;
     return e.curResult;
 }
@@ -104,7 +100,8 @@ Core::entryValueFor(const RobEntry &e, RegId reg) const
 bool
 Core::entryValueAvail(const RobEntry &e, RegId reg, uint64_t t) const
 {
-    if (e.inst.rd2 != REG_INVALID && reg == e.inst.rd2)
+    RegId rd2 = e.si->inst.rd2;
+    if (rd2 != REG_INVALID && reg == rd2)
         return e.curResult2Valid && e.readyTime <= t;
     return e.hasValue && e.readyTime <= t;
 }
@@ -126,7 +123,7 @@ Core::operandView(int slot, int k, uint64_t t) const
         // the value is final and equals the oracle operand.
         v.avail = true;
         v.final = true;
-        v.value = e.exec.srcVals[k];
+        v.value = e.oracleSrc[k];
         return v;
     }
     const RobEntry &p = at(ref.slot);
@@ -188,8 +185,8 @@ Core::fetchStage()
     Addr line_pc = fetchPC;
 
     while (budget > 0 && fetchQueue.size() < params.fetchQueueSize) {
-        const Instr *ip = prog.at(fetchPC);
-        if (!ip) {
+        const StaticInst *si = emu.staticAt(fetchPC);
+        if (!si) {
             fetchHalted = true; // off the text segment; wait for squash
             cycleHadWork = true;
             break;
@@ -208,30 +205,24 @@ Core::fetchStage()
         }
 
         FetchedInst f;
+        f.si = si;
         f.pc = fetchPC;
-        f.inst = *ip;
-        f.di = decodeAt(fetchPC);
-        f.isCtrl = f.di->cls == InstClass::Branch ||
-                   f.di->cls == InstClass::Jump;
-        f.resolvable = f.di->cls == InstClass::Branch ||
-                       isIndirectJump(ip->op);
 
-        if (ip->op == Op::HALT) {
+        if (si->isHalt) {
             f.predNextPC = fetchPC; // fetch stops here
             fetchQueue.push_back(f);
-            fqResolvable += f.resolvable;
             fetchHalted = true;
             break;
         }
 
         bool taken_stop = false;
-        if (f.isCtrl) {
-            if (f.resolvable &&
+        if (si->isCtrl) {
+            if (si->resolvable &&
                 unresolvedBranches() >= params.maxUnresolvedBranches) {
                 break; // Table 1: max 8 unresolved branches
             }
-            f.bpCp = bpred.checkpoint();
-            BpredLookup look = bpred.predict(fetchPC, *ip);
+            fetchCps.push_back(bpred.checkpoint());
+            BpredLookup look = bpred.predict(fetchPC, si->inst);
             f.predTaken = look.predTaken;
             f.ghrUsed = look.ghrUsed;
             f.fromRas = look.fromRas;
@@ -243,7 +234,7 @@ Core::fetchStage()
         }
 
         fetchQueue.push_back(f);
-        fqResolvable += f.resolvable;
+        fqResolvable += si->resolvable;
         fetchPC = f.predNextPC;
         --budget;
         if (taken_stop)
@@ -257,22 +248,24 @@ void
 Core::tryDispatchPredict(int slot)
 {
     RobEntry &e = at(slot);
+    RobCold &c = coldAt(slot);
+    const StaticInst &si = *e.si;
 
-    if (params.vpPredictResults && producesResult(e.inst) &&
-        !e.isSt && e.inst.rd != REG_INVALID) {
-        e.madePred = vptResult->predict(e.pc, e.exec.out.result);
+    if (params.vpPredictResults && producesResult(si.inst) &&
+        !si.isSt && si.inst.rd != REG_INVALID) {
+        c.madePred = vptResult->predict(c.exec.pc, c.exec.out.result);
         // Injected VPT faults: corrupt the predicted value and/or flip
         // the confidence gate. Both must be absorbed by the normal
         // late-validation path (squash + re-execute), never escaping
         // to architectural state.
-        if (e.madePred.valid && injector.fireVptValue())
-            e.madePred.value = injector.corrupt(e.madePred.value);
+        if (c.madePred.valid && injector.fireVptValue())
+            c.madePred.value = injector.corrupt(c.madePred.value);
         if (injector.fireVptConf())
-            e.madePred.valid = !e.madePred.valid;
-        if (e.madePred.valid) {
+            c.madePred.valid = !c.madePred.valid;
+        if (c.madePred.valid) {
             e.predicted = true;
-            e.predValue = e.madePred.value;
-            e.curResult = e.madePred.value;
+            c.predValue = c.madePred.value;
+            e.curResult = c.madePred.value;
             e.hasValue = true;
             e.readyTime = curCycle;
         }
@@ -281,20 +274,20 @@ Core::tryDispatchPredict(int slot)
     // *validated* address; overwriting it with a VPT guess would both
     // degrade it to a speculation and (before the addr-stale re-issue
     // existed) silently time the cache access at the wrong line.
-    if (params.vpPredictAddresses && (e.isLd || e.isSt) &&
+    if (params.vpPredictAddresses && (si.isLd || si.isSt) &&
         !e.addrReused) {
-        e.madeAddrPred = vptAddr->predict(e.pc, e.exec.out.memAddr);
-        if (e.madeAddrPred.valid && injector.fireVptValue())
-            e.madeAddrPred.value = injector.corrupt(e.madeAddrPred.value);
-        if (e.madeAddrPred.valid) {
+        c.madeAddrPred = vptAddr->predict(c.exec.pc, c.exec.out.memAddr);
+        if (c.madeAddrPred.valid && injector.fireVptValue())
+            c.madeAddrPred.value = injector.corrupt(c.madeAddrPred.value);
+        if (c.madeAddrPred.valid) {
             e.addrPredicted = true;
-            e.addrPredValue = e.madeAddrPred.value;
-            if (e.isLd) {
+            c.addrPredValue = c.madeAddrPred.value;
+            if (si.isLd) {
                 // Loads may access the cache with the predicted
                 // (speculative) address without waiting for the base
                 // register. Store address predictions are recorded
                 // (Table 3) but not used for disambiguation.
-                e.curMemAddr = static_cast<Addr>(e.madeAddrPred.value);
+                e.curMemAddr = static_cast<Addr>(c.madeAddrPred.value);
                 e.memAddrKnown = true;
             }
         }
@@ -305,7 +298,10 @@ void
 Core::tryDispatchReuse(int slot)
 {
     RobEntry &e = at(slot);
-    if (e.cls == InstClass::Nop || e.isHalt)
+    RobCold &c = coldAt(slot);
+    const StaticInst &si = *e.si;
+    const ExecResult &er = c.exec;
+    if (si.di.cls == InstClass::Nop || si.isHalt)
         return;
 
     // Build the operand queries for the reuse test: current
@@ -314,7 +310,7 @@ Core::tryDispatchReuse(int slot)
     RbOperandQuery q[2];
     for (int k = 0; k < 2; ++k) {
         q[k].reg = e.srcReg[k];
-        q[k].value = e.exec.srcVals[k];
+        q[k].value = er.srcVals[k];
         if (q[k].reg == REG_INVALID)
             continue;
         const RobRef &ref = e.srcRob[k];
@@ -328,23 +324,23 @@ Core::tryDispatchReuse(int slot)
             // hit set must match early mode (only validation timing
             // differs), so late-reused producers chain as well.
             if (p.reused || p.reusedLate)
-                q[k].producerReuse = p.rbEntry;
+                q[k].producerReuse = coldAt(ref.slot).rbEntry;
         }
     }
 
-    RbProbeResult hit = rb->probe(e.pc, e.inst, q);
+    RbProbeResult hit = rb->probe(er.pc, si.inst, q);
     if (!hit.entry.valid())
         return;
 
     bool result_ok = hit.resultReused;
 
-    if (e.isLd && result_ok) {
+    if (si.isLd && result_ok) {
         // Precision check standing in for exact invalidation: the
         // stored value must still be what memory holds for this path.
         // With the oracle cross-check disabled the core trusts the
         // RB's own address-range invalidation, like real hardware; an
         // escape is then the retire checker's to catch.
-        if (params.irOracleCheck && hit.memValue != e.exec.out.result)
+        if (params.irOracleCheck && hit.memValue != er.out.result)
             result_ok = false;
         // Non-speculative gate: all older stores must have known,
         // non-overlapping addresses (Table 1's conservative loads).
@@ -354,13 +350,13 @@ Core::tryDispatchReuse(int slot)
         if (result_ok && oldestUnknownStoreSeq() < e.seq)
             result_ok = false;
         if (result_ok) {
-            Addr lo = e.exec.out.memAddr;
+            Addr lo = er.out.memAddr;
             for (const RobRef &ref : storeQ) {
                 if (ref.seq >= e.seq)
                     break;
                 const RobEntry &s = at(ref.slot);
                 Addr s_lo = s.curMemAddr;
-                if (lo < s_lo + s.memSz && s_lo < lo + e.memSz) {
+                if (lo < s_lo + s.si->memSz && s_lo < lo + si.memSz) {
                     result_ok = false;
                     break;
                 }
@@ -373,68 +369,77 @@ Core::tryDispatchReuse(int slot)
         // prediction — the value flows at decode but the instruction
         // still executes, uses resources, and resolves at execute.
         e.reusedLate = true;
-        if (producesResult(e.inst) && e.inst.rd != REG_INVALID &&
-            !e.isSt) {
+        if (producesResult(si.inst) && si.inst.rd != REG_INVALID &&
+            !si.isSt) {
             e.predicted = true;
-            e.predValue = e.exec.out.result;
-            e.curResult = e.predValue;
+            c.predValue = er.out.result;
+            e.curResult = c.predValue;
             e.hasValue = true;
             e.readyTime = curCycle;
         }
         if (hit.recoveredSquashedWork)
             ++st.squashedRecovered;
-        rb->noteReused(hit, e.inst);
-        e.rbEntry = hit.entry;
+        rb->noteReused(hit, si.inst);
+        c.rbEntry = hit.entry;
         return;
     }
 
     if (result_ok) {
         e.reused = true;
         e.needsExec = false;
-        e.rbEntry = hit.entry;
-        e.curResult = producesResult(e.inst)
-                          ? (e.isLd ? hit.memValue : hit.result)
+        c.rbEntry = hit.entry;
+        e.curResult = producesResult(si.inst)
+                          ? (si.isLd ? hit.memValue : hit.result)
                           : 0;
         e.curResult2 = hit.result2;
         e.curResult2Valid = true;
-        e.curTaken = e.exec.out.taken;
-        e.curNextPC = e.exec.out.nextPC;
-        e.hasValue = producesResult(e.inst);
+        c.curTaken = er.out.taken;
+        c.curNextPC = er.out.nextPC;
+        e.hasValue = producesResult(si.inst);
         e.readyTime = curCycle;
         e.finalized = true;
         e.finalizeAt = curCycle;
-        if (e.isLd) {
-            e.curMemAddr = e.exec.out.memAddr;
+        if (si.isLd) {
+            e.curMemAddr = er.out.memAddr;
             e.memAddrKnown = true;
         }
         if (hit.recoveredSquashedWork)
             ++st.squashedRecovered;
-        rb->noteReused(hit, e.inst);
+        rb->noteReused(hit, si.inst);
         if (params.irOracleCheck) {
-            VPIR_ASSERT(!producesResult(e.inst) ||
-                            e.curResult == e.exec.out.result,
+            VPIR_ASSERT(!producesResult(si.inst) ||
+                            e.curResult == er.out.result,
                         "reuse delivered a wrong value");
         }
         return;
     }
 
-    if (hit.addrReused && (e.isLd || e.isSt)) {
+    if (hit.addrReused && (si.isLd || si.isSt)) {
         if (params.irOracleCheck) {
-            VPIR_ASSERT(hit.memAddr == e.exec.out.memAddr,
+            VPIR_ASSERT(hit.memAddr == er.out.memAddr,
                         "address reuse delivered a wrong address");
         }
         e.addrReused = true;
         e.curMemAddr = hit.memAddr;
         e.memAddrKnown = true;
-        if (e.isSt) {
+        if (si.isSt) {
             e.storeAddrReady = true; // unblocks younger loads early
             noteStoreAddrReady();
         }
-        rb->noteReused(hit, e.inst);
+        rb->noteReused(hit, si.inst);
         if (hit.recoveredSquashedWork)
             ++st.squashedRecovered;
     }
 }
+
+namespace
+{
+
+/** A freshly dispatched slot's two records, copied over it whole. */
+constexpr RobEntry freshEntry{};
+constexpr RobCold freshCold{};
+
+} // anonymous namespace
 
 void
 Core::dispatchStage()
@@ -442,9 +447,8 @@ Core::dispatchStage()
     unsigned dispatched = 0;
     while (dispatched < params.dispatchWidth && !fetchQueue.empty()) {
         const FetchedInst &f = fetchQueue.front();
-        const DecodeInfo &di = *f.di;
-        bool is_mem = di.cls == InstClass::Load ||
-                      di.cls == InstClass::Store;
+        const StaticInst &si = *f.si;
+        bool is_mem = si.isLd || si.isSt;
         if (is_mem && lsq.size() >= params.lsqEntries)
             break;
         int slot = allocRob();
@@ -452,44 +456,41 @@ Core::dispatchStage()
             break;
 
         RobEntry &e = at(slot);
-        // Reset the slot in place (no temporary copied over it).
-        static_assert(std::is_trivially_destructible_v<RobEntry>);
-        ::new (static_cast<void *>(&e)) RobEntry;
-        e.exec = emu.stepAt(f.pc);
-        const ExecResult &er = e.exec;
+        RobCold &c = coldAt(slot);
+        // memcpy, not assignment: GCC lowers an assignment from these
+        // images to a rep stos whose start-up costs more than the copy.
+        std::memcpy(&e, &freshEntry, sizeof e);
+        std::memcpy(&c, &freshCold, sizeof c);
+        emu.stepAt(f.pc, c.exec);
+        const ExecResult &er = c.exec;
         e.valid = true;
         e.seq = nextSeq++;
-        e.pc = f.pc;
-        e.inst = er.inst;
-        e.cls = di.cls;
-        e.di = f.di;
-        e.postMark = state.mark();
+        e.si = f.si;
         e.dispatchCycle = curCycle;
-        e.isHalt = er.halted;
-        e.isLd = di.cls == InstClass::Load;
-        e.isSt = di.cls == InstClass::Store;
-        e.memSz = memSize(er.inst.op);
-        e.isCtrl = f.isCtrl;
-        e.resolvable = f.resolvable;
-        e.predTaken = f.predTaken;
-        e.predNextPC = f.predNextPC;
-        e.followedNextPC = f.predNextPC;
-        e.ghrUsed = f.ghrUsed;
-        e.fromRas = f.fromRas;
-        if (f.isCtrl)
-            bpCps[slot] = f.bpCp;
-
-        // Rename sources against in-flight producers.
-        SrcRegs s = srcRegs(er.inst);
-        for (int k = 0; k < 2; ++k) {
-            e.srcReg[k] = s.src[k];
-            if (s.src[k] != REG_INVALID &&
-                refAlive(regProducer[s.src[k]])) {
-                e.srcRob[k] = regProducer[s.src[k]];
-            }
+        e.oracleSrc[0] = er.srcVals[0];
+        e.oracleSrc[1] = er.srcVals[1];
+        e.oracleAddr = er.out.memAddr;
+        c.postMark = state.mark();
+        c.predTaken = f.predTaken;
+        c.predNextPC = f.predNextPC;
+        c.followedNextPC = f.predNextPC;
+        c.ghrUsed = f.ghrUsed;
+        c.fromRas = f.fromRas;
+        if (si.isCtrl) {
+            bpCps[slot] = fetchCps.front();
+            fetchCps.pop_front();
         }
 
-        if (e.cls == InstClass::Nop || e.isHalt) {
+        // Rename sources against in-flight producers.
+        for (int k = 0; k < 2; ++k) {
+            RegId r = si.src[k];
+            e.srcReg[k] = r;
+            if (r != REG_INVALID && refAlive(regProducer[r]))
+                e.srcRob[k] = regProducer[r];
+        }
+
+        bool no_exec = si.di.cls == InstClass::Nop || si.isHalt;
+        if (no_exec) {
             e.needsExec = false;
             e.finalized = true;
             e.finalizeAt = curCycle;
@@ -498,16 +499,16 @@ Core::dispatchStage()
         if (is_mem) {
             LsqEntry le;
             le.rob = RobRef{slot, e.seq};
-            le.isLoad = e.isLd;
+            le.isLoad = si.isLd;
             lsq.push_back(le);
             // Stores also enter the disambiguation queue; appending an
             // address-unknown store keeps the watermark invariant (it
             // sits at or beyond storeAddrPrefix).
-            if (e.isSt)
+            if (si.isSt)
                 storeQ.push_back(le.rob);
         }
 
-        if (!e.isHalt && e.cls != InstClass::Nop) {
+        if (!no_exec) {
             if (params.technique == Technique::IR) {
                 tryDispatchReuse(slot);
             } else if (params.technique == Technique::VP) {
@@ -525,28 +526,27 @@ Core::dispatchStage()
 
         // Claim destinations after the reuse probe (which must see the
         // *previous* producers of our destination registers).
-        DstRegs d = dstRegs(er.inst);
-        for (RegId r : d.dst) {
+        for (RegId r : si.dst) {
             if (r != REG_INVALID)
                 regProducer[r] = RobRef{slot, e.seq};
         }
 
         schedOnDispatch(slot);
-        fqResolvable -= f.resolvable;
+        fqResolvable -= si.resolvable;
         fetchQueue.pop_front();
         ++dispatched;
         cycleHadWork = true;
 
         // A reused control instruction resolves at decode: resolution
         // latency zero, and an immediate redirect on a bpred miss.
-        if (e.reused && e.isCtrl) {
-            noteResolvedForFetch(e);
-            e.finalActionDone = true;
+        if (e.reused && si.isCtrl) {
+            noteResolvedForFetch(slot);
+            c.finalActionDone = true;
             ctrlSet.erase(slot);
-            if (e.correctResolveAt == UINT64_MAX)
-                e.correctResolveAt = curCycle;
-            if (e.curNextPC != e.followedNextPC) {
-                squashAfter(slot, e.curNextPC);
+            if (c.correctResolveAt == UINT64_MAX)
+                c.correctResolveAt = curCycle;
+            if (c.curNextPC != c.followedNextPC) {
+                squashAfter(slot, c.curNextPC);
                 break; // fetch queue flushed
             }
         }
@@ -665,14 +665,15 @@ Core::scheduleRefinal(int slot, uint64_t at_cycle)
 }
 
 void
-Core::noteResolvedForFetch(RobEntry &e)
+Core::noteResolvedForFetch(int slot)
 {
-    if (e.isCtrl && e.resolvable && !e.resolvedForFetch) {
+    RobCold &c = coldAt(slot);
+    if (at(slot).si->resolvable && !c.resolvedForFetch) {
         VPIR_ASSERT(robUnresolvedCtrl > 0,
                     "unresolved-control counter underflow");
         --robUnresolvedCtrl;
     }
-    e.resolvedForFetch = true;
+    c.resolvedForFetch = true;
 }
 
 void
@@ -687,9 +688,9 @@ Core::schedOnDispatch(int slot)
     unlinkFinWaiter(slot, 0);
     unlinkFinWaiter(slot, 1);
 
-    if (e.isCtrl && e.resolvable) {
+    if (e.si->resolvable) {
         ++robUnresolvedCtrl;
-        if (!e.finalActionDone)
+        if (!coldAt(slot).finalActionDone)
             ctrlSet.insert(slot);
     }
     if (!e.needsExec)
@@ -709,7 +710,7 @@ Core::schedOnDispatch(int slot)
             ++e.pendingOps;
     }
     bool addr_ready_load =
-        e.isLd && e.memAddrKnown && (e.addrReused || e.addrPredicted);
+        e.si->isLd && e.memAddrKnown && (e.addrReused || e.addrPredicted);
     if (e.pendingOps == 0 || addr_ready_load)
         readySet.insert(slot);
 }
@@ -745,14 +746,15 @@ Core::loadMayAccess(int slot, bool &forward, RobRef &conflict) const
     }
     const RobEntry *fwd_store = nullptr;
     Addr l_lo = e.curMemAddr;
+    unsigned l_sz = e.si->memSz;
     for (const RobRef &ref : storeQ) {
         if (ref.seq >= e.seq)
             break;
         const RobEntry &s = at(ref.slot);
         Addr s_lo = s.curMemAddr;
-        unsigned s_sz = s.memSz;
-        if (l_lo < s_lo + s_sz && s_lo < l_lo + e.memSz) {
-            if (s_lo == l_lo && s_sz == e.memSz) {
+        unsigned s_sz = s.si->memSz;
+        if (l_lo < s_lo + s_sz && s_lo < l_lo + l_sz) {
+            if (s_lo == l_lo && s_sz == l_sz) {
                 fwd_store = &s; // youngest matching store wins
                 conflict = ref;
             } else {
@@ -768,50 +770,49 @@ Core::loadMayAccess(int slot, bool &forward, RobRef &conflict) const
 }
 
 void
-Core::issueEntry(int slot)
+Core::issueEntry(int slot, const OperandView &v0, const OperandView &v1)
 {
     RobEntry &e = at(slot);
-    OperandView v0 = operandView(slot, 0, curCycle);
-    OperandView v1 = operandView(slot, 1, curCycle);
+    RobCold &c = coldAt(slot);
+    const StaticInst &si = *e.si;
 
     e.usedVals[0] = v0.value;
     e.usedVals[1] = v1.value;
-    e.usedFinal[0] = v0.final;
-    e.usedFinal[1] = v1.final;
     ++e.execCount;
     if (!e.executedOnce)
         ++st.executedInsts;
 
-    bool oracle_inputs = v0.value == e.exec.srcVals[0] &&
-                         v1.value == e.exec.srcVals[1];
+    bool oracle_inputs = v0.value == e.oracleSrc[0] &&
+                         v1.value == e.oracleSrc[1];
 
     if (oracle_inputs) {
-        e.pendResult = e.exec.out.result;
-        e.pendResult2 = e.exec.out.result2;
-        e.pendTaken = e.exec.out.taken;
-        e.pendNextPC = e.exec.out.nextPC;
-        e.pendMemAddr = e.exec.out.memAddr;
+        const SemOut &o = c.exec.out;
+        c.pendResult = o.result;
+        c.pendResult2 = o.result2;
+        c.pendTaken = o.taken;
+        c.pendNextPC = o.nextPC;
+        c.pendMemAddr = o.memAddr;
     } else {
         // Speculative inputs: genuinely evaluate with the wrong
         // values (this is what makes spurious outcomes possible).
-        SemOut o = evalInstr(e.inst, e.pc, v0.value, v1.value, &state);
-        e.pendResult = o.result;
-        e.pendResult2 = o.result2;
-        e.pendTaken = o.taken;
-        e.pendNextPC = o.nextPC;
-        e.pendMemAddr = o.memAddr;
+        SemOut o = evalInstr(si.inst, c.exec.pc, v0.value, v1.value,
+                             &state);
+        c.pendResult = o.result;
+        c.pendResult2 = o.result2;
+        c.pendTaken = o.taken;
+        c.pendNextPC = o.nextPC;
+        c.pendMemAddr = o.memAddr;
     }
 
-    const DecodeInfo &di = *e.di;
-    uint64_t complete = curCycle + di.opLat;
+    uint64_t complete = curCycle + si.di.opLat;
 
-    if (e.isLd) {
+    if (si.isLd) {
         bool skip_agen = e.addrReused || (e.addrPredicted &&
                                           !v0.avail);
         // Loads that did AGEN use the freshly computed address; the
         // others carry the reused/predicted one.
         if (!skip_agen)
-            e.curMemAddr = static_cast<Addr>(e.pendMemAddr);
+            e.curMemAddr = static_cast<Addr>(c.pendMemAddr);
         bool fwd = false;
         RobRef dep;
         if (loadMayAccess(slot, fwd, dep) && !fwd) {
@@ -823,7 +824,7 @@ Core::issueEntry(int slot)
         }
         if (!oracle_inputs || (e.addrPredicted && !v0.avail)) {
             // Speculative access: read whatever that address holds.
-            e.pendResult = state.readMem(e.curMemAddr, e.memSz);
+            c.pendResult = state.readMem(e.curMemAddr, si.memSz);
         }
     }
 
@@ -831,7 +832,7 @@ Core::issueEntry(int slot)
     // predicted instruction computes something other than what its
     // consumers were handed (paper: dependants are delayed by the
     // VP-verification latency).
-    if (e.predicted && e.pendResult != e.curResult)
+    if (e.predicted && c.pendResult != e.curResult)
         complete += params.vpVerifyLatency;
 
     // Completions are processed before issue, so the earliest cycle
@@ -877,9 +878,9 @@ Core::issueStage()
         }
         // Loads with a reused/predicted address need no operands to
         // access the cache.
+        bool is_ld = e.si->isLd;
         bool addr_ready_load =
-            e.isLd && e.memAddrKnown && (e.addrReused ||
-                                         e.addrPredicted);
+            is_ld && e.memAddrKnown && (e.addrReused || e.addrPredicted);
         if (!all_avail && !addr_ready_load) {
             // Waiter links guarantee a wake when the missing operand
             // publishes, so the entry can leave the ready set.
@@ -896,8 +897,8 @@ Core::issueStage()
             // location with operand values that coincidentally equal
             // the oracle ones; the value test alone would never
             // re-issue it. Redo the access once real operands arrive.
-            bool addr_stale = e.isLd && all_avail &&
-                              e.curMemAddr != e.exec.out.memAddr;
+            bool addr_stale = is_ld && all_avail &&
+                              e.curMemAddr != e.oracleAddr;
             if (!changed && !addr_stale) {
                 // Quiescent: only an operand re-publication can change
                 // this evaluation, and the persistent waiter links
@@ -931,12 +932,9 @@ Core::issueStage()
         bool fwd = false;
         RobRef dep;
         bool needs_port = false;
-        if (e.isLd) {
-            if (addr_ready_load && !all_avail) {
-                // Address known speculatively; can't disambiguate
-                // against oracle yet but the paper's machine still
-                // requires older store addresses to be known.
-            }
+        if (is_ld) {
+            // A load whose address is known only speculatively still
+            // needs every older store address known (Table 1).
             if (!loadMayAccess(slot, fwd, dep))
                 continue;
             needs_port = !fwd;
@@ -950,8 +948,8 @@ Core::issueStage()
             ++st.resourceDenied;
             continue;
         }
-        bool skip_agen_fu = e.isLd && (e.addrReused);
-        FuType fu = skip_agen_fu ? FuType::None : e.di->fu;
+        bool skip_agen_fu = is_ld && e.addrReused;
+        FuType fu = skip_agen_fu ? FuType::None : e.si->di.fu;
         if (!fus.available(fu, curCycle)) {
             ++st.resourceDenied;
             continue;
@@ -960,10 +958,10 @@ Core::issueStage()
             ++st.resourceDenied;
             continue;
         }
-        fus.acquire(fu, curCycle, e.di->issueLat);
+        fus.acquire(fu, curCycle, e.si->di.issueLat);
         if (needs_port)
             ++dcachePortsUsed;
-        issueEntry(slot);
+        issueEntry(slot, v[0], v[1]);
         ++issued;
     }
 }
@@ -974,23 +972,25 @@ void
 Core::completeEntry(int slot)
 {
     RobEntry &e = at(slot);
+    RobCold &c = coldAt(slot);
+    const StaticInst &si = *e.si;
     cycleHadWork = true;
     e.inFlight = false;
     e.executedOnce = true;
-    e.curResult = e.pendResult;
-    e.curResult2 = e.pendResult2;
+    e.curResult = c.pendResult;
+    e.curResult2 = c.pendResult2;
     e.curResult2Valid = true;
-    e.curTaken = e.pendTaken;
-    e.curNextPC = e.pendNextPC;
-    if (e.isLd || e.isSt) {
+    c.curTaken = c.pendTaken;
+    c.curNextPC = c.pendNextPC;
+    if (si.isLd || si.isSt) {
         if (!e.addrReused)
-            e.curMemAddr = static_cast<Addr>(e.pendMemAddr);
+            e.curMemAddr = static_cast<Addr>(c.pendMemAddr);
         e.memAddrKnown = true;
     }
-    e.hasValue = producesResult(e.inst);
+    e.hasValue = producesResult(si.inst);
     e.readyTime = curCycle;
 
-    if (e.isSt) {
+    if (si.isSt) {
         e.storeAddrReady = true;
         noteStoreAddrReady();
         if (params.technique == Technique::IR ||
@@ -1000,22 +1000,22 @@ Core::completeEntry(int slot)
             // the dispatch precision check refuses the stale hit;
             // with it off, an escape is the retire checker's to catch.
             if (!injector.fireRbDropInv())
-                rb->storeInvalidate(e.curMemAddr, e.memSz);
+                rb->storeInvalidate(e.curMemAddr, si.memSz);
         }
     }
 
-    if (e.isCtrl && e.resolvable) {
+    if (si.resolvable) {
         bool vp_mode = params.technique == Technique::VP ||
                        params.technique == Technique::Hybrid;
         bool sb = !vp_mode ||
                   params.branchRes == BranchResolution::Speculative;
         if (sb)
-            e.pendingResolve = true;
+            c.pendingResolve = true;
     }
 
     if ((params.technique == Technique::IR ||
          params.technique == Technique::Hybrid) &&
-        !e.rbInserted) {
+        !c.rbInserted) {
         insertIntoRb(slot);
     }
 
@@ -1031,9 +1031,9 @@ Core::completeEntry(int slot)
     // (the issue scan's addr_stale term), and this completion itself
     // is what made the address stale — there may be no further
     // operand publication to deliver a wake, so re-arm it here.
-    if (e.isLd && e.curMemAddr != e.exec.out.memAddr)
+    if (si.isLd && e.curMemAddr != e.oracleAddr)
         readySet.insert(slot);
-    if (e.pendingResolve && !e.finalActionDone)
+    if (c.pendingResolve && !c.finalActionDone)
         ctrlSet.insert(slot);
 }
 
@@ -1124,8 +1124,8 @@ Core::finalizeScan()
         // operand values; otherwise a re-execution is still due: the
         // publication that changes the operands re-wakes the entry on
         // the issue side, and its completion re-arms the candidate.
-        if (e.usedVals[0] != e.exec.srcVals[0] ||
-            e.usedVals[1] != e.exec.srcVals[1]) {
+        if (e.usedVals[0] != e.oracleSrc[0] ||
+            e.usedVals[1] != e.oracleSrc[1]) {
             finalCand.erase(slot);
             continue;
         }
@@ -1134,7 +1134,7 @@ Core::finalizeScan()
         // the wrong location even if the (stale) operand values
         // happened to match the oracle ones; hold it for the
         // addr-stale re-issue instead of finalizing wrong data.
-        if (e.isLd && e.curMemAddr != e.exec.out.memAddr) {
+        if (e.si->isLd && e.curMemAddr != e.oracleAddr) {
             finalCand.erase(slot);
             continue;
         }
@@ -1142,7 +1142,8 @@ Core::finalizeScan()
         e.finalized = true;
         e.finalizeAt = curCycle + (e.predicted ? params.vpVerifyLatency
                                                : 0);
-        if (e.predicted && e.predValue != e.exec.out.result)
+        const RobCold &c = coldAt(slot);
+        if (e.predicted && c.predValue != c.exec.out.result)
             ++st.valueMispredictEvents;
         readySet.erase(slot);
         finalCand.erase(slot);
@@ -1185,18 +1186,18 @@ Core::finalizeScan()
 void
 Core::doResolve(int slot, Addr computed_next, bool is_final)
 {
-    RobEntry &e = at(slot);
+    RobCold &c = coldAt(slot);
     cycleHadWork = true;
-    noteResolvedForFetch(e);
+    noteResolvedForFetch(slot);
     if (is_final) {
-        e.finalActionDone = true;
+        c.finalActionDone = true;
         ctrlSet.erase(slot);
     }
-    if (computed_next == e.exec.out.nextPC &&
-        e.correctResolveAt == UINT64_MAX) {
-        e.correctResolveAt = curCycle;
+    if (computed_next == c.exec.out.nextPC &&
+        c.correctResolveAt == UINT64_MAX) {
+        c.correctResolveAt = curCycle;
     }
-    if (computed_next != e.followedNextPC)
+    if (computed_next != c.followedNextPC)
         squashAfter(slot, computed_next);
 }
 
@@ -1208,25 +1209,26 @@ Core::resolveControl()
     // validity guard sees them gone).
     collectInOrder(ctrlSet, schedScratch);
     for (int slot : schedScratch) {
-        RobEntry &e = at(slot);
-        if (!e.valid || !e.isCtrl || !e.resolvable)
+        const RobEntry &e = at(slot);
+        if (!e.valid || !e.si->resolvable)
             continue;
+        RobCold &c = coldAt(slot);
         bool nsb = (params.technique == Technique::VP ||
                     params.technique == Technique::Hybrid) &&
                    params.branchRes == BranchResolution::NonSpeculative;
         if (nsb) {
             if (e.finalized && e.finalizeAt <= curCycle &&
-                !e.finalActionDone) {
-                doResolve(slot, e.curNextPC, true);
-            } else if (e.finalized && !e.finalActionDone &&
+                !c.finalActionDone) {
+                doResolve(slot, c.curNextPC, true);
+            } else if (e.finalized && !c.finalActionDone &&
                        e.finalizeAt > curCycle) {
                 noteWake(e.finalizeAt); // idle-skip bound
             }
-        } else if (e.pendingResolve) {
-            e.pendingResolve = false;
+        } else if (c.pendingResolve) {
+            c.pendingResolve = false;
             cycleHadWork = true;
             bool fin = e.finalized && e.finalizeAt <= curCycle;
-            doResolve(slot, e.curNextPC, fin);
+            doResolve(slot, c.curNextPC, fin);
         }
     }
 }
@@ -1240,8 +1242,7 @@ Core::rebuildRename()
         r = RobRef{};
     forEachInOrder([&](int slot) {
         const RobEntry &e = at(slot);
-        DstRegs d = dstRegs(e.inst);
-        for (RegId r : d.dst) {
+        for (RegId r : e.si->dst) {
             if (r != REG_INVALID)
                 regProducer[r] = RobRef{slot, e.seq};
         }
@@ -1252,15 +1253,16 @@ Core::rebuildRename()
 void
 Core::squashAfter(int slot, Addr redirect)
 {
-    RobEntry &e = at(slot);
+    const RobEntry &e = at(slot);
+    RobCold &c = coldAt(slot);
 
     cycleHadWork = true;
     ++st.branchSquashes;
-    bool legit = redirect == e.exec.out.nextPC &&
-                 e.predNextPC != e.exec.out.nextPC &&
-                 !e.legitSquashCounted;
+    bool legit = redirect == c.exec.out.nextPC &&
+                 c.predNextPC != c.exec.out.nextPC &&
+                 !c.legitSquashCounted;
     if (legit)
-        e.legitSquashCounted = true;
+        c.legitSquashCounted = true;
     else
         ++st.spuriousSquashes;
 
@@ -1272,10 +1274,11 @@ Core::squashAfter(int slot, Addr redirect)
             break;
         if (y.execCount > 0) { // includes executions still in flight
             ++st.squashedExecuted;
+            const RobCold &yc = coldAt(last);
             if ((params.technique == Technique::IR ||
                  params.technique == Technique::Hybrid) &&
-                y.rbInserted) {
-                rb->markSquashed(y.rbEntry);
+                yc.rbInserted) {
+                rb->markSquashed(yc.rbEntry);
             }
         }
         y.valid = false;
@@ -1290,7 +1293,7 @@ Core::squashAfter(int slot, Addr redirect)
         readySet.erase(last);
         ctrlSet.erase(last);
         finalCand.erase(last);
-        if (y.isCtrl && y.resolvable && !y.resolvedForFetch) {
+        if (y.si->resolvable && !coldAt(last).resolvedForFetch) {
             VPIR_ASSERT(robUnresolvedCtrl > 0,
                         "unresolved-control counter underflow");
             --robUnresolvedCtrl;
@@ -1316,22 +1319,24 @@ Core::squashAfter(int slot, Addr redirect)
         storeAddrPrefix = storeQ.size();
     rebuildRename();
 
-    state.rollback(e.postMark);
+    state.rollback(c.postMark);
 
     // Repair the speculative predictor state: restore the snapshot
     // taken before this instruction predicted, then re-apply its own
     // effect with the outcome just used for the redirect.
-    VPIR_ASSERT(e.isCtrl, "squash by a non-control instruction");
+    const StaticInst &si = *e.si;
+    VPIR_ASSERT(si.isCtrl, "squash by a non-control instruction");
     bpred.restore(bpCps[slot]);
-    if (e.cls == InstClass::Branch)
-        bpred.forceHistoryBit(e.curTaken);
-    if (isCall(e.inst.op))
-        bpred.redoCall(e.pc + 4);
-    if (isReturn(e.inst))
+    if (si.di.cls == InstClass::Branch)
+        bpred.forceHistoryBit(c.curTaken);
+    if (si.isCall)
+        bpred.redoCall(c.exec.pc + 4);
+    if (si.isReturn)
         bpred.redoReturn();
 
-    e.followedNextPC = redirect;
+    c.followedNextPC = redirect;
     fetchQueue.clear();
+    fetchCps.clear();
     fqResolvable = 0;
     fetchPC = redirect;
     fetchResumeCycle = curCycle + 1;
@@ -1344,23 +1349,26 @@ Core::squashAfter(int slot, Addr redirect)
 void
 Core::insertIntoRb(int slot)
 {
-    RobEntry &e = at(slot);
-    if (e.cls == InstClass::Nop || e.isHalt)
+    const RobEntry &e = at(slot);
+    RobCold &c = coldAt(slot);
+    const StaticInst &si = *e.si;
+    if (si.di.cls == InstClass::Nop || si.isHalt)
         return;
 
+    const ExecResult &er = c.exec;
     RbInsertInfo info;
-    info.pc = e.pc;
-    info.inst = e.inst;
+    info.pc = er.pc;
+    info.inst = si.inst;
     for (int k = 0; k < 2; ++k) {
         info.srcReg[k] = e.srcReg[k];
-        info.srcVal[k] = e.exec.srcVals[k];
+        info.srcVal[k] = er.srcVals[k];
     }
-    info.result = e.exec.out.result;
-    info.result2 = e.exec.out.result2;
-    info.taken = e.exec.out.taken;
-    info.nextPC = e.exec.out.nextPC;
-    info.memAddr = e.exec.out.memAddr;
-    info.memValue = e.isLd ? e.exec.out.result : 0;
+    info.result = er.out.result;
+    info.result2 = er.out.result2;
+    info.taken = er.out.taken;
+    info.nextPC = er.out.nextPC;
+    info.memAddr = er.out.memAddr;
+    info.memValue = si.isLd ? er.out.result : 0;
 
     // Injected RB faults. A corrupt result is handed straight to
     // dependants by any later matching probe (the reuse test validates
@@ -1377,7 +1385,7 @@ Core::insertIntoRb(int slot)
     }
     if (injector.fireRbResult()) {
         info.result = injector.corrupt(info.result);
-        if (e.isLd)
+        if (si.isLd)
             info.memValue = injector.corrupt(info.memValue);
     }
 
@@ -1389,9 +1397,9 @@ Core::insertIntoRb(int slot)
     for (int k = 0; k < 2; ++k) {
         const RobRef &p = e.srcRob[k];
         if (refAlive(p)) {
-            const RobEntry &pe = at(p.slot);
-            if (pe.rbEntry.valid())
-                links[k] = pe.rbEntry;
+            const RbRef &pe = coldAt(p.slot).rbEntry;
+            if (pe.valid())
+                links[k] = pe;
         }
     }
     // Injected fault: a corrupt dependence pointer. Dropping the link
@@ -1401,52 +1409,56 @@ Core::insertIntoRb(int slot)
         links[injector.pick(2)] = RbRef{};
     rb->linkSources(ref, links);
 
-    e.rbEntry = ref;
-    e.rbInserted = true;
+    c.rbEntry = ref;
+    c.rbInserted = true;
 }
 
 // -------------------------------------------------------------- commit
 
 void
-Core::trainPredictors(RobEntry &e)
+Core::trainPredictors(int slot)
 {
-    if (e.isCtrl) {
-        bpred.update(e.pc, e.inst, e.exec.out.taken, e.exec.out.nextPC,
-                     e.ghrUsed);
-        if (e.cls == InstClass::Branch) {
+    const RobEntry &e = at(slot);
+    const RobCold &c = coldAt(slot);
+    const StaticInst &si = *e.si;
+    const ExecResult &er = c.exec;
+    if (si.isCtrl) {
+        bpred.update(er.pc, si.inst, er.out.taken, er.out.nextPC,
+                     c.ghrUsed);
+        if (si.di.cls == InstClass::Branch) {
             ++st.condBranches;
-            if (e.predTaken != e.exec.out.taken)
+            if (c.predTaken != er.out.taken)
                 ++st.condMispredicted;
         }
-        if (isReturn(e.inst)) {
+        if (si.isReturn) {
             ++st.returns;
-            if (e.predNextPC != e.exec.out.nextPC)
+            if (c.predNextPC != er.out.nextPC)
                 ++st.returnMispredicted;
         }
-        if (e.resolvable && e.correctResolveAt != UINT64_MAX) {
-            st.branchResLatSum += e.correctResolveAt - e.dispatchCycle;
+        if (si.resolvable && c.correctResolveAt != UINT64_MAX) {
+            st.branchResLatSum += c.correctResolveAt - e.dispatchCycle;
             ++st.branchResCount;
         }
     }
 
     if (params.technique == Technique::VP ||
         params.technique == Technique::Hybrid) {
-        if (producesResult(e.inst) && !e.isSt &&
-            e.inst.rd != REG_INVALID) {
-            vptResult->update(e.pc, e.exec.out.result, e.madePred);
+        if (producesResult(si.inst) && !si.isSt &&
+            si.inst.rd != REG_INVALID) {
+            vptResult->update(er.pc, er.out.result, c.madePred);
             if (e.predicted) {
                 ++st.vpResultPredicted;
-                if (e.predValue == e.exec.out.result)
+                if (c.predValue == er.out.result)
                     ++st.vpResultCorrect;
                 else
                     ++st.vpResultWrong;
             }
         }
-        if (e.isLd || e.isSt) {
-            vptAddr->update(e.pc, e.exec.out.memAddr, e.madeAddrPred);
+        if (si.isLd || si.isSt) {
+            vptAddr->update(er.pc, er.out.memAddr, c.madeAddrPred);
             if (e.addrPredicted) {
                 ++st.vpAddrPredicted;
-                if (e.addrPredValue == e.exec.out.memAddr)
+                if (c.addrPredValue == er.out.memAddr)
                     ++st.vpAddrCorrect;
                 else
                     ++st.vpAddrWrong;
@@ -1456,31 +1468,34 @@ Core::trainPredictors(RobEntry &e)
 }
 
 void
-Core::recordCommitStats(RobEntry &e)
+Core::recordCommitStats(int slot)
 {
+    const RobEntry &e = at(slot);
+    const StaticInst &si = *e.si;
+    bool is_mem = si.isLd || si.isSt;
     ++st.committedInsts;
-    if (e.isLd || e.isSt) {
+    if (is_mem) {
         ++st.committedMemOps;
-        if (e.isLd)
+        if (si.isLd)
             ++st.committedLoads;
         else
             ++st.committedStores;
     }
     if (e.reused || e.reusedLate)
         ++st.reusedResults;
-    if (e.isCtrl && e.resolvable) {
+    if (si.resolvable) {
         ++st.resolvableControl;
         if (e.reused)
             ++st.reusedControl;
     }
-    if (e.addrReused || ((e.reused || e.reusedLate) && (e.isLd || e.isSt)))
+    if (e.addrReused || ((e.reused || e.reusedLate) && is_mem))
         ++st.reusedAddrs;
     if (e.execCount > 0) {
         unsigned b = static_cast<unsigned>(
             std::min(e.execCount, 4)) - 1;
         ++st.execCountHist[b];
     }
-    trainPredictors(e);
+    trainPredictors(slot);
 }
 
 void
@@ -1496,40 +1511,42 @@ Core::commitStage()
                 noteWake(e.finalizeAt);
             break;
         }
-        if (e.isCtrl && e.resolvable && !e.finalActionDone) {
+        const StaticInst &si = *e.si;
+        RobCold &c = coldAt(robHead);
+        if (si.resolvable && !c.finalActionDone) {
             // SB resolutions mark final action lazily; the final
             // publication necessarily happened, so take it now.
-            if (e.curNextPC == e.followedNextPC) {
-                e.finalActionDone = true;
+            if (c.curNextPC == c.followedNextPC) {
+                c.finalActionDone = true;
                 ctrlSet.erase(robHead);
                 cycleHadWork = true;
-                if (e.correctResolveAt == UINT64_MAX)
-                    e.correctResolveAt = curCycle;
+                if (c.correctResolveAt == UINT64_MAX)
+                    c.correctResolveAt = curCycle;
             } else {
                 break; // resolution pending; cannot commit yet
             }
         }
         if (params.irOracleCheck) {
-            VPIR_ASSERT(!e.isCtrl ||
-                            e.followedNextPC == e.exec.out.nextPC,
+            VPIR_ASSERT(!si.isCtrl ||
+                            c.followedNextPC == c.exec.out.nextPC,
                         "committing a control instruction on a wrong path");
         }
 
-        if (e.isHalt) {
+        if (si.isHalt) {
             cycleHadWork = true;
             if (checker)
-                checkRetired(e);
+                checkRetired(robHead);
             done = true;
             st.haltedCleanly = true;
             ++st.committedInsts;
             // Discard still-buffered wrong-path/young writes so the
             // emulator state is exactly the architectural state at
             // the halt (end-state equivalence with pure emulation).
-            state.rollback(e.postMark);
+            state.rollback(c.postMark);
             break;
         }
 
-        if (e.isSt) {
+        if (si.isSt) {
             if (dcachePortsUsed >= params.dcachePorts) {
                 ++st.resourceRequests;
                 ++st.resourceDenied;
@@ -1541,24 +1558,23 @@ Core::commitStage()
         }
 
         if (params.auditInvariants)
-            auditCommit(e);
+            auditCommit(robHead);
         if (checker)
-            checkRetired(e);
-        recordCommitStats(e);
-        state.retire(e.postMark);
+            checkRetired(robHead);
+        recordCommitStats(robHead);
+        state.retire(c.postMark);
 
         if (!lsq.empty() && refAlive(lsq.front().rob) &&
             lsq.front().rob.seq == e.seq) {
             lsq.pop_front();
         }
-        if (e.isSt && !storeQ.empty() && storeQ.front().seq == e.seq) {
+        if (si.isSt && !storeQ.empty() && storeQ.front().seq == e.seq) {
             storeQ.pop_front();
             if (storeAddrPrefix > 0) // committing store was ready
                 --storeAddrPrefix;
         }
 
-        DstRegs d = dstRegs(e.inst);
-        for (RegId r : d.dst) {
+        for (RegId r : si.dst) {
             if (r != REG_INVALID && regProducer[r].slot == robHead &&
                 regProducer[r].seq == e.seq) {
                 regProducer[r] = RobRef{};
@@ -1603,21 +1619,23 @@ Core::commitStage()
 // --------------------------------------------------------- hardening
 
 void
-Core::checkRetired(const RobEntry &e)
+Core::checkRetired(int slot)
 {
+    const RobEntry &e = at(slot);
+    const RobCold &c = coldAt(slot);
     Retired r;
     r.seq = e.seq;
     r.cycle = curCycle;
-    r.pc = e.pc;
-    r.inst = e.inst;
+    r.pc = c.exec.pc;
+    r.inst = e.si->inst;
     r.result = e.curResult;
     r.result2 = e.curResult2;
-    r.nextPC = e.isCtrl ? e.curNextPC : e.pc + 4;
+    r.nextPC = e.si->isCtrl ? c.curNextPC : c.exec.pc + 4;
     r.memAddr = e.curMemAddr;
     // The timing model carries no separate store-data value; pass the
     // dispatch-time one so the checker still validates the replayed
     // store semantics against the original functional execution.
-    r.storeValue = e.exec.out.storeValue;
+    r.storeValue = c.exec.out.storeValue;
     checker->onRetire(r);
 }
 
@@ -1635,24 +1653,25 @@ Core::watchdogDump()
        << params.robEntries << ", lsq " << lsq.size() << "\n";
     forEachInOrder([&](int slot) {
         const RobEntry &e = at(slot);
+        const RobCold &c = coldAt(slot);
         os << "  [" << slot << "] seq " << e.seq << " pc 0x" << std::hex
-           << e.pc << std::dec << " " << disassemble(e.inst)
+           << c.exec.pc << std::dec << " " << disassemble(e.si->inst)
            << (e.finalized ? " finalized" : "")
            << (e.inFlight ? " in-flight" : "")
            << (e.executedOnce ? "" : " never-executed")
            << (e.needsExec ? "" : " no-exec")
            << (e.hasValue ? "" : " no-value");
-        if (e.isCtrl) {
-            os << (e.finalActionDone ? " resolved" : " unresolved");
+        if (e.si->isCtrl) {
+            os << (c.finalActionDone ? " resolved" : " unresolved");
         }
         if (e.executedOnce) {
             os << " exec=" << e.execCount;
             os << std::hex << " used=[0x" << e.usedVals[0] << ",0x"
-               << e.usedVals[1] << "] oracle=[0x" << e.exec.srcVals[0]
-               << ",0x" << e.exec.srcVals[1] << "]";
-            if (e.isLd || e.isSt) {
+               << e.usedVals[1] << "] oracle=[0x" << e.oracleSrc[0]
+               << ",0x" << e.oracleSrc[1] << "]";
+            if (e.si->isLd || e.si->isSt) {
                 os << " addr=0x" << e.curMemAddr << "/0x"
-                   << e.exec.out.memAddr
+                   << e.oracleAddr
                    << (e.addrPredicted ? " addr-pred" : "")
                    << (e.addrReused ? " addr-reused" : "");
             }
@@ -1674,9 +1693,12 @@ Core::auditFail(const std::string &what) const
 }
 
 void
-Core::auditCommit(const RobEntry &e) const
+Core::auditCommit(int slot) const
 {
-    if (e.isHalt || e.cls == InstClass::Nop)
+    const RobEntry &e = at(slot);
+    const StaticInst &si = *e.si;
+    const SemOut &oracle = coldAt(slot).exec.out;
+    if (si.isHalt || si.di.cls == InstClass::Nop)
         return;
     // Late validation must have run its course: whatever value this
     // instruction is retiring with — predicted, reused, or computed —
@@ -1684,20 +1706,20 @@ Core::auditCommit(const RobEntry &e) const
     // difference here is a wrong value escaping to architectural
     // state, the exact failure class VPIR_AUDIT exists to pin to a
     // cycle.
-    if (producesResult(e.inst) && !e.isSt &&
-        e.curResult != e.exec.out.result) {
+    if (producesResult(si.inst) && !si.isSt &&
+        e.curResult != oracle.result) {
         auditFail("committing seq " + std::to_string(e.seq) +
                   " with an unvalidated " +
                   (e.predicted ? std::string("predicted")
                    : (e.reused || e.reusedLate)
                        ? std::string("reused")
                        : std::string("computed")) +
-                  " value (pc " + std::to_string(e.pc) + ", " +
-                  disassemble(e.inst) + ")");
+                  " value (pc " + std::to_string(coldAt(slot).exec.pc) +
+                  ", " + disassemble(si.inst) + ")");
     }
-    if (producesResult(e.inst) && !e.isSt && e.curResult2Valid &&
-        e.inst.rd2 != REG_INVALID &&
-        e.curResult2 != e.exec.out.result2) {
+    if (producesResult(si.inst) && !si.isSt && e.curResult2Valid &&
+        si.inst.rd2 != REG_INVALID &&
+        e.curResult2 != oracle.result2) {
         auditFail("committing seq " + std::to_string(e.seq) +
                   " with an unvalidated secondary value");
     }
@@ -1799,8 +1821,7 @@ Core::auditSched() const
     // Incremental counters against a full recount.
     unsigned unresolved = 0;
     forEachInOrder([&](int slot) {
-        const RobEntry &e = at(slot);
-        if (e.isCtrl && e.resolvable && !e.resolvedForFetch)
+        if (at(slot).si->resolvable && !coldAt(slot).resolvedForFetch)
             ++unresolved;
         return true;
     });
@@ -1810,7 +1831,7 @@ Core::auditSched() const
                   std::to_string(unresolved));
     unsigned fq_res = 0;
     for (const FetchedInst &f : fetchQueue)
-        fq_res += f.resolvable ? 1 : 0;
+        fq_res += f.si->resolvable ? 1 : 0;
     if (fq_res != fqResolvable)
         auditFail("fetch-queue resolvable counter " +
                   std::to_string(fqResolvable) + " != recount " +
@@ -1832,7 +1853,7 @@ Core::auditSched() const
                 v[k] = operandView(slot, k, curCycle);
                 all_avail = all_avail && v[k].avail;
             }
-            bool arl = e.isLd && e.memAddrKnown &&
+            bool arl = e.si->isLd && e.memAddrKnown &&
                        (e.addrReused || e.addrPredicted);
             if (all_avail || arl) {
                 bool need;
@@ -1841,9 +1862,8 @@ Core::auditSched() const
                 } else {
                     bool changed = v[0].value != e.usedVals[0] ||
                                    v[1].value != e.usedVals[1];
-                    bool addr_stale = e.isLd && all_avail &&
-                                      e.curMemAddr !=
-                                          e.exec.out.memAddr;
+                    bool addr_stale = e.si->isLd && all_avail &&
+                                      e.curMemAddr != e.oracleAddr;
                     if (!changed && !addr_stale)
                         need = false;
                     else if (params.reexec == ReexecPolicy::Multiple ||
@@ -1858,7 +1878,7 @@ Core::auditSched() const
                     bad = "actionable entry missing from the ready set";
             }
         }
-        bool unres = e.isCtrl && e.resolvable && !e.finalActionDone;
+        bool unres = e.si->resolvable && !coldAt(slot).finalActionDone;
         if (unres != ctrlSet.test(slot))
             bad = unres ? "unresolved control missing from the "
                           "control set"
@@ -1880,9 +1900,9 @@ Core::auditSched() const
         for (int k = 0; k < 2; ++k)
             ops_final = ops_final &&
                         operandView(slot, k, curCycle).final;
-        if (ops_final && e.usedVals[0] == e.exec.srcVals[0] &&
-            e.usedVals[1] == e.exec.srcVals[1] &&
-            !(e.isLd && e.curMemAddr != e.exec.out.memAddr)) {
+        if (ops_final && e.usedVals[0] == e.oracleSrc[0] &&
+            e.usedVals[1] == e.oracleSrc[1] &&
+            !(e.si->isLd && e.curMemAddr != e.oracleAddr)) {
             bad = "finalizable entry missing from the "
                   "finalize-candidate set";
         }

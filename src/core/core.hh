@@ -22,6 +22,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "bpred/bpred.hh"
@@ -53,93 +54,56 @@ struct RobRef
     bool valid() const { return slot >= 0; }
 };
 
-/** One in-flight instruction (reorder buffer / RUU entry). Plain
- *  data that owns no heap storage: dispatch resets it in place, and
- *  a control instruction's predictor checkpoint lives beside it in
- *  Core::bpCps. */
+/**
+ * The scheduling half of an in-flight instruction (reorder buffer /
+ * RUU entry): only what the scheduler reads across entries every
+ * cycle — a producer's value and timing for its consumers' operand
+ * views, a consumer's operands for wakeups, the issue and finalize
+ * tests, the store queue's addresses. Everything else lives in the
+ * slot's RobCold. A new field goes in RobCold unless the scheduler
+ * reads it for another entry. Plain data: dispatch resets a slot by
+ * copying one constant fresh image over it.
+ */
 struct RobEntry
 {
-    bool valid = false;
     uint64_t seq = 0;           //!< dynamic sequence number
-    Addr pc = 0;
-    Instr inst;
-    InstClass cls = InstClass::Nop;
-    const DecodeInfo *di = nullptr; //!< static decode info, cached at
-                                    //!< dispatch (never re-looked-up)
-    ExecResult exec;            //!< oracle outcome along this path
-    JournalMark postMark = 0;   //!< journal position after emu step
-    uint64_t dispatchCycle = 0;
+    const StaticInst *si = nullptr; //!< the emulator's static decode
+
+    // Current (possibly speculative) values, as consumers see them.
+    uint64_t curResult = 0;
+    uint64_t curResult2 = 0;
+    uint64_t readyTime = 0;     //!< cycle the current value is usable
+    uint64_t finalizeAt = UINT64_MAX;
+
+    bool valid = false;
+    bool needsExec = true;      //!< occupies an FU when issued
+    bool inFlight = false;      //!< execution outstanding
+    bool executedOnce = false;
+    bool hasValue = false;      //!< some value (pred/reuse/computed)
+    bool finalized = false;     //!< value verified non-speculative
+    bool curResult2Valid = false;
+    bool memAddrKnown = false;  //!< address computed (or reused/pred)
+    bool storeAddrReady = false; //!< AGEN done (for disambiguation)
+    bool predicted = false;     //!< result value predicted
+    bool addrPredicted = false;
+    bool reused = false;        //!< full result reuse
+    bool reusedLate = false;    //!< Figure 3 late-validation reuse hit
+    bool addrReused = false;
 
     // Renamed sources.
     RegId srcReg[2] = {REG_INVALID, REG_INVALID};
     RobRef srcRob[2];           //!< in-flight producers (invalid = arch)
-
-    // Dataflow timing state.
-    bool needsExec = true;      //!< occupies an FU when issued
-    bool inFlight = false;      //!< execution outstanding
-    uint64_t completeAt = 0;    //!< cycle the completion is delivered
-    bool executedOnce = false;
-    int execCount = 0;
-    bool hasValue = false;      //!< some value (pred/reuse/computed)
-    uint64_t readyTime = 0;     //!< cycle the current value is usable
-    bool finalized = false;     //!< value verified non-speculative
-    uint64_t finalizeAt = UINT64_MAX;
-    uint64_t usedVals[2] = {0, 0};   //!< operand values of last issue
-    bool usedFinal[2] = {true, true};
-
-    // Current (possibly speculative) values.
-    uint64_t curResult = 0;
-    uint64_t curResult2 = 0;
-    bool curResult2Valid = false;
-    bool curTaken = false;
-    Addr curNextPC = 0;
+    uint64_t usedVals[2] = {0, 0};  //!< operand values of last issue
+    /** Copies of the oracle operand values and address (exec.srcVals
+     *  and exec.out.memAddr), which the issue and finalize tests
+     *  compare against. */
+    uint64_t oracleSrc[2] = {0, 0};
+    Addr oracleAddr = 0;
     Addr curMemAddr = 0;
-    bool memAddrKnown = false;  //!< address computed (or reused/pred)
 
-    // Value prediction state.
-    bool predicted = false;
-    uint64_t predValue = 0;
-    VptPrediction madePred;     //!< for VPT training
-    bool addrPredicted = false;
-    uint64_t addrPredValue = 0;
-    VptPrediction madeAddrPred;
-
-    // Instruction reuse state.
-    bool reused = false;        //!< full result reuse
-    bool addrReused = false;
-    RbRef rbEntry;              //!< entry inserted to / reused from
-    bool rbInserted = false;
-
-    // Control state.
-    bool isCtrl = false;
-    bool resolvable = false;    //!< cond branch or indirect jump
-    bool predTaken = false;     //!< fetch's predicted direction
-    Addr predNextPC = 0;        //!< fetch's original prediction
-    Addr followedNextPC = 0;    //!< path fetch currently follows
-    uint32_t ghrUsed = 0;
-    bool fromRas = false;
-    bool pendingResolve = false;   //!< a publication needs SB action
-    bool finalActionDone = false;  //!< final-outcome action happened
-    bool resolvedForFetch = false; //!< counts against the 8-branch cap
-    bool legitSquashCounted = false;
-    uint64_t correctResolveAt = UINT64_MAX; //!< first oracle-consistent
-                                            //!< resolution (Figure 4)
-
-    // Pending execution outputs (published at completion).
-    uint64_t pendResult = 0;
-    uint64_t pendResult2 = 0;
-    bool pendTaken = false;
-    Addr pendNextPC = 0;
-    Addr pendMemAddr = 0;
-
-    bool reusedLate = false;    //!< Figure 3 late-validation reuse hit
-    // Memory state.
-    bool isLd = false;
-    bool isSt = false;
-    unsigned memSz = 0;
-    bool storeAddrReady = false; //!< AGEN done (for disambiguation)
-
-    bool isHalt = false;
+    uint64_t completeAt = 0;    //!< cycle the completion is delivered
+    uint64_t dispatchCycle = 0;
+    int execCount = 0;
 
     // Incremental-scheduler state (see DESIGN.md §12).
     /** Operands still waiting on a live producer's first publication;
@@ -154,6 +118,47 @@ struct RobEntry
     int finWaiterHead = -1;
 };
 
+/** The rest of an in-flight instruction, in an array parallel to the
+ *  ROB (same slot index). Plain data like RobEntry: dispatch resets it
+ *  from a fresh image too, then the emulator writes exec in place. */
+struct RobCold
+{
+    ExecResult exec;            //!< oracle outcome along this path
+    JournalMark postMark = 0;   //!< journal position after emu step
+
+    // Value prediction training state.
+    uint64_t predValue = 0;
+    VptPrediction madePred;
+    uint64_t addrPredValue = 0;
+    VptPrediction madeAddrPred;
+
+    // Instruction reuse state.
+    RbRef rbEntry;              //!< entry inserted to / reused from
+    bool rbInserted = false;
+
+    // Control state.
+    bool curTaken = false;
+    bool predTaken = false;     //!< fetch's predicted direction
+    bool fromRas = false;
+    bool pendingResolve = false;   //!< a publication needs SB action
+    bool finalActionDone = false;  //!< final-outcome action happened
+    bool resolvedForFetch = false; //!< counts against the 8-branch cap
+    bool legitSquashCounted = false;
+    Addr curNextPC = 0;
+    Addr predNextPC = 0;        //!< fetch's original prediction
+    Addr followedNextPC = 0;    //!< path fetch currently follows
+    uint32_t ghrUsed = 0;
+    uint64_t correctResolveAt = UINT64_MAX; //!< first oracle-consistent
+                                            //!< resolution (Figure 4)
+
+    // Pending execution outputs (published at completion).
+    uint64_t pendResult = 0;
+    uint64_t pendResult2 = 0;
+    bool pendTaken = false;
+    Addr pendNextPC = 0;
+    Addr pendMemAddr = 0;
+};
+
 /** Load/store queue entry. */
 struct LsqEntry
 {
@@ -161,20 +166,27 @@ struct LsqEntry
     bool isLoad = false;
 };
 
-/** Everything fetch hands to dispatch for one instruction. */
+/** Everything fetch hands to dispatch for one instruction. A control
+ *  instruction's predictor checkpoint travels beside it, in
+ *  Core::fetchCps. */
 struct FetchedInst
 {
+    const StaticInst *si = nullptr;
     Addr pc = 0;
-    Instr inst;
-    const DecodeInfo *di = nullptr; //!< cached per static instruction
-    bool isCtrl = false;
-    bool resolvable = false; //!< cond branch or indirect jump
     Addr predNextPC = 0;
-    bool predTaken = false;
     uint32_t ghrUsed = 0;
+    bool predTaken = false;
     bool fromRas = false;
-    BpredCheckpoint bpCp; //!< predictor state before predict()
 };
+
+// Tripwires: 256 hot entries (the window of perfbench's stall machine)
+// fit in 48 KiB, a common L1d size, and a fetch record stays within 32
+// bytes. Dispatch resets both ROB records with memcpy.
+static_assert(sizeof(RobEntry) <= 192, "RobEntry outgrew its budget");
+static_assert(sizeof(FetchedInst) <= 32, "FetchedInst outgrew 32 bytes");
+static_assert(std::is_trivially_copyable_v<RobEntry>);
+static_assert(std::is_trivially_copyable_v<RobCold>);
+static_assert(std::is_trivially_copyable_v<FetchedInst>);
 
 /** The out-of-order core. */
 class Core
@@ -221,6 +233,8 @@ class Core
     // --- helpers -------------------------------------------------------
     RobEntry &at(int slot) { return rob[slot]; }
     const RobEntry &at(int slot) const { return rob[slot]; }
+    RobCold &coldAt(int slot) { return robCold[slot]; }
+    const RobCold &coldAt(int slot) const { return robCold[slot]; }
     bool refAlive(const RobRef &r) const;
     int allocRob();
     /** Ring successor and predecessor of a ROB slot. */
@@ -252,13 +266,6 @@ class Core
         }
     }
 
-    /** Decode info of the text instruction at @p pc (must be valid). */
-    const DecodeInfo *
-    decodeAt(Addr pc) const
-    {
-        return decodeCache[(pc - prog.textBase) / 4];
-    }
-
     /** Value of register @p reg as produced by entry @p e. */
     uint64_t entryValueFor(const RobEntry &e, RegId reg) const;
     /** Is @p reg's value from producer @p e available at @p t? */
@@ -281,7 +288,10 @@ class Core
      *  auditCycle() checks against a full LSQ scan. */
     uint64_t oldestUnknownStoreSeq() const;
 
-    void issueEntry(int slot);
+    /** Issue @p slot with the operand views the issue scan computed
+     *  for it this cycle. */
+    void issueEntry(int slot, const OperandView &v0,
+                    const OperandView &v1);
     void completeEntry(int slot);
     void doResolve(int slot, Addr computed_next, bool is_final);
     void squashAfter(int slot, Addr redirect);
@@ -314,9 +324,9 @@ class Core
     void unlinkFinWaiter(int cslot, int k);
     /** Schedule a finalize-recheck event for @p slot at @p at. */
     void scheduleRefinal(int slot, uint64_t at);
-    /** Mark @p e resolved for the fetch-side branch cap, keeping the
-     *  unresolved-control counter in step. */
-    void noteResolvedForFetch(RobEntry &e);
+    /** Mark @p slot resolved for the fetch-side branch cap, keeping
+     *  the unresolved-control counter in step. */
+    void noteResolvedForFetch(int slot);
     /** Members of @p s in program (sequence) order, into @p out. */
     void collectInOrder(const SlotSet &s, std::vector<int> &out) const;
     /** Record a cycle at which a time gate opens (idle-skip bound). */
@@ -331,9 +341,9 @@ class Core
      *  over the whole window. */
     void auditSched() const;
 
-    void recordCommitStats(RobEntry &e);
-    void trainPredictors(RobEntry &e);
-    void checkRetired(const RobEntry &e);
+    void recordCommitStats(int slot);
+    void trainPredictors(int slot);
+    void checkRetired(int slot);
     [[noreturn]] void watchdogDump();
 
     // --- invariant audits (params.auditInvariants / VPIR_AUDIT) -----
@@ -346,7 +356,7 @@ class Core
     void auditCycle() const;
     /** Commit-side audit: no instruction may retire carrying an
      *  unvalidated (wrong) predicted or reused value. */
-    void auditCommit(const RobEntry &e) const;
+    void auditCommit(int slot) const;
     [[noreturn]] void auditFail(const std::string &what) const;
 
     // --- configuration / substrate ----------------------------------
@@ -366,11 +376,6 @@ class Core
     FuPool fus;
     FaultInjector injector;
     std::unique_ptr<LockstepChecker> checker;
-
-    // --- machine state ----------------------------------------------
-    /** DecodeInfo per static instruction, built once at construction
-     *  so the pipeline never re-decodes a dynamic instruction. */
-    std::vector<const DecodeInfo *> decodeCache;
 
     // --- incremental scheduler (DESIGN.md §12) ----------------------
     // Issue, completion, finalize and resolve visit only these
@@ -429,7 +434,9 @@ class Core
     std::vector<WheelEvent> dueScratch;
     SchedProfile prof;
 
+    // --- machine state ----------------------------------------------
     std::vector<RobEntry> rob;
+    std::vector<RobCold> robCold;
     /** Predictor checkpoint per ROB slot, written at dispatch only for
      *  control instructions (the only ones that squash), so the
      *  entries themselves stay small and heap-free. */
@@ -439,6 +446,10 @@ class Core
     unsigned robUsed = 0;
     Ring<LsqEntry> lsq;
     Ring<FetchedInst> fetchQueue;
+    /** Predictor checkpoints of the control instructions in
+     *  fetchQueue, in order: fetch takes one per control instruction,
+     *  dispatch moves it into bpCps, a squash clears both rings. */
+    Ring<BpredCheckpoint> fetchCps;
     /** Stores of the lsq in program order: the disambiguation scans
      *  only ever look at stores, so they walk this instead. */
     Ring<RobRef> storeQ;

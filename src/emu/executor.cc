@@ -141,21 +141,22 @@ evalInstr(const Instr &inst, Addr pc, uint64_t src0, uint64_t src1,
       case Op::LB: case Op::LBU: case Op::LH: case Op::LHU:
       case Op::LW: case Op::L_D: {
         o.memAddr = a + static_cast<uint32_t>(inst.imm);
-        unsigned sz = memSize(inst.op);
-        uint64_t raw = mem ? mem->readMem(o.memAddr, sz) : 0;
+        auto load = [&](unsigned size) -> uint64_t {
+            return mem ? mem->readMem(o.memAddr, size) : 0;
+        };
         switch (inst.op) {
           case Op::LB:
             o.result = lo32(static_cast<uint32_t>(
-                signExtendByte(static_cast<uint8_t>(raw))));
+                signExtendByte(static_cast<uint8_t>(load(1)))));
             break;
-          case Op::LBU: o.result = raw & 0xff; break;
+          case Op::LBU: o.result = load(1) & 0xff; break;
           case Op::LH:
             o.result = lo32(static_cast<uint32_t>(
-                signExtendHalf(static_cast<uint16_t>(raw))));
+                signExtendHalf(static_cast<uint16_t>(load(2)))));
             break;
-          case Op::LHU: o.result = raw & 0xffff; break;
-          case Op::LW: o.result = lo32(raw); break;
-          case Op::L_D: o.result = raw; break;
+          case Op::LHU: o.result = load(2) & 0xffff; break;
+          case Op::LW: o.result = lo32(load(4)); break;
+          case Op::L_D: o.result = load(8); break;
           default: break;
         }
         break;
@@ -229,6 +230,9 @@ evalInstr(const Instr &inst, Addr pc, uint64_t src0, uint64_t src1,
 Emulator::Emulator(const Program &program, EmuState &state)
     : prog(program), st(state), curPC(program.entry)
 {
+    statics.reserve(program.text.size());
+    for (const Instr &i : program.text)
+        statics.push_back(makeStaticInst(i));
 }
 
 void
@@ -252,43 +256,46 @@ ExecResult
 Emulator::step()
 {
     ExecResult r;
+    step(r);
+    return r;
+}
+
+void
+Emulator::step(ExecResult &r)
+{
     r.pc = curPC;
     r.preMark = st.mark();
+    r.srcVals[0] = 0;
+    r.srcVals[1] = 0;
 
-    const Instr *ip = prog.at(curPC);
-    if (!ip) {
-        // Off the end of text (wrong path): behaves as a halt; the
+    const StaticInst *si = staticAt(curPC);
+    if (!si || si->isHalt) {
+        // Off the end of text (wrong path) behaves as a halt; the
         // core never lets such instructions commit.
-        r.inst.op = Op::HALT;
+        r.inst = si ? si->inst : Instr{Op::HALT};
+        r.out = SemOut{};
         r.halted = true;
         isHalted = true;
-        return r;
+        return;
     }
-    r.inst = *ip;
+    r.inst = si->inst;
+    r.halted = false;
 
-    if (ip->op == Op::HALT) {
-        r.halted = true;
-        isHalted = true;
-        return r;
-    }
+    if (si->src[0] != REG_INVALID)
+        r.srcVals[0] = st.readReg(si->src[0]);
+    if (si->src[1] != REG_INVALID)
+        r.srcVals[1] = st.readReg(si->src[1]);
 
-    SrcRegs s = srcRegs(*ip);
-    r.srcVals[0] = s.src[0] != REG_INVALID ? st.readReg(s.src[0]) : 0;
-    r.srcVals[1] = s.src[1] != REG_INVALID ? st.readReg(s.src[1]) : 0;
+    r.out = evalInstr(si->inst, curPC, r.srcVals[0], r.srcVals[1], &st);
 
-    r.out = evalInstr(*ip, curPC, r.srcVals[0], r.srcVals[1], &st);
-
-    if (isStore(ip->op))
-        st.writeMem(r.out.memAddr, memSize(ip->op), r.out.storeValue);
-
-    DstRegs d = dstRegs(*ip);
-    if (d.dst[0] != REG_INVALID)
-        st.writeReg(d.dst[0], r.out.result);
-    if (d.dst[1] != REG_INVALID)
-        st.writeReg(d.dst[1], r.out.result2);
+    if (si->isSt)
+        st.writeMem(r.out.memAddr, si->memSz, r.out.storeValue);
+    if (si->dst[0] != REG_INVALID)
+        st.writeReg(si->dst[0], r.out.result);
+    if (si->dst[1] != REG_INVALID)
+        st.writeReg(si->dst[1], r.out.result2);
 
     curPC = r.out.nextPC;
-    return r;
 }
 
 EmuSnapshot

@@ -12,6 +12,8 @@
 #ifndef VPIR_EMU_EXECUTOR_HH
 #define VPIR_EMU_EXECUTOR_HH
 
+#include <vector>
+
 #include "asm/assembler.hh"
 #include "emu/state.hh"
 #include "isa/decode.hh"
@@ -36,8 +38,9 @@ struct SemOut
  *
  * @param inst  The instruction.
  * @param pc    Its PC (for fall-through / link values).
- * @param src0  Value of srcRegs(inst).src[0] (0 if absent).
- * @param src1  Value of srcRegs(inst).src[1] (0 if absent).
+ * @param src0  Value of the first source register, StaticInst::src[0]
+ *              (0 if absent).
+ * @param src1  Value of the second, StaticInst::src[1] (0 if absent).
  * @param mem   State loads read; when null, loads return 0.
  */
 SemOut evalInstr(const Instr &inst, Addr pc, uint64_t src0, uint64_t src1,
@@ -56,7 +59,9 @@ struct ExecResult
 
 /**
  * Functional stepper: fetches from a Program, executes on an EmuState,
- * applies journaled writes, and advances PC.
+ * applies journaled writes, and advances PC. Construction decodes
+ * every text word once into a StaticInst table, which the stepper and
+ * its clients (the core, the limit study) read per instance.
  */
 class Emulator
 {
@@ -66,8 +71,33 @@ class Emulator
     /** Execute the instruction at the current PC. */
     ExecResult step();
 
+    /** Execute the instruction at the current PC, writing every field
+     *  of @p r in place (the core's ROB slot, with no temporary). */
+    void step(ExecResult &r);
+
     /** Execute the instruction at an explicit PC (sets PC first). */
     ExecResult stepAt(Addr pc);
+
+    /** In-place form of stepAt(pc). */
+    void
+    stepAt(Addr pc, ExecResult &r)
+    {
+        curPC = pc;
+        step(r);
+    }
+
+    /** Static decode of the text word at @p pc; null off the text or
+     *  at a misaligned PC (Program::at's checks guard every lookup). */
+    const StaticInst *
+    staticAt(Addr pc) const
+    {
+        const Instr *ip = prog.at(pc);
+        return ip ? &statics[static_cast<size_t>(ip - prog.text.data())]
+                  : nullptr;
+    }
+
+    /** One record per text word, text[i] at index i. */
+    const std::vector<StaticInst> &staticTable() const { return statics; }
 
     Addr pc() const { return curPC; }
     void setPC(Addr pc) { curPC = pc; }
@@ -83,6 +113,7 @@ class Emulator
   private:
     const Program &prog;
     EmuState &st;
+    std::vector<StaticInst> statics;
     Addr curPC;
     bool isHalted = false;
 };

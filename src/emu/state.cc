@@ -13,25 +13,6 @@ EmuState::EmuState()
     regs.fill(0);
 }
 
-uint64_t
-EmuState::readReg(RegId r) const
-{
-    VPIR_ASSERT(r < NUM_ARCH_REGS, "register id out of range");
-    if (r == REG_ZERO)
-        return 0;
-    return regs[r];
-}
-
-void
-EmuState::writeReg(RegId r, uint64_t value)
-{
-    VPIR_ASSERT(r < NUM_ARCH_REGS, "register id out of range");
-    if (r == REG_ZERO)
-        return;
-    journal.push_back(UndoRec{true, r, 0, 0, regs[r]});
-    regs[r] = value;
-}
-
 void
 EmuState::initReg(RegId r, uint64_t value)
 {
@@ -179,18 +160,16 @@ EmuState::rollback(JournalMark m)
 }
 
 void
-EmuState::retire(JournalMark m)
+EmuState::retirePrefix(JournalMark m)
 {
     VPIR_ASSERT(m <= mark(), "retire beyond journal head");
     if (m <= journalBase)
         return;
     journalHead += m - journalBase;
     journalBase = m;
+    // retire() took the everything-retired case, so records remain.
     size_t live = journal.size() - journalHead;
-    if (live == 0) {
-        journal.clear();
-        journalHead = 0;
-    } else if (journalHead >= live) {
+    if (journalHead >= live) {
         // Compact: this moves no more live records than it drops
         // retired ones, so retire stays amortised O(1).
         journal.erase(journal.begin(),

@@ -33,6 +33,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/logging.hh"
 #include "isa/instr.hh"
 #include "isa/regs.hh"
 
@@ -50,10 +51,25 @@ class EmuState
 
     // --- registers ---------------------------------------------------
     /** Read a register (r0 reads as zero). */
-    uint64_t readReg(RegId r) const;
+    uint64_t
+    readReg(RegId r) const
+    {
+        VPIR_ASSERT(r < NUM_ARCH_REGS, "register id out of range");
+        if (r == REG_ZERO)
+            return 0;
+        return regs[r];
+    }
 
     /** Journaled register write (writes to r0 are dropped). */
-    void writeReg(RegId r, uint64_t value);
+    void
+    writeReg(RegId r, uint64_t value)
+    {
+        VPIR_ASSERT(r < NUM_ARCH_REGS, "register id out of range");
+        if (r == REG_ZERO)
+            return;
+        journal.push_back(UndoRec{true, r, 0, 0, regs[r]});
+        regs[r] = value;
+    }
 
     /** Non-journaled write, for initialisation only. */
     void initReg(RegId r, uint64_t value);
@@ -84,7 +100,19 @@ class EmuState
     void rollback(JournalMark m);
 
     /** Discard journal entries older than @p m (commit). */
-    void retire(JournalMark m);
+    void
+    retire(JournalMark m)
+    {
+        if (m == mark()) {
+            // Everything retired (every step of a functional-only
+            // loop): no live record is left to keep.
+            journalBase = m;
+            journal.clear();
+            journalHead = 0;
+            return;
+        }
+        retirePrefix(m);
+    }
 
     /** Number of live journal records (test/diagnostic hook). */
     size_t journalDepth() const { return journal.size() - journalHead; }
@@ -119,6 +147,9 @@ class EmuState
     /** shared_ptr, not unique_ptr: the default copy operations then
      *  implement the COW clone (pages shared until written). */
     using Leaf = std::array<std::shared_ptr<Page>, leafPages>;
+
+    /** retire() when live records remain after @p m. */
+    void retirePrefix(JournalMark m);
 
     Page &pageFor(Addr addr);
     const Page *pageForRead(Addr addr) const;

@@ -19,72 +19,6 @@ fuPoolSize(FuType t)
     }
 }
 
-namespace
-{
-
-/** Build the per-opcode decode table once (latencies from Table 1). */
-std::array<DecodeInfo, static_cast<size_t>(Op::NUM_OPS)>
-buildTable()
-{
-    using C = InstClass;
-    using F = FuType;
-    std::array<DecodeInfo, static_cast<size_t>(Op::NUM_OPS)> t{};
-
-    auto set = [&t](Op op, C c, F f, uint8_t lat, uint8_t iss) {
-        t[static_cast<size_t>(op)] = DecodeInfo{c, f, lat, iss};
-    };
-
-    set(Op::NOP, C::Nop, F::None, 0, 0);
-    set(Op::HALT, C::Halt, F::None, 0, 0);
-
-    for (Op op : {Op::ADD, Op::SUB, Op::AND, Op::OR, Op::XOR, Op::NOR,
-                  Op::SLT, Op::SLTU, Op::SLLV, Op::SRLV, Op::SRAV,
-                  Op::ADDI, Op::ANDI, Op::ORI, Op::XORI, Op::SLTI,
-                  Op::SLTIU, Op::SLL, Op::SRL, Op::SRA, Op::LUI, Op::LI,
-                  Op::MFHI, Op::MFLO}) {
-        set(op, C::IntAlu, F::IntAlu, 1, 1);
-    }
-
-    for (Op op : {Op::MULT, Op::MULTU})
-        set(op, C::IntMult, F::IntMulDiv, 3, 1);
-    for (Op op : {Op::DIV, Op::DIVU})
-        set(op, C::IntDiv, F::IntMulDiv, 20, 19);
-
-    for (Op op : {Op::LB, Op::LBU, Op::LH, Op::LHU, Op::LW, Op::L_D})
-        set(op, C::Load, F::LoadStore, 1, 1);
-    for (Op op : {Op::SB, Op::SH, Op::SW, Op::S_D})
-        set(op, C::Store, F::LoadStore, 1, 1);
-
-    for (Op op : {Op::BEQ, Op::BNE, Op::BLEZ, Op::BGTZ, Op::BLTZ,
-                  Op::BGEZ, Op::BC1T, Op::BC1F}) {
-        set(op, C::Branch, F::IntAlu, 1, 1);
-    }
-    for (Op op : {Op::J, Op::JAL, Op::JR, Op::JALR})
-        set(op, C::Jump, F::IntAlu, 1, 1);
-
-    for (Op op : {Op::ADD_D, Op::SUB_D, Op::C_EQ_D, Op::C_LT_D,
-                  Op::C_LE_D, Op::CVT_D_W, Op::CVT_W_D, Op::MOV_D,
-                  Op::NEG_D}) {
-        set(op, C::FpAdd, F::FpAdder, 2, 1);
-    }
-    set(Op::MUL_D, C::FpMult, F::FpMulDiv, 4, 1);
-    set(Op::DIV_D, C::FpDiv, F::FpMulDiv, 12, 12);
-    set(Op::SQRT_D, C::FpSqrt, F::FpMulDiv, 24, 24);
-
-    return t;
-}
-
-const std::array<DecodeInfo, static_cast<size_t>(Op::NUM_OPS)> decodeTable =
-    buildTable();
-
-} // anonymous namespace
-
-const DecodeInfo &
-decodeInfo(Op op)
-{
-    return decodeTable[static_cast<size_t>(op)];
-}
-
 SrcRegs
 srcRegs(const Instr &inst)
 {
@@ -170,6 +104,29 @@ memSize(Op op)
       case Op::L_D: case Op::S_D: return 8;
       default: return 0;
     }
+}
+
+StaticInst
+makeStaticInst(const Instr &inst)
+{
+    StaticInst si{};
+    si.inst = inst;
+    si.di = decodeInfo(inst.op);
+    SrcRegs s = srcRegs(inst);
+    DstRegs d = dstRegs(inst);
+    for (int k = 0; k < 2; ++k) {
+        si.src[k] = s.src[k];
+        si.dst[k] = d.dst[k];
+    }
+    si.memSz = static_cast<uint8_t>(memSize(inst.op));
+    si.isLd = si.di.cls == InstClass::Load;
+    si.isSt = si.di.cls == InstClass::Store;
+    si.isCtrl = isControl(inst.op);
+    si.resolvable = isCondBranch(inst.op) || isIndirectJump(inst.op);
+    si.isHalt = si.di.cls == InstClass::Halt;
+    si.isCall = isCall(inst.op);
+    si.isReturn = isReturn(inst);
+    return si;
 }
 
 } // namespace vpir

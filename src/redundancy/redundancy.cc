@@ -146,29 +146,32 @@ analyzeRedundancy(const Program &program, const RedundancyParams &params)
     Emulator emu(program, state);
     Emulator::loadProgram(program, state);
 
-    // One history per text word: Emulator::step halts off the text,
-    // so every analysed PC has a slot.
-    std::vector<StaticHistory> hist(program.text.size());
+    // One history per text word, beside the emulator's static decode
+    // of that word: Emulator::step halts off the text, so every
+    // analysed PC has a slot.
+    const std::vector<StaticInst> &statics = emu.staticTable();
+    std::vector<StaticHistory> hist(statics.size());
     WriterInfo writers[NUM_ARCH_REGS] = {};
 
+    ExecResult er;
     uint64_t idx = 0;
     while (!emu.halted() && idx < params.maxInsts) {
-        ExecResult er = emu.step();
+        emu.step(er);
         if (er.halted)
             break;
         ++idx;
         ++out.totalDynamic;
         state.retire(state.mark()); // keep the journal bounded
 
-        const Instr &inst = er.inst;
-        bool produces = inst.rd != REG_INVALID &&
-                        decodeInfo(inst.op).cls != InstClass::Nop;
+        size_t slot = (er.pc - program.textBase) / 4;
+        VPIR_ASSERT(slot < hist.size(), "analysed PC outside the text");
+        const StaticInst &si = statics[slot];
+        bool produces = si.inst.rd != REG_INVALID &&
+                        si.di.cls != InstClass::Nop;
 
         bool this_reused = false;
         if (produces) {
             ++out.resultProducing;
-            size_t slot = (er.pc - program.textBase) / 4;
-            VPIR_ASSERT(slot < hist.size(), "analysed PC outside the text");
             StaticHistory &h = hist[slot];
             uint64_t result = er.out.result;
 
@@ -202,10 +205,9 @@ analyzeRedundancy(const Program &program, const RedundancyParams &params)
                 // Inputs are ready when every producer is either
                 // reused itself or at least `producerDistance`
                 // instructions ahead (paper §4.3).
-                SrcRegs s = srcRegs(inst);
                 bool any_near = false;
                 bool any_far = false;
-                for (RegId r : s.src) {
+                for (RegId r : si.src) {
                     if (r == REG_INVALID)
                         continue;
                     const WriterInfo &w = writers[r];
@@ -243,8 +245,7 @@ analyzeRedundancy(const Program &program, const RedundancyParams &params)
         }
 
         // Track register writers for the readiness model.
-        DstRegs d = dstRegs(inst);
-        for (RegId r : d.dst) {
+        for (RegId r : si.dst) {
             if (r != REG_INVALID)
                 writers[r] = WriterInfo{idx, this_reused, true};
         }

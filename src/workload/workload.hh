@@ -14,6 +14,7 @@
 #ifndef VPIR_WORKLOAD_WORKLOAD_HH
 #define VPIR_WORKLOAD_WORKLOAD_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -39,11 +40,16 @@ struct WorkloadScale
 {
     double factor = 1.0;
 
+    /** @p base × factor, at least 1 and at most INT32_MAX: the
+     *  workloads load their counts with `li` as an int32, and a double
+     *  outside unsigned's range has no defined conversion. */
     unsigned
     scaled(unsigned base) const
     {
-        unsigned v = static_cast<unsigned>(base * factor);
-        return v > 1 ? v : 1;
+        double v = base * factor;
+        if (v >= INT32_MAX)
+            return INT32_MAX;
+        return v >= 2 ? static_cast<unsigned>(v) : 1;
     }
 };
 

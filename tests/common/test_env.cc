@@ -98,4 +98,29 @@ TEST(ParseEnvF64, NonFiniteRejected)
     EXPECT_DOUBLE_EQ(parseEnvF64(VAR, 1.0), 1.0);
 }
 
+// The rule the env parsers share with the command-line flags: the
+// whole string is one number, with no minus sign, no overflow, and (for
+// floats) a finite value. A rejected string leaves the output alone.
+TEST(Env, ParseU64RejectsMalformed)
+{
+    uint64_t v = 7;
+    for (const char *bad :
+         {"", "10k", "-1", " -1", "18446744073709551616", "0x10"}) {
+        EXPECT_FALSE(parseU64(bad, 10, &v)) << "'" << bad << "'";
+        EXPECT_EQ(v, 7u) << "'" << bad << "'";
+    }
+    EXPECT_TRUE(parseU64("0x10", 0, &v));
+    EXPECT_EQ(v, 16u);
+    EXPECT_TRUE(parseU64("18446744073709551615", 10, &v));
+    EXPECT_EQ(v, UINT64_MAX);
+
+    double d = 0.5;
+    for (const char *bad : {"", "nan", "inf", "-inf", "-1", "1.5x", "1e999"}) {
+        EXPECT_FALSE(parseF64(bad, &d)) << "'" << bad << "'";
+        EXPECT_EQ(d, 0.5) << "'" << bad << "'";
+    }
+    EXPECT_TRUE(parseF64("0.25", &d));
+    EXPECT_EQ(d, 0.25);
+}
+
 } // anonymous namespace

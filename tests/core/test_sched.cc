@@ -138,6 +138,33 @@ TEST(SchedEquivalence, IdleHeavyRegime)
     EXPECT_GE(skipShare(r), 236857.0 / 277403.0);
 }
 
+TEST(SchedEquivalence, LargeWindowStallMachine)
+{
+    // perfbench's stall machine: one-line caches with 50-cycle misses
+    // and a 256-entry ROB and LSQ. Every other cell here and every
+    // harness runs a window of at most 32 entries; this one lets up
+    // to 256 instructions queue behind each miss, so slot-indexed
+    // state, waiter lists and the wheel run at a scale nothing else
+    // reaches. The digests were recorded under the audit before the
+    // ROB entry was split into hot and cold parts.
+    auto stall = [](CoreParams p) {
+        p = noCaches(p, 50);
+        p.robEntries = 256;
+        p.lsqEntries = 256;
+        return p;
+    };
+    expectDigest("gcc", stall(baseConfig()), 0x2b46c4b3169aa648ull);
+    expectDigest("gcc", stall(irConfig(IrValidation::Early)),
+                 0x58b199b6df0a1691ull);
+    expectDigest("gcc", stall(irConfig(IrValidation::Late)),
+                 0x2f2ba8b61b75a2bbull);
+    expectDigest("vortex", stall(baseConfig()), 0xcf907a848a2a69eeull);
+    expectDigest("vortex", stall(irConfig(IrValidation::Early)),
+                 0xd749e33fa4b92085ull);
+    expectDigest("vortex", stall(irConfig(IrValidation::Late)),
+                 0x1fadcc70905e7cfcull);
+}
+
 TEST(SchedEquivalence, IdleSkipRespectsWatchdog)
 {
     // The skipper must never jump past a watchdog trip cycle, and

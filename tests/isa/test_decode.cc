@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "isa/decode.hh"
 
 using namespace vpir;
@@ -150,3 +152,72 @@ TEST_P(DecodeAllOps, InfoIsCoherent)
 INSTANTIATE_TEST_SUITE_P(
     AllOps, DecodeAllOps,
     ::testing::Range(0, static_cast<int>(Op::NUM_OPS)));
+
+/** The static decode table must say what the per-instance decoder
+ *  says, for every opcode and for register patterns that exercise
+ *  r0 as a source and as a destination and a second destination. */
+TEST(StaticInst, MatchesDecoderForEveryOpcode)
+{
+    struct Regs
+    {
+        RegId rd, rd2, rs, rt;
+    };
+    const Regs patterns[] = {
+        {intReg(3), REG_INVALID, intReg(1), intReg(2)},
+        {REG_ZERO, REG_INVALID, REG_ZERO, intReg(2)},
+        {REG_LO, REG_HI, intReg(4), REG_ZERO},
+        {intReg(5), REG_ZERO, REG_RA, intReg(6)},
+        {REG_INVALID, REG_INVALID, REG_RA, REG_INVALID},
+    };
+    for (int o = 0; o < static_cast<int>(Op::NUM_OPS); ++o) {
+        for (const Regs &r : patterns) {
+            Instr inst;
+            inst.op = static_cast<Op>(o);
+            inst.rd = r.rd;
+            inst.rd2 = r.rd2;
+            inst.rs = r.rs;
+            inst.rt = r.rt;
+            inst.imm = -12;
+            inst.target = 0x1040;
+            StaticInst si = makeStaticInst(inst);
+            SCOPED_TRACE(opName(inst.op) + " rd " +
+                         std::to_string(r.rd) + " rd2 " +
+                         std::to_string(r.rd2) + " rs " +
+                         std::to_string(r.rs) + " rt " +
+                         std::to_string(r.rt));
+
+            EXPECT_EQ(si.inst.op, inst.op);
+            EXPECT_EQ(si.inst.rd, inst.rd);
+            EXPECT_EQ(si.inst.rd2, inst.rd2);
+            EXPECT_EQ(si.inst.rs, inst.rs);
+            EXPECT_EQ(si.inst.rt, inst.rt);
+            EXPECT_EQ(si.inst.imm, inst.imm);
+            EXPECT_EQ(si.inst.target, inst.target);
+
+            const DecodeInfo &di = decodeInfo(inst.op);
+            EXPECT_EQ(si.di.cls, di.cls);
+            EXPECT_EQ(si.di.fu, di.fu);
+            EXPECT_EQ(si.di.opLat, di.opLat);
+            EXPECT_EQ(si.di.issueLat, di.issueLat);
+
+            SrcRegs s = srcRegs(inst);
+            DstRegs d = dstRegs(inst);
+            for (int k = 0; k < 2; ++k) {
+                EXPECT_EQ(si.src[k], s.src[k]) << "src " << k;
+                EXPECT_EQ(si.dst[k], d.dst[k]) << "dst " << k;
+                EXPECT_NE(si.src[k], REG_ZERO);
+                EXPECT_NE(si.dst[k], REG_ZERO);
+            }
+            EXPECT_EQ(si.memSz, memSize(inst.op));
+
+            EXPECT_EQ(si.isLd, di.cls == InstClass::Load);
+            EXPECT_EQ(si.isSt, di.cls == InstClass::Store);
+            EXPECT_EQ(si.isCtrl, isControl(inst.op));
+            EXPECT_EQ(si.resolvable,
+                      isCondBranch(inst.op) || isIndirectJump(inst.op));
+            EXPECT_EQ(si.isHalt, inst.op == Op::HALT);
+            EXPECT_EQ(si.isCall, isCall(inst.op));
+            EXPECT_EQ(si.isReturn, isReturn(inst));
+        }
+    }
+}

@@ -4,7 +4,8 @@
  *
  * Usage:
  *   vpirfuzz [options]
- *     --seed N              campaign base seed (default 0x5eedf00d)
+ *     --seed N              campaign base seed (default 0x5eedf00d;
+ *                           0x hex and 0 octal prefixes accepted)
  *     --cells N             number of fuzz cells (default 20)
  *     --dir PATH            where repro bundles are published (default .)
  *     --jobs N              worker threads (default VPIR_JOBS)
@@ -20,16 +21,18 @@
  *                           small".
  *
  * Exit status: 0 = no divergences, 1 = divergences found (bundles
- * written). Every cell is an independent split stream of the base
- * seed and results print in cell-index order, so output is identical
- * for any --jobs.
+ * written), 2 = bad usage, including a malformed number. Every cell
+ * is an independent split stream of the base seed and results print
+ * in cell-index order, so output is identical for any --jobs.
  */
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "common/env.hh"
 #include "fuzz/campaign.hh"
 
 using namespace vpir;
@@ -48,6 +51,24 @@ usage()
     std::exit(2);
 }
 
+/** The value of numeric flag @p flag: all of @p text, in @p base, at
+ *  most @p max. Anything else exits 2 instead of running a campaign
+ *  on a number nobody asked for. */
+uint64_t
+numberFlag(const char *flag, const char *text, int base = 10,
+           uint64_t max = UINT64_MAX)
+{
+    uint64_t v = 0;
+    if (!parseU64(text, base, &v) || v > max) {
+        std::fprintf(stderr,
+                     "vpirfuzz: %s: '%s' is not a valid unsigned "
+                     "integer%s\n",
+                     flag, text, max < UINT64_MAX ? " below 2^32" : "");
+        std::exit(2);
+    }
+    return v;
+}
+
 } // anonymous namespace
 
 int
@@ -64,21 +85,22 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--seed") {
-            opt.baseSeed = std::strtoull(next(), nullptr, 0);
+            opt.baseSeed = numberFlag("--seed", next(), 0);
         } else if (arg == "--cells") {
             opt.cells = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+                numberFlag("--cells", next(), 10, UINT_MAX));
         } else if (arg == "--dir") {
             opt.reproDir = next();
         } else if (arg == "--jobs") {
             opt.jobs = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+                numberFlag("--jobs", next(), 10, UINT_MAX));
         } else if (arg == "--no-shrink") {
             opt.shrink = false;
         } else if (arg == "--max-evals") {
-            opt.shrinkMaxEvals = std::strtoull(next(), nullptr, 10);
+            opt.shrinkMaxEvals = numberFlag("--max-evals", next());
         } else if (arg == "--require-shrunk-max") {
-            require_shrunk_max = std::strtoull(next(), nullptr, 10);
+            require_shrunk_max =
+                numberFlag("--require-shrunk-max", next());
         } else {
             usage();
         }

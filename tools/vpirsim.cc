@@ -22,18 +22,24 @@
  *                           exact configuration and verify the bundled
  *                           divergence reproduces (exit 0 iff it does)
  *
+ * A numeric flag must be one whole number (no minus sign, no suffix,
+ * no overflow; --verify below 2^32, --scale positive and finite);
+ * anything else exits 2 naming the flag.
+ *
  * Runs go through the sweep engine, so VPIR_RESULT_CACHE=<dir> makes
  * repeated invocations with identical parameters instant. Host wall
  * time and simulated MIPS are reported on stderr.
  */
 
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/env.hh"
 #include "fuzz/repro.hh"
 #include "sim/simulator.hh"
 #include "stats/stats.hh"
@@ -56,6 +62,28 @@ usage()
         "               <workload>\n"
         "       vpirsim --repro <bundle.json>\n");
     std::exit(1);
+}
+
+/** Exit 2 naming the flag whose value is malformed. */
+[[noreturn]] void
+badNumber(const char *flag, const char *text, const char *what)
+{
+    std::fprintf(stderr, "vpirsim: %s: '%s' is not a valid %s\n", flag,
+                 text, what);
+    std::exit(2);
+}
+
+/** The value of unsigned flag @p flag: all of @p text, at most
+ *  @p max. */
+uint64_t
+countFlag(const char *flag, const char *text, uint64_t max = UINT64_MAX)
+{
+    uint64_t v = 0;
+    if (!parseU64(text, 10, &v) || v > max)
+        badNumber(flag, text,
+                  max < UINT64_MAX ? "unsigned integer below 2^32"
+                                   : "unsigned integer");
+    return v;
 }
 
 /** Replay a fuzz repro bundle: exit 0 iff the bundled divergence
@@ -132,16 +160,18 @@ main(int argc, char **argv)
             reexec = v == "nme" ? ReexecPolicy::Single
                                 : ReexecPolicy::Multiple;
         } else if (arg == "--verify") {
-            verify = static_cast<unsigned>(std::strtoul(next(),
-                                                        nullptr, 10));
+            verify = static_cast<unsigned>(
+                countFlag("--verify", next(), UINT_MAX));
         } else if (arg == "--max-insts") {
-            max_insts = std::strtoull(next(), nullptr, 10);
+            max_insts = countFlag("--max-insts", next());
         } else if (arg == "--max-cycles") {
-            max_cycles = std::strtoull(next(), nullptr, 10);
+            max_cycles = countFlag("--max-cycles", next());
         } else if (arg == "--warmup") {
-            warmup = std::strtoull(next(), nullptr, 10);
+            warmup = countFlag("--warmup", next());
         } else if (arg == "--scale") {
-            scale.factor = std::strtod(next(), nullptr);
+            const char *text = next();
+            if (!parseF64(text, &scale.factor) || scale.factor <= 0)
+                badNumber("--scale", text, "positive number");
         } else if (arg == "--stats") {
             dump_stats = true;
         } else if (arg == "--repro") {
