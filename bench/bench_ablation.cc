@@ -18,59 +18,41 @@ main()
 {
     banner("Ablations", "VP prediction kinds and structure capacity");
     Runner runner;
+    CoreParams full = vpConfig(VpScheme::Magic, ReexecPolicy::Multiple,
+                               BranchResolution::Speculative, 0);
+    CoreParams res_only = full;
+    res_only.vpPredictAddresses = false;
+    CoreParams addr_only = full;
+    addr_only.vpPredictResults = false;
+    const Grid kinds = runner.grid({{"base", baseConfig()},
+                                    {"vp-full", full},
+                                    {"vp-res", res_only},
+                                    {"vp-addr", addr_only}});
 
-    // Schedule every cell of both sections before reading any result.
-    {
-        CoreParams full = vpConfig(VpScheme::Magic, ReexecPolicy::Multiple,
-                                   BranchResolution::Speculative, 0);
-        CoreParams res_only = full;
-        res_only.vpPredictAddresses = false;
-        CoreParams addr_only = full;
-        addr_only.vpPredictResults = false;
-        for (const auto &name : workloadNames()) {
-            runner.prefetch(name, "base", baseConfig());
-            runner.prefetch(name, "vp-full", full);
-            runner.prefetch(name, "vp-res", res_only);
-            runner.prefetch(name, "vp-addr", addr_only);
-        }
-        for (unsigned rb_entries : {512u, 2048u, 4096u, 8192u}) {
-            CoreParams ir = irConfig();
-            ir.rb.entries = rb_entries;
-            CoreParams vp = full;
-            vp.vpt.entries = rb_entries * 4;
-            std::string tag = std::to_string(rb_entries);
-            for (const char *wname : {"m88ksim", "perl"}) {
-                runner.prefetch(wname, "ir-" + tag, ir);
-                runner.prefetch(wname, "vp-" + tag, vp);
-            }
-        }
+    // Capacity steps: column 2i is the IR run and 2i+1 the VP run of
+    // step i.
+    const unsigned rb_sizes[] = {512u, 2048u, 4096u, 8192u};
+    std::vector<Config> steps;
+    for (unsigned rb_entries : rb_sizes) {
+        CoreParams ir = irConfig();
+        ir.rb.entries = rb_entries;
+        CoreParams vp = full;
+        vp.vpt.entries = rb_entries * 4;
+        std::string tag = std::to_string(rb_entries);
+        steps.push_back({"ir-" + tag, ir});
+        steps.push_back({"vp-" + tag, vp});
     }
+    const Grid capacity = runner.grid(steps, {"m88ksim", "perl"});
 
     std::printf("--- 1. VP_Magic ME-SB: which predictions matter "
                 "---\n");
     TextTable t1({"bench", "full", "results only", "addresses only"});
     for (const auto &name : workloadNames()) {
-        const CoreStats &base = runner.run(name, "base", baseConfig());
-        CoreParams full = vpConfig(VpScheme::Magic,
-                                   ReexecPolicy::Multiple,
-                                   BranchResolution::Speculative, 0);
-        CoreParams res_only = full;
-        res_only.vpPredictAddresses = false;
-        CoreParams addr_only = full;
-        addr_only.vpPredictResults = false;
-        t1.addRow({name,
-                   TextTable::num(
-                       speedup(runner.run(name, "vp-full", full),
-                               base),
-                       3),
-                   TextTable::num(
-                       speedup(runner.run(name, "vp-res", res_only),
-                               base),
-                       3),
-                   TextTable::num(
-                       speedup(runner.run(name, "vp-addr", addr_only),
-                               base),
-                       3)});
+        const CoreStats &base = kinds.at(name, 0);
+        std::vector<std::string> row = {name};
+        for (size_t c = 1; c <= 3; ++c)
+            row.push_back(TextTable::num(speedup(kinds.at(name, c), base), 3));
+        t1.addRow(row);
     }
     std::printf("%s\n", t1.render().c_str());
 
@@ -78,28 +60,19 @@ main()
                 "---\n");
     TextTable t2({"entries (RB / VPT)", "m88k reuse %", "m88k pred %",
                   "perl reuse %", "perl pred %"});
-    for (unsigned rb_entries : {512u, 2048u, 4096u, 8192u}) {
-        unsigned vpt_entries = rb_entries * 4;
-        CoreParams ir = irConfig();
-        ir.rb.entries = rb_entries;
-        CoreParams vp = vpConfig(VpScheme::Magic,
-                                 ReexecPolicy::Multiple,
-                                 BranchResolution::Speculative, 0);
-        vp.vpt.entries = vpt_entries;
-        std::string tag = std::to_string(rb_entries);
+    for (size_t i = 0; i < std::size(rb_sizes); ++i) {
         auto reuse_rate = [&](const std::string &wname) {
-            const CoreStats &s =
-                runner.run(wname, "ir-" + tag, ir);
+            const CoreStats &s = capacity.at(wname, 2 * i);
             return pct(static_cast<double>(s.reusedResults),
                        static_cast<double>(s.committedInsts));
         };
         auto pred_rate = [&](const std::string &wname) {
-            const CoreStats &s = runner.run(wname, "vp-" + tag, vp);
+            const CoreStats &s = capacity.at(wname, 2 * i + 1);
             return pct(static_cast<double>(s.vpResultCorrect),
                        static_cast<double>(s.committedInsts));
         };
-        t2.addRow({std::to_string(rb_entries) + " / " +
-                       std::to_string(vpt_entries),
+        t2.addRow({std::to_string(rb_sizes[i]) + " / " +
+                       std::to_string(rb_sizes[i] * 4),
                    TextTable::num(reuse_rate("m88ksim"), 1),
                    TextTable::num(pred_rate("m88ksim"), 1),
                    TextTable::num(reuse_rate("perl"), 1),

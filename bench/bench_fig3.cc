@@ -19,23 +19,18 @@ main()
 {
     banner("Figure 3", "performance benefits of early validation");
     Runner runner;
-    for (const auto &name : workloadNames()) {
-        runner.prefetch(name, "base", baseConfig());
-        runner.prefetch(name, "ir-early", irConfig(IrValidation::Early));
-        runner.prefetch(name, "ir-late", irConfig(IrValidation::Late));
-    }
+    const Grid g =
+        runner.grid({{"base", baseConfig()},
+                     {"ir-early", irConfig(IrValidation::Early)},
+                     {"ir-late", irConfig(IrValidation::Late)}});
 
     TextTable t({"bench", "early speedup %", "late speedup %",
                  "late/early"});
     std::vector<double> early_s, late_s;
     for (const auto &name : workloadNames()) {
-        const CoreStats &base = runner.run(name, "base", baseConfig());
-        const CoreStats &early =
-            runner.run(name, "ir-early", irConfig(IrValidation::Early));
-        const CoreStats &late =
-            runner.run(name, "ir-late", irConfig(IrValidation::Late));
-        double es = speedup(early, base);
-        double ls = speedup(late, base);
+        const CoreStats &base = g.at(name, 0);
+        double es = speedup(g.at(name, 1), base);
+        double ls = speedup(g.at(name, 2), base);
         early_s.push_back(es);
         late_s.push_back(ls);
         t.addRow({name, TextTable::num(100.0 * (es - 1.0), 2),

@@ -14,62 +14,30 @@ using namespace vpir::bench;
 namespace
 {
 
-void
-prefetchHalf(Runner &runner, unsigned lat)
+/** Base, the four VP_Magic machines at @p lat-cycle verification, IR. */
+Grid
+makeHalf(Runner &runner, unsigned lat)
 {
-    for (const auto &name : workloadNames()) {
-        runner.prefetch(name, "base", baseConfig());
-        std::string l = std::to_string(lat);
-        runner.prefetch(name, "magic-me-sb-" + l,
-                        vpConfig(VpScheme::Magic, ReexecPolicy::Multiple,
-                                 BranchResolution::Speculative, lat));
-        runner.prefetch(name, "magic-nme-sb-" + l,
-                        vpConfig(VpScheme::Magic, ReexecPolicy::Single,
-                                 BranchResolution::Speculative, lat));
-        runner.prefetch(name, "magic-me-nsb-" + l,
-                        vpConfig(VpScheme::Magic, ReexecPolicy::Multiple,
-                                 BranchResolution::NonSpeculative, lat));
-        runner.prefetch(name, "magic-nme-nsb-" + l,
-                        vpConfig(VpScheme::Magic, ReexecPolicy::Single,
-                                 BranchResolution::NonSpeculative, lat));
-        runner.prefetch(name, "ir", irConfig());
-    }
+    std::vector<Config> configs = vpConfigs(
+        VpScheme::Magic, lat, "magic-", "-" + std::to_string(lat));
+    configs.insert(configs.begin(), {"base", baseConfig()});
+    configs.push_back({"ir", irConfig()});
+    return runner.grid(configs);
 }
 
 void
-half(Runner &runner, unsigned lat)
+half(const Grid &g, unsigned lat)
 {
     std::printf("--- %u-cycle VP-verification latency ---\n", lat);
     TextTable t({"bench", "ME-SB", "NME-SB", "ME-NSB", "NME-NSB",
                  "reuse-n+d"});
     for (const auto &name : workloadNames()) {
-        const CoreStats &base =
-            runner.run(name, "base", baseConfig());
-        double b = branchResLat(base);
-        auto norm = [&](const CoreStats &s) {
-            return TextTable::num(b > 0 ? branchResLat(s) / b : 0.0,
-                                  3);
-        };
-        std::string l = std::to_string(lat);
-        const CoreStats &me_sb = runner.run(
-            name, "magic-me-sb-" + l,
-            vpConfig(VpScheme::Magic, ReexecPolicy::Multiple,
-                     BranchResolution::Speculative, lat));
-        const CoreStats &nme_sb = runner.run(
-            name, "magic-nme-sb-" + l,
-            vpConfig(VpScheme::Magic, ReexecPolicy::Single,
-                     BranchResolution::Speculative, lat));
-        const CoreStats &me_nsb = runner.run(
-            name, "magic-me-nsb-" + l,
-            vpConfig(VpScheme::Magic, ReexecPolicy::Multiple,
-                     BranchResolution::NonSpeculative, lat));
-        const CoreStats &nme_nsb = runner.run(
-            name, "magic-nme-nsb-" + l,
-            vpConfig(VpScheme::Magic, ReexecPolicy::Single,
-                     BranchResolution::NonSpeculative, lat));
-        const CoreStats &ir = runner.run(name, "ir", irConfig());
-        t.addRow({name, norm(me_sb), norm(nme_sb), norm(me_nsb),
-                  norm(nme_nsb), norm(ir)});
+        double b = branchResLat(g.at(name, 0));
+        std::vector<std::string> row = {name};
+        for (size_t c = 1; c <= 5; ++c)
+            row.push_back(TextTable::num(
+                b > 0 ? branchResLat(g.at(name, c)) / b : 0.0, 3));
+        t.addRow(row);
     }
     std::printf("%s\n", t.render().c_str());
 }
@@ -83,10 +51,10 @@ main()
            "branch resolution latency, normalised to base (< 1.0 "
            "is better)");
     Runner runner;
-    prefetchHalf(runner, 0);
-    prefetchHalf(runner, 1);
-    half(runner, 0);
-    half(runner, 1);
+    const Grid g0 = makeHalf(runner, 0);
+    const Grid g1 = makeHalf(runner, 1);
+    half(g0, 0);
+    half(g1, 1);
     std::printf("shape checks: all configurations reduce the latency; "
                 "SB reduces it more\nthan NSB; with 1-cycle "
                 "verification the NSB reduction shrinks toward the\n"

@@ -17,50 +17,21 @@ main()
 {
     banner("Figure 5", "resource contention normalised to base");
     Runner runner;
-    for (const auto &name : workloadNames()) {
-        runner.prefetch(name, "base", baseConfig());
-        runner.prefetch(name, "magic-me-sb",
-                        vpConfig(VpScheme::Magic, ReexecPolicy::Multiple,
-                                 BranchResolution::Speculative, 0));
-        runner.prefetch(name, "magic-nme-sb",
-                        vpConfig(VpScheme::Magic, ReexecPolicy::Single,
-                                 BranchResolution::Speculative, 0));
-        runner.prefetch(name, "magic-me-nsb",
-                        vpConfig(VpScheme::Magic, ReexecPolicy::Multiple,
-                                 BranchResolution::NonSpeculative, 0));
-        runner.prefetch(name, "magic-nme-nsb",
-                        vpConfig(VpScheme::Magic, ReexecPolicy::Single,
-                                 BranchResolution::NonSpeculative, 0));
-        runner.prefetch(name, "ir", irConfig());
-    }
+    std::vector<Config> configs =
+        vpConfigs(VpScheme::Magic, 0, "magic-");
+    configs.insert(configs.begin(), {"base", baseConfig()});
+    configs.push_back({"ir", irConfig()});
+    const Grid g = runner.grid(configs);
 
     TextTable t({"bench", "base", "ME-SB", "NME-SB", "ME-NSB",
                  "NME-NSB", "reuse-n+d"});
     for (const auto &name : workloadNames()) {
-        const CoreStats &base = runner.run(name, "base", baseConfig());
-        double b = contention(base);
-        auto norm = [&](const CoreStats &s) {
-            return TextTable::num(b > 0 ? contention(s) / b : 0.0, 3);
-        };
-        const CoreStats &me_sb = runner.run(
-            name, "magic-me-sb",
-            vpConfig(VpScheme::Magic, ReexecPolicy::Multiple,
-                     BranchResolution::Speculative, 0));
-        const CoreStats &nme_sb = runner.run(
-            name, "magic-nme-sb",
-            vpConfig(VpScheme::Magic, ReexecPolicy::Single,
-                     BranchResolution::Speculative, 0));
-        const CoreStats &me_nsb = runner.run(
-            name, "magic-me-nsb",
-            vpConfig(VpScheme::Magic, ReexecPolicy::Multiple,
-                     BranchResolution::NonSpeculative, 0));
-        const CoreStats &nme_nsb = runner.run(
-            name, "magic-nme-nsb",
-            vpConfig(VpScheme::Magic, ReexecPolicy::Single,
-                     BranchResolution::NonSpeculative, 0));
-        const CoreStats &ir = runner.run(name, "ir", irConfig());
-        t.addRow({name, "1.000", norm(me_sb), norm(nme_sb),
-                  norm(me_nsb), norm(nme_nsb), norm(ir)});
+        double b = contention(g.at(name, 0));
+        std::vector<std::string> row = {name, "1.000"};
+        for (size_t c = 1; c <= 5; ++c)
+            row.push_back(TextTable::num(
+                b > 0 ? contention(g.at(name, c)) / b : 0.0, 3));
+        t.addRow(row);
     }
     std::printf("%s\n", t.render().c_str());
     std::printf("shape checks: VP raises contention (re-executions "

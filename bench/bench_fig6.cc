@@ -13,60 +13,29 @@ using namespace vpir::bench;
 namespace
 {
 
-void
-prefetchHalf(Runner &runner, unsigned lat)
+/** Base, the four VP_Magic machines at @p lat-cycle verification, IR. */
+Grid
+makeHalf(Runner &runner, unsigned lat)
 {
-    for (const auto &name : workloadNames()) {
-        runner.prefetch(name, "base", baseConfig());
-        std::string l = std::to_string(lat);
-        runner.prefetch(name, "magic-me-sb-" + l,
-                        vpConfig(VpScheme::Magic, ReexecPolicy::Multiple,
-                                 BranchResolution::Speculative, lat));
-        runner.prefetch(name, "magic-nme-sb-" + l,
-                        vpConfig(VpScheme::Magic, ReexecPolicy::Single,
-                                 BranchResolution::Speculative, lat));
-        runner.prefetch(name, "magic-me-nsb-" + l,
-                        vpConfig(VpScheme::Magic, ReexecPolicy::Multiple,
-                                 BranchResolution::NonSpeculative, lat));
-        runner.prefetch(name, "magic-nme-nsb-" + l,
-                        vpConfig(VpScheme::Magic, ReexecPolicy::Single,
-                                 BranchResolution::NonSpeculative, lat));
-        runner.prefetch(name, "ir", irConfig());
-    }
+    std::vector<Config> configs = vpConfigs(
+        VpScheme::Magic, lat, "magic-", "-" + std::to_string(lat));
+    configs.insert(configs.begin(), {"base", baseConfig()});
+    configs.push_back({"ir", irConfig()});
+    return runner.grid(configs);
 }
 
 void
-half(Runner &runner, unsigned lat)
+half(const Grid &g, unsigned lat)
 {
     std::printf("--- %u-cycle VP-verification latency ---\n", lat);
     TextTable t({"bench", "ME-SB", "NME-SB", "ME-NSB", "NME-NSB",
                  "reuse-n+d"});
     std::vector<std::vector<double>> cols(5);
     for (const auto &name : workloadNames()) {
-        const CoreStats &base = runner.run(name, "base", baseConfig());
-        std::string l = std::to_string(lat);
-        const CoreStats *runs[5] = {
-            &runner.run(name, "magic-me-sb-" + l,
-                        vpConfig(VpScheme::Magic,
-                                 ReexecPolicy::Multiple,
-                                 BranchResolution::Speculative, lat)),
-            &runner.run(name, "magic-nme-sb-" + l,
-                        vpConfig(VpScheme::Magic, ReexecPolicy::Single,
-                                 BranchResolution::Speculative, lat)),
-            &runner.run(name, "magic-me-nsb-" + l,
-                        vpConfig(VpScheme::Magic,
-                                 ReexecPolicy::Multiple,
-                                 BranchResolution::NonSpeculative,
-                                 lat)),
-            &runner.run(name, "magic-nme-nsb-" + l,
-                        vpConfig(VpScheme::Magic, ReexecPolicy::Single,
-                                 BranchResolution::NonSpeculative,
-                                 lat)),
-            &runner.run(name, "ir", irConfig()),
-        };
+        const CoreStats &base = g.at(name, 0);
         std::vector<std::string> row = {name};
         for (int c = 0; c < 5; ++c) {
-            double s = speedup(*runs[c], base);
+            double s = speedup(g.at(name, c + 1), base);
             cols[c].push_back(s);
             row.push_back(TextTable::num(s, 3));
         }
@@ -86,10 +55,10 @@ main()
 {
     banner("Figure 6", "speedups with VP_Magic and IR (S_n+d)");
     Runner runner;
-    prefetchHalf(runner, 0);
-    prefetchHalf(runner, 1);
-    half(runner, 0);
-    half(runner, 1);
+    const Grid g0 = makeHalf(runner, 0);
+    const Grid g1 = makeHalf(runner, 1);
+    half(g0, 0);
+    half(g1, 1);
     std::printf(
         "shape checks (paper §4.2.4):\n"
         "  1. SB outperforms NSB for VP_Magic (spurious squashes are "

@@ -14,55 +14,27 @@ using namespace vpir::bench;
 namespace
 {
 
-void
-prefetchHalf(Runner &runner, unsigned lat)
+/** Base and the four VP_LVP machines at @p lat-cycle verification. */
+Grid
+makeHalf(Runner &runner, unsigned lat)
 {
-    for (const auto &name : workloadNames()) {
-        runner.prefetch(name, "base", baseConfig());
-        std::string l = std::to_string(lat);
-        runner.prefetch(name, "lvp-me-sb-" + l,
-                        vpConfig(VpScheme::Lvp, ReexecPolicy::Multiple,
-                                 BranchResolution::Speculative, lat));
-        runner.prefetch(name, "lvp-nme-sb-" + l,
-                        vpConfig(VpScheme::Lvp, ReexecPolicy::Single,
-                                 BranchResolution::Speculative, lat));
-        runner.prefetch(name, "lvp-me-nsb-" + l,
-                        vpConfig(VpScheme::Lvp, ReexecPolicy::Multiple,
-                                 BranchResolution::NonSpeculative, lat));
-        runner.prefetch(name, "lvp-nme-nsb-" + l,
-                        vpConfig(VpScheme::Lvp, ReexecPolicy::Single,
-                                 BranchResolution::NonSpeculative, lat));
-    }
+    std::vector<Config> configs = vpConfigs(
+        VpScheme::Lvp, lat, "lvp-", "-" + std::to_string(lat));
+    configs.insert(configs.begin(), {"base", baseConfig()});
+    return runner.grid(configs);
 }
 
 void
-half(Runner &runner, unsigned lat)
+half(const Grid &g, unsigned lat)
 {
     std::printf("--- %u-cycle VP-verification latency ---\n", lat);
     TextTable t({"bench", "ME-SB", "NME-SB", "ME-NSB", "NME-NSB"});
     std::vector<std::vector<double>> cols(4);
     for (const auto &name : workloadNames()) {
-        const CoreStats &base = runner.run(name, "base", baseConfig());
-        std::string l = std::to_string(lat);
-        const CoreStats *runs[4] = {
-            &runner.run(name, "lvp-me-sb-" + l,
-                        vpConfig(VpScheme::Lvp, ReexecPolicy::Multiple,
-                                 BranchResolution::Speculative, lat)),
-            &runner.run(name, "lvp-nme-sb-" + l,
-                        vpConfig(VpScheme::Lvp, ReexecPolicy::Single,
-                                 BranchResolution::Speculative, lat)),
-            &runner.run(name, "lvp-me-nsb-" + l,
-                        vpConfig(VpScheme::Lvp, ReexecPolicy::Multiple,
-                                 BranchResolution::NonSpeculative,
-                                 lat)),
-            &runner.run(name, "lvp-nme-nsb-" + l,
-                        vpConfig(VpScheme::Lvp, ReexecPolicy::Single,
-                                 BranchResolution::NonSpeculative,
-                                 lat)),
-        };
+        const CoreStats &base = g.at(name, 0);
         std::vector<std::string> row = {name};
         for (int c = 0; c < 4; ++c) {
-            double s = speedup(*runs[c], base);
+            double s = speedup(g.at(name, c + 1), base);
             cols[c].push_back(s);
             row.push_back(TextTable::num(s, 3));
         }
@@ -82,10 +54,10 @@ main()
 {
     banner("Figure 7", "speedups with VP_LVP");
     Runner runner;
-    prefetchHalf(runner, 0);
-    prefetchHalf(runner, 1);
-    half(runner, 0);
-    half(runner, 1);
+    const Grid g0 = makeHalf(runner, 0);
+    const Grid g1 = makeHalf(runner, 1);
+    half(g0, 0);
+    half(g1, 1);
     std::printf(
         "shape checks (paper §4.2.4):\n"
         "  1. With LVP's accuracy, SB configurations degrade "

@@ -24,29 +24,21 @@ main()
     banner("Hybrid (extension)",
            "speedups: VP alone, IR alone, IR-first hybrid");
     Runner runner;
-    for (const auto &name : workloadNames()) {
-        runner.prefetch(name, "base", baseConfig());
-        runner.prefetch(name, "vp",
-                        vpConfig(VpScheme::Magic, ReexecPolicy::Multiple,
-                                 BranchResolution::Speculative, 0));
-        runner.prefetch(name, "ir", irConfig());
-        runner.prefetch(name, "hybrid", hybridConfig());
-    }
+    const Grid g = runner.grid(
+        {{"base", baseConfig()},
+         {"vp", vpConfig(VpScheme::Magic, ReexecPolicy::Multiple,
+                         BranchResolution::Speculative, 0)},
+         {"ir", irConfig()},
+         {"hybrid", hybridConfig()}});
 
     TextTable t({"bench", "VP(Magic,SB)", "IR", "hybrid",
                  "hyb reuse %", "hyb pred %"});
     std::vector<double> vp_s, ir_s, hy_s;
     for (const auto &name : workloadNames()) {
-        const CoreStats &base = runner.run(name, "base", baseConfig());
-        const CoreStats &vp = runner.run(
-            name, "vp",
-            vpConfig(VpScheme::Magic, ReexecPolicy::Multiple,
-                     BranchResolution::Speculative, 0));
-        const CoreStats &ir = runner.run(name, "ir", irConfig());
-        const CoreStats &hy =
-            runner.run(name, "hybrid", hybridConfig());
-        double sv = speedup(vp, base);
-        double si = speedup(ir, base);
+        const CoreStats &base = g.at(name, 0);
+        const CoreStats &hy = g.at(name, 3);
+        double sv = speedup(g.at(name, 1), base);
+        double si = speedup(g.at(name, 2), base);
         double sh = speedup(hy, base);
         vp_s.push_back(sv);
         ir_s.push_back(si);

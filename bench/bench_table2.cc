@@ -19,13 +19,12 @@ main()
 {
     banner("Table 2", "benchmarks, branch and return prediction rates");
     Runner runner;
-    for (const auto &name : workloadNames())
-        runner.prefetch(name, "base", baseConfig());
+    const Grid g = runner.grid({{"base", baseConfig()}});
 
     TextTable t({"bench", "insts(K)", "br pred %", "(paper)",
                  "ret pred %", "(paper)"});
     for (const auto &name : workloadNames()) {
-        const CoreStats &st = runner.run(name, "base", baseConfig());
+        const CoreStats &st = g.at(name, 0);
         const paper::Table2Row &ref = paper::table2.at(name);
         t.addRow({name,
                   TextTable::num(st.committedInsts / 1000.0, 0),

@@ -36,25 +36,20 @@ main()
 {
     banner("Table 3", "percentage IR and VP rates");
     Runner runner;
-
-    CoreParams magic = vpConfig(VpScheme::Magic, ReexecPolicy::Multiple,
-                                BranchResolution::Speculative, 0);
-    CoreParams lvp = vpConfig(VpScheme::Lvp, ReexecPolicy::Multiple,
-                              BranchResolution::Speculative, 0);
-
-    for (const auto &name : workloadNames()) {
-        runner.prefetch(name, "ir", irConfig());
-        runner.prefetch(name, "magic", magic);
-        runner.prefetch(name, "lvp", lvp);
-    }
+    const Grid g = runner.grid(
+        {{"ir", irConfig()},
+         {"magic", vpConfig(VpScheme::Magic, ReexecPolicy::Multiple,
+                            BranchResolution::Speculative, 0)},
+         {"lvp", vpConfig(VpScheme::Lvp, ReexecPolicy::Multiple,
+                          BranchResolution::Speculative, 0)}});
 
     TextTable t({"bench", "ir-res", "(p)", "ir-adr", "(p)", "mag-res",
                  "(p)", "mag-mis", "(p)", "mag-adr", "(p)", "lvp-res",
                  "(p)", "lvp-mis", "(p)"});
     for (const auto &name : workloadNames()) {
-        const CoreStats &ir = runner.run(name, "ir", irConfig());
-        const CoreStats &m = runner.run(name, "magic", magic);
-        const CoreStats &l = runner.run(name, "lvp", lvp);
+        const CoreStats &ir = g.at(name, 0);
+        const CoreStats &m = g.at(name, 1);
+        const CoreStats &l = g.at(name, 2);
         const paper::Table3Row &ref = paper::table3.at(name);
         t.addRow({name,
                   TextTable::num(overInsts(ir.reusedResults, ir), 1),
@@ -77,7 +72,7 @@ main()
                 "mispred 0.1-4.0%%):\n");
     TextTable t2({"bench", "lvp-adr", "(p)", "lvp-adr-mis", "(p)"});
     for (const auto &name : workloadNames()) {
-        const CoreStats &l = runner.run(name, "lvp", lvp);
+        const CoreStats &l = g.at(name, 2);
         const paper::Table3Row &ref = paper::table3.at(name);
         t2.addRow({name, TextTable::num(overMem(l.vpAddrCorrect, l), 1),
                    TextTable::num(ref.lvpAddrPred, 1),

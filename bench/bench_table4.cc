@@ -33,48 +33,27 @@ main()
            "percent increase in control squashes (spurious "
            "mispredictions)");
     Runner runner;
-    for (const auto &name : workloadNames()) {
-        runner.prefetch(name, "magic-me-sb",
-                        vpConfig(VpScheme::Magic, ReexecPolicy::Multiple,
-                                 BranchResolution::Speculative, 0));
-        runner.prefetch(name, "magic-nme-sb",
-                        vpConfig(VpScheme::Magic, ReexecPolicy::Single,
-                                 BranchResolution::Speculative, 0));
-        runner.prefetch(name, "lvp-me-sb",
-                        vpConfig(VpScheme::Lvp, ReexecPolicy::Multiple,
-                                 BranchResolution::Speculative, 0));
-        runner.prefetch(name, "lvp-nme-sb",
-                        vpConfig(VpScheme::Lvp, ReexecPolicy::Single,
-                                 BranchResolution::Speculative, 0));
-    }
+    const Grid g = runner.grid(
+        {{"magic-me-sb", vpConfig(VpScheme::Magic, ReexecPolicy::Multiple,
+                                  BranchResolution::Speculative, 0)},
+         {"magic-nme-sb", vpConfig(VpScheme::Magic, ReexecPolicy::Single,
+                                   BranchResolution::Speculative, 0)},
+         {"lvp-me-sb", vpConfig(VpScheme::Lvp, ReexecPolicy::Multiple,
+                                BranchResolution::Speculative, 0)},
+         {"lvp-nme-sb", vpConfig(VpScheme::Lvp, ReexecPolicy::Single,
+                                 BranchResolution::Speculative, 0)}});
 
     TextTable t({"bench", "Magic ME-SB", "(p)", "Magic NME-SB", "(p)",
                  "LVP ME-SB", "(p)", "LVP NME-SB", "(p)"});
     for (const auto &name : workloadNames()) {
-        const CoreStats &m_me = runner.run(
-            name, "magic-me-sb",
-            vpConfig(VpScheme::Magic, ReexecPolicy::Multiple,
-                     BranchResolution::Speculative, 0));
-        const CoreStats &m_nme = runner.run(
-            name, "magic-nme-sb",
-            vpConfig(VpScheme::Magic, ReexecPolicy::Single,
-                     BranchResolution::Speculative, 0));
-        const CoreStats &l_me = runner.run(
-            name, "lvp-me-sb",
-            vpConfig(VpScheme::Lvp, ReexecPolicy::Multiple,
-                     BranchResolution::Speculative, 0));
-        const CoreStats &l_nme = runner.run(
-            name, "lvp-nme-sb",
-            vpConfig(VpScheme::Lvp, ReexecPolicy::Single,
-                     BranchResolution::Speculative, 0));
         const paper::Table4Row &ref = paper::table4.at(name);
-        t.addRow({name, TextTable::num(increasePct(m_me), 1),
+        t.addRow({name, TextTable::num(increasePct(g.at(name, 0)), 1),
                   TextTable::num(ref.magicMeSb, 1),
-                  TextTable::num(increasePct(m_nme), 1),
+                  TextTable::num(increasePct(g.at(name, 1)), 1),
                   TextTable::num(ref.magicNmeSb, 1),
-                  TextTable::num(increasePct(l_me), 1),
+                  TextTable::num(increasePct(g.at(name, 2)), 1),
                   TextTable::num(ref.lvpMeSb, 1),
-                  TextTable::num(increasePct(l_nme), 1),
+                  TextTable::num(increasePct(g.at(name, 3)), 1),
                   TextTable::num(ref.lvpNmeSb, 1)});
     }
     std::printf("%s\n", t.render().c_str());

@@ -18,13 +18,12 @@ main()
            "executed instructions squashed, and squashed work "
            "recovered by IR");
     Runner runner;
-    for (const auto &name : workloadNames())
-        runner.prefetch(name, "ir", irConfig());
+    const Grid g = runner.grid({{"ir", irConfig()}});
 
     TextTable t({"bench", "insts exec(K)", "squashed %", "(p)",
                  "recovered %", "(p)"});
     for (const auto &name : workloadNames()) {
-        const CoreStats &ir = runner.run(name, "ir", irConfig());
+        const CoreStats &ir = g.at(name, 0);
         const paper::Table5Row &ref = paper::table5.at(name);
         double squashed_pct =
             pct(static_cast<double>(ir.squashedExecuted),

@@ -17,18 +17,14 @@ main()
     banner("Table 6", "instructions executed 1 / 2 / 3 times "
                       "(VP_Magic, ME-SB, 1-cycle)");
     Runner runner;
-    for (const auto &name : workloadNames())
-        runner.prefetch(name, "magic-me-sb-1",
-                        vpConfig(VpScheme::Magic, ReexecPolicy::Multiple,
-                                 BranchResolution::Speculative, 1));
+    const Grid g = runner.grid(
+        {{"magic-me-sb-1", vpConfig(VpScheme::Magic, ReexecPolicy::Multiple,
+                                    BranchResolution::Speculative, 1)}});
 
     TextTable t({"bench", "1x", "(p)", "2x", "(p)", "3x", "(p)",
                  ">=4x"});
     for (const auto &name : workloadNames()) {
-        const CoreStats &st = runner.run(
-            name, "magic-me-sb-1",
-            vpConfig(VpScheme::Magic, ReexecPolicy::Multiple,
-                     BranchResolution::Speculative, 1));
+        const CoreStats &st = g.at(name, 0);
         uint64_t total = st.execCountHist[0] + st.execCountHist[1] +
                          st.execCountHist[2] + st.execCountHist[3];
         auto share = [&](int i) {

@@ -1,9 +1,16 @@
 /**
  * @file
- * Shared plumbing for the experiment harnesses: run a workload under
- * a configuration (memoized through the parallel sweep engine so one
- * bench can derive several columns from one run), and common
- * formatting helpers.
+ * Shared plumbing for the experiment harnesses: declare a table's
+ * (workload x config) cells once as a Grid, read them back in table
+ * order, and common formatting helpers.
+ *
+ * A harness is "make grids, then print". Runner::grid() queues every
+ * cell of one table on the process-wide SweepEngine and returns its
+ * Grid; a harness makes all of its grids before its first Grid::at().
+ * That first read runs every queued cell as one batch across
+ * VPIR_JOBS threads, later reads find finished results, and tables
+ * print byte-identical output for any job count. Adding a column is
+ * one Config entry in the list handed to grid().
  *
  * Environment knobs:
  *   VPIR_BENCH_INSTS    committed-instruction budget per run
@@ -26,6 +33,7 @@
 #ifndef VPIR_BENCH_BENCH_UTIL_HH
 #define VPIR_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -33,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "redundancy/redundancy.hh"
 #include "sim/simulator.hh"
 #include "stats/stats.hh"
@@ -44,18 +53,81 @@ namespace vpir
 namespace bench
 {
 
+/** One column of a harness table: its display label and machine. */
+struct Config
+{
+    std::string label;
+    CoreParams params;
+};
+
 /**
- * Memoized (benchmark, configuration) -> stats runner, backed by the
- * process-wide SweepEngine. Results are keyed by a hash of the full
- * CoreParams — not the display label — so two configs that share a
- * label can never alias each other's cached stats, and identical
- * configs under different labels are simulated once.
- *
- * Harnesses call prefetch() for every cell up front, then run() in
- * table order: the first run() runs every queued cell as one batch
- * across VPIR_JOBS threads, later ones read finished results, and
- * tables print byte-identical output for any job count. Calling run()
- * without prefetch() still works — that cell just runs alone.
+ * The paper's four VP machines for @p scheme at @p lat-cycle
+ * verification, in its column order ME-SB, NME-SB, ME-NSB, NME-NSB,
+ * labelled prefix + "me-sb" + suffix and so on.
+ */
+inline std::vector<Config>
+vpConfigs(VpScheme scheme, unsigned lat, const std::string &prefix,
+          const std::string &suffix = "")
+{
+    using BR = BranchResolution;
+    auto cfg = [&](const char *name, ReexecPolicy re, BR br) {
+        return Config{prefix + name + suffix, vpConfig(scheme, re, br, lat)};
+    };
+    return {cfg("me-sb", ReexecPolicy::Multiple, BR::Speculative),
+            cfg("nme-sb", ReexecPolicy::Single, BR::Speculative),
+            cfg("me-nsb", ReexecPolicy::Multiple, BR::NonSpeculative),
+            cfg("nme-nsb", ReexecPolicy::Single, BR::NonSpeculative)};
+}
+
+/**
+ * The cells of one table: every (workload, config) pair a
+ * Runner::grid() call queued, workload by workload. Results are keyed
+ * by a hash of the full CoreParams, not the label, so two configs
+ * that share a label never alias, and a cell two grids share is
+ * simulated once.
+ */
+class Grid
+{
+  public:
+    /**
+     * Stats of @p workload under the config at index @p column of the
+     * list given to Runner::grid(). The first read runs every queued
+     * cell as one batch. Panics on a workload or column outside the
+     * grid.
+     */
+    const CoreStats &
+    at(const std::string &workload, size_t column) const
+    {
+        auto it = std::find(workloads.begin(), workloads.end(), workload);
+        VPIR_ASSERT(it != workloads.end(),
+                    "workload '" + workload + "' is not in the grid");
+        VPIR_ASSERT(column < columns,
+                    "column " + std::to_string(column) +
+                        " is past the grid's " + std::to_string(columns));
+        size_t row = static_cast<size_t>(it - workloads.begin());
+        return sweep::SweepEngine::global().get(
+            cells[row * columns + column]);
+    }
+
+  private:
+    friend class Runner;
+
+    Grid(std::vector<std::string> workloads, size_t columns,
+         std::vector<sweep::SweepCell> cells)
+        : workloads(std::move(workloads)), columns(columns),
+          cells(std::move(cells))
+    {
+    }
+
+    std::vector<std::string> workloads;
+    size_t columns;
+    std::vector<sweep::SweepCell> cells; //!< workload-major
+};
+
+/**
+ * Builds a harness's grids at the bench run length and scale, and on
+ * destruction prints the sweep summary to stderr and writes the
+ * timing JSON.
  */
 class Runner
 {
@@ -77,33 +149,32 @@ class Runner
         eng.writeTimingJson(path && *path ? path : def);
     }
 
-    /** Schedule a cell without waiting for its result. */
-    void
-    prefetch(const std::string &workload, const std::string &label,
-             const CoreParams &params)
+    /**
+     * Queue every (workload, config) cell on the global sweep engine,
+     * workload by workload, with the bench run limit and the
+     * hardening environment applied; nothing runs until the first
+     * Grid::at().
+     */
+    Grid
+    grid(const std::vector<Config> &configs,
+         const std::vector<std::string> &workloads = workloadNames())
     {
-        sweep::SweepEngine::global().prefetch(cell(workload, label, params));
-    }
-
-    const CoreStats &
-    run(const std::string &workload, const std::string &label,
-        const CoreParams &params)
-    {
-        return sweep::SweepEngine::global().get(cell(workload, label, params));
+        std::vector<sweep::SweepCell> cells;
+        cells.reserve(workloads.size() * configs.size());
+        for (const std::string &w : workloads) {
+            for (const Config &c : configs) {
+                CoreParams p = withLimits(c.params, limit);
+                applyHardeningEnv(p);
+                cells.push_back(sweep::SweepCell{w, c.label, p, scale});
+                sweep::SweepEngine::global().prefetch(cells.back());
+            }
+        }
+        return Grid(workloads, configs.size(), std::move(cells));
     }
 
     uint64_t instLimit() const { return limit; }
 
   private:
-    sweep::SweepCell
-    cell(const std::string &workload, const std::string &label,
-         const CoreParams &params) const
-    {
-        CoreParams p = withLimits(params, limit);
-        applyHardeningEnv(p);
-        return sweep::SweepCell{workload, label, p, scale};
-    }
-
     uint64_t limit;
     WorkloadScale scale;
 };

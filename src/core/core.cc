@@ -28,7 +28,8 @@ Core::Core(const CoreParams &p, const Program &program,
       fetchQueue(p.fetchQueueSize),
       fetchCps(p.fetchQueueSize),
       storeQ(p.lsqEntries),
-      fetchPC(program.entry)
+      fetchPC(program.entry),
+      done(p.maxInsts == 0 || p.maxCycles == 0)
 {
     if (p.technique == Technique::VP || p.technique == Technique::Hybrid) {
         vptResult.emplace(p.vpt);

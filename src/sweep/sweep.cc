@@ -252,7 +252,6 @@ SweepEngine::simulate(Record &rec)
         std::shared_ptr<const EmuSnapshot> snap =
             cache.snapshot(cell.workload, cell.scale,
                            cell.params.warmupInsts, &rec.warmBuilt);
-        rec.workloadInput = w->input;
         Simulator sim(cell.params, std::move(w), std::move(snap));
         auto t1 = std::chrono::steady_clock::now();
         rec.setupSeconds = std::chrono::duration<double>(t1 - t0).count();
@@ -309,11 +308,8 @@ SweepEngine::tryLoadFromDisk(Record &rec)
         return false;
     }
 
-    if (!file.getObject("stats", stats) ||
-        !statsFromJson(stats, rec.stats))
-        return false;
-    file.getString("input", rec.workloadInput);
-    return true;
+    return file.getObject("stats", stats) &&
+           statsFromJson(stats, rec.stats);
 }
 
 void
@@ -335,7 +331,6 @@ SweepEngine::saveToDisk(const Record &rec)
             << "  \"workload\": \"" << jsonEscape(rec.cell.workload)
             << "\",\n"
             << "  \"label\": \"" << jsonEscape(rec.cell.label) << "\",\n"
-            << "  \"input\": \"" << jsonEscape(rec.workloadInput) << "\",\n"
             << "  \"cell_hash\": \"" << hex16(rec.key) << "\",\n"
             << "  \"params_hash\": \"" << hex16(hashParams(rec.cell.params))
             << "\",\n"
@@ -676,13 +671,6 @@ SweepEngine::global()
     }();
     (void)installed;
     return engine;
-}
-
-const std::string &
-cellWorkloadInput(SweepEngine &eng, const SweepCell &cell)
-{
-    eng.get(cell);
-    return eng.records[eng.findOrCreate(cell)]->workloadInput;
 }
 
 // --------------------------------------------------------- parallelFor

@@ -230,7 +230,6 @@ class SweepEngine
         SweepCell cell;
         uint64_t key = 0;
         CoreStats stats;
-        std::string workloadInput; //!< Workload::input (for vpirsim)
         double wallSeconds = 0.0;
         double setupSeconds = 0.0;
         double runSeconds = 0.0;
@@ -278,14 +277,7 @@ class SweepEngine
     std::unordered_map<uint64_t, size_t> byKey; //!< cell key -> record
     size_t nextToRun = 0;
     double drainSeconds = 0.0;
-
-    friend const std::string &cellWorkloadInput(SweepEngine &,
-                                                const SweepCell &);
 };
-
-/** Workload::input of a completed cell (runs it if needed). */
-const std::string &cellWorkloadInput(SweepEngine &eng,
-                                     const SweepCell &cell);
 
 /**
  * Deterministic parallel-for over [0, n): body(i) runs once per index

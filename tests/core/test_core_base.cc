@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "asm/assembler.hh"
 #include "core/core.hh"
 #include "sim/configs.hh"
@@ -124,6 +126,20 @@ TEST(CoreBase, MaxInstsStopsRun)
     const CoreStats &st = c.run();
     EXPECT_GE(st.committedInsts, 1000u);
     EXPECT_LT(st.committedInsts, 1010u);
+}
+
+TEST(CoreBase, ZeroBudgetRunsNothing)
+{
+    // A budget of 0 instructions or 0 cycles allows no work at all,
+    // not one cycle or one commit before the limit is checked.
+    Program p = serialChain(8);
+    for (auto [insts, cycles] : {std::pair<uint64_t, uint64_t>{0, UINT64_MAX},
+                                 {UINT64_MAX, 0}}) {
+        Core c(withLimits(baseConfig(), insts, cycles), p);
+        const CoreStats &st = c.run();
+        EXPECT_EQ(st.committedInsts, 0u);
+        EXPECT_EQ(st.cycles, 0u);
+    }
 }
 
 TEST(CoreBase, MultiplyLatencyVisible)

@@ -23,8 +23,9 @@
  *                           divergence reproduces (exit 0 iff it does)
  *
  * A numeric flag must be one whole number (no minus sign, no suffix,
- * no overflow; --verify below 2^32, --scale positive and finite);
- * anything else exits 2 naming the flag.
+ * no overflow; --verify below 2^32, --scale positive and finite), and
+ * --branch and --reexec exactly one of their two words; anything else
+ * exits 2 naming the flag.
  *
  * Runs go through the sweep engine, so VPIR_RESULT_CACHE=<dir> makes
  * repeated invocations with identical parameters instant. Host wall
@@ -42,6 +43,7 @@
 #include "common/env.hh"
 #include "fuzz/repro.hh"
 #include "sim/simulator.hh"
+#include "sim/warm_cache.hh"
 #include "stats/stats.hh"
 #include "sweep/sweep.hh"
 
@@ -84,6 +86,20 @@ countFlag(const char *flag, const char *text, uint64_t max = UINT64_MAX)
                   max < UINT64_MAX ? "unsigned integer below 2^32"
                                    : "unsigned integer");
     return v;
+}
+
+/** The value of two-word flag @p flag: exactly @p a or @p b, else
+ *  exit 2 naming the flag. */
+std::string
+wordFlag(const char *flag, const std::string &text, const char *a,
+         const char *b)
+{
+    if (text != a && text != b) {
+        std::fprintf(stderr, "vpirsim: %s: '%s' is not %s or %s\n", flag,
+                     text.c_str(), a, b);
+        std::exit(2);
+    }
+    return text;
 }
 
 /** Replay a fuzz repro bundle: exit 0 iff the bundled divergence
@@ -152,11 +168,11 @@ main(int argc, char **argv)
         if (arg == "--config") {
             config = next();
         } else if (arg == "--branch") {
-            std::string v = next();
+            std::string v = wordFlag("--branch", next(), "sb", "nsb");
             branch = v == "nsb" ? BranchResolution::NonSpeculative
                                 : BranchResolution::Speculative;
         } else if (arg == "--reexec") {
-            std::string v = next();
+            std::string v = wordFlag("--reexec", next(), "me", "nme");
             reexec = v == "nme" ? ReexecPolicy::Single
                                 : ReexecPolicy::Multiple;
         } else if (arg == "--verify") {
@@ -223,8 +239,9 @@ main(int argc, char **argv)
         return 1;
     }
 
-    std::printf("workload    %s (%s)\n", workload.c_str(),
-                sweep::cellWorkloadInput(eng, cell).c_str());
+    std::printf(
+        "workload    %s (%s)\n", workload.c_str(),
+        WarmStartCache::global().workload(workload, scale)->input.c_str());
     std::printf("config      %s\n", config.c_str());
     std::printf("cycles      %llu\n",
                 static_cast<unsigned long long>(st.cycles));
