@@ -4,6 +4,7 @@
 #include <filesystem>
 
 #include "check/fault.hh"
+#include "common/file_io.hh"
 #include "common/rng.hh"
 #include "fuzz/generator.hh"
 #include "fuzz/repro.hh"
@@ -22,7 +23,7 @@ runFuzzCampaign(const FuzzCampaignOptions &opt, std::FILE *log)
 
     std::error_code dir_ec;
     std::filesystem::create_directories(opt.reproDir, dir_ec);
-    if (unsigned n = scrubStaleReproTmp(opt.reproDir)) {
+    if (unsigned n = scrubStaleTmpFiles(opt.reproDir)) {
         if (log) {
             std::fprintf(log,
                          "fuzz: scrubbed %u stale repro tmp file(s) in "

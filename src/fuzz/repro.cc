@@ -1,12 +1,9 @@
 #include "fuzz/repro.hh"
 
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 
-#include <unistd.h>
-
+#include "common/file_io.hh"
 #include "common/fnv.hh"
 #include "common/json.hh"
 #include "fuzz/program_io.hh"
@@ -141,65 +138,25 @@ bool
 writeReproBundle(const ReproBundle &b, const std::string &path,
                  std::string &err)
 {
-    std::string tmp = path + ".tmp." + std::to_string(::getpid());
-    {
-        std::ofstream f(tmp, std::ios::trunc);
-        if (!f) {
-            err = "cannot open " + tmp + " for writing";
-            return false;
-        }
-        f << bundleToJson(b);
-        f.flush();
-        if (!f) {
-            err = "short write to " + tmp;
-            return false;
-        }
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        err = "cannot publish " + path + ": " + ec.message();
-        std::filesystem::remove(tmp, ec);
-        return false;
-    }
-    return true;
+    return publishFile(path, bundleToJson(b), err);
 }
 
 bool
 loadReproBundle(const std::string &path, ReproBundle &out,
                 std::string &err)
 {
-    std::ifstream f(path);
-    if (!f) {
+    std::string text;
+    if (!readFile(path, text)) {
         err = "cannot read repro bundle '" + path + "'";
         return false;
     }
-    std::ostringstream ss;
-    ss << f.rdbuf();
-    return bundleFromJson(ss.str(), out, err);
+    return bundleFromJson(text, out, err);
 }
 
 DiffOutcome
 replayBundle(const ReproBundle &b)
 {
     return runDifferential(b.program, b.params);
-}
-
-unsigned
-scrubStaleReproTmp(const std::string &dir)
-{
-    std::error_code ec;
-    std::filesystem::directory_iterator it(dir, ec), end;
-    unsigned scrubbed = 0;
-    for (; !ec && it != end; it.increment(ec)) {
-        if (it->path().filename().string().find(".repro.json.tmp.") ==
-            std::string::npos)
-            continue;
-        std::error_code rm_ec;
-        if (std::filesystem::remove(it->path(), rm_ec))
-            ++scrubbed;
-    }
-    return scrubbed;
 }
 
 } // namespace fuzz

@@ -6,9 +6,9 @@
  * the hardening env knobs in effect, and the expected divergence.
  * Bundles are stamped with the stats- and params-schema fingerprints
  * and refused loudly on mismatch (a bundle from an incompatible build
- * must not "replay clean" by accident). Writes are atomic
- * (.repro.json.tmp.<pid> + rename) and stale tmp files are scrubbed
- * at campaign startup.
+ * must not "replay clean" by accident). Writes go through
+ * publishFile() (common/file_io.hh), and the campaign scrubs stale tmp
+ * files from its repro directory at startup.
  */
 
 #ifndef VPIR_FUZZ_REPRO_HH
@@ -48,7 +48,7 @@ std::string bundleToJson(const ReproBundle &b);
 bool bundleFromJson(const std::string &json, ReproBundle &out,
                     std::string &err);
 
-/** Atomically write @p b to @p path (tmp + rename). */
+/** Atomically write @p b to @p path (publishFile()). */
 bool writeReproBundle(const ReproBundle &b, const std::string &path,
                       std::string &err);
 
@@ -58,10 +58,6 @@ bool loadReproBundle(const std::string &path, ReproBundle &out,
 
 /** Re-run the bundled program under the bundled configuration. */
 DiffOutcome replayBundle(const ReproBundle &b);
-
-/** Remove stale *.repro.json.tmp.* files left by killed processes.
- *  @return number removed. */
-unsigned scrubStaleReproTmp(const std::string &dir);
 
 /** Echo of the fault/hardening env knobs currently set (for the
  *  bundle's "env" field). */

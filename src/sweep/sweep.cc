@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -12,9 +11,9 @@
 #include <fstream>
 #include <sstream>
 #include <thread>
-#include <unistd.h>
 
 #include "common/env.hh"
+#include "common/file_io.hh"
 #include "common/fnv.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -58,22 +57,6 @@ defaultCacheDir()
     return "";
 }
 
-std::string
-signalName(int sig)
-{
-    switch (sig) {
-      case SIGSEGV: return "SIGSEGV";
-      case SIGABRT: return "SIGABRT";
-      case SIGBUS:  return "SIGBUS";
-      case SIGILL:  return "SIGILL";
-      case SIGFPE:  return "SIGFPE";
-      case SIGKILL: return "SIGKILL";
-      case SIGTERM: return "SIGTERM";
-      case SIGINT:  return "SIGINT";
-      default:      return "signal " + std::to_string(sig);
-    }
-}
-
 // --------------------------------------------------------------- hash
 
 uint64_t
@@ -114,36 +97,15 @@ SweepEngine::SweepEngine(unsigned jobs, const std::string &cache_dir)
             warn("cannot create VPIR_RESULT_CACHE dir '" + cacheDir +
                  "': " + ec.message() + "; disk cache disabled");
             cacheDir.clear();
-        } else {
-            scrubStaleTmpFiles();
+        } else if (unsigned n = scrubStaleTmpFiles(cacheDir)) {
+            // A tmp of a concurrently live sweep may go too: its
+            // rename then fails with a warning and the cell is simply
+            // recomputed next run, so the race is benign.
+            warn("scrubbed " + std::to_string(n) +
+                 " stale .tmp file(s) left in result cache '" + cacheDir +
+                 "' by a killed process");
         }
     }
-}
-
-void
-SweepEngine::scrubStaleTmpFiles()
-{
-    // The atomic tmp+rename cache write leaks its tmp file when the
-    // writing process is SIGKILLed between the two steps; a later
-    // sweep must not let them accumulate. A tmp belonging to a
-    // concurrently live sweep could in principle be scrubbed here too
-    // — that sweep's rename then fails with a warning and the cell is
-    // simply recomputed next run, so the race is benign.
-    std::error_code ec;
-    std::filesystem::directory_iterator it(cacheDir, ec), end;
-    size_t scrubbed = 0;
-    for (; !ec && it != end; it.increment(ec)) {
-        if (it->path().filename().string().find(".json.tmp.") ==
-            std::string::npos)
-            continue;
-        std::error_code rm_ec;
-        if (std::filesystem::remove(it->path(), rm_ec))
-            ++scrubbed;
-    }
-    if (scrubbed)
-        warn("scrubbed " + std::to_string(scrubbed) +
-             " stale .tmp file(s) left in result cache '" + cacheDir +
-             "' by a killed process");
 }
 
 size_t
@@ -173,20 +135,9 @@ SweepEngine::runQueued()
     const size_t first = nextToRun;
     parallelFor(
         records.size() - first,
-        [&](size_t i) {
-            Record &rec = *records[first + i];
-            // Graceful stop: the batch starts no further cell (running
-            // ones finish on their own threads); a rerun resumes the
-            // skipped ones through the disk cache.
-            if (stopSig.load())
-                rec.skipped = true;
-            else
-                runRecord(rec);
-        },
-        numJobs);
+        [&](size_t i) { runRecord(*records[first + i]); }, numJobs);
     nextToRun = records.size();
     drainSeconds += secondsSince(t0);
-    maybeExitOnStop();
 }
 
 void
@@ -282,12 +233,10 @@ SweepEngine::diskPath(const Record &rec) const
 bool
 SweepEngine::tryLoadFromDisk(Record &rec)
 {
-    std::ifstream in(diskPath(rec));
-    if (!in)
+    std::string text;
+    if (!readFile(diskPath(rec), text))
         return false;
-    std::stringstream ss;
-    ss << in.rdbuf();
-    JsonObject file(ss.str());
+    JsonObject file(text);
 
     // Validate the key: a file that does not carry the exact cell
     // hash (e.g. written by an incompatible version) is ignored.
@@ -315,37 +264,23 @@ SweepEngine::tryLoadFromDisk(Record &rec)
 void
 SweepEngine::saveToDisk(const Record &rec)
 {
-    std::string path = diskPath(rec);
-    std::string tmp =
-        path + ".tmp." + std::to_string(static_cast<unsigned>(getpid()));
-    {
-        std::ofstream out(tmp);
-        if (!out) {
-            warn("cannot write result cache file " + tmp);
-            return;
-        }
-        out << "{\n"
-            << "  \"schema\": 2,\n"
-            << "  \"stats_schema\": \"" << hex16(statsSchemaFingerprint())
-            << "\",\n"
-            << "  \"workload\": \"" << jsonEscape(rec.cell.workload)
-            << "\",\n"
-            << "  \"label\": \"" << jsonEscape(rec.cell.label) << "\",\n"
-            << "  \"cell_hash\": \"" << hex16(rec.key) << "\",\n"
-            << "  \"params_hash\": \"" << hex16(hashParams(rec.cell.params))
-            << "\",\n"
-            << "  \"max_insts\": " << rec.cell.params.maxInsts << ",\n"
-            << "  \"scale\": " << rec.cell.scale.factor << ",\n"
-            << "  \"stats\": " << statsToJson(rec.stats) << "\n"
-            << "}\n";
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        warn("cannot publish result cache file " + path + ": " +
-             ec.message());
-        std::filesystem::remove(tmp, ec);
-    }
+    std::ostringstream out;
+    out << "{\n"
+        << "  \"schema\": 2,\n"
+        << "  \"stats_schema\": \"" << hex16(statsSchemaFingerprint())
+        << "\",\n"
+        << "  \"workload\": \"" << jsonEscape(rec.cell.workload) << "\",\n"
+        << "  \"label\": \"" << jsonEscape(rec.cell.label) << "\",\n"
+        << "  \"cell_hash\": \"" << hex16(rec.key) << "\",\n"
+        << "  \"params_hash\": \"" << hex16(hashParams(rec.cell.params))
+        << "\",\n"
+        << "  \"max_insts\": " << rec.cell.params.maxInsts << ",\n"
+        << "  \"scale\": " << rec.cell.scale.factor << ",\n"
+        << "  \"stats\": " << statsToJson(rec.stats) << "\n"
+        << "}\n";
+    std::string err;
+    if (!publishFile(diskPath(rec), out.str(), err))
+        warn("result cache: " + err);
 }
 
 // ------------------------------------------------------- observability
@@ -356,7 +291,7 @@ SweepEngine::timings() const
     std::vector<CellTiming> out;
     out.reserve(nextToRun);
     for (const auto &r : ran()) {
-        if (r->failed || r->skipped)
+        if (r->failed)
             continue;
         CellTiming t;
         t.workload = r->cell.workload;
@@ -403,17 +338,7 @@ SweepEngine::cellsComputed() const
 {
     size_t n = 0;
     for (const auto &r : ran())
-        if (!r->fromDiskCache && !r->skipped)
-            ++n;
-    return n;
-}
-
-size_t
-SweepEngine::cellsSkipped() const
-{
-    size_t n = 0;
-    for (const auto &r : ran())
-        if (r->skipped)
+        if (!r->fromDiskCache)
             ++n;
     return n;
 }
@@ -584,92 +509,12 @@ SweepEngine::printSummary(std::FILE *out) const
     }
 }
 
-// ------------------------------------------------- signals & interrupt
-
-void
-SweepEngine::requestStop(int sig)
-{
-    // Called from the signal handler: a lock-free atomic store is the
-    // only thing allowed here. The running batch reads the flag before
-    // each cell it starts; drain()/get() read it when the batch ends.
-    stopSig.store(sig);
-}
-
-void
-SweepEngine::maybeExitOnStop()
-{
-    int sig = stopSig.load();
-    if (!sig || !exitOnStop)
-        return;
-
-    // Called after a batch, so every cell has run or been skipped;
-    // completed cells were flushed to the disk cache as they finished,
-    // so a rerun resumes exactly the skipped ones.
-    size_t total = records.size();
-    size_t done_cells = total - cellsSkipped();
-    printSummary(stderr);
-    std::fprintf(stderr,
-                 "[sweep] interrupted by %s: %zu/%zu cells done, "
-                 "rerun to resume%s\n",
-                 signalName(sig).c_str(), done_cells, total,
-                 cacheDir.empty()
-                     ? " (set VPIR_RESULT_CACHE to make resumption "
-                       "skip completed cells)"
-                     : " (completed cells are in the result cache)");
-    std::exit(128 + sig);
-}
-
-namespace
-{
-
-std::atomic<SweepEngine *> signalEngine{nullptr};
-volatile std::sig_atomic_t signalSeen = 0;
-
-void
-sweepSignalHandler(int sig)
-{
-    // Second signal: the user means it — hard-kill immediately.
-    if (signalSeen)
-        _exit(128 + sig);
-    signalSeen = 1;
-    if (SweepEngine *e = signalEngine.load())
-        e->requestStop(sig);
-}
-
-void
-installSweepSignalHandlers(SweepEngine &eng)
-{
-    signalEngine.store(&eng);
-    struct sigaction sa;
-    std::memset(&sa, 0, sizeof(sa));
-    sa.sa_handler = sweepSignalHandler;
-    sigemptyset(&sa.sa_mask);
-    sa.sa_flags = SA_RESTART;
-    for (int sig : {SIGINT, SIGTERM}) {
-        struct sigaction old;
-        // Respect an inherited SIG_IGN (nohup convention).
-        if (sigaction(sig, nullptr, &old) == 0 &&
-            old.sa_handler == SIG_IGN)
-            continue;
-        sigaction(sig, &sa, nullptr);
-    }
-}
-
-} // anonymous namespace
+// -------------------------------------------------------------- global
 
 SweepEngine &
 SweepEngine::global()
 {
     static SweepEngine engine;
-    // Graceful-shutdown signal handling belongs to the process-wide
-    // engine only; test engines must neither install handlers nor
-    // exit the test binary.
-    static const bool installed = [] {
-        engine.exitOnStop = true;
-        installSweepSignalHandlers(engine);
-        return true;
-    }();
-    (void)installed;
     return engine;
 }
 

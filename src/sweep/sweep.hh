@@ -34,18 +34,14 @@
  *  - checked cells (checkRetire or auditInvariants) always simulate:
  *    they write the disk cache but never read it, so a checked rerun
  *    checks every cell;
- *  - graceful SIGINT/SIGTERM handling on the global engine: the
- *    running batch starts no further cell, in-flight cells finish and
- *    are flushed to the disk cache, then a partial summary is printed
- *    and the process exits 128+signal (a second signal hard-kills).
- *    The disk cache is the one resume path: a rerun recomputes
- *    exactly the cells that never finished.
+ *  - no signal handler; the disk cache is the one resume path: a
+ *    crash, a kill and ^C all end the process at once, and a rerun
+ *    recomputes exactly the cells that never finished.
  */
 
 #ifndef VPIR_SWEEP_SWEEP_HH
 #define VPIR_SWEEP_SWEEP_HH
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -70,9 +66,6 @@ unsigned defaultJobs();
 
 /** VPIR_RESULT_CACHE directory ("" = disk cache disabled). */
 std::string defaultCacheDir();
-
-/** "SIGSEGV"-style name for common signals, "signal N" otherwise. */
-std::string signalName(int sig);
 
 /**
  * Stable FNV-1a hash over every CoreParams field (machine geometry,
@@ -194,23 +187,6 @@ class SweepEngine
     size_t cellsComputed() const;
     size_t cellsFromDiskCache() const;
 
-    /** Cells abandoned unrun because a stop was requested. */
-    size_t cellsSkipped() const;
-
-    /**
-     * Request a graceful stop (what the SIGINT/SIGTERM handler calls
-     * on the global engine; async-signal-safe): queued cells not yet
-     * started are skipped, in-flight cells finish and are flushed to
-     * the disk cache. On the global engine the batch's drain()/get()
-     * then prints the partial summary plus an "interrupted: N/M cells
-     * done" line and exits 128+sig; test engines just return, with
-     * the skip observable via cellsSkipped().
-     */
-    void requestStop(int sig);
-
-    /** Signal of a pending stop request, or 0. */
-    int stopRequestedSignal() const { return stopSig.load(); }
-
     /**
      * Write the timing records plus aggregate wall-time and
      * simulated-MIPS as machine-readable JSON. @return success.
@@ -237,16 +213,12 @@ class SweepEngine
         bool warmBuilt = false;
         bool fromDiskCache = false;
         bool failed = false;  //!< simulation failed
-        bool skipped = false; //!< abandoned unrun by a stop request
         std::string error;    //!< failure message, context included
         SchedProfile profile; //!< per-stage cycle profile (host side)
     };
 
-    /**
-     * Run every record not yet run as one parallelFor() batch — each
-     * one through runRecord(), or skipped once a stop is requested —
-     * then apply the global engine's interrupt epilogue.
-     */
+    /** Run every record not yet run, each through runRecord(), as one
+     *  parallelFor() batch. */
     void runQueued();
     void runRecord(Record &rec); //!< compute (or disk-load) one cell
     /** Simulate the cell on this thread, filling @p rec; a panic
@@ -254,8 +226,7 @@ class SweepEngine
     void simulate(Record &rec);
     /** Index of @p cell's record, appending a new one if needed. */
     size_t findOrCreate(const SweepCell &cell);
-    /** The records that have run (or been skipped), in submission
-     *  order. */
+    /** The records that have run, in submission order. */
     std::span<const std::unique_ptr<Record>> ran() const
     {
         return {records.data(), nextToRun};
@@ -263,16 +234,12 @@ class SweepEngine
     bool tryLoadFromDisk(Record &rec);
     void saveToDisk(const Record &rec);
     std::string diskPath(const Record &rec) const;
-    void scrubStaleTmpFiles(); //!< crash consistency on startup
-    void maybeExitOnStop();    //!< global-engine interrupt epilogue
 
     unsigned numJobs;
     std::string cacheDir;
-    std::atomic<int> stopSig{0};
-    bool exitOnStop = false; //!< set on the global engine only
 
     /** Every cell in submission order; records[0, nextToRun) have
-     *  run or been skipped, the rest are queued. */
+     *  run, the rest are queued. */
     std::vector<std::unique_ptr<Record>> records;
     std::unordered_map<uint64_t, size_t> byKey; //!< cell key -> record
     size_t nextToRun = 0;

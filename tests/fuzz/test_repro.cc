@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "common/file_io.hh"
 #include "common/rng.hh"
 #include "fuzz/generator.hh"
 #include "fuzz/program_io.hh"
@@ -138,7 +139,7 @@ TEST(ReproBundle, ScrubsOnlyStaleTmpFiles)
     touch("keep.repro.json");
     touch("unrelated.txt");
 
-    EXPECT_EQ(scrubStaleReproTmp(dir), 2u);
+    EXPECT_EQ(scrubStaleTmpFiles(dir), 2u);
     EXPECT_TRUE(std::filesystem::exists(dir + "/keep.repro.json"));
     EXPECT_TRUE(std::filesystem::exists(dir + "/unrelated.txt"));
     EXPECT_FALSE(

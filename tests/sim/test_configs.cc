@@ -2,9 +2,91 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <initializer_list>
+#include <map>
+#include <optional>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "sim/configs.hh"
 
 using namespace vpir;
+
+namespace
+{
+
+/** Every variable applyHardeningEnv() reads. */
+constexpr const char *hardeningVars[] = {
+    "VPIR_CHECK",           "VPIR_AUDIT",
+    "VPIR_WATCHDOG_CYCLES", "VPIR_FAULT_SEED",
+    "VPIR_FAULT_VPT_VALUE", "VPIR_FAULT_VPT_CONF",
+    "VPIR_FAULT_RB_OPERAND", "VPIR_FAULT_RB_RESULT",
+    "VPIR_FAULT_RB_LINK",   "VPIR_FAULT_RB_DROPINV",
+};
+
+/** Unsets every hardening variable, and puts back on scope exit what
+ *  the process had. */
+class ClearHardeningEnv
+{
+  public:
+    ClearHardeningEnv()
+    {
+        for (const char *name : hardeningVars) {
+            const char *v = std::getenv(name);
+            saved.emplace_back(name, v ? std::optional<std::string>(v)
+                                       : std::nullopt);
+            ::unsetenv(name);
+        }
+    }
+
+    ~ClearHardeningEnv()
+    {
+        for (const auto &[name, v] : saved) {
+            if (v)
+                ::setenv(name, v->c_str(), 1);
+            else
+                ::unsetenv(name);
+        }
+    }
+
+  private:
+    std::vector<std::pair<const char *, std::optional<std::string>>>
+        saved;
+};
+
+/** A base machine after applyHardeningEnv() with @p vars set, and the
+ *  names of the params fields that moved. */
+struct Hardened
+{
+    CoreParams p;
+    std::set<std::string> changed;
+};
+
+Hardened
+harden(std::initializer_list<std::pair<const char *, const char *>> vars)
+{
+    for (const auto &[name, value] : vars)
+        ::setenv(name, value, 1);
+    Hardened h{baseConfig(), {}};
+    applyHardeningEnv(h.p);
+    for (const auto &[name, value] : vars)
+        ::unsetenv(name);
+
+    CoreParams base = baseConfig();
+    std::map<std::string, uint64_t> was;
+    forEachParamField(base,
+                      [&](const char *n, uint64_t &v) { was[n] = v; });
+    forEachParamField(h.p, [&](const char *n, uint64_t &v) {
+        if (was[n] != v)
+            h.changed.insert(n);
+    });
+    return h;
+}
+
+} // anonymous namespace
 
 TEST(Configs, BaseMatchesTable1)
 {
@@ -75,4 +157,56 @@ TEST(Configs, WithLimitsAppliesCaps)
     EXPECT_EQ(p.maxCycles, 456u);
     // Other fields untouched.
     EXPECT_EQ(p.robEntries, 32u);
+}
+
+// applyHardeningEnv is how every harness and vpirsim arm the checker,
+// the audits, the watchdog and fault injection: each variable must
+// move its own field and nothing else.
+TEST(Configs, HardeningEnvArmsEveryKnob)
+{
+    ClearHardeningEnv clear;
+    using Fields = std::set<std::string>;
+
+    EXPECT_EQ(harden({}).changed, Fields{});
+
+    Hardened check = harden({{"VPIR_CHECK", "1"}});
+    EXPECT_EQ(check.changed, (Fields{"checkRetire", "watchdogCycles"}));
+    EXPECT_TRUE(check.p.checkRetire);
+    EXPECT_EQ(check.p.watchdogCycles, 100000u);
+    EXPECT_EQ(harden({{"VPIR_CHECK", "1"}, {"VPIR_WATCHDOG_CYCLES", "5"}})
+                  .p.watchdogCycles,
+              5u);
+
+    Hardened audit = harden({{"VPIR_AUDIT", "1"}});
+    EXPECT_EQ(audit.changed, Fields{"auditInvariants"});
+    EXPECT_TRUE(audit.p.auditInvariants);
+
+    Hardened seed = harden({{"VPIR_FAULT_SEED", "7"}});
+    EXPECT_EQ(seed.changed, Fields{"faults.seed"});
+    EXPECT_EQ(seed.p.faults.seed, 7u);
+
+    const struct
+    {
+        const char *var;
+        double FaultPlan::*rate;
+        const char *field;
+    } rates[] = {
+        {"VPIR_FAULT_VPT_VALUE", &FaultPlan::vptValueRate,
+         "faults.vptValueRate"},
+        {"VPIR_FAULT_VPT_CONF", &FaultPlan::vptConfRate,
+         "faults.vptConfRate"},
+        {"VPIR_FAULT_RB_OPERAND", &FaultPlan::rbOperandRate,
+         "faults.rbOperandRate"},
+        {"VPIR_FAULT_RB_RESULT", &FaultPlan::rbResultRate,
+         "faults.rbResultRate"},
+        {"VPIR_FAULT_RB_LINK", &FaultPlan::rbLinkRate,
+         "faults.rbLinkRate"},
+        {"VPIR_FAULT_RB_DROPINV", &FaultPlan::rbDropInvRate,
+         "faults.rbDropInvRate"},
+    };
+    for (const auto &r : rates) {
+        Hardened h = harden({{r.var, "0.25"}});
+        EXPECT_EQ(h.changed, Fields{r.field}) << r.var;
+        EXPECT_EQ(h.p.faults.*r.rate, 0.25) << r.var;
+    }
 }

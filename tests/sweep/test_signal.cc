@@ -1,10 +1,10 @@
 /**
  * @file
- * Graceful-interrupt and timing-JSON tests: a SIGINT mid-sweep must
- * stop the global engine at a cell boundary, report "interrupted:
- * N/M", exit 128+sig, and leave a disk cache a rerun resumes from;
- * a VPIR_PROFILE=1 sweep's timing JSON must carry every simulated
- * cell's profile next to the keys the benchmark reads.
+ * Interrupt and timing-JSON tests: a SIGINT mid-sweep must end the
+ * process by the signal's default action, like a crash or a kill,
+ * and leave a disk cache a rerun resumes from; a VPIR_PROFILE=1
+ * sweep's timing JSON must carry every simulated cell's profile next
+ * to the keys the benchmark reads.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include <unistd.h>
 
 #include <csignal>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -86,46 +85,39 @@ threeCells()
     };
 }
 
-// A self-delivered SIGINT between cells: the global engine must finish
-// the current cell, skip the queued ones, print the partial summary
-// with an "interrupted ... N/M cells done" line, and exit 130. The
-// whole scenario runs in a forked child because the global engine's
-// interrupt epilogue legitimately calls std::exit().
-TEST(Signal, GracefulSigintExits130AndCacheResumes)
+// A self-delivered SIGINT between cells must end the process at once:
+// the sweep engine installs no handler, so ^C is the same early end
+// as a crash or a kill, and the disk cache is the one resume path. The
+// scenario runs in a forked child so the signal ends only the child.
+TEST(Signal, SigintEndsTheSweepAndTheCacheResumes)
 {
     std::string cache = scratchDir("sigint_cache");
-    std::string errfile = cache + "/child.stderr";
     std::vector<SweepCell> cs = threeCells();
 
     pid_t pid = fork();
     ASSERT_GE(pid, 0) << "fork failed";
     if (pid == 0) {
-        // Child: its gtest state is discarded; it reports only via its
-        // exit status and captured stderr.
+        // Child: reports only through how it ends. SIGINT starts at
+        // its default action even where the parent shell ignores it,
+        // so only a handler installed by the engine could catch it.
+        std::signal(SIGINT, SIG_DFL);
         setenv("VPIR_JOBS", "1", 1);
         setenv("VPIR_RESULT_CACHE", cache.c_str(), 1);
-        if (!std::freopen(errfile.c_str(), "w", stderr))
-            _exit(97);
         SweepEngine &eng = SweepEngine::global();
-        eng.get(cs[0]); // completes and is flushed to the disk cache
-        raise(SIGINT);  // handler records the stop; no second signal
+        eng.get(cs[0]); // finishes and is published to the disk cache
+        raise(SIGINT);  // must end the process here
         for (const SweepCell &c : cs)
             eng.prefetch(c);
-        eng.drain(); // must print the summary and std::exit(130)
-        _exit(99);   // reached only if the stop was ignored
+        eng.drain();
+        _exit(0);
     }
 
     int status = 0;
     ASSERT_EQ(waitpid(pid, &status, 0), pid);
-    ASSERT_TRUE(WIFEXITED(status))
-        << "child died abnormally instead of exiting gracefully";
-    EXPECT_EQ(WEXITSTATUS(status), 128 + SIGINT);
-
-    std::string err = slurp(errfile);
-    EXPECT_NE(err.find("interrupted by SIGINT: 1/3 cells done"),
-              std::string::npos)
-        << "missing/incorrect partial-progress line; stderr was:\n"
-        << err;
+    ASSERT_TRUE(WIFSIGNALED(status))
+        << "child exited with status " << WEXITSTATUS(status)
+        << " instead of dying by SIGINT";
+    EXPECT_EQ(WTERMSIG(status), SIGINT);
 
     // The rerun must resume: one cell from disk, the other two
     // computed, and every result identical to a clean sweep.

@@ -1,9 +1,10 @@
 #!/bin/sh
 # Run every experiment harness in sequence. A failing harness (a sweep
 # cell that panicked — the harnesses exit non-zero when any cell fails
-# — or a harness that crashed) does not abort the remaining benches:
-# every harness runs, the failures are summarised at the end, and the
-# script exits 1 if there were any. Usage:
+# — or a harness that crashed or was killed by a signal) does not
+# abort the remaining benches: every harness runs, the failures are
+# summarised at the end, and the script exits 1 if there were any.
+# Usage:
 #
 #   tools/run_all_benches.sh [build-dir]
 #
@@ -12,10 +13,9 @@
 # harness writes its own bench_timing.<harness>.json unless
 # VPIR_TIMING_JSON overrides the path.
 #
-# SIGINT/SIGTERM stop gracefully: the harness in flight flushes its
-# completed cells to the result cache (if configured) and exits
-# 128+sig, the script reports which harnesses completed, and a rerun
-# with the same VPIR_RESULT_CACHE resumes from the missing cells.
+# ^C stops the run at once, like a crash or a kill. With
+# VPIR_RESULT_CACHE set, every cell that had finished is already in the
+# cache, so a rerun with the same cache simulates only the rest.
 # Wired into ctest as the opt-in "bench" configuration: ctest -C bench.
 set -u
 
@@ -40,40 +40,16 @@ BENCHES="bench_table1 bench_table2 bench_table3 bench_table4
          bench_fig6 bench_fig7 bench_fig8 bench_fig9 bench_fig10
          bench_ablation bench_hybrid"
 
-# The trap only records the signal; the shell runs it after the
-# harness in flight has finished its own graceful shutdown.
-INTERRUPTED=0
-trap 'INTERRUPTED=1' INT TERM
-
 FAILED=""
-COMPLETED=""
 for b in $BENCHES; do
-    [ "$INTERRUPTED" = 1 ] && break
     echo "==== $b ===="
-    if "$BUILD/bench/$b"; then
-        COMPLETED="$COMPLETED $b"
-    else
-        rc=$?
-        if [ "$rc" -eq 130 ] || [ "$rc" -eq 143 ]; then
-            # Graceful SIGINT/SIGTERM stop, not a bench failure. Any
-            # other signal (a crash, 139 = SIGSEGV) is a failure.
-            INTERRUPTED=1
-            break
-        fi
+    "$BUILD/bench/$b"
+    rc=$?
+    if [ "$rc" -ne 0 ]; then
         echo "run_all_benches: $b exited with status $rc" >&2
         FAILED="$FAILED $b"
     fi
 done
-
-if [ "$INTERRUPTED" = 1 ]; then
-    echo "run_all_benches: interrupted" >&2
-    echo "run_all_benches: completed harnesses:${COMPLETED:- (none)}" >&2
-    [ -n "$FAILED" ] &&
-        echo "run_all_benches: FAILED harnesses:$FAILED" >&2
-    echo "run_all_benches: rerun with the same VPIR_RESULT_CACHE to" \
-         "resume the remaining cells" >&2
-    exit 130
-fi
 
 if [ -n "$FAILED" ]; then
     echo "run_all_benches: FAILED harnesses:$FAILED" >&2

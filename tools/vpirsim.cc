@@ -8,9 +8,12 @@
  *     <workload>            go|m88ksim|ijpeg|perl|vortex|gcc|compress
  *     --config NAME         base (default) | ir | ir-late | vp | lvp
  *                           | hybrid
- *     --branch sb|nsb       VP branch resolution (default sb)
- *     --reexec me|nme       VP re-execution policy (default me)
- *     --verify N            VP verification latency (default 0)
+ *     --branch sb|nsb       VP branch resolution (default sb; vp,
+ *                           lvp and hybrid)
+ *     --reexec me|nme       VP re-execution policy (default me; vp
+ *                           and lvp)
+ *     --verify N            VP verification latency (default 0; vp,
+ *                           lvp and hybrid)
  *     --max-insts N         committed-instruction limit
  *     --max-cycles N        cycle limit
  *     --warmup N            functional fast-forward instructions
@@ -25,7 +28,8 @@
  * A numeric flag must be one whole number (no minus sign, no suffix,
  * no overflow; --verify below 2^32, --scale positive and finite), and
  * --branch and --reexec exactly one of their two words; anything else
- * exits 2 naming the flag.
+ * exits 2 naming the flag. So does a VP flag the chosen --config does
+ * not use (base, ir and ir-late use none of them).
  *
  * Runs go through the sweep engine, so VPIR_RESULT_CACHE=<dir> makes
  * repeated invocations with identical parameters instant. Host wall
@@ -102,6 +106,18 @@ wordFlag(const char *flag, const std::string &text, const char *a,
     return text;
 }
 
+/** Exit 2 if @p flag was given but @p config does not use it. */
+void
+requireUsed(const char *flag, bool given, bool used,
+            const std::string &config)
+{
+    if (given && !used) {
+        std::fprintf(stderr, "vpirsim: %s: --config %s does not use it\n",
+                     flag, config.c_str());
+        std::exit(2);
+    }
+}
+
 /** Replay a fuzz repro bundle: exit 0 iff the bundled divergence
  *  reproduces identically. */
 int
@@ -157,6 +173,7 @@ main(int argc, char **argv)
     uint64_t warmup = 0;
     WorkloadScale scale;
     bool dump_stats = false;
+    bool branch_given = false, reexec_given = false, verify_given = false;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -171,13 +188,16 @@ main(int argc, char **argv)
             std::string v = wordFlag("--branch", next(), "sb", "nsb");
             branch = v == "nsb" ? BranchResolution::NonSpeculative
                                 : BranchResolution::Speculative;
+            branch_given = true;
         } else if (arg == "--reexec") {
             std::string v = wordFlag("--reexec", next(), "me", "nme");
             reexec = v == "nme" ? ReexecPolicy::Single
                                 : ReexecPolicy::Multiple;
+            reexec_given = true;
         } else if (arg == "--verify") {
             verify = static_cast<unsigned>(
                 countFlag("--verify", next(), UINT_MAX));
+            verify_given = true;
         } else if (arg == "--max-insts") {
             max_insts = countFlag("--max-insts", next());
         } else if (arg == "--max-cycles") {
@@ -217,6 +237,12 @@ main(int argc, char **argv)
     } else {
         usage();
     }
+    // A flag the machine does not read is an error, not a no-op:
+    // hybridConfig takes no re-execution policy.
+    bool vp = config == "vp" || config == "lvp";
+    requireUsed("--branch", branch_given, vp || config == "hybrid", config);
+    requireUsed("--reexec", reexec_given, vp, config);
+    requireUsed("--verify", verify_given, vp || config == "hybrid", config);
     params = withLimits(params, max_insts, max_cycles);
     params.warmupInsts = warmup;
     applyHardeningEnv(params);
