@@ -72,13 +72,6 @@ struct FaultCounts
     uint64_t rbResult = 0;
     uint64_t rbLink = 0;
     uint64_t rbDropInv = 0;
-
-    uint64_t
-    total() const
-    {
-        return vptValue + vptConf + rbOperand + rbResult + rbLink +
-               rbDropInv;
-    }
 };
 
 /**

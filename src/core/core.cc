@@ -40,12 +40,11 @@ Core::Core(const CoreParams &p, const Program &program,
     for (auto &r : regProducer)
         r = RobRef{};
     auditClobberCycle = parseEnvU64("VPIR_TEST_AUDIT_CLOBBER", UINT64_MAX);
-    prof.enabled = parseEnvU64("VPIR_PROFILE", 0) != 0;
     readySet.reset(p.robEntries);
     ctrlSet.reset(p.robEntries);
     finalCand.reset(p.robEntries);
-    waiters.assign(2 * p.robEntries, OpWaiter{});
-    finWaiters.assign(2 * p.robEntries, OpWaiter{});
+    waiters.nodes.assign(2 * p.robEntries, OpWaiter{});
+    finWaiters.nodes.assign(2 * p.robEntries, OpWaiter{});
     schedScratch.reserve(p.robEntries);
     dueScratch.reserve(p.robEntries);
 
@@ -509,21 +508,13 @@ Core::dispatchStage()
                 storeQ.push_back(le.rob);
         }
 
-        if (!no_exec) {
-            if (params.technique == Technique::IR) {
-                tryDispatchReuse(slot);
-            } else if (params.technique == Technique::VP) {
-                tryDispatchPredict(slot);
-            } else if (params.technique == Technique::Hybrid) {
-                // Hybrid: the non-speculative reuse test first; fall
-                // back to a value prediction when the result was not
-                // reused (the redundancy VP can capture but IR's
-                // operand test cannot).
-                tryDispatchReuse(slot);
-                if (!e.reused)
-                    tryDispatchPredict(slot);
-            }
-        }
+        // The non-speculative reuse test first; hybrid falls back to
+        // a value prediction when the result was not reused (the
+        // redundancy VP can capture but IR's operand test cannot).
+        if (!no_exec && rb)
+            tryDispatchReuse(slot);
+        if (!no_exec && vptResult && !e.reused)
+            tryDispatchPredict(slot);
 
         // Claim destinations after the reuse probe (which must see the
         // *previous* producers of our destination registers).
@@ -557,32 +548,32 @@ Core::dispatchStage()
 // ----------------------------------------- incremental scheduling
 
 void
-Core::linkWaiter(int cslot, int k, int pslot)
+Core::linkWaiter(WaitList &list, int cslot, int k, int pslot)
 {
     int id = cslot * 2 + k;
-    OpWaiter &w = waiters[id];
+    OpWaiter &w = list[id];
     VPIR_ASSERT(w.prodSlot < 0, "re-linking a linked waiter node");
     w.prodSlot = pslot;
     w.prev = -1;
-    w.next = at(pslot).waiterHead;
+    w.next = at(pslot).*list.head;
     if (w.next >= 0)
-        waiters[w.next].prev = id;
-    at(pslot).waiterHead = id;
+        list[w.next].prev = id;
+    at(pslot).*list.head = id;
 }
 
 void
-Core::unlinkWaiter(int cslot, int k)
+Core::unlinkWaiter(WaitList &list, int cslot, int k)
 {
     int id = cslot * 2 + k;
-    OpWaiter &w = waiters[id];
+    OpWaiter &w = list[id];
     if (w.prodSlot < 0)
         return;
     if (w.prev >= 0)
-        waiters[w.prev].next = w.next;
+        list[w.prev].next = w.next;
     else
-        at(w.prodSlot).waiterHead = w.next;
+        at(w.prodSlot).*list.head = w.next;
     if (w.next >= 0)
-        waiters[w.next].prev = w.prev;
+        list[w.next].prev = w.prev;
     w = OpWaiter{};
 }
 
@@ -625,36 +616,6 @@ Core::wakeWaiters(int prodSlot)
 }
 
 void
-Core::linkFinWaiter(int cslot, int k, int pslot)
-{
-    int id = cslot * 2 + k;
-    OpWaiter &w = finWaiters[id];
-    VPIR_ASSERT(w.prodSlot < 0, "re-linking a linked finalize waiter");
-    w.prodSlot = pslot;
-    w.prev = -1;
-    w.next = at(pslot).finWaiterHead;
-    if (w.next >= 0)
-        finWaiters[w.next].prev = id;
-    at(pslot).finWaiterHead = id;
-}
-
-void
-Core::unlinkFinWaiter(int cslot, int k)
-{
-    int id = cslot * 2 + k;
-    OpWaiter &w = finWaiters[id];
-    if (w.prodSlot < 0)
-        return;
-    if (w.prev >= 0)
-        finWaiters[w.prev].next = w.next;
-    else
-        at(w.prodSlot).finWaiterHead = w.next;
-    if (w.next >= 0)
-        finWaiters[w.next].prev = w.prev;
-    w = OpWaiter{};
-}
-
-void
 Core::scheduleRefinal(int slot, uint64_t at_cycle)
 {
     WheelEvent ev;
@@ -684,10 +645,10 @@ Core::schedOnDispatch(int slot)
     // Slot reuse: any residue from the previous occupant is a bug in
     // the unlink discipline, but clearing is O(1) and keeps a
     // dangling node from corrupting a live producer's list.
-    unlinkWaiter(slot, 0);
-    unlinkWaiter(slot, 1);
-    unlinkFinWaiter(slot, 0);
-    unlinkFinWaiter(slot, 1);
+    for (int k = 0; k < 2; ++k) {
+        unlinkWaiter(waiters, slot, k);
+        unlinkWaiter(finWaiters, slot, k);
+    }
 
     if (e.si->resolvable) {
         ++robUnresolvedCtrl;
@@ -705,7 +666,7 @@ Core::schedOnDispatch(int slot)
         // scan drop quiescent entries from the ready set.
         const RobEntry &p = at(e.srcRob[k].slot);
         bool avail = entryValueAvail(p, e.srcReg[k], curCycle);
-        linkWaiter(slot, k, e.srcRob[k].slot);
+        linkWaiter(waiters, slot, k, e.srcRob[k].slot);
         waiters[slot * 2 + k].availSeen = avail;
         if (!avail)
             ++e.pendingOps;
@@ -994,8 +955,7 @@ Core::completeEntry(int slot)
     if (si.isSt) {
         e.storeAddrReady = true;
         noteStoreAddrReady();
-        if (params.technique == Technique::IR ||
-            params.technique == Technique::Hybrid) {
+        if (rb) {
             // Injected fault: a dropped invalidation leaves stale
             // load values in the RB. With the oracle cross-check on,
             // the dispatch precision check refuses the stale hit;
@@ -1006,19 +966,14 @@ Core::completeEntry(int slot)
     }
 
     if (si.resolvable) {
-        bool vp_mode = params.technique == Technique::VP ||
-                       params.technique == Technique::Hybrid;
-        bool sb = !vp_mode ||
+        bool sb = !vptResult ||
                   params.branchRes == BranchResolution::Speculative;
         if (sb)
             c.pendingResolve = true;
     }
 
-    if ((params.technique == Technique::IR ||
-         params.technique == Technique::Hybrid) &&
-        !c.rbInserted) {
+    if (rb && !c.rbInserted)
         insertIntoRb(slot);
-    }
 
     // Scheduler upkeep: the publication may unblock consumers, the
     // entry itself is a finalize candidate again (re-execution
@@ -1106,7 +1061,8 @@ Core::finalizeScan()
                     // into the candidate set; the node is already on
                     // the right producer's list then.
                     if (finWaiters[slot * 2 + k].prodSlot < 0)
-                        linkFinWaiter(slot, k, e.srcRob[k].slot);
+                        linkWaiter(finWaiters, slot, k,
+                                   e.srcRob[k].slot);
                     finalCand.erase(slot);
                 } else if (p.finalizeAt > curCycle) {
                     scheduleRefinal(slot, p.finalizeAt);
@@ -1150,8 +1106,8 @@ Core::finalizeScan()
         finalCand.erase(slot);
         // Finalized entries never re-execute, so the operand links
         // have no wakes left to deliver.
-        unlinkWaiter(slot, 0);
-        unlinkWaiter(slot, 1);
+        unlinkWaiter(waiters, slot, 0);
+        unlinkWaiter(waiters, slot, 1);
         cycleHadWork = true;
 
         // Wake parked consumers. With a verification delay the value
@@ -1162,7 +1118,7 @@ Core::finalizeScan()
         while (id >= 0) {
             int next = finWaiters[id].next;
             int cslot = id / 2;
-            unlinkFinWaiter(cslot, id % 2);
+            unlinkWaiter(finWaiters, cslot, id % 2);
             const RobEntry &c = at(cslot);
             if (e.finalizeAt > curCycle) {
                 scheduleRefinal(cslot, e.finalizeAt);
@@ -1214,8 +1170,7 @@ Core::resolveControl()
         if (!e.valid || !e.si->resolvable)
             continue;
         RobCold &c = coldAt(slot);
-        bool nsb = (params.technique == Technique::VP ||
-                    params.technique == Technique::Hybrid) &&
+        bool nsb = vptResult &&
                    params.branchRes == BranchResolution::NonSpeculative;
         if (nsb) {
             if (e.finalized && e.finalizeAt <= curCycle &&
@@ -1276,11 +1231,8 @@ Core::squashAfter(int slot, Addr redirect)
         if (y.execCount > 0) { // includes executions still in flight
             ++st.squashedExecuted;
             const RobCold &yc = coldAt(last);
-            if ((params.technique == Technique::IR ||
-                 params.technique == Technique::Hybrid) &&
-                yc.rbInserted) {
+            if (rb && yc.rbInserted)
                 rb->markSquashed(yc.rbEntry);
-            }
         }
         y.valid = false;
         robTail = last;
@@ -1299,10 +1251,10 @@ Core::squashAfter(int slot, Addr redirect)
                         "unresolved-control counter underflow");
             --robUnresolvedCtrl;
         }
-        unlinkWaiter(last, 0);
-        unlinkWaiter(last, 1);
-        unlinkFinWaiter(last, 0);
-        unlinkFinWaiter(last, 1);
+        for (int k = 0; k < 2; ++k) {
+            unlinkWaiter(waiters, last, k);
+            unlinkWaiter(finWaiters, last, k);
+        }
         // Stale wheel events for y are discarded on pop by the
         // (slot, seq) validity check.
     }
@@ -1442,8 +1394,7 @@ Core::trainPredictors(int slot)
         }
     }
 
-    if (params.technique == Technique::VP ||
-        params.technique == Technique::Hybrid) {
+    if (vptResult) {
         if (producesResult(si.inst) && !si.isSt &&
             si.inst.rd != REG_INVALID) {
             vptResult->update(er.pc, er.out.result, c.madePred);
@@ -1597,13 +1548,13 @@ Core::commitStage()
             int id = e.waiterHead;
             int cs = id / 2;
             bool seen = waiters[id].availSeen;
-            unlinkWaiter(cs, id % 2);
+            unlinkWaiter(waiters, cs, id % 2);
             if (!seen && --at(cs).pendingOps == 0)
                 readySet.insert(cs);
         }
         while (e.finWaiterHead >= 0) {
             int cs = e.finWaiterHead / 2;
-            unlinkFinWaiter(cs, e.finWaiterHead % 2);
+            unlinkWaiter(finWaiters, cs, e.finWaiterHead % 2);
             finalCand.insert(cs); // re-arm rather than strand
         }
         e.valid = false;
@@ -2015,35 +1966,36 @@ Core::cycle()
     // vetoes the idle skip.
     schedWake = UINT64_MAX;
     cycleHadWork = false;
-    ++prof.cyclesRun;
+    // Stage profile: time one run cycle in samplePeriod and count
+    // each lap samplePeriod times (sched_profile.hh).
+    constexpr uint64_t period = SchedProfile::samplePeriod;
+    const bool timed = ++prof.cyclesRun % period == 0;
     namespace chr = std::chrono;
     chr::steady_clock::time_point t0;
     auto lap = [&](uint64_t &acc) {
+        if (!timed)
+            return;
         chr::steady_clock::time_point t1 = chr::steady_clock::now();
-        acc += static_cast<uint64_t>(
-            chr::duration_cast<chr::nanoseconds>(t1 - t0).count());
+        acc += period * static_cast<uint64_t>(
+                            chr::duration_cast<chr::nanoseconds>(t1 - t0)
+                                .count());
         t0 = t1;
     };
-    if (prof.enabled)
+    if (timed)
         t0 = chr::steady_clock::now();
     processCompletions();
     finalizeScan();
     resolveControl();
-    if (prof.enabled)
-        lap(prof.executeNs);
+    lap(prof.executeNs);
     commitStage();
-    if (prof.enabled)
-        lap(prof.commitNs);
+    lap(prof.commitNs);
     if (!done) {
         issueStage();
-        if (prof.enabled)
-            lap(prof.issueNs);
+        lap(prof.issueNs);
         dispatchStage();
-        if (prof.enabled)
-            lap(prof.dispatchNs);
+        lap(prof.dispatchNs);
         fetchStage();
-        if (prof.enabled)
-            lap(prof.fetchNs);
+        lap(prof.fetchNs);
     }
     if (params.watchdogCycles && !done) {
         if (st.committedInsts != lastCommitInsts) {

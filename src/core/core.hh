@@ -212,8 +212,9 @@ class Core
     bool cycle();
 
     const CoreStats &stats() const { return st; }
-    /** Per-stage cycle profile (VPIR_PROFILE=1; idle-skip counter is
-     *  always live). Host-dependent — never part of CoreStats. */
+    /** Per-stage cycle profile, sampled one run cycle in
+     *  SchedProfile::samplePeriod. Host-dependent — never part of
+     *  CoreStats. */
     const SchedProfile &schedProfile() const { return prof; }
     uint64_t now() const { return curCycle; }
     /** Highest dynamic sequence number handed out so far. */
@@ -307,21 +308,16 @@ class Core
      *  waiter links for unavailable operands, ready-set membership,
      *  control-set membership, unresolved-branch counter. */
     void schedOnDispatch(int slot);
-    /** Link consumer operand (@p cslot, @p k) into @p pslot's waiter
-     *  list. */
-    void linkWaiter(int cslot, int k, int pslot);
+    struct WaitList;
+    /** Link consumer operand (@p cslot, @p k) into @p pslot's list in
+     *  @p list (waiters or finWaiters). */
+    void linkWaiter(WaitList &list, int cslot, int k, int pslot);
     /** Unlink consumer operand (@p cslot, @p k) from wherever it is
-     *  linked; no-op when unlinked. */
-    void unlinkWaiter(int cslot, int k);
+     *  linked in @p list; no-op when unlinked. */
+    void unlinkWaiter(WaitList &list, int cslot, int k);
     /** Producer @p prodSlot just published: re-check its waiters and
      *  move newly unblocked consumers into the ready set. */
     void wakeWaiters(int prodSlot);
-    /** Park consumer operand (@p cslot, @p k) on @p pslot's
-     *  finalize-waiter list (woken when the producer finalizes). */
-    void linkFinWaiter(int cslot, int k, int pslot);
-    /** Unlink (@p cslot, @p k) from its finalize-waiter list; no-op
-     *  when unlinked. */
-    void unlinkFinWaiter(int cslot, int k);
     /** Schedule a finalize-recheck event for @p slot at @p at. */
     void scheduleRefinal(int slot, uint64_t at);
     /** Mark @p slot resolved for the fetch-side branch cap, keeping
@@ -414,11 +410,20 @@ class Core
          *  incarnation. */
         bool availSeen = false;
     };
-    std::vector<OpWaiter> waiters;
+    /** The nodes of one kind of waiter list, and the RobEntry field
+     *  holding each producer's list head. */
+    struct WaitList
+    {
+        std::vector<OpWaiter> nodes;
+        int RobEntry::*head = nullptr;
+        OpWaiter &operator[](int id) { return nodes[id]; }
+        const OpWaiter &operator[](int id) const { return nodes[id]; }
+    };
+    WaitList waiters{{}, &RobEntry::waiterHead};
     /** Finalize-waiter nodes, same shape and id scheme as waiters
      *  (availSeen unused): consumer (slot, k) parked on the
      *  producer's RobEntry::finWaiterHead until it finalizes. */
-    std::vector<OpWaiter> finWaiters;
+    WaitList finWaiters{{}, &RobEntry::finWaiterHead};
     /** Live counts replacing unresolvedBranches()'s full walks. */
     unsigned robUnresolvedCtrl = 0;
     unsigned fqResolvable = 0;

@@ -1,17 +1,20 @@
 /**
  * @file
- * Per-stage cycle profiler (VPIR_PROFILE=1).
+ * Per-stage cycle profiler, always on.
  *
- * Wall-clock time spent inside each pipeline stage of Core::cycle,
- * plus how many cycles ran versus were skipped by the idle-cycle
- * fast-forward. Lives outside CoreStats on purpose: the nanosecond
- * fields are host-dependent, and the run/skip split describes the
- * simulator rather than the simulated machine (a better skipper
- * changes it without changing any stat), so folding either into the
+ * Host time spent inside each pipeline stage of Core::cycle, plus how
+ * many cycles ran versus were skipped by the idle-cycle fast-forward.
+ * The stage times are sampled: Core::cycle times one run cycle in
+ * every samplePeriod and counts each lap samplePeriod times, so the
+ * profile costs about one clock read per stage every samplePeriod
+ * cycles. Lives outside CoreStats on purpose: the nanosecond fields
+ * are host-dependent, and the run/skip split describes the simulator
+ * rather than the simulated machine (a better skipper changes it
+ * without changing any stat), so folding either into the
  * deterministic stats block would break stats byte-identity and the
- * result-cache fingerprint. The skip
- * count is still deterministic for a given build and cell. The sweep
- * engine emits the profile per cell into bench_timing.*.json.
+ * result-cache fingerprint. The cycle counts are exact and
+ * deterministic for a given build and cell. The sweep engine emits
+ * every simulated cell's profile into bench_timing.*.json.
  */
 
 #ifndef VPIR_CORE_SCHED_PROFILE_HH
@@ -24,6 +27,10 @@ namespace vpir
 
 struct SchedProfile
 {
+    /** One run cycle in this many is timed. A prime, so no
+     *  power-of-two loop period in a workload can alias with it. */
+    static constexpr uint64_t samplePeriod = 61;
+
     uint64_t fetchNs = 0;
     uint64_t dispatchNs = 0;
     uint64_t issueNs = 0;
@@ -32,11 +39,8 @@ struct SchedProfile
     uint64_t commitNs = 0;
     /** Cycles the simulator actually stepped through. */
     uint64_t cyclesRun = 0;
-    /** Cycles fast-forwarded by the idle skipper (always counted,
-     *  even when nanosecond timing is off). */
+    /** Cycles fast-forwarded by the idle skipper. */
     uint64_t idleSkippedCycles = 0;
-    /** True when VPIR_PROFILE=1 armed nanosecond timing. */
-    bool enabled = false;
 };
 
 /** Visit every integer field with its JSON name; keeps the timing-JSON

@@ -102,9 +102,7 @@ class Emulator
     Addr pc() const { return curPC; }
     void setPC(Addr pc) { curPC = pc; }
     bool halted() const { return isHalted; }
-    void clearHalt() { isHalted = false; }
 
-    const Program &program() const { return prog; }
     EmuState &state() { return st; }
 
     /** Load the program image and initial registers into the state. */

@@ -41,7 +41,6 @@ class Simulator
 
     const CoreStats &stats() const { return core_->stats(); }
     Core &core() { return *core_; }
-    const Program &program() const { return wl->program; }
 
   private:
     std::shared_ptr<const Workload> wl;

@@ -48,7 +48,7 @@ WarmStartCache::slotFor(
 
 std::shared_ptr<const Workload>
 WarmStartCache::workload(const std::string &name,
-                         const WorkloadScale &scale, bool *built)
+                         const WorkloadScale &scale)
 {
     auto slot = slotFor(programs, scaleKey(name, scale));
     // Build outside the map lock: assembly can take a while and other
@@ -61,8 +61,6 @@ WarmStartCache::workload(const std::string &name,
             std::make_shared<const Workload>(makeWorkload(name, scale));
         did_build = true;
     });
-    if (built)
-        *built = did_build;
     {
         std::lock_guard<std::mutex> lk(mu);
         if (did_build)
@@ -75,8 +73,7 @@ WarmStartCache::workload(const std::string &name,
 
 std::shared_ptr<const EmuSnapshot>
 WarmStartCache::snapshot(const std::string &name,
-                         const WorkloadScale &scale, uint64_t warmupInsts,
-                         bool *built)
+                         const WorkloadScale &scale, uint64_t warmupInsts)
 {
     char suffix[32];
     std::snprintf(suffix, sizeof(suffix), "#%llu",
@@ -89,8 +86,6 @@ WarmStartCache::snapshot(const std::string &name,
             makeWarmSnapshot(w->program, warmupInsts));
         did_build = true;
     });
-    if (built)
-        *built = did_build;
     {
         std::lock_guard<std::mutex> lk(mu);
         if (did_build)

@@ -53,25 +53,19 @@ class WarmStartCache
 
     static WarmStartCache &global();
 
-    /**
-     * The assembled workload for (name, scale), built at most once.
-     * @param built  When non-null, set true iff *this call* performed
-     *               the build (per-call attribution; the global
-     *               counters are racy to diff under concurrency).
-     */
+    /** The assembled workload for (name, scale), built at most
+     *  once. */
     std::shared_ptr<const Workload> workload(const std::string &name,
-                                             const WorkloadScale &scale,
-                                             bool *built = nullptr);
+                                             const WorkloadScale &scale);
 
     /**
      * The post-warmup snapshot for (name, scale, warmupInsts), built
      * at most once via makeWarmSnapshot() on the cached workload's
-     * program (building that first if needed — a snapshot build with
-     * @p built set does not also report the program build).
+     * program (building that first if needed).
      */
     std::shared_ptr<const EmuSnapshot>
     snapshot(const std::string &name, const WorkloadScale &scale,
-             uint64_t warmupInsts, bool *built = nullptr);
+             uint64_t warmupInsts);
 
     Counters counters() const;
 

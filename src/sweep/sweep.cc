@@ -47,6 +47,21 @@ cellReproInfo(const SweepCell &cell)
     return " fault_seed=0x" + hex16(cell.params.faults.seed);
 }
 
+/** cellHash() of @p cell, whose params hash is @p params_hash. */
+uint64_t
+cellKey(const SweepCell &cell, uint64_t params_hash)
+{
+    Fnv64 f;
+    f.h = params_hash;
+    f.str(cell.workload);
+    uint64_t scale_bits;
+    static_assert(sizeof(scale_bits) == sizeof(cell.scale.factor),
+                  "scale factor must be 64-bit");
+    std::memcpy(&scale_bits, &cell.scale.factor, sizeof(scale_bits));
+    f.u64(scale_bits);
+    return f.h;
+}
+
 } // anonymous namespace
 
 std::string
@@ -74,15 +89,7 @@ hashParams(const CoreParams &p)
 uint64_t
 cellHash(const SweepCell &cell)
 {
-    Fnv64 f;
-    f.h = hashParams(cell.params);
-    f.str(cell.workload);
-    uint64_t scale_bits;
-    static_assert(sizeof(scale_bits) == sizeof(cell.scale.factor),
-                  "scale factor must be 64-bit");
-    std::memcpy(&scale_bits, &cell.scale.factor, sizeof(scale_bits));
-    f.u64(scale_bits);
-    return f.h;
+    return cellKey(cell, hashParams(cell.params));
 }
 
 // -------------------------------------------------------------- engine
@@ -111,12 +118,16 @@ SweepEngine::SweepEngine(unsigned jobs, const std::string &cache_dir)
 size_t
 SweepEngine::findOrCreate(const SweepCell &cell)
 {
-    uint64_t key = cellHash(cell);
+    uint64_t params_hash = hashParams(cell.params);
+    uint64_t key = cellKey(cell, params_hash);
     auto [it, added] = byKey.try_emplace(key, records.size());
     if (added) {
         auto rec = std::make_unique<Record>();
         rec->cell = cell;
         rec->key = key;
+        rec->timing.workload = cell.workload;
+        rec->timing.label = cell.label;
+        rec->timing.paramsHash = params_hash;
         records.push_back(std::move(rec));
     }
     return it->second;
@@ -164,16 +175,14 @@ SweepEngine::runRecord(Record &rec)
     // result below.
     const CoreParams &p = rec.cell.params;
     bool checked = p.checkRetire || p.auditInvariants;
-    if (!checked && !cacheDir.empty() && tryLoadFromDisk(rec)) {
-        rec.fromDiskCache = true;
-        rec.wallSeconds = secondsSince(t0);
-        return;
-    }
-
-    simulate(rec);
-    rec.wallSeconds = secondsSince(t0);
+    CellTiming &t = rec.timing;
+    t.fromDiskCache = !checked && !cacheDir.empty() && tryLoadFromDisk(rec);
+    if (!t.fromDiskCache)
+        simulate(rec);
+    t.wallSeconds = secondsSince(t0);
+    t.committedInsts = rec.stats.committedInsts;
     // Never cache a failed cell: a rerun must try it again.
-    if (!rec.failed && !cacheDir.empty())
+    if (!t.fromDiskCache && !rec.failed && !cacheDir.empty())
         saveToDisk(rec);
 }
 
@@ -185,7 +194,7 @@ SweepEngine::simulate(Record &rec)
     // SimError here and a failed record, never a dead sweep. The cell
     // is not retried: a panic replays identically.
     const SweepCell &cell = rec.cell;
-    const std::string phex = hex16(hashParams(cell.params));
+    const std::string phex = hex16(rec.timing.paramsHash);
     PanicThrowScope throw_scope;
     PanicContext cell_frame([&cell, &phex] {
         return "sweep cell workload=" + cell.workload + " label=" +
@@ -199,21 +208,22 @@ SweepEngine::simulate(Record &rec)
         // that one cell's setupSeconds.
         WarmStartCache &cache = WarmStartCache::global();
         std::shared_ptr<const Workload> w =
-            cache.workload(cell.workload, cell.scale, &rec.asmBuilt);
+            cache.workload(cell.workload, cell.scale);
         std::shared_ptr<const EmuSnapshot> snap =
             cache.snapshot(cell.workload, cell.scale,
-                           cell.params.warmupInsts, &rec.warmBuilt);
+                           cell.params.warmupInsts);
         Simulator sim(cell.params, std::move(w), std::move(snap));
         auto t1 = std::chrono::steady_clock::now();
-        rec.setupSeconds = std::chrono::duration<double>(t1 - t0).count();
+        rec.timing.setupSeconds =
+            std::chrono::duration<double>(t1 - t0).count();
         Core &core = sim.core();
         PanicContext sim_frame([&core] {
             return "cycle " + std::to_string(core.now()) + ", seq " +
                    std::to_string(core.seqAllocated());
         });
         rec.stats = sim.run();
-        rec.profile = core.schedProfile();
-        rec.runSeconds = secondsSince(t1);
+        rec.timing.profile = core.schedProfile();
+        rec.timing.runSeconds = secondsSince(t1);
     } catch (const SimError &e) {
         rec.failed = true;
         rec.error = e.what();
@@ -272,7 +282,7 @@ SweepEngine::saveToDisk(const Record &rec)
         << "  \"workload\": \"" << jsonEscape(rec.cell.workload) << "\",\n"
         << "  \"label\": \"" << jsonEscape(rec.cell.label) << "\",\n"
         << "  \"cell_hash\": \"" << hex16(rec.key) << "\",\n"
-        << "  \"params_hash\": \"" << hex16(hashParams(rec.cell.params))
+        << "  \"params_hash\": \"" << hex16(rec.timing.paramsHash)
         << "\",\n"
         << "  \"max_insts\": " << rec.cell.params.maxInsts << ",\n"
         << "  \"scale\": " << rec.cell.scale.factor << ",\n"
@@ -290,23 +300,9 @@ SweepEngine::timings() const
 {
     std::vector<CellTiming> out;
     out.reserve(nextToRun);
-    for (const auto &r : ran()) {
-        if (r->failed)
-            continue;
-        CellTiming t;
-        t.workload = r->cell.workload;
-        t.label = r->cell.label;
-        t.paramsHash = hashParams(r->cell.params);
-        t.wallSeconds = r->wallSeconds;
-        t.committedInsts = r->stats.committedInsts;
-        t.fromDiskCache = r->fromDiskCache;
-        t.setupSeconds = r->setupSeconds;
-        t.runSeconds = r->runSeconds;
-        t.assembled = r->asmBuilt;
-        t.warmed = r->warmBuilt;
-        t.profile = r->profile;
-        out.push_back(std::move(t));
-    }
+    for (const auto &r : ran())
+        if (!r->failed)
+            out.push_back(r->timing);
     return out;
 }
 
@@ -315,22 +311,11 @@ SweepEngine::failures() const
 {
     std::vector<CellFailure> out;
     for (const auto &r : ran()) {
-        if (!r->failed)
-            continue;
-        CellFailure f;
-        f.workload = r->cell.workload;
-        f.label = r->cell.label;
-        f.paramsHash = hashParams(r->cell.params);
-        f.error = r->error;
-        out.push_back(std::move(f));
+        if (r->failed)
+            out.push_back({r->timing.workload, r->timing.label,
+                           r->timing.paramsHash, r->error});
     }
     return out;
-}
-
-double
-SweepEngine::sweepWallSeconds() const
-{
-    return drainSeconds;
 }
 
 size_t
@@ -338,7 +323,7 @@ SweepEngine::cellsComputed() const
 {
     size_t n = 0;
     for (const auto &r : ran())
-        if (!r->fromDiskCache)
+        if (!r->timing.fromDiskCache)
             ++n;
     return n;
 }
@@ -348,48 +333,47 @@ SweepEngine::cellsFromDiskCache() const
 {
     size_t n = 0;
     for (const auto &r : ran())
-        if (r->fromDiskCache)
+        if (r->timing.fromDiskCache)
             ++n;
     return n;
+}
+
+SweepEngine::Totals
+SweepEngine::totals() const
+{
+    Totals s;
+    for (const auto &r : ran()) {
+        if (r->failed)
+            continue;
+        const CellTiming &t = r->timing;
+        ++s.cells;
+        s.cpu += t.wallSeconds;
+        s.setup += t.setupSeconds;
+        s.run += t.runSeconds;
+        s.insts += t.committedInsts;
+        if (t.fromDiskCache)
+            ++s.diskHits;
+        else
+            s.execInsts += t.committedInsts;
+    }
+    if (s.diskHits < s.cells && drainSeconds > 0.0)
+        s.mips = static_cast<double>(s.execInsts) / drainSeconds / 1e6;
+    return s;
 }
 
 bool
 SweepEngine::writeTimingJson(const std::string &path) const
 {
-    std::vector<CellTiming> ts = timings();
-    double wall = sweepWallSeconds();
-    double cpu = 0.0, setup = 0.0, run = 0.0;
-    uint64_t insts = 0, exec_insts = 0;
-    size_t disk_hits = 0, assembled = 0, warmed = 0;
-    for (const CellTiming &t : ts) {
-        cpu += t.wallSeconds;
-        setup += t.setupSeconds;
-        run += t.runSeconds;
-        insts += t.committedInsts;
-        if (t.fromDiskCache)
-            ++disk_hits;
-        else
-            exec_insts += t.committedInsts;
-        if (t.assembled)
-            ++assembled;
-        if (t.warmed)
-            ++warmed;
-    }
+    Totals s = totals();
     WarmStartCache::Counters wc = WarmStartCache::global().counters();
 
     std::ofstream out(path);
     if (!out)
         return false;
     char buf[512];
-    // Aggregate MIPS measures simulation speed, so it covers only the
-    // cells this run actually simulated: a disk-cache hit contributes
-    // instructions but almost no wall time, and folding it in used to
-    // inflate the figure arbitrarily. With nothing executed there is
-    // no speed to report — "mips" is null.
     char mips[32];
-    if (disk_hits < ts.size() && wall > 0.0)
-        std::snprintf(mips, sizeof(mips), "%.3f",
-                      static_cast<double>(exec_insts) / wall / 1e6);
+    if (s.mips >= 0.0)
+        std::snprintf(mips, sizeof(mips), "%.3f", s.mips);
     else
         std::snprintf(mips, sizeof(mips), "null");
     out << "{\n  \"jobs\": " << numJobs << ",\n";
@@ -400,8 +384,8 @@ SweepEngine::writeTimingJson(const std::string &path) const
                   "\"run_s\": %.6f, \"insts\": %" PRIu64
                   ", \"executed_insts\": %" PRIu64
                   ", \"mips\": %s},\n",
-                  ts.size(), disk_hits, wall, cpu, setup, run, insts,
-                  exec_insts, mips);
+                  s.cells, s.diskHits, drainSeconds, s.cpu, s.setup, s.run,
+                  s.insts, s.execInsts, mips);
     out << buf;
     // Process-wide warm-start counters: "builds" should equal the
     // number of distinct (workload, scale[, warmup]) keys the process
@@ -410,81 +394,56 @@ SweepEngine::writeTimingJson(const std::string &path) const
                   "  \"warm_cache\": {\"program_builds\": %" PRIu64
                   ", \"program_hits\": %" PRIu64
                   ", \"snapshot_builds\": %" PRIu64
-                  ", \"snapshot_hits\": %" PRIu64
-                  ", \"cells_assembled\": %zu, "
-                  "\"cells_warmed\": %zu},\n",
+                  ", \"snapshot_hits\": %" PRIu64 "},\n",
                   wc.programBuilds, wc.programHits, wc.snapshotBuilds,
-                  wc.snapshotHits, assembled, warmed);
-    out << buf << "  \"cells\": [\n";
-    for (size_t i = 0; i < ts.size(); ++i) {
-        const CellTiming &t = ts[i];
+                  wc.snapshotHits);
+    out << buf << "  \"cells\": [";
+    const char *sep = "\n";
+    for (const auto &r : ran()) {
+        if (r->failed)
+            continue;
+        const CellTiming &t = r->timing;
         std::snprintf(buf, sizeof(buf),
-                      "    {\"workload\": \"%s\", \"label\": \"%s\", "
+                      "%s    {\"workload\": \"%s\", \"label\": \"%s\", "
                       "\"params_hash\": \"%016" PRIx64
                       "\", \"wall_s\": %.6f, \"setup_s\": %.6f, "
                       "\"run_s\": %.6f, \"insts\": %" PRIu64
-                      ", \"mips\": %.3f, \"disk_cache\": %s, "
-                      "\"assembled\": %s, \"warmed\": %s",
-                      t.workload.c_str(), t.label.c_str(), t.paramsHash,
-                      t.wallSeconds, t.setupSeconds, t.runSeconds,
-                      t.committedInsts, t.mips(),
-                      t.fromDiskCache ? "true" : "false",
-                      t.assembled ? "true" : "false",
-                      t.warmed ? "true" : "false");
+                      ", \"mips\": %.3f, \"disk_cache\": %s",
+                      sep, t.workload.c_str(), t.label.c_str(),
+                      t.paramsHash, t.wallSeconds, t.setupSeconds,
+                      t.runSeconds, t.committedInsts, t.mips(),
+                      t.fromDiskCache ? "true" : "false");
         out << buf;
-        if (t.profile.enabled) {
+        if (!t.fromDiskCache) {
             out << ", \"profile\": {";
-            bool first = true;
+            const char *psep = "";
             forEachProfileField(
                 t.profile, [&](const char *name, const uint64_t &v) {
-                    out << (first ? "" : ", ") << '"' << name
-                        << "\": " << v;
-                    first = false;
+                    out << psep << '"' << name << "\": " << v;
+                    psep = ", ";
                 });
             out << '}';
         }
-        out << (i + 1 < ts.size() ? "},\n" : "}\n");
+        out << '}';
+        sep = ",\n";
     }
-    out << "  ]\n}\n";
+    out << "\n  ]\n}\n";
     return out.good();
 }
 
 void
 SweepEngine::printSummary(std::FILE *out) const
 {
-    std::vector<CellTiming> ts = timings();
-    double wall = sweepWallSeconds();
-    double cpu = 0.0;
-    uint64_t insts = 0, exec_insts = 0;
-    size_t disk_hits = 0;
-    for (const CellTiming &t : ts) {
-        cpu += t.wallSeconds;
-        insts += t.committedInsts;
-        if (t.fromDiskCache)
-            ++disk_hits;
-        else
-            exec_insts += t.committedInsts;
-    }
-    // Like the JSON aggregate: MIPS over executed cells only; a
-    // fully-cached run has no simulation speed to report.
-    if (disk_hits < ts.size() && wall > 0.0) {
-        std::fprintf(
-            out,
-            "[sweep] %zu cells (%zu from disk cache), jobs=%u: "
-            "wall %.2fs, cpu %.2fs, %.2fM insts simulated, "
-            "aggregate %.2f MIPS\n",
-            ts.size(), disk_hits, numJobs, wall, cpu,
-            static_cast<double>(insts) / 1e6,
-            static_cast<double>(exec_insts) / wall / 1e6);
-    } else {
-        std::fprintf(
-            out,
-            "[sweep] %zu cells (%zu from disk cache), jobs=%u: "
-            "wall %.2fs, cpu %.2fs, %.2fM insts simulated, "
-            "aggregate n/a MIPS (no cell executed)\n",
-            ts.size(), disk_hits, numJobs, wall, cpu,
-            static_cast<double>(insts) / 1e6);
-    }
+    Totals s = totals();
+    std::fprintf(out,
+                 "[sweep] %zu cells (%zu from disk cache), jobs=%u: "
+                 "wall %.2fs, cpu %.2fs, %.2fM insts simulated, ",
+                 s.cells, s.diskHits, numJobs, drainSeconds, s.cpu,
+                 static_cast<double>(s.insts) / 1e6);
+    if (s.mips >= 0.0)
+        std::fprintf(out, "aggregate %.2f MIPS\n", s.mips);
+    else
+        std::fprintf(out, "aggregate n/a MIPS (no cell executed)\n");
     WarmStartCache::Counters wc = WarmStartCache::global().counters();
     if (wc.programBuilds + wc.programHits + wc.snapshotBuilds +
         wc.snapshotHits > 0) {

@@ -23,8 +23,10 @@
  *    edit skips recomputation — and, because completed cells are
  *    persisted as they finish, a crashed or interrupted sweep resumes
  *    from exactly the missing cells on rerun;
- *  - per-cell and aggregate wall-time / simulated-MIPS records,
- *    exportable as machine-readable bench_timing JSON;
+ *  - one account of the run: per-cell and aggregate wall-time /
+ *    simulated-MIPS records and each simulated cell's stage profile,
+ *    totalled once for the stderr summary and the machine-readable
+ *    bench_timing JSON;
  *  - one execution path: every cell runs in process on a batch
  *    thread, drawing its program and post-warmup state from the
  *    process-wide WarmStartCache. A panic inside a cell (checker,
@@ -107,17 +109,14 @@ struct CellTiming
     bool fromDiskCache = false;
 
     // Phase breakdown (zero for disk-cache hits): where the wall time
-    // went, and whether this cell paid the one-time assembly/warmup
-    // for its (workload, scale, warmup) key. Cells with
-    // assembled=true equal the number of distinct keys in the sweep —
-    // that is the warm-start win, made auditable.
+    // went. The first cell per (workload, scale, warmup) key also
+    // pays for the program and warm-snapshot builds, which
+    // WarmStartCache counts.
     double setupSeconds = 0.0; //!< workload + core construction
     double runSeconds = 0.0;   //!< timed simulation proper
-    bool assembled = false;    //!< this cell assembled the program
-    bool warmed = false;       //!< this cell executed the warmup
 
-    /** Per-stage cycle profile (VPIR_PROFILE=1; zeroed for disk-cache
-     *  hits). Emitted per cell into the timing JSON when enabled. */
+    /** Per-stage cycle profile (zeroed for disk-cache hits). Emitted
+     *  into the timing JSON for every simulated cell. */
     SchedProfile profile;
 
     double
@@ -180,10 +179,6 @@ class SweepEngine
      */
     std::vector<CellFailure> failures() const;
 
-    /** Wall-clock seconds spent running batches in drain()/get(). */
-    double sweepWallSeconds() const;
-
-    unsigned jobs() const { return numJobs; }
     size_t cellsComputed() const;
     size_t cellsFromDiskCache() const;
 
@@ -193,8 +188,9 @@ class SweepEngine
      */
     bool writeTimingJson(const std::string &path) const;
 
-    /** Print a one-paragraph aggregate summary to @p out (stderr by
-     *  convention, keeping bench stdout byte-identical per job count). */
+    /** Print a one-paragraph aggregate summary, and every failed
+     *  cell's error, to @p out (stderr by convention, keeping bench
+     *  stdout byte-identical per job count). */
     void printSummary(std::FILE *out) const;
 
     /** Process-wide engine used by the bench Runner and vpirsim. */
@@ -206,16 +202,30 @@ class SweepEngine
         SweepCell cell;
         uint64_t key = 0;
         CoreStats stats;
-        double wallSeconds = 0.0;
-        double setupSeconds = 0.0;
-        double runSeconds = 0.0;
-        bool asmBuilt = false;
-        bool warmBuilt = false;
-        bool fromDiskCache = false;
-        bool failed = false;  //!< simulation failed
-        std::string error;    //!< failure message, context included
-        SchedProfile profile; //!< per-stage cycle profile (host side)
+        /** Workload, label and params hash are set when the cell is
+         *  queued, the rest when it runs. */
+        CellTiming timing;
+        bool failed = false; //!< simulation failed
+        std::string error;   //!< failure message, context included
     };
+
+    /** Aggregates over the cells that ran and did not fail. */
+    struct Totals
+    {
+        size_t cells = 0;
+        size_t diskHits = 0;
+        double cpu = 0.0; //!< summed per-cell wall time
+        double setup = 0.0;
+        double run = 0.0;
+        uint64_t insts = 0;
+        uint64_t execInsts = 0; //!< of the cells simulated, not loaded
+        /** Simulated MIPS over the executed cells only: a disk-cache
+         *  hit adds instructions but almost no wall time. Negative
+         *  when no cell executed, as there is no speed to report. */
+        double mips = -1.0;
+    };
+    /** The totals printSummary() and writeTimingJson() report. */
+    Totals totals() const;
 
     /** Run every record not yet run, each through runRecord(), as one
      *  parallelFor() batch. */
@@ -243,6 +253,7 @@ class SweepEngine
     std::vector<std::unique_ptr<Record>> records;
     std::unordered_map<uint64_t, size_t> byKey; //!< cell key -> record
     size_t nextToRun = 0;
+    /** Wall-clock seconds spent running batches in drain()/get(). */
     double drainSeconds = 0.0;
 };
 

@@ -43,19 +43,18 @@ TEST(WarmStartCache, ProgramBuiltOncePerKey)
     WarmStartCache &cache = WarmStartCache::global();
     cache.clear();
 
-    bool built = false;
-    auto w1 = cache.workload("perl", scaleOf(0.25), &built);
+    auto w1 = cache.workload("perl", scaleOf(0.25));
     ASSERT_TRUE(w1);
-    EXPECT_TRUE(built);
+    EXPECT_EQ(cache.counters().programBuilds, 1u);
     EXPECT_EQ(w1->name, "perl");
 
-    auto w2 = cache.workload("perl", scaleOf(0.25), &built);
-    EXPECT_FALSE(built);
+    auto w2 = cache.workload("perl", scaleOf(0.25));
+    EXPECT_EQ(cache.counters().programBuilds, 1u);
     EXPECT_EQ(w1.get(), w2.get()); // the very same object, not a copy
 
     // A different scale is a different key.
-    auto w3 = cache.workload("perl", scaleOf(0.5), &built);
-    EXPECT_TRUE(built);
+    auto w3 = cache.workload("perl", scaleOf(0.5));
+    EXPECT_EQ(cache.counters().programBuilds, 2u);
     EXPECT_NE(w1.get(), w3.get());
 
     WarmStartCache::Counters c = cache.counters();
@@ -68,20 +67,19 @@ TEST(WarmStartCache, SnapshotBuiltOncePerKey)
     WarmStartCache &cache = WarmStartCache::global();
     cache.clear();
 
-    bool built = false;
-    auto s1 = cache.snapshot("compress", scaleOf(0.25), 1000, &built);
+    auto s1 = cache.snapshot("compress", scaleOf(0.25), 1000);
     ASSERT_TRUE(s1);
-    EXPECT_TRUE(built);
+    EXPECT_EQ(cache.counters().snapshotBuilds, 1u);
     EXPECT_EQ(s1->warmupInsts, 1000u);
 
-    auto s2 = cache.snapshot("compress", scaleOf(0.25), 1000, &built);
-    EXPECT_FALSE(built);
+    auto s2 = cache.snapshot("compress", scaleOf(0.25), 1000);
+    EXPECT_EQ(cache.counters().snapshotBuilds, 1u);
     EXPECT_EQ(s1.get(), s2.get());
 
     // A different warmup length is a different key over the same
     // program (which is only assembled once).
-    auto s3 = cache.snapshot("compress", scaleOf(0.25), 2000, &built);
-    EXPECT_TRUE(built);
+    auto s3 = cache.snapshot("compress", scaleOf(0.25), 2000);
+    EXPECT_EQ(cache.counters().snapshotBuilds, 2u);
     EXPECT_NE(s1.get(), s3.get());
 
     WarmStartCache::Counters c = cache.counters();
@@ -154,9 +152,8 @@ TEST(WarmStartCache, ClearResetsEverything)
     cache.clear();
     WarmStartCache::Counters c = cache.counters();
     EXPECT_EQ(c.programBuilds, 0u);
-    bool built = false;
-    auto w2 = cache.workload("perl", scaleOf(0.25), &built);
-    EXPECT_TRUE(built); // rebuilt from scratch
+    auto w2 = cache.workload("perl", scaleOf(0.25));
+    EXPECT_EQ(cache.counters().programBuilds, 1u); // rebuilt from scratch
     EXPECT_NE(w1.get(), w2.get());
 }
 

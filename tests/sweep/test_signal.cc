@@ -2,9 +2,9 @@
  * @file
  * Interrupt and timing-JSON tests: a SIGINT mid-sweep must end the
  * process by the signal's default action, like a crash or a kill,
- * and leave a disk cache a rerun resumes from; a VPIR_PROFILE=1
- * sweep's timing JSON must carry every simulated cell's profile next
- * to the keys the benchmark reads.
+ * and leave a disk cache a rerun resumes from; a sweep's timing
+ * JSON must carry every simulated cell's profile next to the keys the
+ * benchmark reads.
  */
 
 #include <gtest/gtest.h>
@@ -33,19 +33,6 @@ namespace
 {
 
 constexpr uint64_t TEST_INSTS = 20000;
-
-class EnvGuard
-{
-  public:
-    EnvGuard(const char *name, const std::string &value) : name_(name)
-    {
-        setenv(name, value.c_str(), 1);
-    }
-    ~EnvGuard() { unsetenv(name_); }
-
-  private:
-    const char *name_;
-};
 
 SweepCell
 cell(const std::string &workload, const std::string &label,
@@ -174,15 +161,14 @@ timingCells(const std::string &json)
 }
 
 // Tier-1 guard of the profiler plumbing that perfbench's traced passes
-// read: sweep threeCells() with VPIR_PROFILE=1 and check that the
-// timing JSON carries, for every simulated cell, the profile (whose
-// run and skipped cycles must add up to the cell's simulated cycles)
-// and every key perfbench/suite.py reads.
+// read: sweep threeCells() and check that the timing JSON carries, for
+// every simulated cell, the profile (whose run and skipped cycles must
+// add up to the cell's simulated cycles) and every key
+// perfbench/suite.py reads.
 TEST(TimingJson, ProfileRidesEverySimulatedCell)
 {
     std::string dir = scratchDir("timing_json");
     std::string path = dir + "/timing.json";
-    EnvGuard profile("VPIR_PROFILE", "1");
     std::vector<SweepCell> cs = threeCells();
 
     SweepEngine eng(1, "");
@@ -198,9 +184,8 @@ TEST(TimingJson, ProfileRidesEverySimulatedCell)
                                                            warm))
         << json;
     JsonObject wc(warm);
-    for (const char *key :
-         {"program_builds", "program_hits", "snapshot_builds",
-          "snapshot_hits", "cells_assembled", "cells_warmed"}) {
+    for (const char *key : {"program_builds", "program_hits",
+                            "snapshot_builds", "snapshot_hits"}) {
         uint64_t v;
         EXPECT_TRUE(wc.getU64(key, v)) << "warm_cache." << key;
     }

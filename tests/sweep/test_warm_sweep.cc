@@ -95,19 +95,13 @@ TEST(WarmSweep, BuildsExactlyOncePerKeyInProcess)
     EXPECT_EQ(c.snapshotBuilds, 2u);
     EXPECT_EQ(c.snapshotHits, 4u); // the other four cells cloned
 
-    // Per-cell attribution must agree: exactly one cell per key paid
-    // for the build, every cell has a phase breakdown.
+    // Every cell has a phase breakdown.
     std::vector<CellTiming> ts = eng.timings();
     ASSERT_EQ(ts.size(), cells.size());
-    size_t assembled = 0, warmed = 0;
     for (const CellTiming &t : ts) {
-        assembled += t.assembled ? 1 : 0;
-        warmed += t.warmed ? 1 : 0;
         EXPECT_GT(t.runSeconds, 0.0);
         EXPECT_GE(t.wallSeconds, t.setupSeconds + t.runSeconds - 1e-3);
     }
-    EXPECT_EQ(assembled, 2u);
-    EXPECT_EQ(warmed, 2u);
 }
 
 } // anonymous namespace

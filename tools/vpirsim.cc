@@ -32,17 +32,16 @@
  * not use (base, ir and ir-late use none of them).
  *
  * Runs go through the sweep engine, so VPIR_RESULT_CACHE=<dir> makes
- * repeated invocations with identical parameters instant. Host wall
- * time and simulated MIPS are reported on stderr.
+ * repeated invocations with identical parameters instant. The sweep
+ * summary (host wall time, simulated MIPS, any failure) and the
+ * simulated cell's stage profile are reported on stderr.
  */
 
-#include <chrono>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "common/env.hh"
 #include "fuzz/repro.hh"
@@ -249,21 +248,10 @@ main(int argc, char **argv)
 
     sweep::SweepCell cell{workload, config, params, scale};
     sweep::SweepEngine &eng = sweep::SweepEngine::global();
-    auto t0 = std::chrono::steady_clock::now();
     const CoreStats &st = eng.get(cell);
-    double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    bool cached = eng.cellsFromDiskCache() > 0;
-
-    std::vector<sweep::CellFailure> fails = eng.failures();
-    if (!fails.empty()) {
-        for (const sweep::CellFailure &f : fails) {
-            std::fprintf(stderr, "vpirsim: simulation FAILED:\n%s\n",
-                         f.error.c_str());
-        }
+    eng.printSummary(stderr);
+    if (!eng.failures().empty())
         return 1;
-    }
 
     std::printf(
         "workload    %s (%s)\n", workload.c_str(),
@@ -308,17 +296,10 @@ main(int argc, char **argv)
         });
     }
 
-    std::fprintf(stderr, "[sweep] host wall %.3f s, %.2f simulated MIPS%s\n",
-                 wall,
-                 wall > 0.0
-                     ? static_cast<double>(st.committedInsts) / wall / 1e6
-                     : 0.0,
-                 cached ? " (from result cache)" : "");
-
-    // Per-stage cycle profile (VPIR_PROFILE=1), stderr like all other
-    // host-dependent timing.
+    // Per-stage cycle profile of the simulated cell (a result-cache hit
+    // has none), stderr like all other host-dependent timing.
     for (const sweep::CellTiming &t : eng.timings()) {
-        if (!t.profile.enabled)
+        if (t.fromDiskCache)
             continue;
         std::fprintf(stderr, "[profile] %s/%s:", t.workload.c_str(),
                      t.label.c_str());
