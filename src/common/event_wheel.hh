@@ -4,29 +4,27 @@
  *
  * The core used to find finishing instructions by scanning the whole
  * ROB every cycle for completeAt <= now. The wheel indexes events by
- * their due cycle instead: near-future events (within WHEEL_SPAN
- * cycles) go into a power-of-two bucket array indexed by (at & mask),
- * far-future ones wait in a min-heap and migrate into the near wheel
- * as their cycle approaches. popDue() touches only the current
- * cycle's bucket; nextEventAt() gives the idle-cycle skipper an exact
- * lower bound on the next due event.
+ * their due cycle instead, in a power-of-two bucket array indexed by
+ * (at & (span - 1)). The owner sizes the span from its machine so
+ * that every event is due fewer than span cycles after the cycle that
+ * schedules it (schedule() asserts it). A bucket therefore only ever
+ * holds events due on one cycle: popDue() takes the current cycle's
+ * bucket whole, and nextEventAt() gives the idle-cycle skipper the
+ * first non-empty bucket at or after now as an exact bound.
  *
  * Events are fire-and-forget: a squash does not remove events, the
  * consumer validates each popped event against live ROB state (slot
- * + sequence number) and discards stale ones. A bucket can hold
- * events one full wheel revolution apart (at and at + WHEEL_SPAN map
- * to the same index); popDue() filters on the exact due cycle and
- * leaves later laps in place.
+ * + sequence number) and discards stale ones.
  */
 
 #ifndef VPIR_COMMON_EVENT_WHEEL_HH
 #define VPIR_COMMON_EVENT_WHEEL_HH
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "common/bitutils.hh"
 #include "common/logging.hh"
 
 namespace vpir
@@ -52,49 +50,41 @@ struct WheelEvent
 class EventWheel
 {
   public:
-    /** Near-wheel span in cycles; deltas beyond it go to the far
-     *  heap. Covers every realistic completion latency (cache miss +
-     *  verification) so the heap stays cold in practice. */
-    static constexpr uint64_t WHEEL_SPAN = 256;
+    /** A wheel of @p span buckets, a power of two: every event must
+     *  be due fewer than @p span cycles after it is scheduled. */
+    explicit EventWheel(uint64_t span) : buckets(span)
+    {
+        VPIR_ASSERT(isPowerOf2(span), "wheel span not a power of two");
+    }
 
-    EventWheel() : near(WHEEL_SPAN) {}
-
+    uint64_t span() const { return buckets.size(); }
     size_t size() const { return n; }
     bool empty() const { return n == 0; }
 
-    /** Schedule @p ev; @p now is the current cycle. Due cycles in the
-     *  past are a caller bug. */
+    /** Schedule @p ev; @p now is the current cycle. A due cycle in
+     *  the past or a span or more ahead is a caller bug. */
     void
     schedule(const WheelEvent &ev, uint64_t now)
     {
         VPIR_ASSERT(ev.at >= now, "scheduling an event in the past");
-        if (ev.at - now < WHEEL_SPAN) {
-            near[bucket(ev.at)].push_back(ev);
-        } else {
-            far.push_back(ev);
-            std::push_heap(far.begin(), far.end(), farLater);
-        }
+        VPIR_ASSERT(ev.at - now < span(),
+                    "event delay beyond the wheel's span");
+        buckets[bucket(ev.at)].push_back(ev);
         ++n;
     }
 
-    /** Append every event due exactly at @p now to @p out and remove
-     *  it from the wheel. Caller sorts/validates as needed. */
+    /** Append every event due at @p now to @p out and remove it from
+     *  the wheel. Caller sorts/validates as needed. */
     void
     popDue(uint64_t now, std::vector<WheelEvent> &out)
     {
-        migrate(now);
-        std::vector<WheelEvent> &b = near[bucket(now)];
-        size_t keep = 0;
-        for (size_t i = 0; i < b.size(); ++i) {
-            if (b[i].at == now) {
-                out.push_back(b[i]);
-                --n;
-            } else {
-                // A later lap of the wheel; leave it for its cycle.
-                b[keep++] = b[i];
-            }
+        std::vector<WheelEvent> &b = buckets[bucket(now)];
+        for (const WheelEvent &ev : b) {
+            VPIR_ASSERT(ev.at == now, "wheel event popped off its cycle");
+            out.push_back(ev);
         }
-        b.resize(keep);
+        n -= b.size();
+        b.clear();
     }
 
     /** Due cycle of the earliest pending event, or UINT64_MAX when
@@ -106,53 +96,24 @@ class EventWheel
     {
         if (n == 0)
             return UINT64_MAX;
-        uint64_t best = far.empty() ? UINT64_MAX : far.front().at;
-        for (uint64_t d = 0; d < WHEEL_SPAN && now + d < best; ++d) {
-            for (const WheelEvent &ev : near[bucket(now + d)]) {
-                VPIR_ASSERT(ev.at >= now, "stale event left in wheel");
-                best = std::min(best, ev.at);
+        for (uint64_t at = now;; ++at) {
+            const std::vector<WheelEvent> &b = buckets[bucket(at)];
+            if (!b.empty()) {
+                VPIR_ASSERT(b.front().at == at,
+                            "stale event left in wheel");
+                return at;
             }
-            if (best == now + d)
-                break; // nothing can beat an event due this scan slot
         }
-        return best;
-    }
-
-    void
-    clear()
-    {
-        for (std::vector<WheelEvent> &b : near)
-            b.clear();
-        far.clear();
-        n = 0;
     }
 
   private:
-    static size_t
-    bucket(uint64_t at)
+    size_t
+    bucket(uint64_t at) const
     {
-        return static_cast<size_t>(at & (WHEEL_SPAN - 1));
+        return static_cast<size_t>(at & (buckets.size() - 1));
     }
 
-    static bool
-    farLater(const WheelEvent &a, const WheelEvent &b)
-    {
-        return a.at > b.at; // min-heap on due cycle
-    }
-
-    /** Move far-heap events whose due cycle entered the near span. */
-    void
-    migrate(uint64_t now)
-    {
-        while (!far.empty() && far.front().at - now < WHEEL_SPAN) {
-            std::pop_heap(far.begin(), far.end(), farLater);
-            near[bucket(far.back().at)].push_back(far.back());
-            far.pop_back();
-        }
-    }
-
-    std::vector<std::vector<WheelEvent>> near;
-    std::vector<WheelEvent> far; // min-heap by at
+    std::vector<std::vector<WheelEvent>> buckets;
     size_t n = 0;
 };
 

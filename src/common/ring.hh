@@ -2,8 +2,8 @@
  * @file
  * Fixed-capacity circular buffer.
  *
- * The core's per-cycle queues (LSQ, fetch queue, store queue) have
- * hard architectural bounds. Ring allocates its full capacity once at
+ * The core's per-cycle queues (fetch queue, store queue) have hard
+ * architectural bounds. Ring allocates its full capacity once at
  * reset() and never touches the allocator again, even as the queues
  * fill and drain every cycle; push/pop are an index increment.
  */

@@ -1,6 +1,7 @@
 #include "core/core.hh"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstring>
 #include <sstream>
@@ -12,6 +13,24 @@
 namespace vpir
 {
 
+namespace
+{
+
+/** Completion-wheel span for @p p: a power of two longer than the
+ *  longest delay the core schedules an event ahead. That is the
+ *  slowest operation or a load (AGEN, then a D-cache hit plus a
+ *  miss), plus the VP verification delay; a finalize recheck waits
+ *  at most the verification delay. */
+uint64_t
+wheelSpan(const CoreParams &p)
+{
+    uint64_t load = 1 + uint64_t{p.dcache.hitLatency} + p.dcache.missLatency;
+    return std::bit_ceil(std::max<uint64_t>(maxOpLat, load) +
+                         p.vpVerifyLatency + 1);
+}
+
+} // anonymous namespace
+
 Core::Core(const CoreParams &p, const Program &program,
            const EmuSnapshot *warm)
     : params(p),
@@ -21,10 +40,10 @@ Core::Core(const CoreParams &p, const Program &program,
       dcache(p.dcache),
       bpred(p.bpred),
       injector(p.faults),
+      wheel(wheelSpan(p)),
       rob(p.robEntries),
       robCold(p.robEntries),
       bpCps(p.robEntries),
-      lsq(p.lsqEntries),
       fetchQueue(p.fetchQueueSize),
       fetchCps(p.fetchQueueSize),
       storeQ(p.lsqEntries),
@@ -449,7 +468,7 @@ Core::dispatchStage()
         const FetchedInst &f = fetchQueue.front();
         const StaticInst &si = *f.si;
         bool is_mem = si.isLd || si.isSt;
-        if (is_mem && lsq.size() >= params.lsqEntries)
+        if (is_mem && lsqUsed >= params.lsqEntries)
             break;
         int slot = allocRob();
         if (slot < 0)
@@ -496,17 +515,12 @@ Core::dispatchStage()
             e.finalizeAt = curCycle;
         }
 
-        if (is_mem) {
-            LsqEntry le;
-            le.rob = RobRef{slot, e.seq};
-            le.isLoad = si.isLd;
-            lsq.push_back(le);
-            // Stores also enter the disambiguation queue; appending an
-            // address-unknown store keeps the watermark invariant (it
-            // sits at or beyond storeAddrPrefix).
-            if (si.isSt)
-                storeQ.push_back(le.rob);
-        }
+        lsqUsed += is_mem;
+        // Stores also enter the disambiguation queue; appending an
+        // address-unknown store keeps the watermark invariant (it sits
+        // at or beyond storeAddrPrefix).
+        if (si.isSt)
+            storeQ.push_back(RobRef{slot, e.seq});
 
         // The non-speculative reuse test first; hybrid falls back to
         // a value prediction when the result was not reused (the
@@ -532,15 +546,10 @@ Core::dispatchStage()
         // A reused control instruction resolves at decode: resolution
         // latency zero, and an immediate redirect on a bpred miss.
         if (e.reused && si.isCtrl) {
-            noteResolvedForFetch(slot);
-            c.finalActionDone = true;
-            ctrlSet.erase(slot);
-            if (c.correctResolveAt == UINT64_MAX)
-                c.correctResolveAt = curCycle;
-            if (c.curNextPC != c.followedNextPC) {
-                squashAfter(slot, c.curNextPC);
+            bool redirect = c.curNextPC != c.followedNextPC;
+            doResolve(slot, c.curNextPC, true);
+            if (redirect)
                 break; // fetch queue flushed
-            }
         }
     }
 }
@@ -1237,6 +1246,7 @@ Core::squashAfter(int slot, Addr redirect)
         y.valid = false;
         robTail = last;
         --robUsed;
+        lsqUsed -= y.si->isLd || y.si->isSt;
         ++auditSquashed;
         // Scheduler teardown. Waiter unlinks are eager: this slot
         // will be reused, and a dangling node would corrupt a live
@@ -1257,10 +1267,6 @@ Core::squashAfter(int slot, Addr redirect)
         }
         // Stale wheel events for y are discarded on pop by the
         // (slot, seq) validity check.
-    }
-    while (!lsq.empty() &&
-           (!refAlive(lsq.back().rob) || lsq.back().rob.seq > e.seq)) {
-        lsq.pop_back();
     }
     while (!storeQ.empty() &&
            (!refAlive(storeQ.back()) || storeQ.back().seq > e.seq)) {
@@ -1468,15 +1474,9 @@ Core::commitStage()
         if (si.resolvable && !c.finalActionDone) {
             // SB resolutions mark final action lazily; the final
             // publication necessarily happened, so take it now.
-            if (c.curNextPC == c.followedNextPC) {
-                c.finalActionDone = true;
-                ctrlSet.erase(robHead);
-                cycleHadWork = true;
-                if (c.correctResolveAt == UINT64_MAX)
-                    c.correctResolveAt = curCycle;
-            } else {
+            if (c.curNextPC != c.followedNextPC)
                 break; // resolution pending; cannot commit yet
-            }
+            doResolve(robHead, c.curNextPC, true);
         }
         if (params.irOracleCheck) {
             VPIR_ASSERT(!si.isCtrl ||
@@ -1516,10 +1516,7 @@ Core::commitStage()
         recordCommitStats(robHead);
         state.retire(c.postMark);
 
-        if (!lsq.empty() && refAlive(lsq.front().rob) &&
-            lsq.front().rob.seq == e.seq) {
-            lsq.pop_front();
-        }
+        lsqUsed -= si.isLd || si.isSt;
         if (si.isSt && !storeQ.empty() && storeQ.front().seq == e.seq) {
             storeQ.pop_front();
             if (storeAddrPrefix > 0) // committing store was ready
@@ -1602,7 +1599,7 @@ Core::watchdogDump()
        << ", fetchPC 0x" << std::hex << fetchPC << std::dec
        << (fetchHalted ? " (fetch halted)" : "") << ", fetchQueue "
        << fetchQueue.size() << ", rob " << robUsed << "/"
-       << params.robEntries << ", lsq " << lsq.size() << "\n";
+       << params.robEntries << ", lsq " << lsqUsed << "\n";
     forEachInOrder([&](int slot) {
         const RobEntry &e = at(slot);
         const RobCold &c = coldAt(slot);
@@ -1686,11 +1683,11 @@ Core::auditCycle() const
     // Occupancy bounds.
     if (robUsed > params.robEntries)
         auditFail("ROB occupancy above capacity");
-    if (lsq.size() > params.lsqEntries)
+    if (lsqUsed > params.lsqEntries)
         auditFail("LSQ occupancy above capacity");
     if (fetchQueue.size() > params.fetchQueueSize)
         auditFail("fetch queue above capacity");
-    if (storeQ.size() > lsq.size())
+    if (storeQ.size() > lsqUsed)
         auditFail("store queue larger than the LSQ");
     if (storeAddrPrefix > storeQ.size())
         auditFail("store-address watermark beyond the store queue");
@@ -1707,9 +1704,13 @@ Core::auditCycle() const
     }
 
     // ROB walk: the ring's live window must be valid entries with
-    // strictly increasing sequence numbers and coherent flags.
+    // strictly increasing sequence numbers and coherent flags. It also
+    // recounts the LSQ (the window's loads and stores) and finds the
+    // oldest store whose address is still unknown.
     uint64_t prev_seq = 0;
     const char *rob_bad = nullptr;
+    unsigned mem_ops = 0;
+    uint64_t unknown_store = UINT64_MAX;
     forEachInOrder([&](int slot) {
         const RobEntry &e = at(slot);
         if (!e.valid)
@@ -1723,17 +1724,21 @@ Core::auditCycle() const
         else if (e.inFlight && e.completeAt <= curCycle)
             rob_bad = "in-flight entry outlived its completion cycle";
         prev_seq = e.seq;
-        return rob_bad == nullptr;
+        if (rob_bad)
+            return false;
+        mem_ops += e.si->isLd || e.si->isSt;
+        if (e.si->isSt && !e.storeAddrReady && unknown_store == UINT64_MAX)
+            unknown_store = e.seq;
+        return true;
     });
     if (rob_bad)
         auditFail(rob_bad);
+    if (mem_ops != lsqUsed)
+        auditFail("LSQ count " + std::to_string(lsqUsed) +
+                  " != recount " + std::to_string(mem_ops));
 
-    // Every LSQ/storeQ reference must point at a live ROB entry
-    // (commit pops the head, squash pops the dead suffix).
-    for (const LsqEntry &le : lsq) {
-        if (!refAlive(le.rob))
-            auditFail("LSQ entry references a dead ROB slot");
-    }
+    // Every storeQ reference must point at a live ROB entry (commit
+    // pops the head, squash pops the dead suffix).
     for (size_t i = 0; i < storeQ.size(); ++i) {
         if (!refAlive(storeQ[i]))
             auditFail("store queue references a dead ROB slot");
@@ -1741,17 +1746,10 @@ Core::auditCycle() const
             auditFail("address-unready store inside the watermark "
                       "prefix");
     }
-    // The watermark must name what a full LSQ scan finds: the oldest
+    // The watermark must name what the ROB walk found: the oldest
     // live store whose address is still unknown.
-    uint64_t unknown_store = UINT64_MAX;
-    for (const LsqEntry &le : lsq) {
-        if (!le.isLoad && !at(le.rob.slot).storeAddrReady) {
-            unknown_store = le.rob.seq;
-            break;
-        }
-    }
     if (oldestUnknownStoreSeq() != unknown_store)
-        auditFail("store-address watermark diverged from the LSQ scan");
+        auditFail("store-address watermark diverged from the ROB scan");
 
     // Periodic structure sweeps (O(entries), too hot for every cycle).
     if ((curCycle & 0xfff) == 0) {

@@ -159,13 +159,6 @@ struct RobCold
     Addr pendMemAddr = 0;
 };
 
-/** Load/store queue entry. */
-struct LsqEntry
-{
-    RobRef rob;
-    bool isLoad = false;
-};
-
 /** Everything fetch hands to dispatch for one instruction. A control
  *  instruction's predictor checkpoint travels beside it, in
  *  Core::fetchCps. */
@@ -286,7 +279,7 @@ class Core
     void noteStoreAddrReady();
     /** Sequence of the oldest in-flight store whose address is still
      *  unknown (UINT64_MAX if none): O(1) against the watermark, which
-     *  auditCycle() checks against a full LSQ scan. */
+     *  auditCycle() checks against a full ROB scan. */
     uint64_t oldestUnknownStoreSeq() const;
 
     /** Issue @p slot with the operand views the issue scan computed
@@ -345,10 +338,10 @@ class Core
     // --- invariant audits (params.auditInvariants / VPIR_AUDIT) -----
     /** End-of-cycle structural audit: instruction conservation,
      *  occupancy bounds, ROB ordering, no in-flight entry past its
-     *  completion cycle, LSQ/storeQ liveness, the store-address
-     *  watermark against an LSQ scan, (periodically) RB/VPT entry
-     *  sanity, and auditSched(). Panics at the cycle of first
-     *  corruption. */
+     *  completion cycle, the LSQ count and the store-address
+     *  watermark against a ROB scan, storeQ liveness, (periodically)
+     *  RB/VPT entry sanity, and auditSched(). Panics at the cycle of
+     *  first corruption. */
     void auditCycle() const;
     /** Commit-side audit: no instruction may retire carrying an
      *  unvalidated (wrong) predicted or reused value. */
@@ -391,7 +384,8 @@ class Core
      *  producer's finalize-waiter list, or on a timed wheel recheck —
      *  instead of polling. */
     SlotSet finalCand;
-    /** Completion + finalize-recheck events keyed by due cycle. */
+    /** Completion + finalize-recheck events keyed by due cycle, over
+     *  a span longer than any delay this machine schedules. */
     EventWheel wheel;
     /** Waiter node per (consumer slot, operand): doubly linked into
      *  the producer's RobEntry::waiterHead list. Node id is
@@ -449,14 +443,16 @@ class Core
     int robHead = 0;
     int robTail = 0; //!< next free slot
     unsigned robUsed = 0;
-    Ring<LsqEntry> lsq;
+    /** In-flight loads and stores: the LSQ's occupancy, which is all
+     *  of the LSQ that dispatch reads. */
+    unsigned lsqUsed = 0;
     Ring<FetchedInst> fetchQueue;
     /** Predictor checkpoints of the control instructions in
      *  fetchQueue, in order: fetch takes one per control instruction,
      *  dispatch moves it into bpCps, a squash clears both rings. */
     Ring<BpredCheckpoint> fetchCps;
-    /** Stores of the lsq in program order: the disambiguation scans
-     *  only ever look at stores, so they walk this instead. */
+    /** The in-flight stores in program order: the disambiguation
+     *  scans only ever look at stores, so they walk this. */
     Ring<RobRef> storeQ;
     /** storeQ[0, storeAddrPrefix) all have storeAddrReady; the entry
      *  at storeAddrPrefix (when present) does not. Monotone within a

@@ -46,7 +46,7 @@ runFuzzCampaign(const FuzzCampaignOptions &opt, std::FILE *log)
             cell.seed = Rng::split(opt.baseSeed, i);
             cell.workload = fuzzWorkloadName(cell.seed);
 
-            Program program = generateProgram(cell.seed, GenOptions{});
+            Program program = generateProgram(cell.seed);
             CoreParams params = fuzzParamsForSeed(cell.seed);
             // Merge the environment's fault cocktail (a planted
             // VPIR_FAULT_* knob fuzzes the whole campaign). RB faults

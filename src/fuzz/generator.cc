@@ -27,6 +27,10 @@ constexpr unsigned FPOOL_N = 8; //!< f0..f7
 constexpr unsigned SCRATCH_BYTES = 1024; //!< 256 words
 constexpr unsigned FPDATA_DWORDS = 16;
 
+/** Program shape: a few-thousand-instruction run. */
+constexpr int32_t OUTER_ITERS = 24; //!< trip count of the outer loop
+constexpr unsigned GADGETS = 40;    //!< random gadgets per loop body
+
 /** Gadget emitter: owns the label counter and the one Rng stream. */
 struct Gen
 {
@@ -454,7 +458,7 @@ emitLeaves(Assembler &a)
 } // anonymous namespace
 
 Program
-generateProgram(uint64_t seed, const GenOptions &opt)
+generateProgram(uint64_t seed)
 {
     Assembler a;
     Gen g(a, seed);
@@ -486,10 +490,9 @@ generateProgram(uint64_t seed, const GenOptions &opt)
 
     // The random loop body. The only registers that can steer a
     // backward branch (S1, S4) are never written by a gadget body.
-    unsigned iters = opt.outerIters ? opt.outerIters : 1;
-    a.li(S1, static_cast<int32_t>(iters));
+    a.li(S1, OUTER_ITERS);
     a.label("outer");
-    for (unsigned i = 0; i < opt.gadgets; ++i)
+    for (unsigned i = 0; i < GADGETS; ++i)
         g.emitGadget();
     a.addi(S1, S1, -1);
     a.bgtz(S1, "outer");

@@ -38,16 +38,9 @@ namespace fuzz
  */
 constexpr int GENERATOR_REVISION = 1;
 
-/** Knobs for program shape; defaults give a few-thousand-instruction
- *  run. */
-struct GenOptions
-{
-    unsigned outerIters = 24; //!< trip count of the outer loop
-    unsigned gadgets = 40;    //!< random gadgets per loop body
-};
-
-/** Generate the program for @p seed. Deterministic. */
-Program generateProgram(uint64_t seed, const GenOptions &opt = {});
+/** Generate the program for @p seed: a few-thousand-instruction run.
+ *  Deterministic. */
+Program generateProgram(uint64_t seed);
 
 /** Display name of the campaign cell for a seed: "fuzz:%016x". */
 std::string fuzzWorkloadName(uint64_t seed);

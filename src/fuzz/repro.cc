@@ -7,6 +7,7 @@
 #include "common/fnv.hh"
 #include "common/json.hh"
 #include "fuzz/program_io.hh"
+#include "sim/configs.hh"
 #include "sweep/stats_json.hh"
 
 namespace vpir
@@ -24,15 +25,8 @@ constexpr const char *FORMAT = "vpir-repro v1";
 std::string
 captureHardeningEnv()
 {
-    static const char *const knobs[] = {
-        "VPIR_CHECK",           "VPIR_AUDIT",
-        "VPIR_WATCHDOG_CYCLES", "VPIR_FAULT_SEED",
-        "VPIR_FAULT_VPT_VALUE", "VPIR_FAULT_VPT_CONF",
-        "VPIR_FAULT_RB_OPERAND", "VPIR_FAULT_RB_RESULT",
-        "VPIR_FAULT_RB_LINK",   "VPIR_FAULT_RB_DROPINV",
-    };
     std::string out;
-    for (const char *k : knobs) {
+    for (const char *k : hardeningEnvVars) {
         const char *v = std::getenv(k);
         if (!v)
             continue;

@@ -129,6 +129,14 @@ decodeInfo(Op op)
     return detail::decodeTable[static_cast<size_t>(op)];
 }
 
+/** The slowest operation's latency (the largest opLat), in cycles. */
+inline constexpr unsigned maxOpLat = [] {
+    unsigned m = 0;
+    for (const DecodeInfo &d : detail::decodeTable)
+        m = d.opLat > m ? d.opLat : m;
+    return m;
+}();
+
 /** Up to two source registers (REG_INVALID when absent). */
 struct SrcRegs
 {

@@ -12,8 +12,8 @@
 #define VPIR_MEM_CACHE_HH
 
 #include <cstdint>
-#include <vector>
 
+#include "common/set_assoc.hh"
 #include "isa/instr.hh"
 
 namespace vpir
@@ -44,9 +44,6 @@ class Cache
     /** Probe without allocating or touching LRU. */
     bool probe(Addr addr) const;
 
-    /** Invalidate everything (between benchmark runs). */
-    void reset();
-
     uint64_t accesses() const { return nAccesses; }
     uint64_t misses() const { return nMisses; }
     uint32_t lineBytes() const { return params.lineBytes; }
@@ -63,20 +60,28 @@ class Cache
     {
         bool valid = false;
         uint32_t tag = 0;
-        uint64_t lru = 0; //!< clock at last touch; 0 = never touched
     };
 
-    uint32_t setIndex(Addr addr) const;
-    uint32_t tagOf(Addr addr) const;
+    uint32_t
+    setIndex(Addr addr) const
+    {
+        return (addr >> lineBits) & (lines.sets() - 1);
+    }
+    uint32_t
+    tagOf(Addr addr) const
+    {
+        return (addr >> lineBits) >> lines.setBits();
+    }
+    /** Match for SetAssoc::find: the valid line tagged @p tag. */
+    static auto
+    holding(uint32_t tag)
+    {
+        return [tag](const Line &l) { return l.valid && l.tag == tag; };
+    }
 
     CacheParams params;
-    uint32_t numSets;
+    SetAssoc<Line> lines;
     unsigned lineBits; //!< log2(lineBytes)
-    unsigned setBits;  //!< log2(numSets)
-    std::vector<Line> lines; //!< [set * ways + way]
-    /** One LRU clock for the whole cache: within a set, stamp order
-     *  is touch order, and never-touched ways tie at 0. */
-    uint64_t clock = 0;
     uint64_t nAccesses = 0;
     uint64_t nMisses = 0;
 };

@@ -1,6 +1,5 @@
 #include "reuse/reuse_buffer.hh"
 
-#include "common/bitutils.hh"
 #include "common/logging.hh"
 
 namespace vpir
@@ -20,14 +19,8 @@ wordsSpanned(Addr addr, unsigned size)
 
 } // anonymous namespace
 
-ReuseBuffer::ReuseBuffer(const RbParams &p) : params(p)
+ReuseBuffer::ReuseBuffer(const RbParams &p) : table(p.entries, p.ways)
 {
-    VPIR_ASSERT(p.ways >= 1 && p.entries % p.ways == 0,
-                "entries must divide into ways");
-    numSets = p.entries / p.ways;
-    VPIR_ASSERT(isPowerOf2(numSets), "set count not a power of two");
-    setBits = floorLog2(numSets);
-    entries.assign(p.entries, Entry());
     wordNodes.assign(static_cast<size_t>(p.entries) * maxLoadWords,
                      WordNode());
     // About one bucket per entry; at least two, so the hash shift
@@ -36,12 +29,6 @@ ReuseBuffer::ReuseBuffer(const RbParams &p) : params(p)
     while ((1u << bucketBits) < p.entries)
         ++bucketBits;
     buckets.assign(size_t{1} << bucketBits, -1);
-}
-
-uint32_t
-ReuseBuffer::setIndex(Addr pc) const
-{
-    return foldPC(pc, setBits);
 }
 
 uint32_t
@@ -110,12 +97,13 @@ ReuseBuffer::probe(Addr pc, const Instr &inst,
                    const RbOperandQuery ops_q[2]) const
 {
     RbProbeResult r;
-    uint32_t si = setIndex(pc);
+    uint32_t set = table.pcSet(pc);
     const bool is_ld = isLoad(inst.op);
     const bool is_st = isStore(inst.op);
 
-    for (unsigned w = 0; w < params.ways; ++w) {
-        const Entry &e = entries[si * params.ways + w];
+    for (unsigned w = 0; w < table.ways(); ++w) {
+        size_t i = table.index(set, w);
+        const Entry &e = table[i];
         if (!e.valid || e.pc != pc || e.op != inst.op)
             continue;
 
@@ -141,7 +129,7 @@ ReuseBuffer::probe(Addr pc, const Instr &inst,
             r.resultReused = true;
         }
 
-        r.entry = RbRef{static_cast<int>(si * params.ways + w), e.serial};
+        r.entry = RbRef{static_cast<int>(i), e.serial};
         r.result = e.result;
         r.result2 = e.result2;
         r.taken = e.taken;
@@ -163,10 +151,10 @@ ReuseBuffer::noteReused(const RbProbeResult &hit, const Instr &inst)
 {
     (void)inst;
     VPIR_ASSERT(hit.entry.valid(), "noteReused without a hit");
-    Entry &e = entries[hit.entry.idx];
+    Entry &e = table[hit.entry.idx];
     if (e.serial != hit.entry.serial)
         return; // overwritten between probe and use; nothing to note
-    touch(e);
+    table.touch(e);
     if (e.fromSquashed)
         e.fromSquashed = false; // recovery credit consumed once
 }
@@ -174,7 +162,7 @@ ReuseBuffer::noteReused(const RbProbeResult &hit, const Instr &inst)
 void
 ReuseBuffer::registerLoad(int idx)
 {
-    const Entry &e = entries[idx];
+    const Entry &e = table[idx];
     unsigned n = wordsSpanned(e.memAddr, e.memSz);
     VPIR_ASSERT(n <= maxLoadWords, "load spans more words than its nodes");
     Addr a = e.memAddr & ~3u;
@@ -186,7 +174,7 @@ ReuseBuffer::registerLoad(int idx)
 void
 ReuseBuffer::unregisterLoad(int idx)
 {
-    const Entry &e = entries[idx];
+    const Entry &e = table[idx];
     unsigned n = wordsSpanned(e.memAddr, e.memSz);
     for (unsigned k = 0; k < n; ++k)
         unlinkWord(idx * static_cast<int>(maxLoadWords) +
@@ -196,45 +184,21 @@ ReuseBuffer::unregisterLoad(int idx)
 RbRef
 ReuseBuffer::insert(const RbInsertInfo &info)
 {
-    uint32_t si = setIndex(info.pc);
-
-    // Refresh an existing instance with identical operands.
-    int way = -1;
-    for (unsigned w = 0; w < params.ways; ++w) {
-        Entry &e = entries[si * params.ways + w];
-        if (e.valid && e.pc == info.pc && e.op == info.inst.op &&
-            e.ops[0].reg == info.srcReg[0] &&
-            e.ops[1].reg == info.srcReg[1] &&
-            (e.ops[0].reg == REG_INVALID ||
-             e.ops[0].value == info.srcVal[0]) &&
-            (e.ops[1].reg == REG_INVALID ||
-             e.ops[1].value == info.srcVal[1])) {
-            way = static_cast<int>(w);
-            break;
-        }
-    }
-
-    bool fresh = way < 0;
-    if (fresh) {
-        for (unsigned w = 0; w < params.ways; ++w) {
-            if (!entries[si * params.ways + w].valid) {
-                way = static_cast<int>(w);
-                break;
-            }
-        }
-        if (way < 0) {
-            // LRU victim, lowest way on ties.
-            const Entry *set = &entries[si * params.ways];
-            way = 0;
-            for (unsigned w = 1; w < params.ways; ++w) {
-                if (set[w].lru < set[way].lru)
-                    way = static_cast<int>(w);
-            }
-        }
-    }
-
-    int idx = static_cast<int>(si * params.ways + way);
-    Entry &e = entries[idx];
+    // Refresh an existing instance with identical operands, else
+    // fill the set's victim.
+    uint32_t set = table.pcSet(info.pc);
+    Entry *same = table.find(set, [&info](const Entry &e) {
+        return e.valid && e.pc == info.pc && e.op == info.inst.op &&
+               e.ops[0].reg == info.srcReg[0] &&
+               e.ops[1].reg == info.srcReg[1] &&
+               (e.ops[0].reg == REG_INVALID ||
+                e.ops[0].value == info.srcVal[0]) &&
+               (e.ops[1].reg == REG_INVALID ||
+                e.ops[1].value == info.srcVal[1]);
+    });
+    bool fresh = !same;
+    Entry &e = fresh ? table.victim(set) : *same;
+    int idx = static_cast<int>(table.indexOf(e));
 
     const bool new_ld = isLoad(info.inst.op);
     const unsigned new_sz = memSize(info.inst.op);
@@ -269,7 +233,7 @@ ReuseBuffer::insert(const RbInsertInfo &info)
     if (new_ld && !same_span)
         registerLoad(idx);
 
-    touch(e);
+    table.touch(e);
     return RbRef{idx, e.serial};
 }
 
@@ -278,7 +242,7 @@ ReuseBuffer::linkSources(const RbRef &ref, const RbRef src_links[2])
 {
     if (!ref.valid())
         return;
-    Entry &e = entries[ref.idx];
+    Entry &e = table[ref.idx];
     if (e.serial != ref.serial)
         return;
     for (int k = 0; k < 2; ++k)
@@ -294,7 +258,7 @@ ReuseBuffer::storeInvalidate(Addr addr, unsigned size)
         for (int id = buckets[bucketOf(a)]; id >= 0;
              id = wordNodes[id].next) {
             if (wordNodes[id].word == a)
-                entries[id / maxLoadWords].memValid = false;
+                table[id / maxLoadWords].memValid = false;
         }
     }
 }
@@ -304,31 +268,9 @@ ReuseBuffer::markSquashed(const RbRef &ref)
 {
     if (!ref.valid())
         return;
-    Entry &e = entries[ref.idx];
+    Entry &e = table[ref.idx];
     if (e.valid && e.serial == ref.serial)
         e.fromSquashed = true;
-}
-
-void
-ReuseBuffer::reset()
-{
-    for (Entry &e : entries)
-        e.valid = false;
-    for (int &h : buckets)
-        h = -1;
-}
-
-unsigned
-ReuseBuffer::instancesFor(Addr pc) const
-{
-    uint32_t si = setIndex(pc);
-    unsigned n = 0;
-    for (unsigned w = 0; w < params.ways; ++w) {
-        const Entry &e = entries[si * params.ways + w];
-        if (e.valid && e.pc == pc)
-            ++n;
-    }
-    return n;
 }
 
 std::string
@@ -352,8 +294,8 @@ ReuseBuffer::audit() const
     }
 
     size_t expect_regs = 0;
-    for (size_t i = 0; i < entries.size(); ++i) {
-        const Entry &e = entries[i];
+    for (size_t i = 0; i < table.size(); ++i) {
+        const Entry &e = table[i];
         if (!e.valid)
             continue;
         std::string at = "RB entry " + std::to_string(i) + " (pc " +
@@ -364,7 +306,7 @@ ReuseBuffer::audit() const
             return at + "cached memSz disagrees with opcode";
         if (e.serial == 0 || e.serial >= nextSerial)
             return at + "serial outside the issued range";
-        if (setIndex(e.pc) != static_cast<uint32_t>(i) / params.ways)
+        if (table.pcSet(e.pc) != i / table.ways())
             return at + "entry outside its PC's set";
         if (e.isLd) {
             // Every covered word must index back to this entry,

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "common/set_assoc.hh"
 #include "isa/decode.hh"
 #include "isa/instr.hh"
 
@@ -129,11 +130,8 @@ class ReuseBuffer
      *  executing; reusing the entry later counts as recovered work. */
     void markSquashed(const RbRef &ref);
 
-    /** Clear all entries. */
-    void reset();
-
     /** Number of valid entries holding @p pc (test hook). */
-    unsigned instancesFor(Addr pc) const;
+    unsigned instancesFor(Addr pc) const { return table.instancesFor(pc); }
 
     /**
      * Structural sanity sweep for VPIR_AUDIT: cached decode bits
@@ -170,7 +168,6 @@ class ReuseBuffer
         bool isLd = false;         //!< cached isLoad(op)
         unsigned memSz = 0;        //!< cached memSize(op), 0 if not mem
         uint64_t serial = 0;
-        uint64_t lru = 0; //!< clock at last touch; 0 = never touched
     };
 
     /** One word of a load entry's registration in the load index. */
@@ -183,22 +180,14 @@ class ReuseBuffer
     /** An 8-byte load at a misaligned address covers three words. */
     static constexpr unsigned maxLoadWords = 3;
 
-    uint32_t setIndex(Addr pc) const;
     bool operandOk(const Operand &op, const RbOperandQuery &q) const;
-    void touch(Entry &e) { e.lru = ++clock; }
     void unregisterLoad(int idx);
     void registerLoad(int idx);
     uint32_t bucketOf(Addr word) const;
     void linkWord(int node, Addr word);
     void unlinkWord(int node);
 
-    RbParams params;
-    uint32_t numSets;
-    unsigned setBits;
-    std::vector<Entry> entries;   //!< flat [set*ways + way]
-    /** One LRU clock for the whole buffer: within a set, stamp order
-     *  is touch order, and never-touched ways tie at 0. */
-    uint64_t clock = 0;
+    SetAssoc<Entry> table; //!< an RbRef's idx is the flat index
     uint64_t nextSerial = 1;
 
     /** Last RB entry whose instruction wrote each register ('n'+'d'

@@ -54,14 +54,6 @@ hybridConfig(VpScheme scheme, BranchResolution branch_res,
     return p;
 }
 
-std::string
-vpConfigLabel(ReexecPolicy reexec, BranchResolution branch_res)
-{
-    std::string s = reexec == ReexecPolicy::Multiple ? "ME" : "NME";
-    s += branch_res == BranchResolution::Speculative ? "-SB" : "-NSB";
-    return s;
-}
-
 CoreParams
 withLimits(CoreParams p, uint64_t max_insts, uint64_t max_cycles)
 {

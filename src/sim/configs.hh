@@ -10,8 +10,6 @@
 #ifndef VPIR_SIM_CONFIGS_HH
 #define VPIR_SIM_CONFIGS_HH
 
-#include <string>
-
 #include "core/params.hh"
 
 namespace vpir
@@ -38,10 +36,6 @@ CoreParams hybridConfig(VpScheme scheme = VpScheme::Magic,
                             BranchResolution::Speculative,
                         unsigned verify_latency = 0);
 
-/** "ME-SB" style label for a VP configuration. */
-std::string vpConfigLabel(ReexecPolicy reexec,
-                          BranchResolution branch_res);
-
 /** Apply a run-length limit to any configuration. */
 CoreParams withLimits(CoreParams p, uint64_t max_insts,
                       uint64_t max_cycles = UINT64_MAX);
@@ -60,6 +54,16 @@ CoreParams withLimits(CoreParams p, uint64_t max_insts,
  * any experiment can run self-verifying without a rebuild.
  */
 void applyHardeningEnv(CoreParams &p);
+
+/** Every variable applyHardeningEnv() reads, in the order a fuzz
+ *  repro bundle records the ones set. */
+inline constexpr const char *hardeningEnvVars[] = {
+    "VPIR_CHECK",           "VPIR_AUDIT",
+    "VPIR_WATCHDOG_CYCLES", "VPIR_FAULT_SEED",
+    "VPIR_FAULT_VPT_VALUE", "VPIR_FAULT_VPT_CONF",
+    "VPIR_FAULT_RB_OPERAND", "VPIR_FAULT_RB_RESULT",
+    "VPIR_FAULT_RB_LINK",   "VPIR_FAULT_RB_DROPINV",
+};
 
 } // namespace vpir
 

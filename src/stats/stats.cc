@@ -18,17 +18,6 @@ harmonicMean(const std::vector<double> &values)
 }
 
 double
-arithmeticMean(const std::vector<double> &values)
-{
-    if (values.empty())
-        return 0.0;
-    double sum = 0.0;
-    for (double v : values)
-        sum += v;
-    return sum / static_cast<double>(values.size());
-}
-
-double
 pct(double num, double den)
 {
     return den != 0.0 ? 100.0 * num / den : 0.0;

@@ -16,9 +16,6 @@ namespace vpir
 /** Harmonic mean of a series of positive values (paper's HM bars). */
 double harmonicMean(const std::vector<double> &values);
 
-/** Arithmetic mean. */
-double arithmeticMean(const std::vector<double> &values);
-
 /** Percentage helper: 100 * num / den, 0 when den == 0. */
 double pct(double num, double den);
 

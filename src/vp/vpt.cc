@@ -1,60 +1,34 @@
 #include "vp/vpt.hh"
 
-#include "common/bitutils.hh"
-#include "common/logging.hh"
-
 namespace vpir
 {
 
-Vpt::Vpt(const VptParams &p) : params(p)
+namespace
 {
-    VPIR_ASSERT(p.ways >= 1 && p.entries % p.ways == 0,
-                "entries must divide into ways");
-    numSets = p.entries / p.ways;
-    VPIR_ASSERT(isPowerOf2(numSets), "set count not a power of two");
-    setBits = floorLog2(numSets);
-    entries.assign(p.entries, Entry());
+
+/** Match for SetAssoc::find: the valid entry of @p pc. */
+auto
+holding(Addr pc)
+{
+    return [pc](const auto &e) { return e.valid && e.pc == pc; };
 }
 
-uint32_t
-Vpt::setIndex(Addr pc) const
-{
-    return foldPC(pc, setBits);
-}
+} // anonymous namespace
+
+Vpt::Vpt(const VptParams &p) : params(p), table(p.entries, p.ways) {}
 
 Vpt::Entry *
-Vpt::findValue(Addr pc, uint64_t value)
+Vpt::findValue(uint32_t set, Addr pc, uint64_t value)
 {
-    Entry *set = setOf(pc);
-    for (unsigned w = 0; w < params.ways; ++w) {
-        Entry &e = set[w];
-        if (e.valid && e.pc == pc && e.value == value)
-            return &e;
-    }
-    return nullptr;
+    return table.find(set, [pc, value](const Entry &e) {
+        return e.valid && e.pc == pc && e.value == value;
+    });
 }
 
 void
-Vpt::insert(Addr pc, uint64_t value)
+Vpt::insert(uint32_t set, Addr pc, uint64_t value)
 {
-    Entry *set = setOf(pc);
-    // Prefer an invalid way; otherwise evict LRU (lowest way on ties).
-    Entry *victim = nullptr;
-    for (unsigned w = 0; w < params.ways; ++w) {
-        if (!set[w].valid) {
-            victim = &set[w];
-            break;
-        }
-    }
-    if (!victim) {
-        victim = &set[0];
-        for (unsigned w = 1; w < params.ways; ++w) {
-            if (set[w].lru < victim->lru)
-                victim = &set[w];
-        }
-    }
-
-    Entry &e = *victim;
+    Entry &e = table.victim(set);
     e.valid = true;
     e.pc = pc;
     e.value = value;
@@ -62,26 +36,22 @@ Vpt::insert(Addr pc, uint64_t value)
     // before they are used for prediction. This is what keeps
     // VP_Magic's misprediction rate low on rotating value sequences.
     e.conf.reset(0);
-    touch(e);
+    table.touch(e);
 }
 
 VptPrediction
 Vpt::predict(Addr pc, uint64_t oracle)
 {
     VptPrediction r;
-    Entry *set = setOf(pc);
+    uint32_t set = table.pcSet(pc);
 
     if (params.scheme == VpScheme::Lvp) {
         // At most one instance per pc by construction of update().
-        for (unsigned w = 0; w < params.ways; ++w) {
-            Entry &e = set[w];
-            if (e.valid && e.pc == pc) {
-                touch(e);
-                if (e.conf.atLeast(params.confidenceThreshold)) {
-                    r.valid = true;
-                    r.value = e.value;
-                }
-                return r;
+        if (Entry *e = table.find(set, holding(pc))) {
+            table.touch(*e);
+            if (e->conf.atLeast(params.confidenceThreshold)) {
+                r.valid = true;
+                r.value = e->value;
             }
         }
         return r;
@@ -92,12 +62,12 @@ Vpt::predict(Addr pc, uint64_t oracle)
     // observed at least twice; otherwise fall back to the most
     // confident instance, which needs full confidence.
     Entry *best = nullptr;
-    for (unsigned w = 0; w < params.ways; ++w) {
-        Entry &e = set[w];
+    for (unsigned w = 0; w < table.ways(); ++w) {
+        Entry &e = table.way(set, w);
         if (!e.valid || e.pc != pc)
             continue;
         if (e.value == oracle && e.conf.atLeast(1)) {
-            touch(e);
+            table.touch(e);
             r.valid = true;
             r.value = e.value;
             return r;
@@ -120,22 +90,19 @@ Vpt::predict(Addr pc, uint64_t oracle)
 void
 Vpt::update(Addr pc, uint64_t actual, const VptPrediction &made)
 {
+    uint32_t set = table.pcSet(pc);
     if (params.scheme == VpScheme::Lvp) {
-        Entry *set = setOf(pc);
-        for (unsigned w = 0; w < params.ways; ++w) {
-            Entry &e = set[w];
-            if (e.valid && e.pc == pc) {
-                if (e.value == actual) {
-                    e.conf.increment();
-                } else {
-                    e.conf.decrement();
-                    e.value = actual; // last value semantics
-                }
-                touch(e);
-                return;
+        if (Entry *e = table.find(set, holding(pc))) {
+            if (e->value == actual) {
+                e->conf.increment();
+            } else {
+                e->conf.decrement();
+                e->value = actual; // last value semantics
             }
+            table.touch(*e);
+        } else {
+            insert(set, pc, actual);
         }
-        insert(pc, actual);
         return;
     }
 
@@ -143,44 +110,25 @@ Vpt::update(Addr pc, uint64_t actual, const VptPrediction &made)
     // (inserting if missing); silence a wrongly predicted instance
     // so stale values stop being offered.
     if (made.valid && made.value != actual) {
-        if (Entry *e = findValue(pc, made.value))
+        if (Entry *e = findValue(set, pc, made.value))
             e->conf.reset(0);
     }
-    if (Entry *e = findValue(pc, actual)) {
+    if (Entry *e = findValue(set, pc, actual)) {
         e->conf.increment();
-        touch(*e);
+        table.touch(*e);
     } else {
-        insert(pc, actual);
+        insert(set, pc, actual);
     }
-}
-
-void
-Vpt::reset()
-{
-    for (Entry &e : entries)
-        e.valid = false;
-}
-
-unsigned
-Vpt::instancesFor(Addr pc) const
-{
-    const Entry *set = &entries[setIndex(pc) * params.ways];
-    unsigned n = 0;
-    for (unsigned w = 0; w < params.ways; ++w) {
-        if (set[w].valid && set[w].pc == pc)
-            ++n;
-    }
-    return n;
 }
 
 std::string
 Vpt::audit() const
 {
-    for (size_t i = 0; i < entries.size(); ++i) {
-        const Entry &e = entries[i];
+    for (size_t i = 0; i < table.size(); ++i) {
+        const Entry &e = table[i];
         if (!e.valid)
             continue;
-        if (setIndex(e.pc) != i / params.ways) {
+        if (table.pcSet(e.pc) != i / table.ways()) {
             return "VPT entry for pc " + std::to_string(e.pc) +
                    " outside its PC's set";
         }

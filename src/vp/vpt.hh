@@ -25,9 +25,9 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/sat_counter.hh"
+#include "common/set_assoc.hh"
 #include "isa/instr.hh"
 
 namespace vpir
@@ -77,11 +77,8 @@ class Vpt
      */
     void update(Addr pc, uint64_t actual, const VptPrediction &made);
 
-    /** Clear all entries. */
-    void reset();
-
     /** Number of valid entries holding @p pc (test hook). */
-    unsigned instancesFor(Addr pc) const;
+    unsigned instancesFor(Addr pc) const { return table.instancesFor(pc); }
 
     /** Structural sanity sweep for VPIR_AUDIT: every valid entry
      *  sits in the set its PC indexes to and its confidence is
@@ -95,23 +92,13 @@ class Vpt
         Addr pc = 0;
         SatCounter conf{2, 0};
         uint64_t value = 0;
-        uint64_t lru = 0; //!< clock at last touch; 0 = never touched
     };
 
-    uint32_t setIndex(Addr pc) const;
-    /** First way of @p pc's set in the flat entry array. */
-    Entry *setOf(Addr pc) { return &entries[setIndex(pc) * params.ways]; }
-    Entry *findValue(Addr pc, uint64_t value);
-    void insert(Addr pc, uint64_t value);
-    void touch(Entry &e) { e.lru = ++clock; }
+    Entry *findValue(uint32_t set, Addr pc, uint64_t value);
+    void insert(uint32_t set, Addr pc, uint64_t value);
 
     VptParams params;
-    uint32_t numSets;
-    unsigned setBits;
-    std::vector<Entry> entries; //!< [set * ways + way]
-    /** One LRU clock for the whole table: within a set, stamp order
-     *  is touch order, and never-touched ways tie at 0. */
-    uint64_t clock = 0;
+    SetAssoc<Entry> table;
 };
 
 } // namespace vpir

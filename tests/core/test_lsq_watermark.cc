@@ -2,7 +2,7 @@
  * @file
  * Store-address watermark validation: with auditInvariants armed the
  * core checks, at the end of every cycle, that the O(1) watermark
- * behind oldestUnknownStoreSeq() names the same store as a full LSQ
+ * behind oldestUnknownStoreSeq() names the same store as a full ROB
  * scan, and panics on the first divergence. The tests drive that
  * audit through squash-heavy configurations — speculative branch
  * resolution with value prediction produces spurious squashes, and
@@ -83,7 +83,7 @@ TEST(LsqWatermark, MatchesScanUnderFaultStorm)
 
 TEST(LsqWatermark, XcheckKnobIsReadAtConstruction)
 {
-    // The LSQ scan lives only in the audit, and the audit is pure
+    // The ROB scan lives only in the audit, and the audit is pure
     // observation: an unaudited run must produce the audited run's
     // stats exactly.
     CoreParams cfg = vpConfig(VpScheme::Magic, ReexecPolicy::Multiple,

@@ -165,6 +165,40 @@ TEST(SchedEquivalence, LargeWindowStallMachine)
                  0x1fadcc70905e7cfcull);
 }
 
+TEST(SchedEquivalence, LongMissesFitTheWheel)
+{
+    // Table 1 caches with 300- and 1,000-cycle misses, checked as
+    // well as audited. The core sizes its wheel from the machine, so
+    // a miss's completion, however long, lands inside the span; these
+    // are the cells whose completions once waited in a far heap (the
+    // wheel's span was a fixed 256 cycles). The digests were recorded
+    // from that wheel.
+    struct Cell
+    {
+        unsigned miss;
+        CoreParams cfg;
+        uint64_t digest;
+    };
+    const CoreParams vp = vpConfig(VpScheme::Magic, ReexecPolicy::Multiple,
+                                   BranchResolution::Speculative, 1);
+    const Cell cells[] = {
+        {300, baseConfig(), 0xd653ca20b47a4933ull},
+        {300, irConfig(), 0x61fae6bbfa81a60dull},
+        {300, vp, 0xba91d85d33e394a6ull},
+        {1000, baseConfig(), 0xa77d8d57dfb11090ull},
+        {1000, irConfig(), 0x79fe9aea3b25817cull},
+        {1000, vp, 0x7d115e3079dea6ebull},
+    };
+    for (const Cell &c : cells) {
+        CoreParams cfg = c.cfg;
+        cfg.icache.missLatency = c.miss;
+        cfg.dcache.missLatency = c.miss;
+        cfg.checkRetire = true;
+        AuditedRun r = expectDigest("compress", cfg, c.digest);
+        EXPECT_EQ(r.st.checkedInsts, r.st.committedInsts) << c.miss;
+    }
+}
+
 TEST(SchedEquivalence, IdleSkipRespectsWatchdog)
 {
     // The skipper must never jump past a watchdog trip cycle, and

@@ -67,25 +67,3 @@ TEST(FuzzGenerator, ProgramsTerminate)
             << " steps";
     }
 }
-
-TEST(FuzzGenerator, ScaledItersShortenRuns)
-{
-    GenOptions small;
-    small.outerIters = 2;
-    GenOptions big;
-    big.outerIters = 50;
-    auto run = [](const Program &p) {
-        EmuState st;
-        Emulator::loadProgram(p, st);
-        Emulator emu(p, st);
-        uint64_t steps = 0;
-        while (!emu.halted() && steps < 5000000) {
-            emu.step();
-            st.retire(st.mark());
-            ++steps;
-        }
-        return steps;
-    };
-    EXPECT_LT(run(generateProgram(11, small)),
-              run(generateProgram(11, big)));
-}

@@ -20,6 +20,7 @@ TEST(Decode, Table1Latencies)
     EXPECT_EQ(decodeInfo(Op::DIV_D).issueLat, 12);
     EXPECT_EQ(decodeInfo(Op::SQRT_D).opLat, 24);
     EXPECT_EQ(decodeInfo(Op::SQRT_D).issueLat, 24);
+    EXPECT_EQ(maxOpLat, 24u); // SQRT_D is the slowest
 }
 
 TEST(Decode, Table1FuPoolSizes)

@@ -60,15 +60,6 @@ TEST(Cache, ProbeDoesNotAllocate)
     EXPECT_FALSE(c.probe(0x40 + 256));
 }
 
-TEST(Cache, ResetClearsEverything)
-{
-    Cache c(smallCache());
-    c.access(0x40);
-    c.reset();
-    EXPECT_FALSE(c.probe(0x40));
-    EXPECT_EQ(c.accesses(), 0u);
-}
-
 TEST(Cache, SameLine)
 {
     Cache c(smallCache());

@@ -330,16 +330,6 @@ TEST(ReuseBuffer, DifferentOpcodeSamePCMisses)
     EXPECT_FALSE(rb.probe(0x1000, sub, q).resultReused);
 }
 
-TEST(ReuseBuffer, ResetClears)
-{
-    ReuseBuffer rb(smallRb());
-    rb.insert(addInsert(0x1000, 5, 7));
-    rb.reset();
-    RbOperandQuery q[2];
-    readyOps(q, 5, 7);
-    EXPECT_FALSE(rb.probe(0x1000, addInstr(), q).resultReused);
-}
-
 /** A reused or refreshed instance survives; the least recently used
  *  one is evicted. Probing alone does not count as a use. */
 TEST(ReuseBuffer, EvictsLeastRecentlyUsedInstance)

@@ -18,15 +18,6 @@ using namespace vpir;
 namespace
 {
 
-/** Every variable applyHardeningEnv() reads. */
-constexpr const char *hardeningVars[] = {
-    "VPIR_CHECK",           "VPIR_AUDIT",
-    "VPIR_WATCHDOG_CYCLES", "VPIR_FAULT_SEED",
-    "VPIR_FAULT_VPT_VALUE", "VPIR_FAULT_VPT_CONF",
-    "VPIR_FAULT_RB_OPERAND", "VPIR_FAULT_RB_RESULT",
-    "VPIR_FAULT_RB_LINK",   "VPIR_FAULT_RB_DROPINV",
-};
-
 /** Unsets every hardening variable, and puts back on scope exit what
  *  the process had. */
 class ClearHardeningEnv
@@ -34,7 +25,7 @@ class ClearHardeningEnv
   public:
     ClearHardeningEnv()
     {
-        for (const char *name : hardeningVars) {
+        for (const char *name : hardeningEnvVars) {
             const char *v = std::getenv(name);
             saved.emplace_back(name, v ? std::optional<std::string>(v)
                                        : std::nullopt);
@@ -138,16 +129,6 @@ TEST(Configs, HybridCarriesBothStructures)
     EXPECT_EQ(p.technique, Technique::Hybrid);
     EXPECT_EQ(p.vpt.entries, 16u * 1024);
     EXPECT_EQ(p.rb.entries, 4u * 1024);
-}
-
-TEST(Configs, LabelsFollowThePaper)
-{
-    EXPECT_EQ(vpConfigLabel(ReexecPolicy::Multiple,
-                            BranchResolution::Speculative),
-              "ME-SB");
-    EXPECT_EQ(vpConfigLabel(ReexecPolicy::Single,
-                            BranchResolution::NonSpeculative),
-              "NME-NSB");
 }
 
 TEST(Configs, WithLimitsAppliesCaps)

@@ -114,15 +114,6 @@ TEST(VptMagic, CapacityIsFourInstancesPerPC)
     EXPECT_EQ(v.instancesFor(0x1000), 4u);
 }
 
-TEST(VptMagic, ResetClears)
-{
-    Vpt v(magicParams());
-    observe(v, 0x1000, 42, 3);
-    v.reset();
-    EXPECT_FALSE(v.predict(0x1000, 42).valid);
-    EXPECT_EQ(v.instancesFor(0x1000), 0u);
-}
-
 TEST(VptLvp, PredictsLastValueAfterConfidence)
 {
     Vpt v(lvpParams());

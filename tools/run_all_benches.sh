@@ -16,6 +16,12 @@
 # ^C stops the run at once, like a crash or a kill. With
 # VPIR_RESULT_CACHE set, every cell that had finished is already in the
 # cache, so a rerun with the same cache simulates only the rest.
+# A SIGINT or SIGTERM sent to the script's pid alone (a job runner
+# stopping it) ends the harness in flight too: each harness runs as a
+# waited-for background child, and the trap below kills it with TERM,
+# waits for it, and then ends the script by the caught signal. The
+# child gets TERM, not INT, because a non-interactive sh starts
+# background children with SIGINT ignored.
 # Wired into ctest as the opt-in "bench" configuration: ctest -C bench.
 set -u
 
@@ -40,11 +46,26 @@ BENCHES="bench_table1 bench_table2 bench_table3 bench_table4
          bench_fig6 bench_fig7 bench_fig8 bench_fig9 bench_fig10
          bench_ablation bench_hybrid"
 
+CHILD=
+stop() {
+    if [ -n "$CHILD" ]; then
+        kill -s TERM "$CHILD" 2>/dev/null
+        wait "$CHILD"
+    fi
+    trap - "$1"
+    kill -s "$1" $$
+}
+trap 'stop INT' INT
+trap 'stop TERM' TERM
+
 FAILED=""
 for b in $BENCHES; do
     echo "==== $b ===="
-    "$BUILD/bench/$b"
+    "$BUILD/bench/$b" &
+    CHILD=$!
+    wait "$CHILD"
     rc=$?
+    CHILD=
     if [ "$rc" -ne 0 ]; then
         echo "run_all_benches: $b exited with status $rc" >&2
         FAILED="$FAILED $b"
