@@ -2,13 +2,14 @@
 
 #include "common/bitutils.hh"
 #include "common/logging.hh"
+#include "common/sat_counter.hh"
 
 namespace vpir
 {
 
 BranchPredUnit::BranchPredUnit(const BpredParams &p)
     : params(p),
-      table(p.tableEntries, SatCounter(2, 1)), // weakly not-taken
+      table(p.tableEntries, 1), // weakly not-taken
       ghr(0),
       btb(p.btbEntries),
       rasTop(0)
@@ -77,7 +78,7 @@ BranchPredUnit::predict(Addr pc, const Instr &inst)
 
     if (isCondBranch(inst.op)) {
         uint32_t idx = tableIndex(pc, ghr);
-        r.predTaken = table[idx].isSet();
+        r.predTaken = satUpperHalf(table[idx], ctrMax);
         r.predTarget = inst.target;
         // Speculative history update with the predicted direction.
         ghr = ((ghr << 1) | (r.predTaken ? 1u : 0u)) &
@@ -116,9 +117,9 @@ BranchPredUnit::update(Addr pc, const Instr &inst, bool taken, Addr target,
     if (isCondBranch(inst.op)) {
         uint32_t idx = tableIndex(pc, ghr_used);
         if (taken)
-            table[idx].increment();
+            satIncrement(table[idx], ctrMax);
         else
-            table[idx].decrement();
+            satDecrement(table[idx]);
         return;
     }
     if (isIndirectJump(inst.op) && !isReturn(inst)) {

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/sat_counter.hh"
 #include "isa/decode.hh"
 #include "isa/instr.hh"
 
@@ -98,7 +97,9 @@ class BranchPredUnit
 
   private:
     BpredParams params;
-    std::vector<SatCounter> table;
+    /** Two-bit direction counters, a byte each. */
+    static constexpr unsigned ctrMax = 3;
+    std::vector<uint8_t> table;
     uint32_t ghr;
 
     struct BtbEntry

@@ -73,18 +73,20 @@ class EventWheel
         ++n;
     }
 
-    /** Append every event due at @p now to @p out and remove it from
-     *  the wheel. Caller sorts/validates as needed. */
+    /** Hand every event due at @p now over to @p out, replacing its
+     *  contents, and remove it from the wheel. The bucket is handed
+     *  over by swap, not copied event by event: @p out takes the
+     *  bucket's storage and the bucket keeps @p out's, emptied.
+     *  Caller sorts/validates as needed. */
     void
     popDue(uint64_t now, std::vector<WheelEvent> &out)
     {
         std::vector<WheelEvent> &b = buckets[bucket(now)];
-        for (const WheelEvent &ev : b) {
+        out.clear();
+        out.swap(b);
+        for (const WheelEvent &ev : out)
             VPIR_ASSERT(ev.at == now, "wheel event popped off its cycle");
-            out.push_back(ev);
-        }
-        n -= b.size();
-        b.clear();
+        n -= out.size();
     }
 
     /** Due cycle of the earliest pending event, or UINT64_MAX when

@@ -1,71 +1,56 @@
 /**
  * @file
- * Saturating counter, the workhorse of confidence estimation and
+ * Saturating counters, the workhorse of confidence estimation and
  * two-bit branch direction prediction.
+ *
+ * A table stores its counters as bare counts (a byte per gshare
+ * counter, a 16-bit confidence per VPT entry) and keeps the maximum
+ * once for the whole table; these helpers are the one saturating step
+ * both apply.
  */
 
 #ifndef VPIR_COMMON_SAT_COUNTER_HH
 #define VPIR_COMMON_SAT_COUNTER_HH
-
-#include <cstdint>
 
 #include "common/logging.hh"
 
 namespace vpir
 {
 
-/** An n-bit saturating up/down counter. */
-class SatCounter
+/** Maximum of a @p bits wide counter; panics unless @p bits is
+ *  1..15. */
+inline unsigned
+satMax(unsigned bits)
 {
-  public:
-    /**
-     * @param bits Counter width in bits (1..15).
-     * @param initial Initial count.
-     */
-    explicit SatCounter(unsigned bits = 2, unsigned initial = 0)
-        : maxVal((1u << bits) - 1), count(initial)
-    {
-        VPIR_ASSERT(bits >= 1 && bits <= 15, "bad counter width");
-        VPIR_ASSERT(initial <= maxVal, "initial exceeds saturation");
-    }
+    VPIR_ASSERT(bits >= 1 && bits <= 15, "bad counter width");
+    return (1u << bits) - 1;
+}
 
-    /** Increment, saturating at max. */
-    void
-    increment()
-    {
-        if (count < maxVal)
-            ++count;
-    }
+/** Increment @p count, saturating at @p max. */
+template <typename Count>
+void
+satIncrement(Count &count, unsigned max)
+{
+    if (count < max)
+        ++count;
+}
 
-    /** Decrement, saturating at zero. */
-    void
-    decrement()
-    {
-        if (count > 0)
-            --count;
-    }
+/** Decrement @p count, saturating at zero. */
+template <typename Count>
+void
+satDecrement(Count &count)
+{
+    if (count > 0)
+        --count;
+}
 
-    /** Reset to a given value. */
-    void
-    reset(unsigned value = 0)
-    {
-        VPIR_ASSERT(value <= maxVal, "reset exceeds saturation");
-        count = static_cast<uint16_t>(value);
-    }
-
-    unsigned value() const { return count; }
-    unsigned max() const { return maxVal; }
-
-    /** True when the count is in the upper half (e.g. taken for 2-bit). */
-    bool isSet() const { return count > maxVal / 2; }
-
-    /** True when the count is at or above the given threshold. */
-    bool atLeast(unsigned threshold) const { return count >= threshold; }
-
-  private:
-    uint16_t maxVal;
-    uint16_t count;
-};
+/** True when @p count is in the upper half of [0, @p max] (taken, for
+ *  a two-bit direction counter). */
+inline bool
+satUpperHalf(unsigned count, unsigned max)
+{
+    return count > max / 2;
+}
 
 } // namespace vpir
 

@@ -12,6 +12,11 @@
  * its least recently touched way, the lowest way on ties: empty ways
  * fill first, lowest first. The owning table decides how an address
  * maps to a set and what a match is; nothing else.
+ *
+ * The ways live in zero-page storage (common/zero_pages.hh): building
+ * a table writes nothing, and a run faults in only the pages of the
+ * sets it touches. So a fresh entry, like the fresh stamp, must be
+ * all-zero bytes.
  */
 
 #ifndef VPIR_COMMON_SET_ASSOC_HH
@@ -19,10 +24,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "common/bitutils.hh"
 #include "common/logging.hh"
+#include "common/zero_pages.hh"
 
 namespace vpir
 {
@@ -41,9 +46,7 @@ class SetAssoc
         VPIR_ASSERT(isPowerOf2(entries / ways),
                     "set count not a power of two");
         bits = floorLog2(nSets);
-        // Copy one fresh way into every slot: default-constructing
-        // each way takes a 16K-entry VPT twice as long.
-        slots.assign(entries, Way{});
+        slots.resize(entries);
     }
 
     uint32_t sets() const { return nSets; }
@@ -129,7 +132,7 @@ class SetAssoc
         uint64_t stamp = 0; //!< clock at last touch; 0 = never touched
     };
 
-    std::vector<Way> slots;
+    ZeroPageVector<Way> slots;
     uint32_t nSets;
     unsigned nWays;
     unsigned bits;

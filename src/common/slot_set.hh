@@ -7,6 +7,8 @@
  * every cycle. SlotSet packs membership into machine words: test,
  * insert, and erase are one masked word op, and iteration walks set
  * bits with ctz so an almost-empty set costs almost nothing.
+ * Iteration reads membership live, so a walk's visitor may change the
+ * set as it goes.
  */
 
 #ifndef VPIR_COMMON_SLOT_SET_HH
@@ -90,17 +92,17 @@ class SlotSet
 
     /** Visit members in ring order: ascending from @p start, wrapping
      *  at capacity. With ROB slots this is program order when @p start
-     *  is the ROB head. The core walks its sets this way several
-     *  times a cycle, mostly nearly empty, so the walk returns as soon
-     *  as it has seen every member. */
+     *  is the ROB head. Membership is read live: @p f may insert and
+     *  erase members, and the walk visits a member inserted ahead of
+     *  it (in ring order), but not one inserted behind it or erased
+     *  ahead of it. The core walks its sets this way several times a
+     *  cycle, mostly nearly empty, so the walk returns as soon as the
+     *  set is empty. */
     template <typename F>
     void
     forEachFrom(size_t start, F f) const
     {
         VPIR_ASSERT(start <= cap, "ring start beyond capacity");
-        size_t left = n;
-        if (left == 0)
-            return;
         if (start == cap)
             start = 0;
         // Word w0 is visited twice: its bits from start on first, its
@@ -108,19 +110,15 @@ class SlotSet
         const size_t nw = words.size();
         const size_t w0 = start / 64;
         const uint64_t below = (uint64_t{1} << (start % 64)) - 1;
-        for (size_t k = 0; k <= nw; ++k) {
+        for (size_t k = 0; k <= nw && n != 0; ++k) {
             size_t wi = w0 + k < nw ? w0 + k : w0 + k - nw;
-            uint64_t w = words[wi];
-            if (k == 0)
-                w &= ~below;
-            else if (k == nw)
-                w &= below;
-            while (w) {
-                if (!f(static_cast<int>(wi * 64) + __builtin_ctzll(w)))
+            // Bits of this word still ahead of the walk.
+            uint64_t ahead = k == 0 ? ~below : k == nw ? below : ~uint64_t{0};
+            for (uint64_t w; (w = words[wi] & ahead) != 0;) {
+                unsigned b = static_cast<unsigned>(__builtin_ctzll(w));
+                ahead &= ~((uint64_t{2} << b) - 1); // 2 << 63 wraps to 0
+                if (!f(static_cast<int>(wi * 64 + b)))
                     return;
-                if (--left == 0)
-                    return;
-                w &= w - 1;
             }
         }
     }

@@ -64,7 +64,6 @@ Core::Core(const CoreParams &p, const Program &program,
     finalCand.reset(p.robEntries);
     waiters.nodes.assign(2 * p.robEntries, OpWaiter{});
     finWaiters.nodes.assign(2 * p.robEntries, OpWaiter{});
-    schedScratch.reserve(p.robEntries);
     dueScratch.reserve(p.robEntries);
 
     // Start state: the shared post-warmup snapshot when given, else a
@@ -686,19 +685,6 @@ Core::schedOnDispatch(int slot)
         readySet.insert(slot);
 }
 
-void
-Core::collectInOrder(const SlotSet &s, std::vector<int> &out) const
-{
-    // ROB slots are allocated in ring order, so walking the bitmask
-    // from the head (with wraparound) yields program order directly —
-    // no sort.
-    out.clear();
-    s.forEachFrom(static_cast<size_t>(robHead), [&](int slot) {
-        out.push_back(slot);
-        return true;
-    });
-}
-
 // -------------------------------------------------------------- issue
 
 bool
@@ -828,14 +814,15 @@ void
 Core::issueStage()
 {
     unsigned issued = 0;
-    // Only ready-set members, in program order.
-    collectInOrder(readySet, schedScratch);
-    for (int slot : schedScratch) {
+    // Only ready-set members, in program order: ROB slots are
+    // allocated in ring order, so the walk from the head is program
+    // order. Issue only erases the member it visits.
+    readySet.forEachFrom(static_cast<size_t>(robHead), [&](int slot) {
         RobEntry &e = at(slot);
         if (!e.valid || !e.needsExec || e.inFlight || e.finalized)
-            continue;
+            return true;
         if (curCycle <= e.dispatchCycle)
-            continue; // earliest issue is the cycle after dispatch
+            return true; // earliest issue is the cycle after dispatch
 
         // Does this entry currently want to execute?
         bool wants = false;
@@ -856,7 +843,7 @@ Core::issueStage()
             // Waiter links guarantee a wake when the missing operand
             // publishes, so the entry can leave the ready set.
             readySet.erase(slot);
-            continue;
+            return true;
         }
 
         if (!e.executedOnce) {
@@ -875,7 +862,7 @@ Core::issueStage()
                 // this evaluation, and the persistent waiter links
                 // re-wake the entry then — so stop polling it.
                 readySet.erase(slot);
-                continue;
+                return true;
             }
             if (params.reexec == ReexecPolicy::Multiple || addr_stale) {
                 wants = true; // ME: re-execute on any new value
@@ -892,7 +879,7 @@ Core::issueStage()
                     // elapse with no publication — keep polling (the
                     // operand view notes the finalize cycle as an
                     // idle-skip bound).
-                    continue;
+                    return true;
                 }
             }
         }
@@ -907,7 +894,7 @@ Core::issueStage()
             // A load whose address is known only speculatively still
             // needs every older store address known (Table 1).
             if (!loadMayAccess(slot, fwd, dep))
-                continue;
+                return true;
             needs_port = !fwd;
         }
 
@@ -917,24 +904,25 @@ Core::issueStage()
         cycleHadWork = true;
         if (issued >= params.issueWidth) {
             ++st.resourceDenied;
-            continue;
+            return true;
         }
         bool skip_agen_fu = is_ld && e.addrReused;
         FuType fu = skip_agen_fu ? FuType::None : e.si->di.fu;
         if (!fus.available(fu, curCycle)) {
             ++st.resourceDenied;
-            continue;
+            return true;
         }
         if (needs_port && dcachePortsUsed >= params.dcachePorts) {
             ++st.resourceDenied;
-            continue;
+            return true;
         }
         fus.acquire(fu, curCycle, e.si->di.issueLat);
         if (needs_port)
             ++dcachePortsUsed;
         issueEntry(slot, v[0], v[1]);
         ++issued;
-    }
+        return true;
+    });
 }
 
 // -------------------------------------------------- completion/verify
@@ -1009,10 +997,10 @@ Core::processCompletions()
     // behind, so each is validated against live ROB state; completion
     // order must be program order (RB insertion and store-invalidation
     // are order-sensitive), so sort by seq.
-    dueScratch.clear();
     wheel.popDue(curCycle, dueScratch);
-    schedScratch.clear();
-    for (const WheelEvent &ev : dueScratch) {
+    size_t live = 0;
+    for (size_t i = 0; i < dueScratch.size(); ++i) {
+        const WheelEvent &ev = dueScratch[i];
         const RobEntry &e = at(ev.slot);
         if (ev.kind == WheelEvent::Kind::Refinal) {
             // A parked finalize candidate's recheck came due (its
@@ -1027,35 +1015,36 @@ Core::processCompletions()
         }
         if (e.valid && e.seq == ev.seq && e.inFlight &&
             e.completeAt <= curCycle) {
-            schedScratch.push_back(ev.slot);
+            dueScratch[live++] = ev;
         }
     }
-    std::sort(schedScratch.begin(), schedScratch.end(),
-              [this](int a, int b) { return at(a).seq < at(b).seq; });
-    for (int slot : schedScratch)
-        completeEntry(slot);
+    dueScratch.resize(live);
+    std::sort(dueScratch.begin(), dueScratch.end(),
+              [](const WheelEvent &a, const WheelEvent &b) {
+                  return a.seq < b.seq;
+              });
+    for (const WheelEvent &ev : dueScratch)
+        completeEntry(ev.slot);
 }
 
 void
 Core::finalizeScan()
 {
-    // Walks only the finalize-candidate set, as a mutable worklist:
+    // Walks only the finalize-candidate set, live, in program order:
     // an entry that fails because an operand is not yet final *parks*
     // — on the producer's finalize-waiter list when the producer has
     // not finalized, or on a timed wheel recheck when only its
     // verification delay is pending — instead of being re-polled
     // every cycle. A producer finalizing mid-pass wakes its parked
-    // consumers and splices them back into the worklist in program
-    // order, so chains of same-cycle finalizations resolve in one
-    // pass, oldest first.
-    collectInOrder(finalCand, schedScratch);
-    for (size_t i = 0; i < schedScratch.size(); ++i) {
-        int slot = schedScratch[i];
+    // consumers back into the set; they are younger, so ahead of the
+    // walk, which reaches them in program order: chains of same-cycle
+    // finalizations resolve in one pass, oldest first.
+    finalCand.forEachFrom(static_cast<size_t>(robHead), [&](int slot) {
         RobEntry &e = at(slot);
         if (!e.valid || e.finalized || e.inFlight)
-            continue;
+            return true;
         if (!e.needsExec || !e.executedOnce)
-            continue;
+            return true;
 
         bool ops_final = true;
         for (int k = 0; k < 2; ++k) {
@@ -1084,7 +1073,7 @@ Core::finalizeScan()
             break;
         }
         if (!ops_final)
-            continue;
+            return true;
 
         // The last execution must have consumed the final (oracle)
         // operand values; otherwise a re-execution is still due: the
@@ -1093,7 +1082,7 @@ Core::finalizeScan()
         if (e.usedVals[0] != e.oracleSrc[0] ||
             e.usedVals[1] != e.oracleSrc[1]) {
             finalCand.erase(slot);
-            continue;
+            return true;
         }
 
         // A load whose last access used a mispredicted address read
@@ -1102,7 +1091,7 @@ Core::finalizeScan()
         // addr-stale re-issue instead of finalizing wrong data.
         if (e.si->isLd && e.curMemAddr != e.oracleAddr) {
             finalCand.erase(slot);
-            continue;
+            return true;
         }
 
         e.finalized = true;
@@ -1121,30 +1110,21 @@ Core::finalizeScan()
 
         // Wake parked consumers. With a verification delay the value
         // is final only at finalizeAt: recheck then (timed event);
-        // otherwise recheck this pass, in program order (consumers
-        // are younger, so the splice point is always after i).
+        // otherwise recheck this pass: the walk reaches them.
         int id = e.finWaiterHead;
         while (id >= 0) {
             int next = finWaiters[id].next;
             int cslot = id / 2;
             unlinkWaiter(finWaiters, cslot, id % 2);
             const RobEntry &c = at(cslot);
-            if (e.finalizeAt > curCycle) {
+            if (e.finalizeAt > curCycle)
                 scheduleRefinal(cslot, e.finalizeAt);
-            } else if (!c.inFlight && !c.finalized &&
-                       !finalCand.test(cslot)) {
+            else if (!c.inFlight && !c.finalized)
                 finalCand.insert(cslot);
-                auto it = std::upper_bound(
-                    schedScratch.begin() +
-                        static_cast<std::ptrdiff_t>(i) + 1,
-                    schedScratch.end(), cslot, [this](int a, int b) {
-                        return at(a).seq < at(b).seq;
-                    });
-                schedScratch.insert(it, cslot);
-            }
             id = next;
         }
-    }
+        return true;
+    });
 }
 
 // ---------------------------------------------------------- resolution
@@ -1170,14 +1150,12 @@ Core::doResolve(int slot, Addr computed_next, bool is_final)
 void
 Core::resolveControl()
 {
-    // The unresolved-control set, oldest-first; a squash removes all
-    // younger entries, so restart scanning is unnecessary (the
-    // validity guard sees them gone).
-    collectInOrder(ctrlSet, schedScratch);
-    for (int slot : schedScratch) {
+    // The unresolved-control set, oldest-first; a squash erases only
+    // younger members, which the live walk then never reaches.
+    ctrlSet.forEachFrom(static_cast<size_t>(robHead), [&](int slot) {
         const RobEntry &e = at(slot);
         if (!e.valid || !e.si->resolvable)
-            continue;
+            return true;
         RobCold &c = coldAt(slot);
         bool nsb = vptResult &&
                    params.branchRes == BranchResolution::NonSpeculative;
@@ -1195,7 +1173,8 @@ Core::resolveControl()
             bool fin = e.finalized && e.finalizeAt <= curCycle;
             doResolve(slot, c.curNextPC, fin);
         }
-    }
+        return true;
+    });
 }
 
 // -------------------------------------------------------------- squash

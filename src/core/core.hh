@@ -316,8 +316,6 @@ class Core
     /** Mark @p slot resolved for the fetch-side branch cap, keeping
      *  the unresolved-control counter in step. */
     void noteResolvedForFetch(int slot);
-    /** Members of @p s in program (sequence) order, into @p out. */
-    void collectInOrder(const SlotSet &s, std::vector<int> &out) const;
     /** Record a cycle at which a time gate opens (idle-skip bound). */
     void
     noteWake(uint64_t at) const
@@ -428,8 +426,8 @@ class Core
     mutable uint64_t schedWake = UINT64_MAX;
     /** Any state mutation this cycle? Idle skipping requires none. */
     bool cycleHadWork = false;
-    /** Scratch for candidate collection (no per-cycle allocation). */
-    std::vector<int> schedScratch;
+    /** The wheel's due events of the current cycle (no per-cycle
+     *  allocation). */
     std::vector<WheelEvent> dueScratch;
     SchedProfile prof;
 

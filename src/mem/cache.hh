@@ -55,6 +55,9 @@ class Cache
         return (a >> lineBits) == (b >> lineBits);
     }
 
+    /** The line storage (test hook: residency checks). */
+    const auto &storage() const { return lines; }
+
   private:
     struct Line
     {

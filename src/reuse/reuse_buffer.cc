@@ -21,14 +21,13 @@ wordsSpanned(Addr addr, unsigned size)
 
 ReuseBuffer::ReuseBuffer(const RbParams &p) : table(p.entries, p.ways)
 {
-    wordNodes.assign(static_cast<size_t>(p.entries) * maxLoadWords,
-                     WordNode());
+    wordNodes.resize(1 + static_cast<size_t>(p.entries) * maxLoadWords);
     // About one bucket per entry; at least two, so the hash shift
     // stays below 32.
     bucketBits = 1;
     while ((1u << bucketBits) < p.entries)
         ++bucketBits;
-    buckets.assign(size_t{1} << bucketBits, -1);
+    buckets.resize(size_t{1} << bucketBits);
 }
 
 uint32_t
@@ -39,33 +38,33 @@ ReuseBuffer::bucketOf(Addr word) const
 }
 
 void
-ReuseBuffer::linkWord(int node, Addr word)
+ReuseBuffer::linkWord(uint32_t node, Addr word)
 {
     WordNode &n = wordNodes[node];
-    int &head = buckets[bucketOf(word)];
+    uint32_t &head = buckets[bucketOf(word)];
     n.word = word;
-    n.prev = -1;
+    n.prev = 0;
     n.next = head;
-    if (head >= 0)
+    if (head)
         wordNodes[head].prev = node;
     head = node;
 }
 
 void
-ReuseBuffer::unlinkWord(int node)
+ReuseBuffer::unlinkWord(uint32_t node)
 {
     WordNode &n = wordNodes[node];
-    int &head = buckets[bucketOf(n.word)];
-    VPIR_ASSERT(n.prev >= 0 || head == node,
+    uint32_t &head = buckets[bucketOf(n.word)];
+    VPIR_ASSERT(n.prev || head == node,
                 "unlinking an unregistered load word");
-    if (n.prev >= 0)
+    if (n.prev)
         wordNodes[n.prev].next = n.next;
     else
         head = n.next;
-    if (n.next >= 0)
+    if (n.next)
         wordNodes[n.next].prev = n.prev;
-    n.prev = -1;
-    n.next = -1;
+    n.prev = 0;
+    n.next = 0;
 }
 
 bool
@@ -82,9 +81,10 @@ ReuseBuffer::operandOk(const Operand &op, const RbOperandQuery &q) const
     // Operand not available at decode: only a dependence-pointer chain
     // to an entry the in-flight producer was reused from can rescue it
     // (S_{n+d}'s same-cycle chain collapse).
-    if (q.producerReuse.valid() && op.src.valid() &&
-        q.producerReuse.idx == op.src.idx &&
-        q.producerReuse.serial == op.src.serial) {
+    const RbRef src = op.src();
+    if (q.producerReuse.valid() && src.valid() &&
+        q.producerReuse.idx == src.idx &&
+        q.producerReuse.serial == src.serial) {
         // Exact link match implies the producer delivers exactly the
         // operand value this entry was computed with.
         return q.value == op.value;
@@ -167,8 +167,7 @@ ReuseBuffer::registerLoad(int idx)
     VPIR_ASSERT(n <= maxLoadWords, "load spans more words than its nodes");
     Addr a = e.memAddr & ~3u;
     for (unsigned k = 0; k < n; ++k, a += 4)
-        linkWord(idx * static_cast<int>(maxLoadWords) + static_cast<int>(k),
-                 a);
+        linkWord(nodeId(idx, k), a);
 }
 
 void
@@ -177,8 +176,7 @@ ReuseBuffer::unregisterLoad(int idx)
     const Entry &e = table[idx];
     unsigned n = wordsSpanned(e.memAddr, e.memSz);
     for (unsigned k = 0; k < n; ++k)
-        unlinkWord(idx * static_cast<int>(maxLoadWords) +
-                   static_cast<int>(k));
+        unlinkWord(nodeId(idx, k));
 }
 
 RbRef
@@ -217,7 +215,7 @@ ReuseBuffer::insert(const RbInsertInfo &info)
     for (int k = 0; k < 2; ++k) {
         e.ops[k].reg = info.srcReg[k];
         e.ops[k].value = info.srcVal[k];
-        e.ops[k].src = RbRef{};
+        e.ops[k].setSrc(RbRef{});
     }
     e.result = info.result;
     e.result2 = info.result2;
@@ -246,7 +244,7 @@ ReuseBuffer::linkSources(const RbRef &ref, const RbRef src_links[2])
     if (e.serial != ref.serial)
         return;
     for (int k = 0; k < 2; ++k)
-        e.ops[k].src = src_links[k];
+        e.ops[k].setSrc(src_links[k]);
 }
 
 void
@@ -255,10 +253,10 @@ ReuseBuffer::storeInvalidate(Addr addr, unsigned size)
     unsigned n = wordsSpanned(addr, size);
     Addr a = addr & ~3u;
     for (unsigned k = 0; k < n; ++k, a += 4) {
-        for (int id = buckets[bucketOf(a)]; id >= 0;
+        for (uint32_t id = buckets[bucketOf(a)]; id;
              id = wordNodes[id].next) {
             if (wordNodes[id].word == a)
-                table[id / maxLoadWords].memValid = false;
+                table[entryOfNode(id)].memValid = false;
         }
     }
 }
@@ -280,8 +278,8 @@ ReuseBuffer::audit() const
     // only nodes whose word hashes to it. The walks below rely on it.
     size_t total_regs = 0;
     for (size_t b = 0; b < buckets.size(); ++b) {
-        int prev = -1;
-        for (int id = buckets[b]; id >= 0; id = wordNodes[id].next) {
+        uint32_t prev = 0;
+        for (uint32_t id = buckets[b]; id; id = wordNodes[id].next) {
             if (++total_regs > wordNodes.size())
                 return "RB load index list is cyclic";
             const WordNode &n = wordNodes[id];
@@ -316,10 +314,9 @@ ReuseBuffer::audit() const
             for (unsigned k = 0; k < n; ++k, a += 4) {
                 ++expect_regs;
                 unsigned hits = 0;
-                for (int id = buckets[bucketOf(a)]; id >= 0;
+                for (uint32_t id = buckets[bucketOf(a)]; id;
                      id = wordNodes[id].next) {
-                    if (wordNodes[id].word == a &&
-                        static_cast<size_t>(id) / maxLoadWords == i)
+                    if (wordNodes[id].word == a && entryOfNode(id) == i)
                         ++hits;
                 }
                 if (hits != 1) {

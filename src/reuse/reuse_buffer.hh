@@ -23,9 +23,9 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/set_assoc.hh"
+#include "common/zero_pages.hh"
 #include "isa/decode.hh"
 #include "isa/instr.hh"
 
@@ -143,39 +143,64 @@ class ReuseBuffer
      */
     std::string audit() const;
 
+    /** The entry storage and the load index's node pool and bucket
+     *  heads (test hooks: residency checks). */
+    const auto &storage() const { return table; }
+    const auto &loadIndexNodes() const { return wordNodes; }
+    const auto &loadIndexBuckets() const { return buckets; }
+
   private:
     struct Operand
     {
-        RegId reg = REG_INVALID;
         uint64_t value = 0;
-        RbRef src;       //!< dependence pointer (S_{n+d}'s 'd')
+        /** Dependence pointer (S_{n+d}'s 'd'): the RbRef's serial,
+         *  and its idx + 1, so 0 is no link. */
+        uint64_t srcSerial = 0;
+        uint32_t srcIdx1 = 0;
+        RegId reg = 0; //!< REG_INVALID: no operand in this slot
+
+        RbRef
+        src() const
+        {
+            return RbRef{static_cast<int>(srcIdx1) - 1, srcSerial};
+        }
+        void
+        setSrc(const RbRef &r)
+        {
+            srcIdx1 = static_cast<uint32_t>(r.idx + 1);
+            srcSerial = r.serial;
+        }
     };
 
+    /** Zero-fresh (common/zero_pages.hh): insert() writes every field
+     *  before any read, and every read is gated on `valid`. Fields
+     *  are ordered by size to pack the entry. */
     struct Entry
     {
-        bool valid = false;
-        Addr pc = 0;
-        Op op = Op::NOP;
-        Operand ops[2];
         uint64_t result = 0;
         uint64_t result2 = 0;
-        bool taken = false;
+        uint64_t memValue = 0;
+        uint64_t serial = 0;
+        Operand ops[2];
+        Addr pc = 0;
         Addr nextPC = 0;
         Addr memAddr = 0;
-        uint64_t memValue = 0;
+        unsigned memSz = 0;        //!< cached memSize(op), 0 if not mem
+        Op op = Op::NOP;
+        bool valid = false;
+        bool taken = false;
         bool memValid = false;     //!< loads: result not killed by store
         bool fromSquashed = false; //!< inserted by squashed instruction
         bool isLd = false;         //!< cached isLoad(op)
-        unsigned memSz = 0;        //!< cached memSize(op), 0 if not mem
-        uint64_t serial = 0;
     };
 
-    /** One word of a load entry's registration in the load index. */
+    /** One word of a load entry's registration in the load index.
+     *  Node ids start at 1, so 0, the fresh value, is none. */
     struct WordNode
     {
         Addr word = 0;
-        int prev = -1; //!< node ids in the bucket's list, -1 = none
-        int next = -1;
+        uint32_t prev = 0; //!< node ids in the bucket's list, 0 = none
+        uint32_t next = 0;
     };
     /** An 8-byte load at a misaligned address covers three words. */
     static constexpr unsigned maxLoadWords = 3;
@@ -184,8 +209,16 @@ class ReuseBuffer
     void unregisterLoad(int idx);
     void registerLoad(int idx);
     uint32_t bucketOf(Addr word) const;
-    void linkWord(int node, Addr word);
-    void unlinkWord(int node);
+    /** Id of node @p k of entry @p idx. */
+    static uint32_t
+    nodeId(int idx, unsigned k)
+    {
+        return 1 + static_cast<uint32_t>(idx) * maxLoadWords + k;
+    }
+    /** Entry index of node @p id. */
+    static size_t entryOfNode(uint32_t id) { return (id - 1) / maxLoadWords; }
+    void linkWord(uint32_t node, Addr word);
+    void unlinkWord(uint32_t node);
 
     SetAssoc<Entry> table; //!< an RbRef's idx is the flat index
     uint64_t nextSerial = 1;
@@ -195,11 +228,12 @@ class ReuseBuffer
     RbRef regLink[NUM_ARCH_REGS];
 
     /** Load index, word address -> load entries covering it, as
-     *  intrusive lists over a fixed node pool: node k of entry i is
-     *  wordNodes[i * maxLoadWords + k], linked into the bucket of
-     *  the k-th word entry i covers while it is a valid load. */
-    std::vector<WordNode> wordNodes;
-    std::vector<int> buckets; //!< list heads by word hash, -1 = empty
+     *  intrusive lists over a fixed node pool: node k of entry i has
+     *  id nodeId(i, k), is wordNodes[id], and is linked into the
+     *  bucket of the k-th word entry i covers while it is a valid
+     *  load. wordNodes[0] is never linked. */
+    ZeroPageVector<WordNode> wordNodes;
+    ZeroPageVector<uint32_t> buckets; //!< list heads by word hash, 0 = empty
     unsigned bucketBits;
 };
 

@@ -1,5 +1,7 @@
 #include "vp/vpt.hh"
 
+#include "common/sat_counter.hh"
+
 namespace vpir
 {
 
@@ -15,7 +17,12 @@ holding(Addr pc)
 
 } // anonymous namespace
 
-Vpt::Vpt(const VptParams &p) : params(p), table(p.entries, p.ways) {}
+Vpt::Vpt(const VptParams &p)
+    : params(p), maxConf(satMax(p.confidenceBits)), table(p.entries, p.ways)
+{
+    VPIR_ASSERT(p.confidenceThreshold <= maxConf,
+                "VPT confidence threshold above the counter's maximum");
+}
 
 Vpt::Entry *
 Vpt::findValue(uint32_t set, Addr pc, uint64_t value)
@@ -35,7 +42,7 @@ Vpt::insert(uint32_t set, Addr pc, uint64_t value)
     // New instances start unconfident: they must be observed again
     // before they are used for prediction. This is what keeps
     // VP_Magic's misprediction rate low on rotating value sequences.
-    e.conf.reset(0);
+    e.conf = 0;
     table.touch(e);
 }
 
@@ -49,7 +56,7 @@ Vpt::predict(Addr pc, uint64_t oracle)
         // At most one instance per pc by construction of update().
         if (Entry *e = table.find(set, holding(pc))) {
             table.touch(*e);
-            if (e->conf.atLeast(params.confidenceThreshold)) {
+            if (e->conf >= params.confidenceThreshold) {
                 r.valid = true;
                 r.value = e->value;
             }
@@ -66,7 +73,7 @@ Vpt::predict(Addr pc, uint64_t oracle)
         Entry &e = table.way(set, w);
         if (!e.valid || e.pc != pc)
             continue;
-        if (e.value == oracle && e.conf.atLeast(1)) {
+        if (e.value == oracle && e.conf >= 1) {
             table.touch(e);
             r.valid = true;
             r.value = e.value;
@@ -75,9 +82,9 @@ Vpt::predict(Addr pc, uint64_t oracle)
         // The fallback fires only when the correct value is absent,
         // so gate it on full (saturated) confidence to keep VP_Magic's
         // misprediction rates in the paper's 0.2-3.3% band.
-        if (!e.conf.atLeast(e.conf.max()))
+        if (e.conf < maxConf)
             continue;
-        if (!best || e.conf.value() > best->conf.value())
+        if (!best || e.conf > best->conf)
             best = &e;
     }
     if (best) {
@@ -94,9 +101,9 @@ Vpt::update(Addr pc, uint64_t actual, const VptPrediction &made)
     if (params.scheme == VpScheme::Lvp) {
         if (Entry *e = table.find(set, holding(pc))) {
             if (e->value == actual) {
-                e->conf.increment();
+                satIncrement(e->conf, maxConf);
             } else {
-                e->conf.decrement();
+                satDecrement(e->conf);
                 e->value = actual; // last value semantics
             }
             table.touch(*e);
@@ -111,10 +118,10 @@ Vpt::update(Addr pc, uint64_t actual, const VptPrediction &made)
     // so stale values stop being offered.
     if (made.valid && made.value != actual) {
         if (Entry *e = findValue(set, pc, made.value))
-            e->conf.reset(0);
+            e->conf = 0;
     }
     if (Entry *e = findValue(set, pc, actual)) {
-        e->conf.increment();
+        satIncrement(e->conf, maxConf);
         table.touch(*e);
     } else {
         insert(set, pc, actual);
@@ -132,7 +139,7 @@ Vpt::audit() const
             return "VPT entry for pc " + std::to_string(e.pc) +
                    " outside its PC's set";
         }
-        if (e.conf.value() > e.conf.max()) {
+        if (e.conf > maxConf) {
             return "VPT entry for pc " + std::to_string(e.pc) +
                    " confidence above saturation";
         }

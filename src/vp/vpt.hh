@@ -4,8 +4,8 @@
  *
  * The table is 16K entries, 4-way set associative with LRU, so up to
  * four value instances can be stored per static instruction. Each
- * entry carries a 2-bit confidence counter. Two selection schemes are
- * provided:
+ * entry carries a saturating confidence count, confidenceBits wide
+ * (2 bits at Table 1). Two selection schemes are provided:
  *
  *  - VP_Magic: the paper's comparable-to-IR scheme. Among the stored
  *    instances, if the *correct* result is present it is selected
@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <string>
 
-#include "common/sat_counter.hh"
 #include "common/set_assoc.hh"
 #include "isa/instr.hh"
 
@@ -46,8 +45,8 @@ struct VptParams
     unsigned entries = 16 * 1024;
     unsigned ways = 4;
     VpScheme scheme = VpScheme::Magic;
-    unsigned confidenceBits = 2;
-    unsigned confidenceThreshold = 2;
+    unsigned confidenceBits = 2;      //!< counter width, 1-15 bits
+    unsigned confidenceThreshold = 2; //!< LVP's use threshold, <= max
 };
 
 /** A prediction returned by the table. */
@@ -61,6 +60,8 @@ struct VptPrediction
 class Vpt
 {
   public:
+    /** Panics unless confidenceBits is 1-15 and confidenceThreshold
+     *  at most the counter's maximum. */
     explicit Vpt(const VptParams &params = VptParams());
 
     /**
@@ -85,19 +86,24 @@ class Vpt
      *  within the counter's range. @return "" when clean. */
     std::string audit() const;
 
+    /** The entry storage (test hook: residency checks). */
+    const auto &storage() const { return table; }
+
   private:
+    /** Zero-fresh (common/zero_pages.hh), packed into 16 bytes. */
     struct Entry
     {
-        bool valid = false;
-        Addr pc = 0;
-        SatCounter conf{2, 0};
         uint64_t value = 0;
+        Addr pc = 0;
+        uint16_t conf = 0; //!< saturating confidence, 0..maxConf
+        bool valid = false;
     };
 
     Entry *findValue(uint32_t set, Addr pc, uint64_t value);
     void insert(uint32_t set, Addr pc, uint64_t value);
 
     VptParams params;
+    unsigned maxConf; //!< saturation of a confidenceBits-wide count
     SetAssoc<Entry> table;
 };
 

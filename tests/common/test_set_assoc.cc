@@ -18,10 +18,27 @@ using namespace vpir;
 namespace
 {
 
+/** A line number stored as line + 1: a fresh entry is all-zero
+ *  bytes, as zero-page storage requires, and reads as line -1. */
+class LineNo
+{
+  public:
+    LineNo &
+    operator=(int64_t line)
+    {
+        plus1 = line + 1;
+        return *this;
+    }
+    operator int64_t() const { return plus1 - 1; }
+
+  private:
+    int64_t plus1 = 0;
+};
+
 struct Line
 {
     bool valid = false;
-    int64_t line = -1;
+    LineNo line;
 };
 
 /** Property: one 8-way set keeps exactly the lines a per-way stamp

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/logging.hh"
 #include "vp/vpt.hh"
 
 using namespace vpir;
@@ -200,4 +201,41 @@ TEST(VptLvp, EvictsLeastRecentlyUsedPc)
     EXPECT_EQ(v.instancesFor(pc[2]), 0u);
     for (int i : {0, 1, 3, 4})
         EXPECT_EQ(v.instancesFor(pc[i]), 1u) << i;
+}
+
+/** Property: the fallback needs a saturated count, and the count is
+ *  confidenceBits wide: a first observation inserts at 0, so a b-bit
+ *  table needs 2^b observations of a value before it is offered in
+ *  place of an absent oracle value. */
+TEST(VptMagic, ConfidenceBitsSetTheFallbackSaturation)
+{
+    for (unsigned bits : {2u, 3u}) {
+        VptParams p = magicParams();
+        p.confidenceBits = bits;
+        Vpt v(p);
+        const int needed = 1 << bits;
+        for (int n = 1; n <= needed; ++n) {
+            observe(v, 0x1000, 42);
+            EXPECT_EQ(v.predict(0x1000, 43).valid, n == needed)
+                << bits << " bits, " << n << " observations";
+        }
+        EXPECT_EQ(v.audit(), "");
+    }
+}
+
+TEST(Vpt, ConfidenceFieldsAreCheckedAtConstruction)
+{
+    PanicThrowScope scope;
+    VptParams p = magicParams();
+    p.confidenceBits = 0;
+    EXPECT_THROW(Vpt{p}, SimError);
+    p.confidenceBits = 16;
+    EXPECT_THROW(Vpt{p}, SimError);
+    p.confidenceBits = 15;
+    EXPECT_NO_THROW(Vpt{p});
+    p.confidenceBits = 2;
+    p.confidenceThreshold = 4; // the 2-bit maximum is 3
+    EXPECT_THROW(Vpt{p}, SimError);
+    p.confidenceThreshold = 3;
+    EXPECT_NO_THROW(Vpt{p});
 }
