@@ -30,21 +30,13 @@
 namespace vpir
 {
 
-/** One scheduled wakeup: ROB slot plus the sequence number that
+/** One scheduled completion: ROB slot plus the sequence number that
  *  occupied it at schedule time (staleness check on pop). */
 struct WheelEvent
 {
-    /** What the consumer should do when the event fires. */
-    enum class Kind : uint8_t
-    {
-        Complete, //!< an in-flight execution finishes this cycle
-        Refinal,  //!< re-run the finalize check (producer finalizes)
-    };
-
     uint64_t at = 0;
     uint64_t seq = 0;
     int slot = -1;
-    Kind kind = Kind::Complete;
 };
 
 class EventWheel

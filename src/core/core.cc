@@ -19,8 +19,7 @@ namespace
 /** Completion-wheel span for @p p: a power of two longer than the
  *  longest delay the core schedules an event ahead. That is the
  *  slowest operation or a load (AGEN, then a D-cache hit plus a
- *  miss), plus the VP verification delay; a finalize recheck waits
- *  at most the verification delay. */
+ *  miss), plus the VP verification delay. */
 uint64_t
 wheelSpan(const CoreParams &p)
 {
@@ -62,8 +61,7 @@ Core::Core(const CoreParams &p, const Program &program,
     readySet.reset(p.robEntries);
     ctrlSet.reset(p.robEntries);
     finalCand.reset(p.robEntries);
-    waiters.nodes.assign(2 * p.robEntries, OpWaiter{});
-    finWaiters.nodes.assign(2 * p.robEntries, OpWaiter{});
+    waiters.assign(2 * p.robEntries, OpWaiter{});
     dueScratch.reserve(p.robEntries);
 
     // Start state: the shared post-warmup snapshot when given, else a
@@ -556,32 +554,32 @@ Core::dispatchStage()
 // ----------------------------------------- incremental scheduling
 
 void
-Core::linkWaiter(WaitList &list, int cslot, int k, int pslot)
+Core::linkWaiter(int cslot, int k, int pslot)
 {
     int id = cslot * 2 + k;
-    OpWaiter &w = list[id];
+    OpWaiter &w = waiters[id];
     VPIR_ASSERT(w.prodSlot < 0, "re-linking a linked waiter node");
     w.prodSlot = pslot;
     w.prev = -1;
-    w.next = at(pslot).*list.head;
+    w.next = at(pslot).waiterHead;
     if (w.next >= 0)
-        list[w.next].prev = id;
-    at(pslot).*list.head = id;
+        waiters[w.next].prev = id;
+    at(pslot).waiterHead = id;
 }
 
 void
-Core::unlinkWaiter(WaitList &list, int cslot, int k)
+Core::unlinkWaiter(int cslot, int k)
 {
     int id = cslot * 2 + k;
-    OpWaiter &w = list[id];
+    OpWaiter &w = waiters[id];
     if (w.prodSlot < 0)
         return;
     if (w.prev >= 0)
-        list[w.prev].next = w.next;
+        waiters[w.prev].next = w.next;
     else
-        at(w.prodSlot).*list.head = w.next;
+        at(w.prodSlot).waiterHead = w.next;
     if (w.next >= 0)
-        list[w.next].prev = w.prev;
+        waiters[w.next].prev = w.prev;
     w = OpWaiter{};
 }
 
@@ -624,17 +622,6 @@ Core::wakeWaiters(int prodSlot)
 }
 
 void
-Core::scheduleRefinal(int slot, uint64_t at_cycle)
-{
-    WheelEvent ev;
-    ev.at = at_cycle;
-    ev.seq = at(slot).seq;
-    ev.slot = slot;
-    ev.kind = WheelEvent::Kind::Refinal;
-    wheel.schedule(ev, curCycle);
-}
-
-void
 Core::noteResolvedForFetch(int slot)
 {
     RobCold &c = coldAt(slot);
@@ -653,10 +640,8 @@ Core::schedOnDispatch(int slot)
     // Slot reuse: any residue from the previous occupant is a bug in
     // the unlink discipline, but clearing is O(1) and keeps a
     // dangling node from corrupting a live producer's list.
-    for (int k = 0; k < 2; ++k) {
-        unlinkWaiter(waiters, slot, k);
-        unlinkWaiter(finWaiters, slot, k);
-    }
+    unlinkWaiter(slot, 0);
+    unlinkWaiter(slot, 1);
 
     if (e.si->resolvable) {
         ++robUnresolvedCtrl;
@@ -674,7 +659,7 @@ Core::schedOnDispatch(int slot)
         // scan drop quiescent entries from the ready set.
         const RobEntry &p = at(e.srcRob[k].slot);
         bool avail = entryValueAvail(p, e.srcReg[k], curCycle);
-        linkWaiter(waiters, slot, k, e.srcRob[k].slot);
+        linkWaiter(slot, k, e.srcRob[k].slot);
         waiters[slot * 2 + k].availSeen = avail;
         if (!avail)
             ++e.pendingOps;
@@ -1002,17 +987,6 @@ Core::processCompletions()
     for (size_t i = 0; i < dueScratch.size(); ++i) {
         const WheelEvent &ev = dueScratch[i];
         const RobEntry &e = at(ev.slot);
-        if (ev.kind == WheelEvent::Kind::Refinal) {
-            // A parked finalize candidate's recheck came due (its
-            // producer's verification delay elapsed). Re-issued or
-            // squashed incarnations drop the event; completion or the
-            // staleness check re-arms them.
-            if (e.valid && e.seq == ev.seq && !e.inFlight &&
-                !e.finalized && e.needsExec && e.executedOnce) {
-                finalCand.insert(ev.slot);
-            }
-            continue;
-        }
         if (e.valid && e.seq == ev.seq && e.inFlight &&
             e.completeAt <= curCycle) {
             dueScratch[live++] = ev;
@@ -1030,15 +1004,16 @@ Core::processCompletions()
 void
 Core::finalizeScan()
 {
-    // Walks only the finalize-candidate set, live, in program order:
-    // an entry that fails because an operand is not yet final *parks*
-    // — on the producer's finalize-waiter list when the producer has
-    // not finalized, or on a timed wheel recheck when only its
-    // verification delay is pending — instead of being re-polled
-    // every cycle. A producer finalizing mid-pass wakes its parked
-    // consumers back into the set; they are younger, so ahead of the
-    // walk, which reaches them in program order: chains of same-cycle
-    // finalizations resolve in one pass, oldest first.
+    // Walks only the finalize-candidate set, live, in program order.
+    // An entry with an operand not yet final leaves the set while that
+    // operand's producer has not finalized: the producer's
+    // finalization wakes it back through the waiter link the operand
+    // holds. When the producer has finalized and only its
+    // verification delay is pending, the entry stays and is checked
+    // again next cycle (operandView notes the producer's finalizeAt
+    // as the idle-skip bound). Woken consumers are younger, so ahead
+    // of the walk, which reaches them in program order: chains of
+    // same-cycle finalizations resolve in one pass, oldest first.
     finalCand.forEachFrom(static_cast<size_t>(robHead), [&](int slot) {
         RobEntry &e = at(slot);
         if (!e.valid || e.finalized || e.inFlight)
@@ -1046,34 +1021,13 @@ Core::finalizeScan()
         if (!e.needsExec || !e.executedOnce)
             return true;
 
-        bool ops_final = true;
         for (int k = 0; k < 2; ++k) {
-            OperandView v = operandView(slot, k, curCycle);
-            if (v.final)
+            if (operandView(slot, k, curCycle).final)
                 continue;
-            ops_final = false;
-            if (refAlive(e.srcRob[k])) {
-                const RobEntry &p = at(e.srcRob[k].slot);
-                if (!p.finalized) {
-                    // Re-completion can put a still-parked entry back
-                    // into the candidate set; the node is already on
-                    // the right producer's list then.
-                    if (finWaiters[slot * 2 + k].prodSlot < 0)
-                        linkWaiter(finWaiters, slot, k,
-                                   e.srcRob[k].slot);
-                    finalCand.erase(slot);
-                } else if (p.finalizeAt > curCycle) {
-                    scheduleRefinal(slot, p.finalizeAt);
-                    finalCand.erase(slot);
-                }
-                // else: a finalized-now producer publishes before it
-                // finalizes, so a non-final view cannot happen — keep
-                // the entry polling defensively.
-            }
-            break;
-        }
-        if (!ops_final)
+            if (refAlive(e.srcRob[k]) && !at(e.srcRob[k].slot).finalized)
+                finalCand.erase(slot);
             return true;
+        }
 
         // The last execution must have consumed the final (oracle)
         // operand values; otherwise a re-execution is still due: the
@@ -1104,24 +1058,19 @@ Core::finalizeScan()
         finalCand.erase(slot);
         // Finalized entries never re-execute, so the operand links
         // have no wakes left to deliver.
-        unlinkWaiter(waiters, slot, 0);
-        unlinkWaiter(waiters, slot, 1);
+        unlinkWaiter(slot, 0);
+        unlinkWaiter(slot, 1);
         cycleHadWork = true;
 
-        // Wake parked consumers. With a verification delay the value
-        // is final only at finalizeAt: recheck then (timed event);
-        // otherwise recheck this pass: the walk reaches them.
-        int id = e.finWaiterHead;
-        while (id >= 0) {
-            int next = finWaiters[id].next;
-            int cslot = id / 2;
-            unlinkWaiter(finWaiters, cslot, id % 2);
-            const RobEntry &c = at(cslot);
-            if (e.finalizeAt > curCycle)
-                scheduleRefinal(cslot, e.finalizeAt);
-            else if (!c.inFlight && !c.finalized)
-                finalCand.insert(cslot);
-            id = next;
+        // Wake the consumers linked on this entry: each executed one
+        // may now pass its own finalize check, this pass or once
+        // finalizeAt has passed. A consumer stays linked until it
+        // finalizes, so every one waiting on this entry is here.
+        for (int id = e.waiterHead; id >= 0; id = waiters[id].next) {
+            int cs = id / 2;
+            const RobEntry &w = at(cs);
+            if (w.executedOnce && !w.inFlight && !w.finalized)
+                finalCand.insert(cs);
         }
         return true;
     });
@@ -1240,10 +1189,8 @@ Core::squashAfter(int slot, Addr redirect)
                         "unresolved-control counter underflow");
             --robUnresolvedCtrl;
         }
-        for (int k = 0; k < 2; ++k) {
-            unlinkWaiter(waiters, last, k);
-            unlinkWaiter(finWaiters, last, k);
-        }
+        unlinkWaiter(last, 0);
+        unlinkWaiter(last, 1);
         // Stale wheel events for y are discarded on pop by the
         // (slot, seq) validity check.
     }
@@ -1518,20 +1465,14 @@ Core::commitStage()
         // Consumers still linked for re-publication wakes see the
         // committed value as architectural (and final) once the ref
         // dies, so the links dissolve. A never-woken operand counts
-        // this as its publication. The finalize-waiter list drained
-        // when this entry finalized; the walk is defensive.
+        // this as its publication.
         while (e.waiterHead >= 0) {
             int id = e.waiterHead;
             int cs = id / 2;
             bool seen = waiters[id].availSeen;
-            unlinkWaiter(waiters, cs, id % 2);
+            unlinkWaiter(cs, id % 2);
             if (!seen && --at(cs).pendingOps == 0)
                 readySet.insert(cs);
-        }
-        while (e.finWaiterHead >= 0) {
-            int cs = e.finWaiterHead / 2;
-            unlinkWaiter(finWaiters, cs, e.finWaiterHead % 2);
-            finalCand.insert(cs); // re-arm rather than strand
         }
         e.valid = false;
         robHead = nextSlot(robHead);
@@ -1657,7 +1598,7 @@ Core::auditCommit(int slot) const
 }
 
 void
-Core::auditCycle() const
+Core::auditCycle()
 {
     // Occupancy bounds.
     if (robUsed > params.robEntries)
@@ -1730,8 +1671,14 @@ Core::auditCycle() const
     if (oldestUnknownStoreSeq() != unknown_store)
         auditFail("store-address watermark diverged from the ROB scan");
 
-    // Periodic structure sweeps (O(entries), too hot for every cycle).
-    if ((curCycle & 0xfff) == 0) {
+    // Periodic structure sweeps (O(entries), too hot for every
+    // cycle): once per period, at the first cycle of it the core
+    // simulates. Idle skipping may jump a period's first cycle, and
+    // the cycles it skips change no state.
+    if (curCycle >= auditSweepDue) {
+        auditSweepDue = curCycle - curCycle % auditSweepPeriod +
+                        auditSweepPeriod;
+        ++auditSweepCount;
         std::string w = rb ? rb->audit() : "";
         if (w.empty() && vptResult)
             w = vptResult->audit();
@@ -1874,8 +1821,7 @@ Core::auditSched() const
     // with a live in-window producer is linked until the consumer
     // finalizes (or dies) or the producer commits; availSeen mirrors
     // the operand view's availability, and pendingOps counts exactly
-    // the not-yet-seen links. Finalize-waiter nodes park on a live,
-    // not-yet-finalized producer and agree with the source ref.
+    // the not-yet-seen links.
     size_t in_flight = 0;
     forEachInOrder([&](int slot) {
         const RobEntry &e = at(slot);
@@ -1903,19 +1849,6 @@ Core::auditSched() const
             }
             if (!w.availSeen)
                 ++pend;
-
-            const OpWaiter &fw = finWaiters[slot * 2 + k];
-            if (fw.prodSlot >= 0) {
-                if (!at(fw.prodSlot).valid ||
-                    at(fw.prodSlot).finalized) {
-                    bad = "finalize waiter parked on a dead or "
-                          "finalized producer";
-                } else if (e.srcRob[k].slot != fw.prodSlot ||
-                           !refAlive(e.srcRob[k])) {
-                    bad = "finalize-waiter link disagrees with the "
-                          "source ref";
-                }
-            }
         }
         if (!bad && e.needsExec && !e.finalized && pend != e.pendingOps)
             bad = "pendingOps disagrees with the unseen waiter count";

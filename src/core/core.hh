@@ -109,13 +109,10 @@ struct RobEntry
     /** Operands still waiting on a live producer's first publication;
      *  reaching zero moves the entry into the ready set. */
     int pendingOps = 0;
-    /** Head of this entry's value-waiter list (consumers linked for
-     *  publication wakeups), as an index into Core::waiters; -1 when
-     *  empty. */
+    /** Head of this entry's waiter list (consumers linked for its
+     *  publication and finalization wakeups), as an index into
+     *  Core::waiters; -1 when empty. */
     int waiterHead = -1;
-    /** Head of this entry's finalize-waiter list (consumers parked
-     *  until this entry finalizes), indexing Core::finWaiters. */
-    int finWaiterHead = -1;
 };
 
 /** The rest of an in-flight instruction, in an array parallel to the
@@ -212,6 +209,8 @@ class Core
     uint64_t now() const { return curCycle; }
     /** Highest dynamic sequence number handed out so far. */
     uint64_t seqAllocated() const { return nextSeq - 1; }
+    /** RB/VPT structure sweeps the per-cycle audit has run. */
+    uint64_t auditSweeps() const { return auditSweepCount; }
     EmuState &emuState() { return state; }
 
   private:
@@ -301,18 +300,15 @@ class Core
      *  waiter links for unavailable operands, ready-set membership,
      *  control-set membership, unresolved-branch counter. */
     void schedOnDispatch(int slot);
-    struct WaitList;
-    /** Link consumer operand (@p cslot, @p k) into @p pslot's list in
-     *  @p list (waiters or finWaiters). */
-    void linkWaiter(WaitList &list, int cslot, int k, int pslot);
+    /** Link consumer operand (@p cslot, @p k) into @p pslot's waiter
+     *  list. */
+    void linkWaiter(int cslot, int k, int pslot);
     /** Unlink consumer operand (@p cslot, @p k) from wherever it is
-     *  linked in @p list; no-op when unlinked. */
-    void unlinkWaiter(WaitList &list, int cslot, int k);
+     *  linked; no-op when unlinked. */
+    void unlinkWaiter(int cslot, int k);
     /** Producer @p prodSlot just published: re-check its waiters and
      *  move newly unblocked consumers into the ready set. */
     void wakeWaiters(int prodSlot);
-    /** Schedule a finalize-recheck event for @p slot at @p at. */
-    void scheduleRefinal(int slot, uint64_t at);
     /** Mark @p slot resolved for the fetch-side branch cap, keeping
      *  the unresolved-control counter in step. */
     void noteResolvedForFetch(int slot);
@@ -337,10 +333,10 @@ class Core
     /** End-of-cycle structural audit: instruction conservation,
      *  occupancy bounds, ROB ordering, no in-flight entry past its
      *  completion cycle, the LSQ count and the store-address
-     *  watermark against a ROB scan, storeQ liveness, (periodically)
-     *  RB/VPT entry sanity, and auditSched(). Panics at the cycle of
-     *  first corruption. */
-    void auditCycle() const;
+     *  watermark against a ROB scan, storeQ liveness, RB/VPT entry
+     *  sanity once per auditSweepPeriod cycles, and auditSched().
+     *  Panics at the cycle of first corruption. */
+    void auditCycle();
     /** Commit-side audit: no instruction may retire carrying an
      *  unvalidated (wrong) predicted or reused value. */
     void auditCommit(int slot) const;
@@ -378,12 +374,14 @@ class Core
      *  emptied per entry once its final action is done. */
     SlotSet ctrlSet;
     /** Finalize candidates: completed entries whose finalize check is
-     *  worth running. A failed check parks the entry — on a
-     *  producer's finalize-waiter list, or on a timed wheel recheck —
-     *  instead of polling. */
+     *  worth running. An entry waiting on a producer that has not
+     *  finalized leaves the set until that producer's finalization
+     *  wakes it through the waiter link; one waiting only on a
+     *  producer's verification delay stays and is checked each
+     *  simulated cycle. */
     SlotSet finalCand;
-    /** Completion + finalize-recheck events keyed by due cycle, over
-     *  a span longer than any delay this machine schedules. */
+    /** Completion events keyed by due cycle, over a span longer than
+     *  any delay this machine schedules. */
     EventWheel wheel;
     /** Waiter node per (consumer slot, operand): doubly linked into
      *  the producer's RobEntry::waiterHead list. Node id is
@@ -391,7 +389,9 @@ class Core
      *  dispatch until the consumer finalizes (or dies) or the
      *  producer commits: every publication by the producer re-wakes
      *  the consumer into the ready set, which is what lets the issue
-     *  scan drop quiescent entries without missing a re-execution. */
+     *  scan drop quiescent entries without missing a re-execution,
+     *  and the producer's finalization wakes it into the finalize
+     *  candidates. */
     struct OpWaiter
     {
         int prev = -1;
@@ -402,20 +402,7 @@ class Core
          *  incarnation. */
         bool availSeen = false;
     };
-    /** The nodes of one kind of waiter list, and the RobEntry field
-     *  holding each producer's list head. */
-    struct WaitList
-    {
-        std::vector<OpWaiter> nodes;
-        int RobEntry::*head = nullptr;
-        OpWaiter &operator[](int id) { return nodes[id]; }
-        const OpWaiter &operator[](int id) const { return nodes[id]; }
-    };
-    WaitList waiters{{}, &RobEntry::waiterHead};
-    /** Finalize-waiter nodes, same shape and id scheme as waiters
-     *  (availSeen unused): consumer (slot, k) parked on the
-     *  producer's RobEntry::finWaiterHead until it finalizes. */
-    WaitList finWaiters{{}, &RobEntry::finWaiterHead};
+    std::vector<OpWaiter> waiters;
     /** Live counts replacing unresolvedBranches()'s full walks. */
     unsigned robUnresolvedCtrl = 0;
     unsigned fqResolvable = 0;
@@ -478,6 +465,12 @@ class Core
     /** VPIR_TEST_AUDIT_CLOBBER: cycle at which to deliberately break
      *  a conservation law, proving the audit catches corruption. */
     uint64_t auditClobberCycle = UINT64_MAX;
+    /** The audit's RB/VPT sweep (O(entries), too hot for every cycle)
+     *  is due once per this many cycles of simulated time. */
+    static constexpr uint64_t auditSweepPeriod = 4096;
+    /** First cycle of the next sweep period, and the sweeps run. */
+    uint64_t auditSweepDue = 0;
+    uint64_t auditSweepCount = 0;
 
     CoreStats st;
 };

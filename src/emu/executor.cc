@@ -246,13 +246,6 @@ Emulator::loadProgram(const Program &program, EmuState &state)
 }
 
 ExecResult
-Emulator::stepAt(Addr pc)
-{
-    curPC = pc;
-    return step();
-}
-
-ExecResult
 Emulator::step()
 {
     ExecResult r;

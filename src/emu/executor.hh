@@ -75,10 +75,8 @@ class Emulator
      *  of @p r in place (the core's ROB slot, with no temporary). */
     void step(ExecResult &r);
 
-    /** Execute the instruction at an explicit PC (sets PC first). */
-    ExecResult stepAt(Addr pc);
-
-    /** In-place form of stepAt(pc). */
+    /** Execute the instruction at an explicit PC (sets PC first),
+     *  writing @p r in place like step(r). */
     void
     stepAt(Addr pc, ExecResult &r)
     {

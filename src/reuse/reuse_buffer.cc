@@ -147,9 +147,8 @@ ReuseBuffer::probe(Addr pc, const Instr &inst,
 }
 
 void
-ReuseBuffer::noteReused(const RbProbeResult &hit, const Instr &inst)
+ReuseBuffer::noteReused(const RbProbeResult &hit, const Instr &)
 {
-    (void)inst;
     VPIR_ASSERT(hit.entry.valid(), "noteReused without a hit");
     Entry &e = table[hit.entry.idx];
     if (e.serial != hit.entry.serial)

@@ -103,11 +103,11 @@ class ReuseBuffer
                         const RbOperandQuery ops[2]) const;
 
     /**
-     * Commit to a probe hit: touches LRU, updates the register link
-     * table so younger entries chain to this one, and consumes the
-     * squashed-work-recovery credit.
+     * Commit to a probe hit: touches LRU and consumes the
+     * squashed-work-recovery credit. The instruction is not read: the
+     * core links dependants through the ROB (linkSources).
      */
-    void noteReused(const RbProbeResult &hit, const Instr &inst);
+    void noteReused(const RbProbeResult &hit, const Instr &);
 
     /**
      * Insert (or refresh) an entry for an executed instruction.
@@ -222,10 +222,6 @@ class ReuseBuffer
 
     SetAssoc<Entry> table; //!< an RbRef's idx is the flat index
     uint64_t nextSerial = 1;
-
-    /** Last RB entry whose instruction wrote each register ('n'+'d'
-     *  link formation). */
-    RbRef regLink[NUM_ARCH_REGS];
 
     /** Load index, word address -> load entries covering it, as
      *  intrusive lists over a fixed node pool: node k of entry i has

@@ -2,10 +2,9 @@
  * @file
  * EventWheel unit tests: popping at the exact due cycle, bucket
  * wraparound (successive laps sharing a bucket), the longest delay
- * the span allows, nextEventAt bounds across the wrap, event-kind
- * round-tripping, and the assertions on a past due cycle, a delay
- * beyond the span, a non-power-of-two span and an event left behind
- * its cycle.
+ * the span allows, nextEventAt bounds across the wrap, and the
+ * assertions on a past due cycle, a delay beyond the span, a
+ * non-power-of-two span and an event left behind its cycle.
  */
 
 #include <gtest/gtest.h>
@@ -23,14 +22,11 @@ namespace
 constexpr uint64_t SPAN = 64;
 
 WheelEvent
-ev(uint64_t at, int slot = 0, uint64_t seq = 0,
-   WheelEvent::Kind kind = WheelEvent::Kind::Complete)
+ev(uint64_t at, int slot = 0)
 {
     WheelEvent e;
     e.at = at;
     e.slot = slot;
-    e.seq = seq;
-    e.kind = kind;
     return e;
 }
 
@@ -120,25 +116,6 @@ TEST(EventWheel, NextEventAtFindsEarliestAcrossNearAndFar)
 
     (void)popAll(w, 140);
     EXPECT_EQ(w.nextEventAt(141), 100 + SPAN - 1);
-}
-
-TEST(EventWheel, KindSurvivesScheduleAndPop)
-{
-    EventWheel w(SPAN);
-    w.schedule(ev(6, 1, 11, WheelEvent::Kind::Refinal), 0);
-    w.schedule(ev(SPAN - 1, 2, 22, WheelEvent::Kind::Complete), 0);
-
-    std::vector<WheelEvent> due = popAll(w, 6);
-    ASSERT_EQ(due.size(), 1u);
-    EXPECT_EQ(due[0].kind, WheelEvent::Kind::Refinal);
-    EXPECT_EQ(due[0].seq, 11u);
-
-    for (uint64_t now = 7; now < SPAN - 1; ++now)
-        EXPECT_TRUE(popAll(w, now).empty());
-    due = popAll(w, SPAN - 1);
-    ASSERT_EQ(due.size(), 1u);
-    EXPECT_EQ(due[0].kind, WheelEvent::Kind::Complete);
-    EXPECT_EQ(due[0].seq, 22u);
 }
 
 TEST(EventWheel, SchedulingInThePastPanics)

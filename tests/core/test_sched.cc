@@ -53,6 +53,7 @@ struct AuditedRun
 {
     CoreStats st;
     SchedProfile prof;
+    uint64_t auditSweeps = 0;
 };
 
 /** Run @p workload with the per-cycle audit armed (any broken
@@ -65,7 +66,8 @@ expectDigest(const std::string &workload, CoreParams cfg, uint64_t want)
     cfg.auditInvariants = true;
     Simulator sim(withLimits(cfg, TEST_INSTS),
                   makeWorkload(workload, smallScale()).program);
-    AuditedRun r{sim.run(), sim.core().schedProfile()};
+    AuditedRun r{sim.run(), sim.core().schedProfile(),
+                 sim.core().auditSweeps()};
     EXPECT_GT(r.st.committedInsts, 0u) << workload;
     EXPECT_EQ(hex16(statsDigest(r.st)), hex16(want)) << workload;
     return r;
@@ -136,6 +138,25 @@ TEST(SchedEquivalence, IdleHeavyRegime)
                               40),
                      0x8dad8ab58ef7632aull);
     EXPECT_GE(skipShare(r), 236857.0 / 277403.0);
+}
+
+TEST(SchedXcheck, AuditSweepRunsOncePerPeriodUnderIdleSkipping)
+{
+    // The audit's RB/VPT structure sweep is due once per 4,096 cycles
+    // of simulated time. On this idle-heavy cell the skipper jumps
+    // over the first cycle of most periods (a sweep only on cycles
+    // that are multiples of 4,096 would run 11 times), so the sweep
+    // runs at the first simulated cycle of each period: once per
+    // period the audit reaches. The audit covers every cycle but the
+    // last, which ends the run, so cycles 0 to 277,401 of this
+    // 277,403-cycle run (pinned by the digest): 68 periods.
+    AuditedRun r = expectDigest(
+        "gcc",
+        noCaches(vpConfig(VpScheme::Magic, ReexecPolicy::Multiple,
+                          BranchResolution::Speculative, 0),
+                 40),
+        0x8dad8ab58ef7632aull);
+    EXPECT_EQ(r.auditSweeps, 68u);
 }
 
 TEST(SchedEquivalence, LargeWindowStallMachine)
@@ -234,7 +255,10 @@ TEST(SchedXcheck, FaultStormUnderVerifyLatency)
 {
     // Injected VPT corruption drives misprediction storms while a
     // nonzero verify latency keeps finalization pending long enough
-    // for Refinal wheel events and finalize-waiter parking to matter.
+    // for both finalize waits to matter: on a producer that has not
+    // finalized (woken by its finalization through the waiter link)
+    // and on one whose verification delay is still running (checked
+    // again each cycle).
     CoreParams cfg = vpConfig(VpScheme::Magic, ReexecPolicy::Multiple,
                               BranchResolution::Speculative, 2);
     cfg.faults.seed = 12345;

@@ -271,7 +271,8 @@ TEST(Emulator, OffTextPCHalts)
     Program p = a.finish();
     EmuState st;
     Emulator emu(p, st);
-    ExecResult r = emu.stepAt(0xdead0000);
+    emu.setPC(0xdead0000);
+    ExecResult r = emu.step();
     EXPECT_TRUE(r.halted);
 }
 
