@@ -13,11 +13,10 @@
 using namespace vpir;
 using namespace vpir::bench;
 
-int
-main()
+void
+runAblation(Runner &runner)
 {
     banner("Ablations", "VP prediction kinds and structure capacity");
-    Runner runner;
     CoreParams full = vpConfig(VpScheme::Magic, ReexecPolicy::Multiple,
                                BranchResolution::Speculative, 0);
     CoreParams res_only = full;
@@ -83,5 +82,4 @@ main()
                 "capture is bounded\nby the 4 instances per "
                 "instruction, not capacity — supporting the paper's\n"
                 "equal-hardware sizing of the two structures.\n");
-    return exitStatus();
 }

@@ -11,11 +11,11 @@
 using namespace vpir;
 using namespace vpir::bench;
 
-int
-main()
+void
+runFig10(Runner &)
 {
     banner("Figure 10", "amount of redundancy that can be reused");
-    std::vector<RedundancyStats> all = analyzeAllWorkloads();
+    const std::vector<RedundancyStats> &all = analyzeAllWorkloads();
 
     TextTable t({"bench", "redundant %", "reusable %",
                  "reusable/redundant %"});
@@ -33,5 +33,4 @@ main()
                 "instructions in programs\nare amenable to reuse\" — "
                 "detecting redundancy non-speculatively from\n"
                 "operands does not significantly restrict IR.\n");
-    return exitStatus();
 }

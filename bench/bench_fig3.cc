@@ -14,11 +14,10 @@
 using namespace vpir;
 using namespace vpir::bench;
 
-int
-main()
+void
+runFig3(Runner &runner)
 {
     banner("Figure 3", "performance benefits of early validation");
-    Runner runner;
     const Grid g =
         runner.grid({{"base", baseConfig()},
                      {"ir-early", irConfig(IrValidation::Early)},
@@ -49,5 +48,4 @@ main()
                 "improvement is lost\nif the validation is deferred "
                 "to the execution stage\" (late/early < 0.5\nfor the "
                 "harmonic mean).\n");
-    return exitStatus();
 }

@@ -44,13 +44,12 @@ half(const Grid &g, unsigned lat)
 
 } // anonymous namespace
 
-int
-main()
+void
+runFig4(Runner &runner)
 {
     banner("Figure 4",
            "branch resolution latency, normalised to base (< 1.0 "
            "is better)");
-    Runner runner;
     const Grid g0 = makeHalf(runner, 0);
     const Grid g1 = makeHalf(runner, 1);
     half(g0, 0);
@@ -60,5 +59,4 @@ main()
                 "verification the NSB reduction shrinks toward the\n"
                 "base; the reuse bars are identical in both halves "
                 "and among the lowest.\n");
-    return exitStatus();
 }

@@ -12,11 +12,10 @@
 using namespace vpir;
 using namespace vpir::bench;
 
-int
-main()
+void
+runFig5(Runner &runner)
 {
     banner("Figure 5", "resource contention normalised to base");
-    Runner runner;
     std::vector<Config> configs =
         vpConfigs(VpScheme::Magic, 0, "magic-");
     configs.insert(configs.begin(), {"base", baseConfig()});
@@ -40,5 +39,4 @@ main()
                 "instructions never occupy execution resources); "
                 "ME and NME are nearly\nidentical, as in the paper's "
                 "discussion of Table 6.\n");
-    return exitStatus();
 }

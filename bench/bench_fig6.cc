@@ -50,11 +50,10 @@ half(const Grid &g, unsigned lat)
 
 } // anonymous namespace
 
-int
-main()
+void
+runFig6(Runner &runner)
 {
     banner("Figure 6", "speedups with VP_Magic and IR (S_n+d)");
-    Runner runner;
     const Grid g0 = makeHalf(runner, 0);
     const Grid g1 = makeHalf(runner, 1);
     half(g0, 0);
@@ -68,5 +67,4 @@ main()
         "SB.\n"
         "  4. IR can match or beat VP on some benchmarks despite "
         "capturing less\n     redundancy.\n");
-    return exitStatus();
 }

@@ -49,11 +49,10 @@ half(const Grid &g, unsigned lat)
 
 } // anonymous namespace
 
-int
-main()
+void
+runFig7(Runner &runner)
 {
     banner("Figure 7", "speedups with VP_LVP");
-    Runner runner;
     const Grid g0 = makeHalf(runner, 0);
     const Grid g1 = makeHalf(runner, 1);
     half(g0, 0);
@@ -66,5 +65,4 @@ main()
         "misprediction rates\n     it pays to delay branch "
         "resolution.\n"
         "  3. 1-cycle verification lowers everything further.\n");
-    return exitStatus();
 }

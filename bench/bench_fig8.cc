@@ -11,13 +11,13 @@
 using namespace vpir;
 using namespace vpir::bench;
 
-int
-main()
+void
+runFig8(Runner &)
 {
     banner("Figure 8",
            "classification of results: unique / repeated / "
            "derivable / unaccounted");
-    std::vector<RedundancyStats> all = analyzeAllWorkloads();
+    const std::vector<RedundancyStats> &all = analyzeAllWorkloads();
 
     TextTable t({"bench", "unique %", "repeated %", "derivable %",
                  "unaccounted %"});
@@ -35,5 +35,4 @@ main()
                 "(80-90%%) repeated, few\n(<5%%) derivable; the "
                 "buffering cap (10K instances/static instruction)\n"
                 "leaves a small unaccounted remainder.\n");
-    return exitStatus();
 }

@@ -12,12 +12,12 @@
 using namespace vpir;
 using namespace vpir::bench;
 
-int
-main()
+void
+runFig9(Runner &)
 {
     banner("Figure 9",
            "repeated instructions by producer readiness");
-    std::vector<RedundancyStats> all = analyzeAllWorkloads();
+    const std::vector<RedundancyStats> &all = analyzeAllWorkloads();
 
     TextTable t({"bench", "prod reused %", "prod-dist >= 50 %",
                  "prod-dist < 50 %"});
@@ -36,5 +36,4 @@ main()
                 "producers within 50 instructions (inputs not "
                 "ready), contrary\nto the expectation that decode-"
                 "time operands are rarely available.\n");
-    return exitStatus();
 }

@@ -18,12 +18,11 @@
 using namespace vpir;
 using namespace vpir::bench;
 
-int
-main()
+void
+runHybrid(Runner &runner)
 {
     banner("Hybrid (extension)",
            "speedups: VP alone, IR alone, IR-first hybrid");
-    Runner runner;
     const Grid g = runner.grid(
         {{"base", baseConfig()},
          {"vp", vpConfig(VpScheme::Magic, ReexecPolicy::Multiple,
@@ -61,5 +60,4 @@ main()
     std::printf("reused instructions never re-execute or verify; "
                 "predictions cover the\noperand-test misses — the "
                 "combination the paper's section 5 anticipates.\n");
-    return exitStatus();
 }

@@ -10,8 +10,8 @@
 using namespace vpir;
 using namespace vpir::bench;
 
-int
-main()
+void
+runTable1(Runner &)
 {
     banner("Table 1", "details of the base simulator");
     CoreParams p = baseConfig();
@@ -89,5 +89,4 @@ main()
     t.addRow({"RB (IR runs)", "4K entries, 4-way, LRU",
               "4K entries, 4-way, LRU"});
     std::printf("%s\n", t.render().c_str());
-    return exitStatus();
 }

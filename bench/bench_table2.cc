@@ -14,11 +14,10 @@
 using namespace vpir;
 using namespace vpir::bench;
 
-int
-main()
+void
+runTable2(Runner &runner)
 {
     banner("Table 2", "benchmarks, branch and return prediction rates");
-    Runner runner;
     const Grid g = runner.grid({{"base", baseConfig()}});
 
     TextTable t({"bench", "insts(K)", "br pred %", "(paper)",
@@ -38,5 +37,4 @@ main()
                 "fast-forward; this\nreproduction runs scaled-down "
                 "synthetic workloads (VPIR_BENCH_INSTS=%llu).\n",
                 static_cast<unsigned long long>(runner.instLimit()));
-    return exitStatus();
 }

@@ -31,11 +31,10 @@ overMem(uint64_t n, const CoreStats &st)
 
 } // anonymous namespace
 
-int
-main()
+void
+runTable3(Runner &runner)
 {
     banner("Table 3", "percentage IR and VP rates");
-    Runner runner;
     const Grid g = runner.grid(
         {{"ir", irConfig()},
          {"magic", vpConfig(VpScheme::Magic, ReexecPolicy::Multiple,
@@ -84,5 +83,4 @@ main()
                 "(all but compress\nin the paper); compress address "
                 "reuse is the outlier high value; VP_LVP\nrates sit "
                 "below VP_Magic with higher mispredictions.\n");
-    return exitStatus();
 }

@@ -26,13 +26,12 @@ increasePct(const CoreStats &vp)
 
 } // anonymous namespace
 
-int
-main()
+void
+runTable4(Runner &runner)
 {
     banner("Table 4",
            "percent increase in control squashes (spurious "
            "mispredictions)");
-    Runner runner;
     const Grid g = runner.grid(
         {{"magic-me-sb", vpConfig(VpScheme::Magic, ReexecPolicy::Multiple,
                                   BranchResolution::Speculative, 0)},
@@ -60,5 +59,4 @@ main()
     std::printf("shape checks: VP_LVP causes a much larger increase "
                 "than VP_Magic (its\nvalue misprediction rate is "
                 "higher); NME trims the ME numbers slightly.\n");
-    return exitStatus();
 }

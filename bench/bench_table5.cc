@@ -11,13 +11,12 @@
 using namespace vpir;
 using namespace vpir::bench;
 
-int
-main()
+void
+runTable5(Runner &runner)
 {
     banner("Table 5",
            "executed instructions squashed, and squashed work "
            "recovered by IR");
-    Runner runner;
     const Grid g = runner.grid({{"ir", irConfig()}});
 
     TextTable t({"bench", "insts exec(K)", "squashed %", "(p)",
@@ -42,5 +41,4 @@ main()
     std::printf("shape check: a significant share of squashed "
                 "executed work (paper: ~28-54%%)\nis recovered "
                 "through the reuse buffer.\n");
-    return exitStatus();
 }

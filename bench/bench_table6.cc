@@ -11,12 +11,11 @@
 using namespace vpir;
 using namespace vpir::bench;
 
-int
-main()
+void
+runTable6(Runner &runner)
 {
     banner("Table 6", "instructions executed 1 / 2 / 3 times "
                       "(VP_Magic, ME-SB, 1-cycle)");
-    Runner runner;
     const Grid g = runner.grid(
         {{"magic-me-sb-1", vpConfig(VpScheme::Magic, ReexecPolicy::Multiple,
                                     BranchResolution::Speculative, 1)}});
@@ -42,5 +41,4 @@ main()
     std::printf("shape check: very few instructions execute more "
                 "than twice, which is\nwhy restricting re-execution "
                 "(NME) barely changes performance.\n");
-    return exitStatus();
 }

@@ -4,7 +4,12 @@
  * (workload x config) cells once as a Grid, read them back in table
  * order, and common formatting helpers.
  *
- * A harness is "make grids, then print". Runner::grid() queues every
+ * A harness is a `void runX(Runner &)` in bench/bench_<x>.cc, named
+ * once in the table of bench/main.cc. The bench_<x> binary runs that
+ * one harness; bench_all runs the whole table in one process on one
+ * Runner, so a cell that two harnesses share is simulated once.
+ *
+ * Each harness is "make grids, then print". Runner::grid() queues every
  * cell of one table on the process-wide SweepEngine and returns its
  * Grid; a harness makes all of its grids before its first Grid::at().
  * That first read runs every queued cell as one batch across
@@ -20,14 +25,15 @@
  *                       concurrency; 1 = inline)
  *   VPIR_RESULT_CACHE   on-disk result cache directory (off if unset)
  *   VPIR_TIMING_JSON    timing report path (default
- *                       bench_timing.<harness>.json, so a full bench
- *                       run keeps every harness's records)
+ *                       bench_timing.<binary>.json, e.g.
+ *                       bench_timing.bench_all.json)
  *   VPIR_CHECK          =1: lockstep-verify every retired instruction
  *   VPIR_WATCHDOG_CYCLES commit-progress watchdog limit
  *   VPIR_FAULT_*        deterministic fault injection (see configs.hh)
  *
- * A cell that panics is reported and the harness exits 1 once every
- * other cell has finished; VPIR_WATCHDOG_CYCLES bounds a hung cell.
+ * A cell that panics is reported and the binary exits 1 once every
+ * other cell has finished. VPIR_WATCHDOG_CYCLES bounds a cell that
+ * stops committing; a core left with nothing to wait for fails at once.
  */
 
 #ifndef VPIR_BENCH_BENCH_UTIL_HH
@@ -140,9 +146,9 @@ class Runner
         if (eng.cellsComputed() + eng.cellsFromDiskCache() == 0)
             return;
         eng.printSummary(stderr);
-        // Default to a per-harness path: 16 harnesses writing one
-        // shared bench_timing.json would each clobber the last one's
-        // records. An explicit VPIR_TIMING_JSON is honored as-is.
+        // Default to a per-binary path, so harness binaries run one
+        // after another keep each one's records. An explicit
+        // VPIR_TIMING_JSON is honored as-is.
         const char *path = std::getenv("VPIR_TIMING_JSON");
         std::string def = std::string("bench_timing.") +
                           program_invocation_short_name + ".json";
@@ -180,30 +186,22 @@ class Runner
 };
 
 /**
- * Process exit status for a bench main(): 1 when any sweep cell
- * failed (the failure details were printed by the Runner destructor's
- * summary), 0 otherwise. Harnesses end with `return exitStatus();` so
- * CI sees per-cell failures instead of a clean-looking table of zeros.
- */
-inline int
-exitStatus()
-{
-    return sweep::SweepEngine::global().failures().empty() ? 0 : 1;
-}
-
-/**
  * Run the redundancy limit study (fig 8-10) over every workload on
- * VPIR_JOBS threads. Results come back in workloadNames() order, so
- * table output is independent of the job count; an aggregate timing
- * line goes to stderr.
+ * VPIR_JOBS threads, once per process: figures 8, 9 and 10 read the
+ * same results. Results come back in workloadNames() order, so table
+ * output is independent of the job count; an aggregate timing line
+ * goes to stderr.
  */
-inline std::vector<RedundancyStats>
+inline const std::vector<RedundancyStats> &
 analyzeAllWorkloads()
 {
+    static std::vector<RedundancyStats> out;
+    if (!out.empty())
+        return out;
     const auto &names = workloadNames();
     WorkloadScale scale = benchScale();
     uint64_t limit = benchInstLimit();
-    std::vector<RedundancyStats> out(names.size());
+    out.resize(names.size());
     auto t0 = std::chrono::steady_clock::now();
     sweep::parallelFor(names.size(), [&](size_t i) {
         Workload w = makeWorkload(names[i], scale);

@@ -69,6 +69,8 @@ class LockstepChecker
      *                 private pages.
      */
     LockstepChecker(const Program &program, const EmuSnapshot &start);
+    /** The checker keeps a reference: a temporary would dangle. */
+    LockstepChecker(const Program &&, const EmuSnapshot &) = delete;
 
     /** Cross-validate one retired instruction; panics on divergence. */
     void onRetire(const Retired &r);

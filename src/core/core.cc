@@ -891,17 +891,16 @@ Core::issueStage()
             ++st.resourceDenied;
             return true;
         }
-        bool skip_agen_fu = is_ld && e.addrReused;
-        FuType fu = skip_agen_fu ? FuType::None : e.si->di.fu;
-        if (!fus.available(fu, curCycle)) {
-            ++st.resourceDenied;
-            return true;
-        }
         if (needs_port && dcachePortsUsed >= params.dcachePorts) {
             ++st.resourceDenied;
             return true;
         }
-        fus.acquire(fu, curCycle, e.si->di.issueLat);
+        bool skip_agen_fu = is_ld && e.addrReused;
+        FuType fu = skip_agen_fu ? FuType::None : e.si->di.fu;
+        if (!fus.acquire(fu, curCycle, e.si->di.issueLat)) {
+            ++st.resourceDenied;
+            return true;
+        }
         if (needs_port)
             ++dcachePortsUsed;
         issueEntry(slot, v[0], v[1]);
@@ -1509,12 +1508,10 @@ Core::checkRetired(int slot)
 }
 
 void
-Core::watchdogDump()
+Core::watchdogDump(const std::string &why)
 {
     std::ostringstream os;
-    os << "watchdog: no instruction committed for "
-       << (curCycle - lastCommitCycle) << " cycles (limit "
-       << params.watchdogCycles << ")\n"
+    os << "watchdog: " << why << "\n"
        << "  cycle " << curCycle << ", committed " << st.committedInsts
        << ", fetchPC 0x" << std::hex << fetchPC << std::dec
        << (fetchHalted ? " (fetch halted)" : "") << ", fetchQueue "
@@ -1912,7 +1909,10 @@ Core::cycle()
             lastCommitInsts = st.committedInsts;
             lastCommitCycle = curCycle;
         } else if (curCycle - lastCommitCycle >= params.watchdogCycles) {
-            watchdogDump();
+            watchdogDump("no instruction committed for " +
+                         std::to_string(curCycle - lastCommitCycle) +
+                         " cycles (limit " +
+                         std::to_string(params.watchdogCycles) + ")");
         }
     }
     if (params.auditInvariants && !done) {
@@ -1926,7 +1926,8 @@ Core::cycle()
     // trip, the planted audit clobber, or the maxCycles budget.
     // Skipped cycles still count toward st.cycles, so every
     // cycle-derived observable is what stepping through them one by
-    // one would give.
+    // one would give. With none of these pending the core can never
+    // move again, so it fails instead of idling out its budget.
     if (!done && !cycleHadWork) {
         uint64_t target =
             std::min(schedWake, wheel.nextEventAt(curCycle));
@@ -1935,11 +1936,12 @@ Core::cycle()
                               lastCommitCycle + params.watchdogCycles);
         if (auditClobberCycle > curCycle)
             target = std::min(target, auditClobberCycle);
+        if (target == UINT64_MAX)
+            watchdogDump("nothing is pending, so no instruction can "
+                         "ever commit again");
         uint64_t room = params.maxCycles - st.cycles; // >= 1 here
         uint64_t delta = 0;
-        if (target == UINT64_MAX)
-            delta = room - 1; // nothing pending: sprint to the budget
-        else if (target > curCycle + 1)
+        if (target > curCycle + 1)
             delta = std::min(target - curCycle - 1, room - 1);
         curCycle += delta;
         st.cycles += delta;

@@ -22,6 +22,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -194,6 +195,9 @@ class Core
      */
     Core(const CoreParams &params, const Program &program,
          const EmuSnapshot *warm = nullptr);
+    /** The core keeps a reference: a temporary would dangle. */
+    Core(const CoreParams &, const Program &&,
+         const EmuSnapshot * = nullptr) = delete;
 
     /** Run until halt or the configured limits; returns final stats. */
     const CoreStats &run();
@@ -327,7 +331,8 @@ class Core
     void recordCommitStats(int slot);
     void trainPredictors(int slot);
     void checkRetired(int slot);
-    [[noreturn]] void watchdogDump();
+    /** Panic with @p why after "watchdog: ", then a pipeline dump. */
+    [[noreturn]] void watchdogDump(const std::string &why);
 
     // --- invariant audits (params.auditInvariants / VPIR_AUDIT) -----
     /** End-of-cycle structural audit: instruction conservation,

@@ -29,22 +29,9 @@ class FuPool
         }
     }
 
-    /** True when a unit of this type is free at @p now. */
-    bool
-    available(FuType t, uint64_t now) const
-    {
-        if (t == FuType::None)
-            return true;
-        for (uint64_t b : busyUntil[static_cast<unsigned>(t)]) {
-            if (b <= now)
-                return true;
-        }
-        return false;
-    }
-
     /**
      * Occupy a unit from @p now for @p issue_lat cycles.
-     * @return false when no unit is free.
+     * @return false, occupying nothing, when no unit is free.
      */
     bool
     acquire(FuType t, uint64_t now, unsigned issue_lat)
@@ -58,16 +45,6 @@ class FuPool
             }
         }
         return false;
-    }
-
-    /** Free all units (used after a full pipeline flush in tests). */
-    void
-    reset()
-    {
-        for (auto &v : busyUntil) {
-            for (uint64_t &b : v)
-                b = 0;
-        }
     }
 
   private:

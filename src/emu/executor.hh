@@ -67,6 +67,8 @@ class Emulator
 {
   public:
     Emulator(const Program &program, EmuState &state);
+    /** The emulator keeps a reference: a temporary would dangle. */
+    Emulator(const Program &&, EmuState &) = delete;
 
     /** Execute the instruction at the current PC. */
     ExecResult step();

@@ -4,7 +4,8 @@
  * divergence-free instruction stream on every workload (the checker
  * re-executes each retired instruction on an independent functional
  * machine), and the commit-progress watchdog must convert a stuck
- * pipeline into a catchable, attributable error.
+ * pipeline, or a core with nothing left to wait for, into a
+ * catchable, attributable error.
  */
 
 #include <gtest/gtest.h>
@@ -12,9 +13,12 @@
 #include <string>
 #include <vector>
 
+#include "asm/assembler.hh"
 #include "common/logging.hh"
+#include "core/core.hh"
 #include "sim/simulator.hh"
 #include "workload/workload.hh"
+#include "workload/wregs.hh"
 
 using namespace vpir;
 
@@ -98,6 +102,36 @@ TEST(Watchdog, StuckPipelineRaisesRecoverableError)
         std::string msg = e.what();
         EXPECT_NE(msg.find("watchdog"), std::string::npos) << msg;
         EXPECT_NE(msg.find("fetchPC"), std::string::npos) << msg;
+    }
+}
+
+TEST(Watchdog, WedgedCoreFailsWithNoLimitArmed)
+{
+    // A jump off the text segment with no HALT: fetch stops, and no
+    // event, wake hint or work is left that could ever restart it.
+    // With no watchdog and an unbounded cycle budget (a bench or
+    // vpirsim cell), the run must fail with the watchdog's dump, not
+    // report a success of 2^64-1 cycles.
+    PanicThrowScope throws_;
+    Assembler a;
+    a.li(wreg::T0, 0x9000);
+    a.jr(wreg::T0);
+    Program prog = a.finish();
+    CoreParams p = withLimits(baseConfig(), 400000);
+    ASSERT_EQ(p.watchdogCycles, 0u);
+    Core core(p, prog);
+    try {
+        core.run();
+        FAIL() << "wedged core reported " << core.stats().cycles
+               << " cycles";
+    } catch (const SimError &e) {
+        std::string msg = e.what();
+        EXPECT_NE(msg.find("watchdog: nothing is pending"),
+                  std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("committed 2, fetchPC 0x9000 (fetch halted)"),
+                  std::string::npos)
+            << msg;
     }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
 #include <utility>
 
 #include "asm/assembler.hh"
@@ -11,6 +12,17 @@
 
 using namespace vpir;
 using namespace vpir::wreg;
+
+// The core, the emulator and the lockstep checker keep a reference to
+// their Program, so each takes an lvalue and refuses a temporary.
+static_assert(std::is_constructible_v<Core, const CoreParams &, Program &>);
+static_assert(!std::is_constructible_v<Core, const CoreParams &, Program>);
+static_assert(std::is_constructible_v<Emulator, Program &, EmuState &>);
+static_assert(!std::is_constructible_v<Emulator, Program, EmuState &>);
+static_assert(std::is_constructible_v<LockstepChecker, Program &,
+                                      const EmuSnapshot &>);
+static_assert(!std::is_constructible_v<LockstepChecker, Program,
+                                       const EmuSnapshot &>);
 
 namespace
 {
