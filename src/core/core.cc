@@ -455,6 +455,17 @@ namespace
 constexpr RobEntry freshEntry{};
 constexpr RobCold freshCold{};
 
+using ProfClock = std::chrono::steady_clock;
+
+/** Host nanoseconds from @p t0 to @p t1, for the stage profile. */
+uint64_t
+hostNs(ProfClock::time_point t0, ProfClock::time_point t1)
+{
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+            .count());
+}
+
 } // anonymous namespace
 
 void
@@ -477,7 +488,14 @@ Core::dispatchStage()
         // images to a rep stos whose start-up costs more than the copy.
         std::memcpy(&e, &freshEntry, sizeof e);
         std::memcpy(&c, &freshCold, sizeof c);
-        emu.stepAt(f.pc, c.exec);
+        if (profSampled) {
+            ProfClock::time_point t0 = ProfClock::now();
+            emu.stepAt(f.pc, c.exec);
+            prof.emuNs += SchedProfile::samplePeriod *
+                          hostNs(t0, ProfClock::now());
+        } else {
+            emu.stepAt(f.pc, c.exec);
+        }
         const ExecResult &er = c.exec;
         e.valid = true;
         e.seq = nextSeq++;
@@ -728,22 +746,11 @@ Core::issueEntry(int slot, const OperandView &v0, const OperandView &v1)
                          v1.value == e.oracleSrc[1];
 
     if (oracle_inputs) {
-        const SemOut &o = c.exec.out;
-        c.pendResult = o.result;
-        c.pendResult2 = o.result2;
-        c.pendTaken = o.taken;
-        c.pendNextPC = o.nextPC;
-        c.pendMemAddr = o.memAddr;
+        c.pend = c.exec.out;
     } else {
         // Speculative inputs: genuinely evaluate with the wrong
         // values (this is what makes spurious outcomes possible).
-        SemOut o = evalInstr(si.inst, c.exec.pc, v0.value, v1.value,
-                             &state);
-        c.pendResult = o.result;
-        c.pendResult2 = o.result2;
-        c.pendTaken = o.taken;
-        c.pendNextPC = o.nextPC;
-        c.pendMemAddr = o.memAddr;
+        evalInstr(c.pend, si.inst, c.exec.pc, v0.value, v1.value, &state);
     }
 
     uint64_t complete = curCycle + si.di.opLat;
@@ -754,7 +761,7 @@ Core::issueEntry(int slot, const OperandView &v0, const OperandView &v1)
         // Loads that did AGEN use the freshly computed address; the
         // others carry the reused/predicted one.
         if (!skip_agen)
-            e.curMemAddr = static_cast<Addr>(c.pendMemAddr);
+            e.curMemAddr = c.pend.memAddr;
         bool fwd = false;
         RobRef dep;
         if (loadMayAccess(slot, fwd, dep) && !fwd) {
@@ -766,7 +773,7 @@ Core::issueEntry(int slot, const OperandView &v0, const OperandView &v1)
         }
         if (!oracle_inputs || (e.addrPredicted && !v0.avail)) {
             // Speculative access: read whatever that address holds.
-            c.pendResult = state.readMem(e.curMemAddr, si.memSz);
+            c.pend.result = state.readMem(e.curMemAddr, si.memSz);
         }
     }
 
@@ -774,7 +781,7 @@ Core::issueEntry(int slot, const OperandView &v0, const OperandView &v1)
     // predicted instruction computes something other than what its
     // consumers were handed (paper: dependants are delayed by the
     // VP-verification latency).
-    if (e.predicted && c.pendResult != e.curResult)
+    if (e.predicted && c.pend.result != e.curResult)
         complete += params.vpVerifyLatency;
 
     // Completions are processed before issue, so the earliest cycle
@@ -920,14 +927,14 @@ Core::completeEntry(int slot)
     cycleHadWork = true;
     e.inFlight = false;
     e.executedOnce = true;
-    e.curResult = c.pendResult;
-    e.curResult2 = c.pendResult2;
+    e.curResult = c.pend.result;
+    e.curResult2 = c.pend.result2;
     e.curResult2Valid = true;
-    c.curTaken = c.pendTaken;
-    c.curNextPC = c.pendNextPC;
+    c.curTaken = c.pend.taken;
+    c.curNextPC = c.pend.nextPC;
     if (si.isLd || si.isSt) {
         if (!e.addrReused)
-            e.curMemAddr = static_cast<Addr>(c.pendMemAddr);
+            e.curMemAddr = c.pend.memAddr;
         e.memAddrKnown = true;
     }
     e.hasValue = producesResult(si.inst);
@@ -1876,20 +1883,17 @@ Core::cycle()
     // Stage profile: time one run cycle in samplePeriod and count
     // each lap samplePeriod times (sched_profile.hh).
     constexpr uint64_t period = SchedProfile::samplePeriod;
-    const bool timed = ++prof.cyclesRun % period == 0;
-    namespace chr = std::chrono;
-    chr::steady_clock::time_point t0;
+    profSampled = ++prof.cyclesRun % period == 0;
+    ProfClock::time_point t0;
     auto lap = [&](uint64_t &acc) {
-        if (!timed)
+        if (!profSampled)
             return;
-        chr::steady_clock::time_point t1 = chr::steady_clock::now();
-        acc += period * static_cast<uint64_t>(
-                            chr::duration_cast<chr::nanoseconds>(t1 - t0)
-                                .count());
+        ProfClock::time_point t1 = ProfClock::now();
+        acc += period * hostNs(t0, t1);
         t0 = t1;
     };
-    if (timed)
-        t0 = chr::steady_clock::now();
+    if (profSampled)
+        t0 = ProfClock::now();
     processCompletions();
     finalizeScan();
     resolveControl();

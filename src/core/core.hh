@@ -149,12 +149,9 @@ struct RobCold
     uint64_t correctResolveAt = UINT64_MAX; //!< first oracle-consistent
                                             //!< resolution (Figure 4)
 
-    // Pending execution outputs (published at completion).
-    uint64_t pendResult = 0;
-    uint64_t pendResult2 = 0;
-    bool pendTaken = false;
-    Addr pendNextPC = 0;
-    Addr pendMemAddr = 0;
+    /** Pending execution outputs (published at completion): issue
+     *  copies exec.out here, or evaluates speculative inputs into it. */
+    SemOut pend;
 };
 
 /** Everything fetch hands to dispatch for one instruction. A control
@@ -422,6 +419,9 @@ class Core
      *  allocation). */
     std::vector<WheelEvent> dueScratch;
     SchedProfile prof;
+    /** This cycle is one SchedProfile samples: its stage laps, and
+     *  dispatch's emulator steps, are timed. */
+    bool profSampled = false;
 
     // --- machine state ----------------------------------------------
     std::vector<RobEntry> rob;

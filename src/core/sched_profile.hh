@@ -33,6 +33,12 @@ struct SchedProfile
 
     uint64_t fetchNs = 0;
     uint64_t dispatchNs = 0;
+    /** The emulator steps dispatch makes (Emulator::stepAt), timed on
+     *  the same sampled cycles: a part of dispatchNs, not a sixth
+     *  stage. Timing a step takes two clock reads, which land in
+     *  dispatchNs and in part in emuNs, so compare emuNs between
+     *  builds rather than read it as what a step costs. */
+    uint64_t emuNs = 0;
     uint64_t issueNs = 0;
     /** Completion + finalize + control-resolution walks. */
     uint64_t executeNs = 0;
@@ -51,6 +57,7 @@ forEachProfileField(P &p, F f)
 {
     f("fetch_ns", p.fetchNs);
     f("dispatch_ns", p.dispatchNs);
+    f("emu_ns", p.emuNs);
     f("issue_ns", p.issueNs);
     f("execute_ns", p.executeNs);
     f("commit_ns", p.commitNs);

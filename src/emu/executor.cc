@@ -42,11 +42,11 @@ slo32(uint64_t v)
 
 } // anonymous namespace
 
-SemOut
-evalInstr(const Instr &inst, Addr pc, uint64_t src0, uint64_t src1,
-          const EmuState *mem)
+void
+evalInstr(SemOut &o, const Instr &inst, Addr pc, uint64_t src0,
+          uint64_t src1, const EmuState *mem)
 {
-    SemOut o;
+    o = SemOut{};
     o.nextPC = pc + 4;
 
     const uint32_t a = lo32(src0);
@@ -210,7 +210,13 @@ evalInstr(const Instr &inst, Addr pc, uint64_t src0, uint64_t src1,
       case Op::C_LE_D: o.result = fa <= fb ? 1 : 0; break;
       case Op::CVT_D_W: o.result = asBits(static_cast<double>(sa)); break;
       case Op::CVT_W_D:
-        o.result = lo32(static_cast<uint32_t>(static_cast<int32_t>(fa)));
+        // Truncates toward zero. NaN, the infinities and every double
+        // whose truncation leaves int32 give 0x80000000, the value
+        // x86's cvttsd2si returns for them, where the cast alone would
+        // be undefined.
+        o.result = fa > -2147483649.0 && fa < 2147483648.0
+                       ? lo32(static_cast<uint32_t>(static_cast<int32_t>(fa)))
+                       : 0x80000000u;
         break;
 
       default:
@@ -223,8 +229,6 @@ evalInstr(const Instr &inst, Addr pc, uint64_t src0, uint64_t src1,
     } else if (inst.op == Op::J || inst.op == Op::JAL) {
         o.nextPC = inst.target;
     }
-
-    return o;
 }
 
 Emulator::Emulator(const Program &program, EmuState &state)
@@ -257,7 +261,6 @@ void
 Emulator::step(ExecResult &r)
 {
     r.pc = curPC;
-    r.preMark = st.mark();
     r.srcVals[0] = 0;
     r.srcVals[1] = 0;
 
@@ -279,7 +282,7 @@ Emulator::step(ExecResult &r)
     if (si->src[1] != REG_INVALID)
         r.srcVals[1] = st.readReg(si->src[1]);
 
-    r.out = evalInstr(si->inst, curPC, r.srcVals[0], r.srcVals[1], &st);
+    evalInstr(r.out, si->inst, curPC, r.srcVals[0], r.srcVals[1], &st);
 
     if (si->isSt)
         st.writeMem(r.out.memAddr, si->memSz, r.out.storeValue);

@@ -34,8 +34,12 @@ struct SemOut
 };
 
 /**
- * Evaluate an instruction given its operand values.
+ * Evaluate an instruction given its operand values, writing every
+ * field of @p out (nothing of what it held before survives). Callers
+ * hand it the record they read from: the emulator its ExecResult, the
+ * core a ROB slot's pending outputs.
  *
+ * @param out   Receives the outcome.
  * @param inst  The instruction.
  * @param pc    Its PC (for fall-through / link values).
  * @param src0  Value of the first source register, StaticInst::src[0]
@@ -43,8 +47,8 @@ struct SemOut
  * @param src1  Value of the second, StaticInst::src[1] (0 if absent).
  * @param mem   State loads read; when null, loads return 0.
  */
-SemOut evalInstr(const Instr &inst, Addr pc, uint64_t src0, uint64_t src1,
-                 const EmuState *mem);
+void evalInstr(SemOut &out, const Instr &inst, Addr pc, uint64_t src0,
+               uint64_t src1, const EmuState *mem);
 
 /** A fully executed dynamic instruction, as seen by the dispatcher. */
 struct ExecResult
@@ -53,7 +57,6 @@ struct ExecResult
     Instr inst;
     SemOut out;
     uint64_t srcVals[2] = {0, 0}; //!< architectural operand values used
-    JournalMark preMark = 0;      //!< journal position before the write
     bool halted = false;
 };
 

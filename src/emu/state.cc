@@ -1,12 +1,18 @@
 #include "emu/state.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "common/logging.hh"
 
 namespace vpir
 {
+
+// Memory is little-endian, and the single-page accesses copy a value's
+// low bytes straight to and from the page.
+static_assert(std::endian::native == std::endian::little,
+              "EmuState's memcpy accesses assume a little-endian host");
 
 EmuState::EmuState()
 {
@@ -78,8 +84,7 @@ EmuState::readMemRaw(Addr addr, unsigned size) const
         if (!p)
             return 0;
         uint64_t v = 0;
-        for (unsigned b = 0; b < size; ++b)
-            v |= static_cast<uint64_t>((*p)[off + b]) << (8 * b);
+        std::memcpy(&v, p->data() + off, size);
         return v;
     }
     uint64_t v = 0;
@@ -98,8 +103,7 @@ EmuState::writeMemRaw(Addr addr, unsigned size, uint64_t value)
     uint32_t off = addr & (pageSize - 1);
     if (off + size <= pageSize) {
         Page &p = pageFor(addr); // one lookup + at most one COW fault
-        for (unsigned b = 0; b < size; ++b)
-            p[off + b] = static_cast<uint8_t>(value >> (8 * b));
+        std::memcpy(p.data() + off, &value, size);
         return;
     }
     for (unsigned b = 0; b < size; ++b) {
@@ -112,6 +116,8 @@ EmuState::writeMemRaw(Addr addr, unsigned size, uint64_t value)
 uint64_t
 EmuState::readMem(Addr addr, unsigned size) const
 {
+    VPIR_ASSERT(size == 1 || size == 2 || size == 4 || size == 8,
+                "bad memory access size");
     return readMemRaw(addr, size);
 }
 
@@ -120,14 +126,16 @@ EmuState::writeMem(Addr addr, unsigned size, uint64_t value)
 {
     VPIR_ASSERT(size == 1 || size == 2 || size == 4 || size == 8,
                 "bad memory access size");
-    journal.push_back(UndoRec{false, 0, static_cast<uint8_t>(size), addr,
-                              readMemRaw(addr, size)});
+    journal.emplace_back(false, RegId{0}, static_cast<uint8_t>(size), addr,
+                         readMemRaw(addr, size));
     writeMemRaw(addr, size, value);
 }
 
 void
 EmuState::initMem(Addr addr, unsigned size, uint64_t value)
 {
+    VPIR_ASSERT(size == 1 || size == 2 || size == 4 || size == 8,
+                "bad memory access size");
     writeMemRaw(addr, size, value);
 }
 

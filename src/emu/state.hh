@@ -67,7 +67,7 @@ class EmuState
         VPIR_ASSERT(r < NUM_ARCH_REGS, "register id out of range");
         if (r == REG_ZERO)
             return;
-        journal.push_back(UndoRec{true, r, 0, 0, regs[r]});
+        journal.emplace_back(true, r, uint8_t{0}, Addr{0}, regs[r]);
         regs[r] = value;
     }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 
 #include "asm/assembler.hh"
 #include "common/rng.hh"
@@ -15,6 +16,27 @@ using namespace vpir::wreg;
 namespace
 {
 
+/** evalInstr into a fresh SemOut, for the checks of one outcome. */
+SemOut
+eval(const Instr &i, Addr pc, uint64_t a, uint64_t b, const EmuState *mem)
+{
+    SemOut o;
+    evalInstr(o, i, pc, a, b, mem);
+    return o;
+}
+
+/** Every field of two outcomes, one expectation each. */
+void
+expectSameOut(const SemOut &got, const SemOut &want)
+{
+    EXPECT_EQ(got.result, want.result);
+    EXPECT_EQ(got.result2, want.result2);
+    EXPECT_EQ(got.taken, want.taken);
+    EXPECT_EQ(got.nextPC, want.nextPC);
+    EXPECT_EQ(got.memAddr, want.memAddr);
+    EXPECT_EQ(got.storeValue, want.storeValue);
+}
+
 uint64_t
 evalRR(Op op, uint32_t a, uint32_t b)
 {
@@ -23,7 +45,7 @@ evalRR(Op op, uint32_t a, uint32_t b)
     i.rd = T0;
     i.rs = T1;
     i.rt = T2;
-    return evalInstr(i, 0x1000, a, b, nullptr).result;
+    return eval(i, 0x1000, a, b, nullptr).result;
 }
 
 uint64_t
@@ -68,22 +90,22 @@ TEST(EvalInstr, Immediates)
     i.rd = T0;
     i.rs = T1;
     i.imm = -3;
-    EXPECT_EQ(evalInstr(i, 0, 10, 0, nullptr).result, 7u);
+    EXPECT_EQ(eval(i, 0, 10, 0, nullptr).result, 7u);
 
     i.op = Op::LUI;
     i.imm = 0x1234;
-    EXPECT_EQ(evalInstr(i, 0, 0, 0, nullptr).result, 0x12340000u);
+    EXPECT_EQ(eval(i, 0, 0, 0, nullptr).result, 0x12340000u);
 
     i.op = Op::LI;
     i.imm = -1;
-    EXPECT_EQ(evalInstr(i, 0, 0, 0, nullptr).result, 0xffffffffu);
+    EXPECT_EQ(eval(i, 0, 0, 0, nullptr).result, 0xffffffffu);
 
     i.op = Op::SLL;
     i.imm = 4;
-    EXPECT_EQ(evalInstr(i, 0, 3, 0, nullptr).result, 48u);
+    EXPECT_EQ(eval(i, 0, 3, 0, nullptr).result, 48u);
     i.op = Op::SRA;
     i.imm = 1;
-    EXPECT_EQ(evalInstr(i, 0, 0x80000000u, 0, nullptr).result,
+    EXPECT_EQ(eval(i, 0, 0x80000000u, 0, nullptr).result,
               0xc0000000u);
 }
 
@@ -95,18 +117,18 @@ TEST(EvalInstr, MultDiv)
     m.rd2 = REG_HI;
     m.rs = T1;
     m.rt = T2;
-    SemOut o = evalInstr(m, 0, 0x10000, 0x10000, nullptr);
+    SemOut o = eval(m, 0, 0x10000, 0x10000, nullptr);
     EXPECT_EQ(o.result, 0u);       // LO
     EXPECT_EQ(o.result2, 1u);      // HI
-    o = evalInstr(m, 0, static_cast<uint32_t>(-2), 3, nullptr);
+    o = eval(m, 0, static_cast<uint32_t>(-2), 3, nullptr);
     EXPECT_EQ(o.result, static_cast<uint32_t>(-6));
     EXPECT_EQ(o.result2, 0xffffffffu); // sign extension of -6
 
     m.op = Op::DIV;
-    o = evalInstr(m, 0, 17, 5, nullptr);
+    o = eval(m, 0, 17, 5, nullptr);
     EXPECT_EQ(o.result, 3u);  // quotient in LO
     EXPECT_EQ(o.result2, 2u); // remainder in HI
-    o = evalInstr(m, 0, 17, 0, nullptr); // divide by zero defined
+    o = eval(m, 0, 17, 0, nullptr); // divide by zero defined
     EXPECT_EQ(o.result, 0u);
 }
 
@@ -125,8 +147,8 @@ TEST(EvalInstr, DivMulIdentityProperty)
         int32_t b = static_cast<int32_t>(rng.next() | 1);
         if (a == INT32_MIN && b == -1)
             continue;
-        SemOut o = evalInstr(d, 0, static_cast<uint32_t>(a),
-                             static_cast<uint32_t>(b), nullptr);
+        SemOut o = eval(d, 0, static_cast<uint32_t>(a),
+                        static_cast<uint32_t>(b), nullptr);
         int32_t q = static_cast<int32_t>(o.result);
         int32_t r = static_cast<int32_t>(o.result2);
         ASSERT_EQ(static_cast<int64_t>(q) * b + r, a);
@@ -140,18 +162,18 @@ TEST(EvalInstr, Branches)
     b.rs = T1;
     b.rt = T2;
     b.target = 0x2000;
-    SemOut o = evalInstr(b, 0x1000, 4, 4, nullptr);
+    SemOut o = eval(b, 0x1000, 4, 4, nullptr);
     EXPECT_TRUE(o.taken);
     EXPECT_EQ(o.nextPC, 0x2000u);
-    o = evalInstr(b, 0x1000, 4, 5, nullptr);
+    o = eval(b, 0x1000, 4, 5, nullptr);
     EXPECT_FALSE(o.taken);
     EXPECT_EQ(o.nextPC, 0x1004u);
 
     b.op = Op::BLTZ;
-    o = evalInstr(b, 0x1000, static_cast<uint32_t>(-1), 0, nullptr);
+    o = eval(b, 0x1000, static_cast<uint32_t>(-1), 0, nullptr);
     EXPECT_TRUE(o.taken);
     b.op = Op::BGEZ;
-    o = evalInstr(b, 0x1000, 0, 0, nullptr);
+    o = eval(b, 0x1000, 0, 0, nullptr);
     EXPECT_TRUE(o.taken);
 }
 
@@ -161,13 +183,13 @@ TEST(EvalInstr, Jumps)
     j.op = Op::JAL;
     j.rd = REG_RA;
     j.target = 0x3000;
-    SemOut o = evalInstr(j, 0x1000, 0, 0, nullptr);
+    SemOut o = eval(j, 0x1000, 0, 0, nullptr);
     EXPECT_EQ(o.nextPC, 0x3000u);
     EXPECT_EQ(o.result, 0x1004u); // link
 
     j.op = Op::JR;
     j.rs = T1;
-    o = evalInstr(j, 0x1000, 0x4000, 0, nullptr);
+    o = eval(j, 0x1000, 0x4000, 0, nullptr);
     EXPECT_EQ(o.nextPC, 0x4000u);
 }
 
@@ -178,28 +200,95 @@ TEST(EvalInstr, FloatingPoint)
     f.rd = fpReg(0);
     f.rs = fpReg(1);
     f.rt = fpReg(2);
-    SemOut o = evalInstr(f, 0, dbits(1.5), dbits(2.25), nullptr);
+    SemOut o = eval(f, 0, dbits(1.5), dbits(2.25), nullptr);
     EXPECT_DOUBLE_EQ(bitsd(o.result), 3.75);
 
     f.op = Op::MUL_D;
-    o = evalInstr(f, 0, dbits(3.0), dbits(-2.0), nullptr);
+    o = eval(f, 0, dbits(3.0), dbits(-2.0), nullptr);
     EXPECT_DOUBLE_EQ(bitsd(o.result), -6.0);
 
     f.op = Op::SQRT_D;
-    o = evalInstr(f, 0, dbits(9.0), 0, nullptr);
+    o = eval(f, 0, dbits(9.0), 0, nullptr);
     EXPECT_DOUBLE_EQ(bitsd(o.result), 3.0);
 
     f.op = Op::C_LT_D;
-    o = evalInstr(f, 0, dbits(1.0), dbits(2.0), nullptr);
+    o = eval(f, 0, dbits(1.0), dbits(2.0), nullptr);
     EXPECT_EQ(o.result, 1u);
 
     f.op = Op::CVT_D_W;
-    o = evalInstr(f, 0, static_cast<uint32_t>(-7), 0, nullptr);
+    o = eval(f, 0, static_cast<uint32_t>(-7), 0, nullptr);
     EXPECT_DOUBLE_EQ(bitsd(o.result), -7.0);
 
     f.op = Op::CVT_W_D;
-    o = evalInstr(f, 0, dbits(-7.9), 0, nullptr);
+    o = eval(f, 0, dbits(-7.9), 0, nullptr);
     EXPECT_EQ(static_cast<int32_t>(o.result), -7);
+}
+
+/** CVT_W_D truncates toward zero; NaN, the infinities and doubles
+ *  whose truncation leaves int32 give 0x80000000. */
+TEST(EvalInstr, CvtWDOutsideInt32IsIndefinite)
+{
+    Instr f;
+    f.op = Op::CVT_W_D;
+    f.rd = fpReg(0);
+    f.rs = fpReg(1);
+    auto cvt = [&](double d) {
+        return eval(f, 0, dbits(d), 0, nullptr).result;
+    };
+    EXPECT_EQ(cvt(std::numeric_limits<double>::quiet_NaN()), 0x80000000u);
+    EXPECT_EQ(cvt(std::numeric_limits<double>::infinity()), 0x80000000u);
+    EXPECT_EQ(cvt(-std::numeric_limits<double>::infinity()), 0x80000000u);
+    EXPECT_EQ(cvt(2147483648.0), 0x80000000u);  // 2^31
+    EXPECT_EQ(cvt(-2147483649.0), 0x80000000u); // -2^31 - 1
+    EXPECT_EQ(cvt(1e300), 0x80000000u);
+    // The edges that still truncate into int32.
+    EXPECT_EQ(cvt(2147483647.9), 0x7fffffffu);
+    EXPECT_EQ(cvt(-2147483648.0), 0x80000000u);
+    EXPECT_EQ(cvt(-2147483648.9), 0x80000000u);
+    EXPECT_EQ(cvt(-0.5), 0u);
+}
+
+/** Every field is written on every call: outcomes that set a memory
+ *  address, a store value, a taken direction, a jump target or HI
+ *  leave none of it in the record an ADDI is evaluated into next. */
+TEST(EvalInstr, InPlaceLeavesNothingOfThePrevious)
+{
+    Instr st;
+    st.op = Op::SW;
+    st.rs = T0;
+    st.rt = T1;
+    st.imm = 8;
+    Instr br;
+    br.op = Op::BNE;
+    br.rs = T0;
+    br.rt = T1;
+    br.target = 0x2000;
+    Instr mul;
+    mul.op = Op::MULT;
+    mul.rd = REG_LO;
+    mul.rd2 = REG_HI;
+    mul.rs = T0;
+    mul.rt = T1;
+    Instr addi;
+    addi.op = Op::ADDI;
+    addi.rd = T2;
+    addi.rs = T0;
+    addi.imm = 5;
+
+    SemOut o;
+    evalInstr(o, st, 0x1000, 0x5000, 0x99, nullptr);
+    ASSERT_EQ(o.memAddr, 0x5008u);
+    ASSERT_EQ(o.storeValue, 0x99u);
+    evalInstr(o, br, 0x1004, 1, 2, nullptr);
+    ASSERT_TRUE(o.taken);
+    ASSERT_EQ(o.nextPC, 0x2000u);
+    evalInstr(o, mul, 0x1008, 0x10000, 0x30000, nullptr);
+    ASSERT_EQ(o.result2, 3u);
+
+    evalInstr(o, addi, 0x100c, 37, 0, nullptr);
+    SCOPED_TRACE("ADDI into a used record against a fresh one");
+    expectSameOut(o, eval(addi, 0x100c, 37, 0, nullptr));
+    EXPECT_EQ(o.result, 42u);
 }
 
 TEST(EvalInstr, LoadsSignAndZeroExtend)
@@ -210,9 +299,9 @@ TEST(EvalInstr, LoadsSignAndZeroExtend)
     l.op = Op::LB;
     l.rd = T0;
     l.rs = T1;
-    EXPECT_EQ(evalInstr(l, 0, 0x100, 0, &mem).result, 0xffffff80u);
+    EXPECT_EQ(eval(l, 0, 0x100, 0, &mem).result, 0xffffff80u);
     l.op = Op::LBU;
-    EXPECT_EQ(evalInstr(l, 0, 0x100, 0, &mem).result, 0x80u);
+    EXPECT_EQ(eval(l, 0, 0x100, 0, &mem).result, 0x80u);
 }
 
 TEST(Emulator, RunsAssembledProgram)
@@ -292,6 +381,39 @@ TEST(Emulator, SrcValsCaptureOperands)
     EXPECT_EQ(r.srcVals[0], 11u);
     EXPECT_EQ(r.srcVals[1], 22u);
     EXPECT_EQ(r.out.result, 33u);
+}
+
+/** step(r) into a record that held a store keeps none of the store's
+ *  fields: the limit study and every ROB slot reuse one record. */
+TEST(Emulator, ReusedResultKeepsNothingOfAStore)
+{
+    Assembler a;
+    a.li(T0, 0x5000);
+    a.li(T1, 0x99);
+    a.sw(T1, T0, 8);
+    a.addi(T2, T1, 1);
+    a.halt();
+    Program p = a.finish();
+    EmuState st;
+    Emulator emu(p, st);
+    ExecResult r;
+    emu.step(r);
+    emu.step(r);
+    emu.step(r);
+    ASSERT_EQ(r.inst.op, Op::SW);
+    ASSERT_EQ(r.out.memAddr, 0x5008u);
+    ASSERT_EQ(r.out.storeValue, 0x99u);
+    ASSERT_EQ(r.srcVals[1], 0x99u);
+
+    emu.step(r);
+    EXPECT_EQ(r.inst.op, Op::ADDI);
+    EXPECT_FALSE(r.halted);
+    EXPECT_EQ(r.srcVals[0], 0x99u);
+    EXPECT_EQ(r.srcVals[1], 0u);
+    expectSameOut(r.out, eval(r.inst, r.pc, 0x99, 0, &st));
+    EXPECT_EQ(r.out.result, 0x9au);
+    EXPECT_EQ(r.out.memAddr, 0u);
+    EXPECT_EQ(r.out.storeValue, 0u);
 }
 
 TEST(Emulator, StoreWritesThroughJournal)
