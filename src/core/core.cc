@@ -104,25 +104,7 @@ Core::allocRob()
     return slot;
 }
 
-uint64_t
-Core::entryValueFor(const RobEntry &e, RegId reg) const
-{
-    RegId rd2 = e.si->inst.rd2;
-    if (rd2 != REG_INVALID && reg == rd2)
-        return e.curResult2;
-    return e.curResult;
-}
-
-bool
-Core::entryValueAvail(const RobEntry &e, RegId reg, uint64_t t) const
-{
-    RegId rd2 = e.si->inst.rd2;
-    if (rd2 != REG_INVALID && reg == rd2)
-        return e.curResult2Valid && e.readyTime <= t;
-    return e.hasValue && e.readyTime <= t;
-}
-
-Core::OperandView
+inline Core::OperandView
 Core::operandView(int slot, int k, uint64_t t) const
 {
     const RobEntry &e = at(slot);
@@ -143,8 +125,8 @@ Core::operandView(int slot, int k, uint64_t t) const
         return v;
     }
     const RobEntry &p = at(ref.slot);
-    v.avail = entryValueAvail(p, e.srcReg[k], t);
-    v.value = entryValueFor(p, e.srcReg[k]);
+    v.avail = entryValueAvail(p, e.srcHi[k], t);
+    v.value = entryValueFor(p, e.srcHi[k]);
     v.final = v.avail && p.finalized && p.finalizeAt <= t;
     // Idle-skip bound: the only way this view changes without an
     // event is the producer's verification delay elapsing.
@@ -334,7 +316,7 @@ Core::tryDispatchReuse(int slot)
             q[k].ready = true;
         } else {
             const RobEntry &p = at(ref.slot);
-            q[k].ready = entryValueAvail(p, q[k].reg, curCycle) &&
+            q[k].ready = entryValueAvail(p, e.srcHi[k], curCycle) &&
                          p.finalized;
             // Chains probe through reused producers; in late mode the
             // hit set must match early mode (only validation timing
@@ -455,17 +437,6 @@ namespace
 constexpr RobEntry freshEntry{};
 constexpr RobCold freshCold{};
 
-using ProfClock = std::chrono::steady_clock;
-
-/** Host nanoseconds from @p t0 to @p t1, for the stage profile. */
-uint64_t
-hostNs(ProfClock::time_point t0, ProfClock::time_point t1)
-{
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-            .count());
-}
-
 } // anonymous namespace
 
 void
@@ -488,14 +459,8 @@ Core::dispatchStage()
         // images to a rep stos whose start-up costs more than the copy.
         std::memcpy(&e, &freshEntry, sizeof e);
         std::memcpy(&c, &freshCold, sizeof c);
-        if (profSampled) {
-            ProfClock::time_point t0 = ProfClock::now();
-            emu.stepAt(f.pc, c.exec);
-            prof.emuNs += SchedProfile::samplePeriod *
-                          hostNs(t0, ProfClock::now());
-        } else {
-            emu.stepAt(f.pc, c.exec);
-        }
+        emu.stepAt(f.pc, c.exec);
+        ++prof.emuSteps;
         const ExecResult &er = c.exec;
         e.valid = true;
         e.seq = nextSeq++;
@@ -515,12 +480,15 @@ Core::dispatchStage()
             fetchCps.pop_front();
         }
 
-        // Rename sources against in-flight producers.
+        // Rename sources against in-flight producers, fixing which of
+        // a producer's two results each operand reads.
         for (int k = 0; k < 2; ++k) {
             RegId r = si.src[k];
             e.srcReg[k] = r;
-            if (r != REG_INVALID && refAlive(regProducer[r]))
+            if (r != REG_INVALID && refAlive(regProducer[r])) {
                 e.srcRob[k] = regProducer[r];
+                e.srcHi[k] = at(regProducer[r].slot).si->inst.rd2 == r;
+            }
         }
 
         bool no_exec = si.di.cls == InstClass::Nop || si.isHalt;
@@ -611,7 +579,7 @@ Core::wakeWaiters(int prodSlot)
         int cslot = id / 2;
         int k = id % 2;
         RobEntry &c = at(cslot);
-        if (entryValueAvail(p, c.srcReg[k], curCycle)) {
+        if (entryValueAvail(p, c.srcHi[k], curCycle)) {
             OpWaiter &w = waiters[id];
             if (!w.availSeen) {
                 // First availability: monotone per ROB incarnation,
@@ -622,7 +590,7 @@ Core::wakeWaiters(int prodSlot)
                 if (--c.pendingOps == 0)
                     readySet.insert(cslot);
             } else if (c.executedOnce
-                           ? entryValueFor(p, c.srcReg[k]) !=
+                           ? entryValueFor(p, c.srcHi[k]) !=
                                  c.usedVals[k]
                            : c.pendingOps == 0) {
                 // Re-publication of an already-available operand: the
@@ -676,7 +644,7 @@ Core::schedOnDispatch(int slot)
         // link is the re-publication wake channel that lets the issue
         // scan drop quiescent entries from the ready set.
         const RobEntry &p = at(e.srcRob[k].slot);
-        bool avail = entryValueAvail(p, e.srcReg[k], curCycle);
+        bool avail = entryValueAvail(p, e.srcHi[k], curCycle);
         linkWaiter(slot, k, e.srcRob[k].slot);
         waiters[slot * 2 + k].availSeen = avail;
         if (!avail)
@@ -1883,17 +1851,20 @@ Core::cycle()
     // Stage profile: time one run cycle in samplePeriod and count
     // each lap samplePeriod times (sched_profile.hh).
     constexpr uint64_t period = SchedProfile::samplePeriod;
-    profSampled = ++prof.cyclesRun % period == 0;
-    ProfClock::time_point t0;
+    const bool timed = ++prof.cyclesRun % period == 0;
+    namespace chr = std::chrono;
+    chr::steady_clock::time_point t0;
     auto lap = [&](uint64_t &acc) {
-        if (!profSampled)
+        if (!timed)
             return;
-        ProfClock::time_point t1 = ProfClock::now();
-        acc += period * hostNs(t0, t1);
+        chr::steady_clock::time_point t1 = chr::steady_clock::now();
+        acc += period * static_cast<uint64_t>(
+                            chr::duration_cast<chr::nanoseconds>(t1 - t0)
+                                .count());
         t0 = t1;
     };
-    if (profSampled)
-        t0 = ProfClock::now();
+    if (timed)
+        t0 = chr::steady_clock::now();
     processCompletions();
     finalizeScan();
     resolveControl();

@@ -114,6 +114,10 @@ struct RobEntry
      *  publication and finalization wakeups), as an index into
      *  Core::waiters; -1 when empty. */
     int waiterHead = -1;
+    /** Operand k reads its live producer's second result (HI), fixed
+     *  at rename; false when the operand has no live producer. Kept
+     *  here, in the tail padding, rather than beside srcReg. */
+    bool srcHi[2] = {false, false};
 };
 
 /** The rest of an in-flight instruction, in an array parallel to the
@@ -260,10 +264,19 @@ class Core
         }
     }
 
-    /** Value of register @p reg as produced by entry @p e. */
-    uint64_t entryValueFor(const RobEntry &e, RegId reg) const;
-    /** Is @p reg's value from producer @p e available at @p t? */
-    bool entryValueAvail(const RobEntry &e, RegId reg, uint64_t t) const;
+    /** The value producer @p e gives an operand: its second result
+     *  when @p hi (the operand's srcHi), else its first. */
+    static uint64_t
+    entryValueFor(const RobEntry &e, bool hi)
+    {
+        return hi ? e.curResult2 : e.curResult;
+    }
+    /** Is that value available at @p t? */
+    static bool
+    entryValueAvail(const RobEntry &e, bool hi, uint64_t t)
+    {
+        return (hi ? e.curResult2Valid : e.hasValue) && e.readyTime <= t;
+    }
 
     struct OperandView
     {
@@ -419,9 +432,6 @@ class Core
      *  allocation). */
     std::vector<WheelEvent> dueScratch;
     SchedProfile prof;
-    /** This cycle is one SchedProfile samples: its stage laps, and
-     *  dispatch's emulator steps, are timed. */
-    bool profSampled = false;
 
     // --- machine state ----------------------------------------------
     std::vector<RobEntry> rob;

@@ -12,9 +12,10 @@
  * rather than the simulated machine (a better skipper changes it
  * without changing any stat), so folding either into the
  * deterministic stats block would break stats byte-identity and the
- * result-cache fingerprint. The cycle counts are exact and
- * deterministic for a given build and cell. The sweep engine emits
- * every simulated cell's profile into bench_timing.*.json.
+ * result-cache fingerprint. The cycle and emulator-step counts are
+ * exact and deterministic for a given build and cell. The sweep
+ * engine emits every simulated cell's profile into
+ * bench_timing.*.json.
  */
 
 #ifndef VPIR_CORE_SCHED_PROFILE_HH
@@ -33,12 +34,11 @@ struct SchedProfile
 
     uint64_t fetchNs = 0;
     uint64_t dispatchNs = 0;
-    /** The emulator steps dispatch makes (Emulator::stepAt), timed on
-     *  the same sampled cycles: a part of dispatchNs, not a sixth
-     *  stage. Timing a step takes two clock reads, which land in
-     *  dispatchNs and in part in emuNs, so compare emuNs between
-     *  builds rather than read it as what a step costs. */
-    uint64_t emuNs = 0;
+    /** Emulator steps dispatch made (Emulator::stepAt), on every
+     *  cycle, wrong paths included: exact and clock-free. Priced at
+     *  a step's measured cost (perfbench's emu.step_ns), they give
+     *  the emulator's part of dispatchNs. */
+    uint64_t emuSteps = 0;
     uint64_t issueNs = 0;
     /** Completion + finalize + control-resolution walks. */
     uint64_t executeNs = 0;
@@ -57,7 +57,7 @@ forEachProfileField(P &p, F f)
 {
     f("fetch_ns", p.fetchNs);
     f("dispatch_ns", p.dispatchNs);
-    f("emu_ns", p.emuNs);
+    f("emu_steps", p.emuSteps);
     f("issue_ns", p.issueNs);
     f("execute_ns", p.executeNs);
     f("commit_ns", p.commitNs);

@@ -38,9 +38,12 @@ struct OperandSlot
 
 /**
  * One history buffer: an open-addressing table of Slots keyed by a
- * 64-bit key. Power-of-two slots, linear probing, load at most 1/2
+ * 64-bit key. Power-of-two slots, linear probing, load at most 5/8
  * and a multiplicative hash. Key 0 marks an empty slot, so that key
- * is kept out of line.
+ * is kept out of line. A program's tables outgrow the L2, and the
+ * analysis runs faster the smaller they are: 5/8 is the lowest load
+ * that holds the paper's 10K-instance cap in 16K slots (1/2 took
+ * 32K); a higher one only lengthens the probes.
  */
 template <typename Slot>
 class HistTable
@@ -71,7 +74,7 @@ class HistTable
             return {&slots[i], true};
         if (!mayInsert)
             return {nullptr, false};
-        if (2 * (used + 1) > slots.size()) {
+        if (8 * (used + 1) > 5 * slots.size()) {
             grow();
             i = probe(key);
         }
@@ -178,15 +181,6 @@ analyzeRedundancy(const Program &program, const RedundancyParams &params)
             // Both buffers are classified by their contents before
             // this instance's inserts, and insert only while below
             // the cap; a full operand buffer keeps its stored results.
-            bool results_open = h.results.size() < params.maxInstances;
-            bool is_repeated =
-                h.results.findOrInsert(result, results_open).found;
-            bool is_derivable = false;
-            if (!is_repeated && h.seen >= 2) {
-                uint64_t stride = h.lastResult - h.prevResult;
-                is_derivable = result == h.lastResult + stride;
-            }
-
             // An instance is reused when it repeats a result that
             // was computed from the same operand values before
             // (paper §4.3: the operand-based reuse test succeeds).
@@ -196,6 +190,25 @@ analyzeRedundancy(const Program &program, const RedundancyParams &params)
             bool operands_seen = operands_known && op->value == result;
             if (operands_open)
                 op->value = result;
+
+            // Operand buffer first: when it already proves the result
+            // repeated and the results buffer has never been full,
+            // the results probe is skipped. This is exact. The stored
+            // value is an earlier instance's result, and a results
+            // buffer below its cap now was below it then, so it took
+            // that result: the probe could only find the key and
+            // insert nothing. Once the results buffer is full, a
+            // stored result may be newer than the cap and absent from
+            // it, so the probe stays.
+            bool results_open = h.results.size() < params.maxInstances;
+            bool is_repeated =
+                (operands_seen && results_open) ||
+                h.results.findOrInsert(result, results_open).found;
+            bool is_derivable = false;
+            if (!is_repeated && h.seen >= 2) {
+                uint64_t stride = h.lastResult - h.prevResult;
+                is_derivable = result == h.lastResult + stride;
+            }
             this_reused = is_repeated && operands_seen;
 
             if (is_repeated) {
